@@ -1,7 +1,8 @@
 # Convenience targets; every recipe matches what CI runs.
 #
 #   make ci      - the exact step sequence of .github/workflows/ci.yml:
-#                  lint -> unit -> differential -> fuzz -> guards
+#                  lint -> unit -> differential -> fuzz -> guards -> stress
+#                  -> perf-smoke
 #   make test    - tier-1 suite (unit + integration + property + differential)
 #   make unit    - the unit/integration/property suites as CI runs them
 #                  (differential + fuzz split out into their own steps)
@@ -24,6 +25,14 @@
 #                  writers-vs-readers snapshot stress suite plus the
 #                  1/4/16-client concurrent load driver (every served row
 #                  differentially checked against the serial answer)
+#   make perf-smoke - the wall-clock ledger's own tier-1 check (~12 s): all
+#                  five workloads at smoke size, every declared metric
+#                  emitted and finite, exact counters repeat
+#   make perf    - a full wall-clock ledger reading (five workloads, untraced
+#                  then traced) into BENCH_perf.json; compare two readings
+#                  with `python benchmarks/perf/compare.py A.json B.json`.
+#                  Not part of `ci`: wall-clock numbers are judged by the A/B
+#                  protocol in benchmarks/perf/README.md, not by a CI gate
 #   make bench   - paper-figure benchmarks plus the speedup guards; set
 #                  REPRO_BENCH_REPORT=BENCH_pr.json to emit the trajectory
 #                  report, compare with `make bench-compare`
@@ -38,11 +47,12 @@ PYTHON ?= python
 SEED ?= 0
 export PYTHONPATH := src
 
-.PHONY: ci test unit diff fuzz fuzz-nightly fuzz-parallel fuzz-partitioned guards stress bench bench-compare experiments lint all
+.PHONY: ci test unit diff fuzz fuzz-nightly fuzz-parallel fuzz-partitioned guards stress perf-smoke perf bench bench-compare experiments lint all
 
 # Mirrors the CI workflow's step sequence exactly (lint job, then the test
-# job's pytest steps, then the speedup guards and the serving stress).
-ci: lint unit diff fuzz fuzz-parallel fuzz-partitioned guards stress
+# job's pytest steps, then the speedup guards, the serving stress and the
+# ledger smoke).
+ci: lint unit diff fuzz fuzz-parallel fuzz-partitioned guards stress perf-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q tests
@@ -73,6 +83,12 @@ guards:
 
 stress:
 	$(PYTHON) -m pytest -x -q -s tests/test_server_concurrency.py benchmarks/test_serving_concurrency.py
+
+perf-smoke:
+	$(PYTHON) -m pytest -x -q benchmarks/perf/test_perf_smoke.py
+
+perf:
+	$(PYTHON) benchmarks/perf/run.py --out BENCH_perf.json
 
 bench:
 	$(PYTHON) -m pytest -x -q -s benchmarks

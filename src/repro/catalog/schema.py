@@ -44,7 +44,7 @@ class ColumnType(enum.Enum):
             return value
         try:
             return expected(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CatalogError(
                 f"cannot coerce {value!r} to column type {self.value}"
             ) from exc

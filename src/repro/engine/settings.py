@@ -84,7 +84,7 @@ class EngineSettings:
         feedback_path: JSON file to warm the feedback store from at startup
             (``None`` = start cold; saving is explicit via
             ``FeedbackStore.save``).
-        sample_rows: reservoir-sample rows ANALYZE keeps per table for the
+        sample_rows: sampled rows ANALYZE keeps per table for the
             sampling estimator (0 disables sampling).
     """
 

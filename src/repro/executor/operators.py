@@ -21,6 +21,7 @@ work charged by :mod:`repro.executor.executor`, never the rows produced.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog
@@ -186,17 +187,17 @@ def join_results(
             continue
         buckets.setdefault(key, []).append(i)
 
-    build_idx: List[int] = []
-    probe_idx: List[int] = []
+    # One C-level pass per step over the probe keys: look every key up (a
+    # NULL key misses: none was inserted), keep the positions that hit, then
+    # lay the hit buckets end to end.  Probe-side-major, build insertion
+    # order within a key.
     probe_keys = _key_rows(probe, probe_positions)
-    for i, key in enumerate(probe_keys):
-        if _key_is_null(key, composite):
-            continue
-        matches = buckets.get(key)
-        if not matches:
-            continue
-        build_idx.extend(matches)
-        probe_idx.extend([i] * len(matches))
+    matched = list(map(buckets.get, probe_keys))
+    probe_idx = list(compress(range(len(matched)), matched))
+    hit_buckets = list(compress(matched, matched))
+    build_idx = list(chain.from_iterable(hit_buckets))
+    if len(build_idx) != len(probe_idx):  # some build key repeats
+        probe_idx = [i for i, hits in zip(probe_idx, hit_buckets) for _ in hits]
 
     if build_on_left:
         left_sel, right_sel = build_idx, probe_idx

@@ -11,10 +11,12 @@ Three strategies, mirroring how PostgreSQL scales its search with query size:
 * **Greedy operator ordering** for large queries (the stand-in for GEQO):
   repeatedly join the pair of components with the smallest estimated output.
 
-All strategies share the candidate generation in :meth:`_join_candidates`,
-which considers hash join, nested loop, index nested loop (when the inner is
-a base table with an index on the join key) and merge join in both
+All strategies share the candidate costing in :meth:`_cheapest_join`, which
+considers hash join, nested loop, index nested loop (when the inner is a
+base table with an index on the join key) and merge join in both
 orientations, costed with the shared :class:`~repro.optimizer.cost.CostModel`.
+Candidates are compared as plain cost floats; a :class:`JoinNode` is built
+only for the cheapest join of each alias subset the search keeps.
 """
 
 from __future__ import annotations
@@ -52,11 +54,17 @@ from repro.sql.ast import (
     InList,
     Literal,
 )
-from repro.sql.binder import BoundQuery
+from repro.sql.binder import BoundJoin, BoundQuery
 from repro.sql.builder import scan_referenced_columns
 from repro.storage.partition import PartitionedTable
 
 AliasSet = FrozenSet[str]
+
+#: A costed join the enumerator has not built yet:
+#: ``(cost, outer, inner, algorithm, join_predicates, residual_filters)``.
+_JoinChoice = Tuple[
+    float, PlanNode, PlanNode, JoinAlgorithm, Tuple[BoundJoin, ...], Tuple[Expr, ...]
+]
 
 
 @dataclass
@@ -277,106 +285,84 @@ class JoinEnumerator:
                 residuals.append(residual)
         return tuple(residuals)
 
-    def _join_candidates(
-        self, left: PlanNode, right: PlanNode, output_rows: float
-    ) -> List[JoinNode]:
-        """All physical join candidates between two sub-plans (both orientations)."""
-        joins = self.graph.joins_between_sets(left.aliases, right.aliases)
+    def _cheapest_join(
+        self,
+        left: PlanNode,
+        right: PlanNode,
+        output_rows: float,
+        best: Optional[_JoinChoice] = None,
+    ) -> Optional[_JoinChoice]:
+        """Cost every physical join of two sub-plans against the incumbent.
+
+        Candidates are costed as plain floats, both orientations, in a fixed
+        order (hash, nested loop, merge, index nested loop); a candidate
+        replaces ``best`` only when strictly cheaper, so the first of equally
+        cheap candidates wins.  Returns the surviving choice — ``best`` itself
+        when nothing here beats it — from which :meth:`_make_join` builds the
+        one :class:`JoinNode` a subset keeps.
+        """
+        joins = tuple(self.graph.joins_between_sets(left.aliases, right.aliases))
         residuals = self._residuals_for(left, right)
-        if not joins:
-            if not residuals and not self._bridges_residual(left, right):
-                return []
-            # No equi-join keys: the only physical option is a (possibly
-            # filtered) cross product, costed as a nested loop.  A pair
-            # bridging a wider residual gets a plain cross product here; the
-            # residual itself applies at the join that first covers it.
-            candidates = []
-            for outer, inner in ((left, right), (right, left)):
-                candidates.append(
-                    self._make_join(
-                        outer,
-                        inner,
-                        (),
-                        JoinAlgorithm.NESTED_LOOP,
-                        outer.estimated_cost
-                        + inner.estimated_cost
-                        + self.cost_model.nested_loop_cost(
-                            outer.estimated_rows, inner.estimated_rows, output_rows
-                        ),
-                        output_rows,
-                        residuals,
-                    )
-                )
-            return candidates
-        candidates: List[JoinNode] = []
+        if not joins and not residuals and not self._bridges_residual(left, right):
+            return best
+        best_cost = best[0] if best is not None else None
+        model = self.cost_model
+        config = self.config
         for outer, inner in ((left, right), (right, left)):
-            oriented = tuple(joins)
+            outer_rows = outer.estimated_rows
+            inner_rows = inner.estimated_rows
             base_cost = outer.estimated_cost + inner.estimated_cost
-            candidates.append(
-                self._make_join(
-                    outer,
-                    inner,
-                    oriented,
-                    JoinAlgorithm.HASH_JOIN,
-                    base_cost
-                    + self.cost_model.hash_join_cost(
-                        outer.estimated_rows, inner.estimated_rows, output_rows
-                    ),
-                    output_rows,
-                    residuals,
-                )
+            nested_loop = (
+                JoinAlgorithm.NESTED_LOOP,
+                base_cost + model.nested_loop_cost(outer_rows, inner_rows, output_rows),
             )
-            if self.config.enable_nested_loop:
-                candidates.append(
-                    self._make_join(
-                        outer,
-                        inner,
-                        oriented,
-                        JoinAlgorithm.NESTED_LOOP,
+            if not joins:
+                # No equi-join keys: the only physical option is a (possibly
+                # filtered) cross product, costed as a nested loop.  A pair
+                # bridging a wider residual gets a plain cross product here;
+                # the residual itself applies at the join that first covers it.
+                costed = [nested_loop]
+            else:
+                costed = [
+                    (
+                        JoinAlgorithm.HASH_JOIN,
                         base_cost
-                        + self.cost_model.nested_loop_cost(
-                            outer.estimated_rows, inner.estimated_rows, output_rows
-                        ),
-                        output_rows,
-                        residuals,
+                        + model.hash_join_cost(outer_rows, inner_rows, output_rows),
                     )
-                )
-            if self.config.enable_merge_join:
-                candidates.append(
-                    self._make_join(
-                        outer,
-                        inner,
-                        oriented,
-                        JoinAlgorithm.MERGE_JOIN,
-                        base_cost
-                        + self.cost_model.merge_join_cost(
-                            outer.estimated_rows, inner.estimated_rows, output_rows
-                        ),
-                        output_rows,
-                        residuals,
+                ]
+                if config.enable_nested_loop:
+                    costed.append(nested_loop)
+                if config.enable_merge_join:
+                    costed.append(
+                        (
+                            JoinAlgorithm.MERGE_JOIN,
+                            base_cost
+                            + model.merge_join_cost(outer_rows, inner_rows, output_rows),
+                        )
                     )
-                )
-            inlj_column = self._index_nested_loop_column(inner, joins)
-            if self.config.enable_index_nested_loop and inlj_column is not None:
-                # The inner side is probed through its index, so its own scan
-                # cost is not paid; only the outer subtree cost is.
-                cost = outer.estimated_cost + self.cost_model.index_nested_loop_cost(
-                    outer.estimated_rows,
-                    output_rows,
-                    len(inner.filters) if isinstance(inner, ScanNode) else 0,
-                )
-                candidates.append(
-                    self._make_join(
-                        outer,
-                        inner,
-                        oriented,
-                        JoinAlgorithm.INDEX_NESTED_LOOP,
-                        cost,
-                        output_rows,
-                        residuals,
+                if (
+                    config.enable_index_nested_loop
+                    and self._index_nested_loop_column(inner, joins) is not None
+                ):
+                    # The inner side is probed through its index, so its own
+                    # scan cost is not paid; only the outer subtree cost is.
+                    costed.append(
+                        (
+                            JoinAlgorithm.INDEX_NESTED_LOOP,
+                            outer.estimated_cost
+                            + model.index_nested_loop_cost(
+                                outer_rows,
+                                output_rows,
+                                len(inner.filters) if isinstance(inner, ScanNode) else 0,
+                            ),
+                        )
                     )
-                )
-        return candidates
+            self.candidates_considered += len(costed)
+            for algorithm, cost in costed:
+                if best_cost is None or cost < best_cost:
+                    best_cost = cost
+                    best = (cost, outer, inner, algorithm, joins, residuals)
+        return best
 
     def _index_nested_loop_column(
         self, inner: PlanNode, joins
@@ -392,26 +378,18 @@ class JoinEnumerator:
                     return column
         return None
 
-    def _make_join(
-        self,
-        outer: PlanNode,
-        inner: PlanNode,
-        joins,
-        algorithm: JoinAlgorithm,
-        cost: float,
-        output_rows: float,
-        residuals: Tuple[Expr, ...] = (),
-    ) -> JoinNode:
+    @staticmethod
+    def _make_join(choice: _JoinChoice, output_rows: float) -> JoinNode:
+        cost, outer, inner, algorithm, joins, residuals = choice
         node = JoinNode(
             left=outer,
             right=inner,
-            join_predicates=tuple(joins),
+            join_predicates=joins,
             algorithm=algorithm,
-            residual_filters=tuple(residuals),
+            residual_filters=residuals,
         )
         node.estimated_rows = output_rows
         node.estimated_cost = cost
-        self.candidates_considered += 1
         return node
 
     # -- dynamic programming ----------------------------------------------------------
@@ -422,20 +400,17 @@ class JoinEnumerator:
         for size in range(2, total + 1):
             for combo in combinations(aliases, size):
                 subset = frozenset(combo)
-                if not self.graph.is_connected(subset):
-                    continue
+                splits = self._splits(subset, bushy)
+                if not splits:
+                    continue  # not a connected subset
                 output_rows = self.estimator.subset_cardinality(subset)
-                best: Optional[PlanNode] = None
-                for left_set, right_set in self._splits(subset, bushy):
-                    left = self._best.get(left_set)
-                    right = self._best.get(right_set)
-                    if left is None or right is None:
-                        continue
-                    for candidate in self._join_candidates(left, right, output_rows):
-                        if best is None or candidate.estimated_cost < best.estimated_cost:
-                            best = candidate
+                best: Optional[_JoinChoice] = None
+                for left_set, right_set in splits:
+                    best = self._cheapest_join(
+                        self._best[left_set], self._best[right_set], output_rows, best
+                    )
                 if best is not None:
-                    self._best[subset] = best
+                    self._best[subset] = self._make_join(best, output_rows)
         full = frozenset(aliases)
         if full not in self._best:
             raise PlanningError(
@@ -446,7 +421,16 @@ class JoinEnumerator:
     def _splits(
         self, subset: AliasSet, bushy: bool
     ) -> List[Tuple[AliasSet, AliasSet]]:
-        """Connected, join-linked binary splits of ``subset``."""
+        """Connected, join-linked binary splits of ``subset``.
+
+        Connectivity is read off the DP table instead of walking the join
+        graph: ``_best`` holds exactly the connected subsets of every smaller
+        size by the time the splits of this one are asked for (two planned
+        sides with a join edge between them always yield a candidate), so a
+        side is connected iff it has an entry, and ``subset`` itself is
+        connected iff it has a split.
+        """
+        planned = self._best
         splits: List[Tuple[AliasSet, AliasSet]] = []
         if bushy and len(subset) > 2:
             members = sorted(subset)
@@ -455,12 +439,10 @@ class JoinEnumerator:
             for r in range(0, len(others)):
                 for combo in combinations(others, r):
                     left = frozenset((anchor,) + combo)
+                    if left not in planned:
+                        continue
                     right = subset - left
-                    if not right:
-                        continue
-                    if not self.graph.is_connected(left):
-                        continue
-                    if not self.graph.is_connected(right):
+                    if right not in planned:
                         continue
                     if not self.graph.connects(left, right):
                         continue
@@ -468,9 +450,7 @@ class JoinEnumerator:
         else:
             for alias in sorted(subset):
                 rest = subset - {alias}
-                if not rest:
-                    continue
-                if not self.graph.is_connected(rest):
+                if rest not in planned:
                     continue
                 if not self.graph.connects(rest, {alias}):
                     continue
@@ -486,7 +466,7 @@ class JoinEnumerator:
         }
         while len(components) > 1:
             best_pair: Optional[Tuple[AliasSet, AliasSet]] = None
-            best_plan: Optional[PlanNode] = None
+            best_choice: Optional[_JoinChoice] = None
             best_rows = float("inf")
             keys = sorted(components, key=lambda s: tuple(sorted(s)))
             for left_set, right_set in combinations(keys, 2):
@@ -494,28 +474,27 @@ class JoinEnumerator:
                     continue
                 union = left_set | right_set
                 output_rows = self.estimator.subset_cardinality(union)
-                candidates = self._join_candidates(
+                cheapest = self._cheapest_join(
                     components[left_set], components[right_set], output_rows
                 )
-                if not candidates:
+                if cheapest is None:
                     continue
-                cheapest = min(candidates, key=lambda c: c.estimated_cost)
                 if output_rows < best_rows or (
                     output_rows == best_rows
-                    and best_plan is not None
-                    and cheapest.estimated_cost < best_plan.estimated_cost
+                    and best_choice is not None
+                    and cheapest[0] < best_choice[0]
                 ):
                     best_rows = output_rows
                     best_pair = (left_set, right_set)
-                    best_plan = cheapest
-            if best_pair is None or best_plan is None:
+                    best_choice = cheapest
+            if best_pair is None or best_choice is None:
                 raise PlanningError(
                     f"greedy ordering could not connect query {self.query.name!r}"
                 )
             left_set, right_set = best_pair
             del components[left_set]
             del components[right_set]
-            components[left_set | right_set] = best_plan
+            components[left_set | right_set] = self._make_join(best_choice, best_rows)
         return next(iter(components.values()))
 
     # -- finalization -------------------------------------------------------------------

@@ -17,7 +17,7 @@ Four strategies ship:
   bounds per table, multiplied across joins.  Never underestimates an inner
   join, at the cost of gross overestimates.
 * :class:`SamplingEstimator` — evaluates single-table predicates over the
-  reservoir sample ANALYZE maintains, scaling the match fraction to the table
+  row sample ANALYZE keeps, scaling the match fraction to the table
   cardinality; joins defer to the model.
 * :class:`FeedbackEstimator` — consults the persistent
   :class:`~repro.optimizer.feedback.FeedbackStore` of runtime-observed
@@ -127,10 +127,10 @@ class UpperBoundEstimator(CardinalityStrategy):
 
 
 class SamplingEstimator(CardinalityStrategy):
-    """Predicate evaluation over ANALYZE-maintained reservoir samples.
+    """Predicate evaluation over ANALYZE-maintained row samples.
 
     For a single-table subset, the filter conjunction is compiled to a row
-    predicate and evaluated against the table's reservoir sample; the match
+    predicate and evaluated against the table's row sample; the match
     fraction scales to the table cardinality.  Correlated predicates — the
     independence model's blind spot — are estimated correctly as long as the
     sample sees them.  Joins and tables without a sample defer to the model.

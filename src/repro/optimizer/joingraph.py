@@ -83,10 +83,10 @@ class JoinGraph:
 
     def connects(self, left: Iterable[str], right: Iterable[str]) -> bool:
         """True if at least one join edge connects the two alias groups."""
-        left_set = set(left)
-        right_set = set(right)
-        for alias in left_set:
-            if self._adjacency[alias] & right_set:
+        if not isinstance(right, (set, frozenset)):
+            right = set(right)
+        for alias in left:
+            if not self._adjacency[alias].isdisjoint(right):
                 return True
         return False
 

@@ -319,12 +319,12 @@ class BoundQuery:
         """Joins with one side in ``left_aliases`` and the other in ``right_aliases``."""
         left = set(left_aliases)
         right = set(right_aliases)
-        matched = []
-        for join in self.joins:
-            a, b = join.aliases()
-            if (a in left and b in right) or (a in right and b in left):
-                matched.append(join)
-        return matched
+        return [
+            join
+            for join in self.joins
+            if (join.left_alias in left and join.right_alias in right)
+            or (join.left_alias in right and join.right_alias in left)
+        ]
 
     def num_tables(self) -> int:
         """Number of FROM-clause tables."""

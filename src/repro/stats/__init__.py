@@ -1,6 +1,6 @@
 """Statistics subsystem: histograms, MCV lists, ANALYZE."""
 
-from repro.stats.analyze import analyze_database, analyze_table
+from repro.stats.analyze import analyze_table
 from repro.stats.column_stats import ColumnStats, TableStats
 from repro.stats.histogram import EquiDepthHistogram
 from repro.stats.mcv import MostCommonValues
@@ -10,6 +10,5 @@ __all__ = [
     "EquiDepthHistogram",
     "MostCommonValues",
     "TableStats",
-    "analyze_database",
     "analyze_table",
 ]

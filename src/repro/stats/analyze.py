@@ -4,17 +4,27 @@ The paper sets PostgreSQL's ``default_statistics_target`` to its maximum so
 that the optimizer has the best statistics the standard mechanism can
 provide; estimation errors therefore stem from the *model* (independence and
 uniformity assumptions), not from stale or coarse statistics.  We follow the
-same philosophy: ANALYZE here scans the full table (no sampling) and builds
-exact per-column statistics, so every estimation error produced by
-:mod:`repro.optimizer.cardinality` is a model error.
+same philosophy, and split what ANALYZE produces in two:
+
+* **Column statistics are exact.**  Null fraction, distinct count, MCV list,
+  histogram bounds, minimum, maximum and average width are computed over
+  every stored value of the column — from one occurrence count and one sort
+  of its distinct values — so every estimation error produced by
+  :mod:`repro.optimizer.cardinality` is a model error.
+* **The row sample is sampled.**  ``TableStats.sample`` holds up to
+  ``sample_target`` whole rows for the ``sampling`` estimation strategy,
+  which evaluates predicates on them directly.  The rows are drawn by
+  position (a uniform draw without replacement, O(sample) regardless of
+  table size) from a generator seeded with the table's name and row count:
+  re-running ANALYZE over unchanged data yields the identical sample.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from collections import Counter
+from typing import List, Sequence
 
-from repro.catalog.catalog import Catalog
 from repro.catalog.schema import ColumnType
 from repro.stats.column_stats import ColumnStats, TableStats
 from repro.stats.histogram import EquiDepthHistogram
@@ -30,83 +40,72 @@ def analyze_table(
     """Build :class:`~repro.stats.column_stats.TableStats` for one table.
 
     Args:
-        table: the storage object to analyze.
+        table: the storage object to analyze (any layout, or a snapshot).
         statistics_target: maximum MCV entries and histogram buckets per
             column (named after PostgreSQL's ``default_statistics_target``).
-        sample_target: reservoir-sample size (whole rows, schema column
-            order) kept for the sampling estimator; ``0`` disables sampling.
+        sample_target: number of whole rows (schema column order) kept for
+            the sampling estimator; ``0`` disables sampling.
     """
     stats = TableStats(table=table.name, row_count=table.row_count)
-    for col_def in table.schema.columns:
-        values = table.column_values(col_def.name)
+    columns = table.column_data()
+    for col_def, values in zip(table.schema.columns, columns):
         stats.columns[col_def.name] = _analyze_column(
             col_def.name, col_def.col_type, values, statistics_target
         )
     if sample_target > 0:
-        stats.sample = _reservoir_sample(table, sample_target)
+        stats.sample = _sample_rows(
+            table.name, columns, table.row_count, sample_target
+        )
         stats.sample_rows = table.row_count
     return stats
 
 
-def _reservoir_sample(table: Table, target: int) -> list:
-    """Algorithm-R reservoir sample of ``target`` whole rows.
+def _sample_rows(
+    table_name: str,
+    columns: Sequence[Sequence[object]],
+    row_count: int,
+    target: int,
+) -> List[tuple]:
+    """Up to ``target`` whole rows, drawn uniformly by position.
 
     Deterministically seeded from the table name and size so repeated
     ANALYZE runs over unchanged data produce identical samples (and hence
-    identical sampling-estimator plans).
+    identical sampling-estimator plans).  A table no larger than the target
+    is kept whole, in storage order.
     """
-    rng = random.Random((table.name, table.row_count).__repr__())
-    reservoir: list = []
-    for index, row in enumerate(table.iter_rows()):
-        if index < target:
-            reservoir.append(row)
-            continue
-        slot = rng.randint(0, index)
-        if slot < target:
-            reservoir[slot] = row
-    return reservoir
+    if row_count <= target:
+        row_ids: Sequence[int] = range(row_count)
+    else:
+        rng = random.Random(repr((table_name, row_count)))
+        row_ids = rng.sample(range(row_count), target)
+    return [tuple(values[row_id] for values in columns) for row_id in row_ids]
 
 
 def _analyze_column(
     name: str,
     col_type: ColumnType,
-    values,
+    values: Sequence[object],
     statistics_target: int,
 ) -> ColumnStats:
     row_count = len(values)
-    non_null = [v for v in values if v is not None]
-    null_fraction = 0.0 if row_count == 0 else 1.0 - len(non_null) / row_count
-    n_distinct = len(set(non_null))
-    mcv = MostCommonValues.build(non_null, max_entries=statistics_target)
-    histogram = EquiDepthHistogram.build(non_null, num_buckets=statistics_target)
-    min_value: Optional[object] = min(non_null) if non_null else None
-    max_value: Optional[object] = max(non_null) if non_null else None
-    if col_type is ColumnType.TEXT:
-        avg_width = (
-            sum(len(v) for v in non_null) / len(non_null) if non_null else 8.0
-        )
+    # Counted in storage order: the MCV list breaks frequency ties by it.
+    counts = Counter(values)
+    non_null = row_count - counts.pop(None, 0)
+    ordered = sorted(counts)
+    if col_type is ColumnType.TEXT and non_null:
+        avg_width = sum(len(v) * n for v, n in counts.items()) / non_null
     else:
         avg_width = 8.0
     return ColumnStats(
         column=name,
         col_type=col_type,
-        null_fraction=null_fraction,
-        n_distinct=n_distinct,
-        mcv=mcv,
-        histogram=histogram,
-        min_value=min_value,
-        max_value=max_value,
+        null_fraction=0.0 if row_count == 0 else 1.0 - non_null / row_count,
+        n_distinct=len(counts),
+        mcv=MostCommonValues.from_counts(counts, max_entries=statistics_target),
+        histogram=EquiDepthHistogram.from_counts(
+            ordered, counts, num_buckets=statistics_target
+        ),
+        min_value=ordered[0] if ordered else None,
+        max_value=ordered[-1] if ordered else None,
         avg_width=avg_width,
     )
-
-
-def analyze_database(
-    catalog: Catalog,
-    tables: Optional[Iterable[str]] = None,
-    statistics_target: int = 100,
-) -> None:
-    """Run ANALYZE over ``tables`` (default: every table) and store the results."""
-    names = list(tables) if tables is not None else catalog.table_names()
-    for name in names:
-        entry = catalog.entry(name)
-        catalog.set_stats(name, analyze_table(entry.table, statistics_target))

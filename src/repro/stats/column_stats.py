@@ -47,11 +47,11 @@ class ColumnStats:
 class TableStats:
     """Statistics for one table.
 
-    Besides the per-column statistics, ANALYZE maintains a small reservoir
-    sample of whole rows (tuples in schema column order) so the sampling
+    Besides the per-column statistics, ANALYZE keeps a small uniform sample
+    of whole rows (tuples in schema column order) so the sampling
     estimator can evaluate arbitrary — including correlated — predicate
     conjunctions directly.  ``sample_rows`` records how many rows the
-    reservoir was drawn from (the table size at ANALYZE time).
+    sample was drawn from (the table size at ANALYZE time).
     """
 
     table: str

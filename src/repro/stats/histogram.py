@@ -10,8 +10,10 @@ exactly the uniformity-within-bucket assumption the paper discusses.
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from itertools import accumulate
+from typing import Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -27,31 +29,42 @@ class EquiDepthHistogram:
 
     @classmethod
     def build(cls, values: Sequence, num_buckets: int = 100) -> Optional["EquiDepthHistogram"]:
-        """Build a histogram from non-NULL values.
+        """Build a histogram from values (NULLs are ignored).
 
         Returns ``None`` when there are not enough distinct values to form a
         useful histogram (PostgreSQL similarly skips the histogram for
         low-cardinality columns, relying on the MCV list instead).
         """
-        cleaned = sorted(v for v in values if v is not None)
-        if len(cleaned) < 2:
+        counts = Counter(v for v in values if v is not None)
+        return cls.from_counts(sorted(counts), counts, num_buckets)
+
+    @classmethod
+    def from_counts(
+        cls, ordered: Sequence, counts: Mapping, num_buckets: int = 100
+    ) -> Optional["EquiDepthHistogram"]:
+        """:meth:`build` from the sorted distinct non-NULL values and their counts.
+
+        The boundaries are the values at evenly spaced ranks of the sorted
+        column; ranks are resolved against the running counts, so the column
+        itself is never sorted (or even materialized).
+        """
+        if len(ordered) < 2:
             return None
-        distinct = sorted(set(cleaned))
-        if len(distinct) < 2:
-            return None
-        buckets = min(num_buckets, len(distinct) - 1, len(cleaned) - 1)
+        ends = list(accumulate(counts[value] for value in ordered))
+        last_rank = ends[-1] - 1
+        buckets = min(num_buckets, len(ordered) - 1, last_rank)
         if buckets < 1:
             return None
-        bounds: List = []
-        for i in range(buckets + 1):
-            index = round(i * (len(cleaned) - 1) / buckets)
-            bounds.append(cleaned[index])
+        bounds = tuple(
+            ordered[bisect.bisect_right(ends, round(i * last_rank / buckets))]
+            for i in range(buckets + 1)
+        )
         # Duplicate boundaries are kept on purpose: a value repeated in many
         # boundaries represents many full buckets of that value, which is what
         # keeps range estimates sane on heavily skewed columns.
         if len(set(bounds)) < 2:
             return None
-        return cls(bounds=tuple(bounds))
+        return cls(bounds=bounds)
 
     @property
     def num_buckets(self) -> int:

@@ -31,17 +31,28 @@ class MostCommonValues:
     def build(
         cls, values: Sequence, max_entries: int = 100
     ) -> Optional["MostCommonValues"]:
-        """Build the MCV list from non-NULL values.
+        """Build the MCV list from values (NULLs are ignored).
 
         Values are only retained while they are genuinely "common": like
         PostgreSQL, a value that appears once in a large column is not an MCV.
         Returns ``None`` for empty input.
         """
-        cleaned = [v for v in values if v is not None]
-        if not cleaned:
+        return cls.from_counts(
+            Counter(v for v in values if v is not None), max_entries
+        )
+
+    @classmethod
+    def from_counts(
+        cls, counts: Counter, max_entries: int = 100
+    ) -> Optional["MostCommonValues"]:
+        """:meth:`build` from the non-NULL values' occurrence counts.
+
+        Equally frequent values keep the counter's insertion order, so count
+        the values in storage order.
+        """
+        if not counts:
             return None
-        counts = Counter(cleaned)
-        total = len(cleaned)
+        total = sum(counts.values())
         common = counts.most_common(max_entries)
         if len(counts) > max_entries:
             # Only keep values noticeably more frequent than the average.

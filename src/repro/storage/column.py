@@ -5,14 +5,56 @@ per row.  It knows its :class:`~repro.catalog.schema.ColumnType` and performs
 coercion on append, so that everything downstream (statistics, predicate
 evaluation, hash joins) can rely on values being either ``None`` or the
 declared Python type.
+
+Bulk loads validate a whole column at once (:func:`checked_values`): when
+every value already is ``None`` or exactly the declared Python type — what
+an executor result materialized into a temporary table always is — the
+check is one C-level pass over the values and nothing is converted.  Only a
+column in which some other type is actually seen (``bool`` or a numeric
+string into INT, ``int`` into FLOAT, ...) takes the per-value path that
+:meth:`Column.append` takes, so the stored values are the same either way.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.catalog.schema import ColumnDef
 from repro.errors import StorageError
+
+_NONE_TYPE = type(None)
+
+
+def checked_value(definition: ColumnDef, value: object) -> object:
+    """``value`` as column ``definition`` stores it.
+
+    Raises:
+        StorageError: if ``value`` is NULL and the column is not nullable.
+        CatalogError: if ``value`` cannot be coerced to the column type.
+    """
+    if value is None and not definition.nullable:
+        raise StorageError(
+            f"column {definition.name!r} is not nullable but received NULL"
+        )
+    return definition.col_type.coerce(value)
+
+
+def checked_values(
+    definition: ColumnDef, values: Iterable[object]
+) -> Sequence[object]:
+    """``values`` as column ``definition`` stores them.
+
+    Returns ``values`` itself (not a copy) when nothing needs converting;
+    callers copy on store.  Raises like :func:`checked_value`, for the first
+    offending value in order.
+    """
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    foreign = set(map(type, values))
+    foreign.discard(definition.col_type.python_type())
+    if not foreign or (foreign == {_NONE_TYPE} and definition.nullable):
+        return values
+    return [checked_value(definition, value) for value in values]
 
 
 class Column:
@@ -42,16 +84,11 @@ class Column:
         Raises:
             StorageError: if a NULL is appended to a non-nullable column.
         """
-        if value is None and not self.definition.nullable:
-            raise StorageError(
-                f"column {self.name!r} is not nullable but received NULL"
-            )
-        self._values.append(self.definition.col_type.coerce(value))
+        self._values.append(checked_value(self.definition, value))
 
     def extend(self, values: Iterable[object]) -> None:
-        """Append many values."""
-        for value in values:
-            self.append(value)
+        """Append many values (all of them, or none if one is rejected)."""
+        self._values.extend(checked_values(self.definition, values))
 
     def truncate(self, length: int) -> None:
         """Discard values beyond ``length`` (bulk-load rollback support)."""

@@ -28,10 +28,12 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import PartitionSpec, TableSchema
-from repro.errors import ReproError, StorageError
+from repro.errors import StorageError
+from repro.storage.column import checked_value, checked_values
 from repro.storage.compression import Segment, encode_segment
 
 __all__ = [
@@ -81,6 +83,24 @@ class ColumnZone:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
+
+    def note_many(self, values: List[object]) -> None:
+        """Fold a run of appended values into the zone.
+
+        Same zone as :meth:`note` on each value in order: the running
+        extremes lead the comparison, so the first of equal values wins.
+        """
+        nulls = values.count(None)
+        self.null_count += nulls
+        if nulls == len(values):
+            return
+        present = [v for v in values if v is not None] if nulls else values
+        if self.minimum is None:
+            self.minimum = min(present)
+            self.maximum = max(present)
+        else:
+            self.minimum = min(chain((self.minimum,), present))
+            self.maximum = max(chain((self.maximum,), present))
 
 
 @dataclass
@@ -163,6 +183,16 @@ class Partition:
         self._row_count += 1
         self.zone_map.row_count = self._row_count
 
+    def append_columns(self, columns: Sequence[List[object]]) -> None:
+        """Append coerced rows given column-wise (one list per schema column)."""
+        for position, values in enumerate(columns):
+            self._writable(position).extend(values)
+            self.zone_map.columns[self.schema.columns[position].name].note_many(
+                values
+            )
+        self._row_count += len(columns[0])
+        self.zone_map.row_count = self._row_count
+
     def truncate(self, length: int) -> None:
         """Roll the shard back to ``length`` rows (bulk-load rollback)."""
         for position in range(len(self.schema.columns)):
@@ -228,10 +258,8 @@ class Partition:
         """Recompute the zone map exactly from the stored values (ANALYZE)."""
         zone_map = ZoneMap(row_count=self._row_count)
         for col, values in zip(self.schema.columns, self.column_data()):
-            zone = ColumnZone()
-            for value in values:
-                zone.note(value)
-            zone_map.columns[col.name] = zone
+            zone = zone_map.columns[col.name] = ColumnZone()
+            zone.note_many(values)
         self.zone_map = zone_map
         return zone_map
 
@@ -306,7 +334,7 @@ class PartitionedTable:
         if self.spec.method == "hash":
             return stable_hash(key) % len(self._partitions)
         try:
-            return bisect_right(list(self.spec.bounds), key)
+            return bisect_right(self.spec.bounds, key)
         except TypeError as exc:
             raise StorageError(
                 f"partition key {key!r} is not comparable with the range "
@@ -326,14 +354,10 @@ class PartitionedTable:
                 f"table {self.name!r} expects {len(self.schema.columns)} values, "
                 f"got {len(values)}"
             )
-        coerced: List[object] = []
-        for col_def, value in zip(self.schema.columns, values):
-            if value is None and not col_def.nullable:
-                raise StorageError(
-                    f"column {col_def.name!r} is not nullable but received NULL"
-                )
-            coerced.append(col_def.col_type.coerce(value))
-        return coerced
+        return [
+            checked_value(col_def, value)
+            for col_def, value in zip(self.schema.columns, values)
+        ]
 
     def insert_row(self, values: Sequence[object]) -> int:
         """Insert one row, returning its current global row id.
@@ -380,8 +404,12 @@ class PartitionedTable:
     def load_columns(self, columns: Sequence[Sequence[object]]) -> int:
         """Append rows given column-wise, routing each row to its shard.
 
-        Atomic like :meth:`Table.load_columns`: a failed coercion rolls all
-        partitions back to their pre-load lengths.
+        Column-wise throughout: every column is validated as a whole
+        (:func:`~repro.storage.column.checked_values`), the key column is
+        routed once into one row-index list per shard, and each shard
+        receives its slice of every column in one append.  Atomic like
+        :meth:`Table.load_columns`: a rejected value or key leaves every
+        partition unchanged.
         """
         if len(columns) != len(self.schema.columns):
             raise StorageError(
@@ -395,22 +423,27 @@ class PartitionedTable:
                 f"of lengths {sorted(lengths)}"
             )
         count = lengths.pop() if lengths else 0
+        checked = [
+            checked_values(col_def, values)
+            for col_def, values in zip(self.schema.columns, columns)
+        ]
+        shard_rows: List[List[int]] = [[] for _ in self._partitions]
+        for row_id, key in enumerate(checked[self._key_position]):
+            shard_rows[self.route(key)].append(row_id)
         before = [partition.row_count for partition in self._partitions]
         try:
-            for row_id in range(count):
-                coerced = self._coerce_row(
-                    [values[row_id] for values in columns]
-                )
-                self._partitions[
-                    self.route(coerced[self._key_position])
-                ].append_row(coerced)
-        except ReproError:
+            for partition, rows in zip(self._partitions, shard_rows):
+                if rows:
+                    partition.append_columns(
+                        [list(map(values.__getitem__, rows)) for values in checked]
+                    )
+        except BaseException:
             for partition, length in zip(self._partitions, before):
                 partition.truncate(length)
-            self._invalidate()
             raise
+        finally:
+            self._invalidate()
         self._row_count += count
-        self._invalidate()
         return count
 
     # -- gathered reads (global row-id order) --------------------------------

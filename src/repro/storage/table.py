@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
-from repro.errors import ReproError, StorageError
+from repro.errors import StorageError
 from repro.storage.column import Column
 
 
@@ -93,8 +93,10 @@ class Table:
         """Append rows given column-wise (one value sequence per schema column).
 
         This is the bulk-load path used when materializing a columnar result
-        into a table (temporary tables during re-optimization): values are
-        appended column by column, skipping per-row tuple packing.
+        into a table (temporary tables during re-optimization): each column
+        is validated as a whole (:func:`~repro.storage.column.checked_values`)
+        and appended with one ``list.extend``.  The input lists are copied,
+        never adopted.  Atomic: a rejected value leaves the table unchanged.
 
         Returns:
             The number of rows appended.
@@ -114,17 +116,15 @@ class Table:
                 f"of lengths {sorted(lengths)}"
             )
         count = lengths.pop() if lengths else 0
-        loaded = []
         try:
             for col_def, values in zip(self.schema.columns, columns):
-                column = self._columns[col_def.name]
-                loaded.append(column)
-                column.extend(values)
-        except ReproError:
+                self._columns[col_def.name].extend(values)
+        except BaseException:
             # Roll back so a mid-load failure (StorageError for NULL into a
-            # non-nullable column, CatalogError for a failed type coercion)
-            # cannot leave ragged columns behind.
-            for column in loaded:
+            # non-nullable column, CatalogError for a failed type coercion,
+            # or anything a value's own conversion raises) cannot leave
+            # ragged columns behind.
+            for column in self._columns.values():
                 column.truncate(self._row_count)
             raise
         self._row_count += count

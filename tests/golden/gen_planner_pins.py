@@ -1,0 +1,79 @@
+"""Generate ``planner_pins.json``: what the optimizer decided, plan by plan.
+
+Runs the 113 JOB statements through a default ``repro.connect()`` session
+(the paper's materialize-and-rewrite loop) over a small synthetic IMDB
+database and records every ``Optimizer.plan`` call — the first-round plan of
+each statement and every re-plan of its rewrite loop — as the SHA-1 of its
+EXPLAIN text plus the three planning counters the simulated planning time is
+charged from.
+
+``tests/test_optimizer_plan_pins.py`` replays :func:`record_plans` and
+compares with the checked-in file, so a change to the enumerator, the
+estimator or ANALYZE that moves a single plan or counter fails there.
+Regenerate only on a commit whose plans are *meant* to differ::
+
+    PYTHONPATH=src python tests/golden/gen_planner_pins.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+from typing import Dict, List
+
+import repro
+from repro.executor.explain import explain_plan
+from repro.workloads import (
+    ImdbConfig,
+    JobWorkloadConfig,
+    build_imdb_database,
+    generate_job_workload,
+)
+
+PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "planner_pins.json")
+IMDB = ImdbConfig(scale=0.15, seed=42)
+JOB = JobWorkloadConfig(seed=7)
+
+
+def record_plans() -> Dict[str, List[dict]]:
+    """Every planner call of the workload, keyed by statement name, in call order."""
+    db, dataset = build_imdb_database(IMDB)
+    calls: List[dict] = []
+    plan = db.optimizer.plan
+
+    def recording_plan(query, injector=None):
+        planned = plan(query, injector=injector)
+        stats = planned.stats
+        calls.append(
+            {
+                "explain_sha1": hashlib.sha1(
+                    explain_plan(planned.plan).encode("utf-8")
+                ).hexdigest(),
+                "candidates_considered": stats.candidates_considered,
+                "estimate_calls": stats.estimate_calls,
+                "planning_work": stats.planning_work,
+            }
+        )
+        return planned
+
+    db.optimizer.plan = recording_plan
+    pins: Dict[str, List[dict]] = {}
+    conn = repro.connect(db)
+    try:
+        for query in generate_job_workload(dataset.vocabulary, JOB):
+            calls.clear()
+            conn.execute(query.sql)
+            pins[query.name] = list(calls)
+    finally:
+        conn.close()
+    return pins
+
+
+if __name__ == "__main__":
+    recorded = record_plans()
+    with open(PINS_PATH, "w", encoding="utf-8") as handle:
+        json.dump(recorded, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    replans = sum(len(calls) - 1 for calls in recorded.values())
+    print(f"{len(recorded)} statements, {replans} re-plans -> {PINS_PATH}")

@@ -275,6 +275,29 @@ class TestJoinEdgeCases:
         )
         assert vectorized.rows == oracle.rows == [(1, 1)]
 
+    def test_repeated_and_null_composite_keys_keep_oracle_row_order(self):
+        """Probe-side-major, build insertion order within a key; a composite
+        key with a NULL component matches nothing, on either side."""
+        columns_left = [("l", "a"), ("l", "b"), ("l", "id")]
+        columns_right = [("r", "a"), ("r", "b"), ("r", "id")]
+        rows_left = [(1, 1, 10), (1, None, 11), (2, 2, 12), (1, 1, 13)]
+        rows_right = [
+            (2, 2, 20), (1, 1, 21), (None, 1, 22), (3, 3, 23), (1, 1, 24), (1, None, 25),
+        ]
+        joins = [BoundJoin("l", "a", "r", "a"), BoundJoin("l", "b", "r", "b")]
+        vectorized = join_results(
+            ColumnBatch.from_rows(columns_left, rows_left),
+            ColumnBatch.from_rows(columns_right, rows_right),
+            joins,
+        )
+        oracle = reference.join_results(
+            ResultSet(columns_left, rows_left), ResultSet(columns_right, rows_right), joins
+        )
+        assert vectorized.rows == oracle.rows
+        assert [(row[2], row[5]) for row in vectorized.rows] == [
+            (12, 20), (10, 21), (13, 21), (10, 24), (13, 24),
+        ]
+
     def test_join_of_two_empty_inputs(self):
         join = [BoundJoin("l", "k", "r", "k")]
         vectorized = join_results(

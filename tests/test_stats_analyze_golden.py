@@ -1,0 +1,268 @@
+"""ANALYZE golden tests: exact column statistics, index-drawn row sample.
+
+``_frozen_analyze_column`` is the multi-pass implementation ANALYZE used
+before column statistics were derived from one occurrence count and one sort
+of the distinct values (two full sorts, a set, a Counter, ``min`` and
+``max`` over the same values).  It is kept here verbatim as the reference:
+the production code must stay field-for-field equal to it.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import pytest
+
+from repro.catalog.schema import ColumnType, PartitionSpec, make_schema
+from repro.stats.analyze import _analyze_column, analyze_table
+from repro.stats.column_stats import ColumnStats
+from repro.stats.histogram import EquiDepthHistogram
+from repro.stats.mcv import MostCommonValues
+from repro.storage.partition import PartitionedTable
+from repro.storage.snapshot import take_snapshot
+from repro.storage.table import Table
+
+# -- the frozen reference --------------------------------------------------------
+
+
+def _frozen_mcv(values, max_entries):
+    cleaned = [v for v in values if v is not None]
+    if not cleaned:
+        return None
+    counts = Counter(cleaned)
+    total = len(cleaned)
+    common = counts.most_common(max_entries)
+    if len(counts) > max_entries:
+        average = total / len(counts)
+        common = [(v, c) for v, c in common if c > 1.25 * average]
+    if not common:
+        common = counts.most_common(min(max_entries, len(counts)))
+    return MostCommonValues(
+        values=tuple(v for v, _ in common),
+        frequencies=tuple(c / total for _, c in common),
+    )
+
+
+def _frozen_histogram(values, num_buckets):
+    cleaned = sorted(v for v in values if v is not None)
+    if len(cleaned) < 2:
+        return None
+    distinct = sorted(set(cleaned))
+    if len(distinct) < 2:
+        return None
+    buckets = min(num_buckets, len(distinct) - 1, len(cleaned) - 1)
+    if buckets < 1:
+        return None
+    bounds = []
+    for i in range(buckets + 1):
+        index = round(i * (len(cleaned) - 1) / buckets)
+        bounds.append(cleaned[index])
+    if len(set(bounds)) < 2:
+        return None
+    return EquiDepthHistogram(bounds=tuple(bounds))
+
+
+def _frozen_analyze_column(name, col_type, values, statistics_target):
+    row_count = len(values)
+    non_null = [v for v in values if v is not None]
+    null_fraction = 0.0 if row_count == 0 else 1.0 - len(non_null) / row_count
+    n_distinct = len(set(non_null))
+    mcv = _frozen_mcv(non_null, statistics_target)
+    histogram = _frozen_histogram(non_null, statistics_target)
+    min_value = min(non_null) if non_null else None
+    max_value = max(non_null) if non_null else None
+    if col_type is ColumnType.TEXT:
+        avg_width = (
+            sum(len(v) for v in non_null) / len(non_null) if non_null else 8.0
+        )
+    else:
+        avg_width = 8.0
+    return ColumnStats(
+        column=name,
+        col_type=col_type,
+        null_fraction=null_fraction,
+        n_distinct=n_distinct,
+        mcv=mcv,
+        histogram=histogram,
+        min_value=min_value,
+        max_value=max_value,
+        avg_width=avg_width,
+    )
+
+
+# -- column statistics -----------------------------------------------------------
+
+
+def _with_nulls(rng, values, share):
+    return [None if rng.random() < share else v for v in values]
+
+
+def _columns():
+    rng = random.Random(20190408)
+    zipf = [int(rng.paretovariate(1.1)) for _ in range(5000)]
+    words = ["w%03d" % int(rng.paretovariate(0.9)) for _ in range(3000)]
+    return {
+        "int_uniform": (ColumnType.INT, [rng.randrange(400) for _ in range(5000)]),
+        "int_unique_shuffled": (ColumnType.INT, rng.sample(range(3000), 3000)),
+        "int_sorted": (ColumnType.INT, list(range(1000))),
+        "int_skewed": (ColumnType.INT, zipf),
+        "int_two_values": (ColumnType.INT, [rng.choice((7, 9)) for _ in range(500)]),
+        "int_with_bools": (ColumnType.INT, [True, 1, 0, False, 2, 1, 3, True] * 20),
+        "float_uniform": (ColumnType.FLOAT, [rng.random() for _ in range(2000)]),
+        "float_rounded": (
+            ColumnType.FLOAT,
+            [round(rng.gauss(0, 3), 1) for _ in range(4000)],
+        ),
+        "text_skewed": (ColumnType.TEXT, words),
+        "text_unique": (ColumnType.TEXT, [f"name{i}" for i in rng.sample(range(900), 900)]),
+        "text_with_empty": (ColumnType.TEXT, [rng.choice(("", "a", "bb")) for _ in range(300)]),
+        "int_null_heavy": (
+            ColumnType.INT,
+            _with_nulls(rng, [rng.randrange(50) for _ in range(3000)], 0.9),
+        ),
+        "text_null_heavy": (ColumnType.TEXT, _with_nulls(rng, words, 0.8)),
+        "float_some_nulls": (
+            ColumnType.FLOAT,
+            _with_nulls(rng, [rng.random() for _ in range(1000)], 0.1),
+        ),
+        "all_null": (ColumnType.INT, [None] * 100),
+        "all_null_text": (ColumnType.TEXT, [None] * 10),
+        "single_value": (ColumnType.INT, [42] * 250),
+        "single_row": (ColumnType.TEXT, ["only"]),
+        "one_value_and_nulls": (ColumnType.INT, [5, None, 5, None, None]),
+        "two_rows": (ColumnType.INT, [2, 1]),
+        "empty": (ColumnType.INT, []),
+        "empty_text": (ColumnType.TEXT, []),
+    }
+
+
+COLUMNS = _columns()
+
+
+@pytest.mark.parametrize("statistics_target", [5, 100])
+@pytest.mark.parametrize("name", sorted(COLUMNS))
+def test_column_statistics_equal_the_frozen_implementation(name, statistics_target):
+    col_type, values = COLUMNS[name]
+    expected = _frozen_analyze_column(name, col_type, values, statistics_target)
+    actual = _analyze_column(name, col_type, list(values), statistics_target)
+    assert actual == expected
+    # Dataclass equality treats 1 == 1.0; the statistics' float fields must
+    # also be the same floats, bit for bit.
+    assert repr(actual.null_fraction) == repr(expected.null_fraction)
+    assert repr(actual.avg_width) == repr(expected.avg_width)
+    if expected.mcv is not None:
+        assert [repr(f) for f in actual.mcv.frequencies] == [
+            repr(f) for f in expected.mcv.frequencies
+        ]
+
+
+def test_public_builders_equal_the_frozen_implementation():
+    for name, (_, values) in COLUMNS.items():
+        for target in (5, 100):
+            assert MostCommonValues.build(values, target) == _frozen_mcv(
+                values, target
+            ), name
+            assert EquiDepthHistogram.build(values, target) == _frozen_histogram(
+                values, target
+            ), name
+
+
+# -- the row sample --------------------------------------------------------------
+
+
+def _schema(partition_by=None):
+    return make_schema(
+        "people",
+        [("id", ColumnType.INT), ("name", ColumnType.TEXT), ("score", ColumnType.FLOAT)],
+        primary_key="id",
+        partition_by=partition_by,
+    )
+
+
+def _rows(count):
+    return [
+        (i, f"n{i % 17}" if i % 5 else None, (i * 37 % 101) / 7.0) for i in range(count)
+    ]
+
+
+def _plain(count):
+    table = Table(_schema())
+    table.insert_rows(_rows(count))
+    return table
+
+
+def _partitioned_compressed(count):
+    table = PartitionedTable(
+        _schema(PartitionSpec(method="hash", column="id", partitions=4))
+    )
+    table.insert_rows(_rows(count))
+    table.compress()
+    return table
+
+
+LAYOUTS = {
+    "table": _plain,
+    "compressed_partitioned": _partitioned_compressed,
+    "table_snapshot": lambda count: take_snapshot(_plain(count)),
+    "partitioned_snapshot": lambda count: take_snapshot(_partitioned_compressed(count)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("rows, target", [(1000, 100), (1000, 7), (60, 100), (0, 100)])
+def test_sample_is_a_deterministic_draw_of_stored_rows(layout, rows, target):
+    table = LAYOUTS[layout](rows)
+    stats = analyze_table(table, sample_target=target)
+    stored = Counter(table.iter_rows())
+    assert len(stats.sample) == min(target, rows)
+    assert stats.sample_rows == rows
+    assert all(isinstance(row, tuple) and len(row) == 3 for row in stats.sample)
+    # Drawn without replacement from the stored rows (all distinct here).
+    assert not Counter(stats.sample) - stored
+    assert len(set(stats.sample)) == len(stats.sample)
+    # Unchanged data, unchanged sample — also on a rebuilt copy of the table.
+    assert analyze_table(table, sample_target=target).sample == stats.sample
+    assert analyze_table(LAYOUTS[layout](rows), sample_target=target).sample == stats.sample
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_sampling_can_be_switched_off(layout):
+    stats = analyze_table(LAYOUTS[layout](300), sample_target=0)
+    assert stats.sample == []
+    assert stats.sample_rows == 0
+    assert stats.row_count == 300
+
+
+def test_small_tables_are_kept_whole_in_storage_order():
+    table = _plain(40)
+    assert analyze_table(table, sample_target=100).sample == list(table.iter_rows())
+
+
+def test_sample_covers_the_table_uniformly():
+    # Every tenth of a 10k-row table gets its share of a 1000-row sample
+    # (expected 100 each; a reservoir or index draw stays well within 60..140).
+    table = Table(make_schema("t", [("id", ColumnType.INT)]))
+    table.load_columns([list(range(10_000))])
+    sample = analyze_table(table, sample_target=1000).sample
+    per_decile = Counter(row[0] // 1000 for row in sample)
+    assert sorted(per_decile) == list(range(10))
+    assert all(60 <= count <= 140 for count in per_decile.values())
+
+
+def test_layouts_agree_on_column_statistics():
+    plain = analyze_table(_plain(500))
+    for layout in sorted(LAYOUTS):
+        other = analyze_table(LAYOUTS[layout](500))
+        for column, expected in plain.columns.items():
+            actual = other.columns[column]
+            # Partition-gather order differs from insertion order, which only
+            # the order of equally frequent MCV entries may reflect.
+            assert actual.n_distinct == expected.n_distinct
+            assert actual.null_fraction == expected.null_fraction
+            assert actual.histogram == expected.histogram
+            assert (actual.min_value, actual.max_value) == (
+                expected.min_value,
+                expected.max_value,
+            )
+            assert actual.avg_width == expected.avg_width
