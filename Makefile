@@ -40,14 +40,21 @@
 #                  distributions and re-plan counts per strategy, two runs);
 #                  emits estimators.* info metrics into the trajectory
 #                  report when REPRO_BENCH_REPORT is set
+#   make pins    - regenerate the golden planner and re-optimization pins
+#                  (tests/golden/*.json) from a clean export of PINS_COMMIT
+#                  (default HEAD; e.g. `make pins PINS_COMMIT=HEAD~1` for the
+#                  parent) with this tree's generators, and fail when they
+#                  differ from the checked-in files.  PINS_DIR (default: a
+#                  fresh temp dir) is where the export is unpacked
 #   make lint    - ruff check (same invocation as the CI lint job)
 #   make all     - everything
 
 PYTHON ?= python
 SEED ?= 0
+PINS_COMMIT ?= HEAD
 export PYTHONPATH := src
 
-.PHONY: ci test unit diff fuzz fuzz-nightly fuzz-parallel fuzz-partitioned guards stress perf-smoke perf bench bench-compare experiments lint all
+.PHONY: ci test unit diff fuzz fuzz-nightly fuzz-parallel fuzz-partitioned guards stress perf-smoke perf bench bench-compare experiments pins lint all
 
 # Mirrors the CI workflow's step sequence exactly (lint job, then the test
 # job's pytest steps, then the speedup guards, the serving stress and the
@@ -98,6 +105,16 @@ bench-compare:
 
 experiments:
 	$(PYTHON) -m pytest -x -q -s benchmarks/test_estimator_matrix.py
+
+# PYTHONPATH is the relative `src`, so inside the export it is the export's.
+pins:
+	@set -e; dir=$${PINS_DIR:-$$(mktemp -d)}; mkdir -p $$dir; \
+	git archive $(PINS_COMMIT) | tar -x -C $$dir; \
+	cp tests/golden/gen_planner_pins.py tests/golden/gen_reopt_pins.py $$dir/tests/golden/; \
+	(cd $$dir && $(PYTHON) tests/golden/gen_planner_pins.py && $(PYTHON) tests/golden/gen_reopt_pins.py); \
+	cmp $$dir/tests/golden/planner_pins.json tests/golden/planner_pins.json; \
+	cmp $$dir/tests/golden/reopt_pins.json tests/golden/reopt_pins.json; \
+	echo "pins generated at $(PINS_COMMIT) equal the checked-in files"
 
 lint:
 	ruff check .

@@ -34,7 +34,7 @@ class CatalogEntry:
         self.table = table
         self.stats: Optional["TableStats"] = None
         self.indexes: Dict[str, "Index"] = {}
-        #: True for adaptive-execution pseudo-tables (see register_transient).
+        #: True for a re-optimization loop's statement-local table (see register_transient).
         self.transient = transient
 
     def index_on(self, column: str) -> Optional["Index"]:
@@ -46,9 +46,9 @@ class Catalog:
     """Registry of tables known to a :class:`~repro.engine.database.Database`.
 
     The catalog carries a monotonically increasing *epoch* that is bumped by
-    every event that can invalidate a cached plan: table DDL (including the
-    re-optimizer's temporary tables), ANALYZE refreshing statistics, and
-    index creation.  The plan cache keys entries on the epoch, so stale
+    every event that can invalidate a cached plan: table DDL, ANALYZE
+    refreshing statistics, and index creation.  (The re-optimization loops'
+    statement-local tables are not DDL: see :meth:`register_transient`.)  The plan cache keys entries on the epoch, so stale
     plans simply miss instead of needing explicit invalidation hooks.
 
     Every mutation (registration, drop, epoch bump, statistics/index
@@ -115,12 +115,14 @@ class Catalog:
     def register_transient(self, schema: TableSchema, table: "Table") -> CatalogEntry:
         """Register a pseudo-table *without* bumping the epoch.
 
-        The adaptive executor hands an already-computed in-memory intermediate
-        to a re-planned query remainder by registering it here mid-execution.
-        The registration is not DDL: no statement can name the table (its name
-        is generated and dropped before the query returns), so cached plans
-        for other statements stay valid and the catalog epoch — which keys the
-        plan cache — must not move.
+        A re-optimization loop hands an already-computed sub-join to the
+        re-planned remainder of its query by registering it here
+        mid-execution — the adaptive executor's in-memory intermediate, the
+        rewrite loop's temporary table.  The registration is not DDL: no
+        other statement can name the table (its name is generated and it is
+        dropped before the query returns), so cached plans for other
+        statements stay valid and the catalog epoch — which keys the plan
+        cache — must not move.
 
         Raises:
             CatalogError: if a table with the same name already exists.

@@ -11,9 +11,7 @@ from repro.core.reoptimizer import (
 from repro.core.triggers import (
     DEFAULT_THRESHOLD,
     ReoptimizationPolicy,
-    find_trigger_join,
     q_error,
-    violating_joins,
 )
 
 __all__ = [
@@ -27,7 +25,5 @@ __all__ = [
     "ReoptimizationReport",
     "ReoptimizationStep",
     "TrueCardinalityOracle",
-    "find_trigger_join",
     "q_error",
-    "violating_joins",
 ]

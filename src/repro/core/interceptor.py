@@ -1,33 +1,38 @@
 """The paper's re-optimization scheme as a query-lifecycle interceptor.
 
-:class:`ReoptimizationInterceptor` wraps the *execute* stage of a
-:class:`~repro.engine.pipeline.QueryPipeline` and drives one of two loops:
+:class:`ReoptimizationInterceptor` replaces the *execute* stage of a
+:class:`~repro.engine.pipeline.QueryPipeline` with one of two loops.  Both
+run every round through :meth:`~repro.executor.executor.Executor.execute_staged`
+— the plan's joins bottom-up, each at most once, stopping at the first join
+whose Q-error breaks the threshold — and share the query rewrite
+(:class:`~repro.executor.handover.Handover`); they differ in the handover
+and in what they charge:
 
-* **Adaptive (operator-level) re-optimization** — the default when the
-  engine's ``adaptive`` setting (or the interceptor's ``adaptive`` override)
-  is on.  The :class:`~repro.executor.adaptive.AdaptiveExecutor` executes the
-  plan stage-wise, pausing at pipeline breakers; on a Q-error violation it
-  re-plans the remainder with observed true cardinalities and hands the
-  in-memory intermediate over as a catalog pseudo-table (no DDL, no
-  materialization surcharge, no uncharged exploratory runs).
-* **The paper's simulation** (legacy, still the default for the paper-figure
-  benchmarks): compare every join's actual cardinality with the estimate
-  after a full exploratory execution; if the lowest join in the plan tree is
-  off by more than the Q-error threshold, materialize that sub-join into a
-  temporary table, rewrite the remainder of the query to use it, re-plan,
-  and repeat until no join violates the threshold (paper Section V).
+* **Adaptive (operator-level) re-optimization** — when the engine's
+  ``adaptive`` setting (or the interceptor's ``adaptive`` override) is on.
+  The :class:`~repro.executor.adaptive.AdaptiveExecutor` hands the trigger's
+  rows over as an in-memory catalog pseudo-table (no DDL, no materialization
+  surcharge), re-plans the remainder with the observed true cardinalities,
+  and charges every operator that ran.  It always triggers at the lowest
+  violating join.
+* **The paper's materialize-and-rewrite loop** (the default, and what the
+  paper-figure benchmarks run): the trigger's rows become a temporary table,
+  the table is ANALYZEd, the remainder of the query is rewritten to read it
+  and re-planned, until no join violates the threshold (paper Section V).
 
-Simulation accounting follows the paper:
+Rewrite-loop accounting follows the paper:
 
-* execution time = the work to create every temporary table plus the work of
-  the final SELECT;
+* execution time = the work to create every temporary table (the sub-join's
+  own work plus the write-out) plus the work of the final SELECT;
 * planning time = planning of the original query (zero when it came from the
   plan cache) plus planning of every rewritten query;
-* the exploratory executions used (like the paper's ``EXPLAIN ANALYZE``) to
-  discover actual cardinalities are *not* charged — a real mid-query
-  implementation obtains them for free while executing the sub-join it is
-  about to materialize anyway (which is precisely what the adaptive loop
-  does for real).
+* the round stops at the trigger and its rows are the temp table's rows, so
+  a re-optimized round costs what ``CREATE TEMP TABLE AS`` of that sub-join
+  costs and nothing is executed to be thrown away.  Only the two ablation
+  knobs that need the whole first plan — ``trigger_site="highest"`` and a
+  ``min_query_seconds`` cutoff — finish the round's plan (still running
+  every node once and keeping just the trigger candidate's rows); the part
+  above the trigger is then work the paper's accounting does not charge.
 
 Both loops produce the same :class:`ReoptimizationReport` shape, so every
 consumer (connection metrics, benchmark regimes, examples) works unchanged.
@@ -38,23 +43,21 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.reoptimizer import ReoptimizationReport, ReoptimizationStep
-from repro.core.triggers import ReoptimizationPolicy, find_trigger_join, q_error
+from repro.core.triggers import ReoptimizationPolicy, q_error
 from repro.engine.pipeline import Proceed, QueryContext, QueryInterceptor
 from repro.errors import ReoptimizationError
-from repro.executor.executor import ExecutionResult
-from repro.optimizer.optimizer import PlannedQuery
-from repro.optimizer.provenance import plan_output_columns
+from repro.executor.executor import StagedExecution
+from repro.executor.handover import Handover
 from repro.sql.ast import Column, ColumnRef, SelectItem
 from repro.sql.binder import BoundQuery
-from repro.sql.builder import collapse_aliases, referenced_columns
 
 
 class ReoptimizationInterceptor(QueryInterceptor):
     """Runs the re-optimization loop around the execute stage.
 
     ``adaptive`` selects the loop: ``True`` forces operator-level adaptive
-    execution, ``False`` forces the paper's materialize-and-rewrite
-    simulation, ``None`` (default) follows the engine's
+    execution, ``False`` forces the paper's materialize-and-rewrite loop,
+    ``None`` (default) follows the engine's
     :attr:`~repro.engine.settings.EngineSettings.adaptive` setting.
     """
 
@@ -76,7 +79,7 @@ class ReoptimizationInterceptor(QueryInterceptor):
             adaptive = getattr(ctx.database.settings, "adaptive", False)
         if adaptive:
             return self._execute_adaptive(ctx)
-        return self._execute_simulated(ctx, proceed)
+        return self._execute_rewrite(ctx)
 
     # -- operator-level adaptive loop ---------------------------------------
 
@@ -129,9 +132,14 @@ class ReoptimizationInterceptor(QueryInterceptor):
         ctx.execution = execution
         return ctx
 
-    # -- the paper's materialize-and-rewrite simulation ---------------------
+    # -- the paper's materialize-and-rewrite loop ---------------------------
 
-    def _execute_simulated(self, ctx: QueryContext, proceed: Proceed) -> QueryContext:
+    def _execute_rewrite(self, ctx: QueryContext) -> QueryContext:
+        """Run the rewrite loop instead of the execute stage.
+
+        As in the adaptive loop ``proceed`` is not called: every round,
+        including the first, is one staged run of the current plan.
+        """
         db = ctx.database
         policy = self.policy
         report = ReoptimizationReport(query_name=ctx.bound.name)
@@ -141,47 +149,45 @@ class ReoptimizationInterceptor(QueryInterceptor):
             report.total_planning_work += ctx.planned.stats.planning_work
         current = ctx.bound
         planned = ctx.planned
+        handover = Handover(planned.plan, db.catalog)
         temp_tables: List[str] = []
-        # SELECT * rewrites rename and reorder columns (the collapsed aliases
-        # come back as temp-table columns); track where each original output
-        # column lives so the final result can be projected back to the
-        # original shape, exactly like the adaptive executor does.
-        original_columns = plan_output_columns(ctx.planned.plan, db.catalog)
-        locations: Dict[Tuple[str, str], Tuple[str, str]] = {
-            qcol: qcol for qcol in original_columns
-        }
-
+        highest = policy.trigger_site == "highest"
         try:
             for iteration in range(policy.max_iterations + 1):
-                if iteration == 0:
-                    ctx = proceed(ctx)
-                    execution = ctx.execution
-                else:
+                if iteration:
                     planned = db.plan(current, injector=ctx.injector)
                     report.total_planning_work += planned.stats.planning_work
-                    execution = db.execute_plan(planned)
-                report.rows_processed += execution.rows_processed
-                report.wall_seconds += execution.wall_seconds
-
-                trigger = None
                 can_still_rewrite = (
-                    iteration < policy.max_iterations
-                    and current.num_tables() > 1
+                    iteration < policy.max_iterations and current.num_tables() > 1
                 )
-                if can_still_rewrite and not self._too_short(iteration, execution):
-                    trigger = find_trigger_join(planned.plan, policy)
+                # The short-query cutoff reads the first plan's full simulated
+                # time, and the highest violating join is only known once
+                # every join ran: those rounds finish the plan, keeping just
+                # the trigger candidate's rows, instead of pausing.
+                cutoff = iteration == 0 and policy.min_query_seconds > 0.0
+                staged = db.executor.execute_staged(
+                    planned.plan,
+                    policy.violates if can_still_rewrite else None,
+                    finish=highest or cutoff,
+                    last=highest,
+                )
+                report.rows_processed += staged.rows_processed
+                report.wall_seconds += staged.wall_seconds
+                if cutoff and staged.simulated_seconds < policy.min_query_seconds:
+                    staged.trigger = staged.trigger_result = None
 
-                if trigger is None:
-                    report.total_execution_work += execution.total_work
+                if staged.trigger is None:
+                    report.total_execution_work += staged.total_work
                     report.final_planned = planned
-                    report.final_execution = execution
+                    report.final_execution = staged
                     report.final_query = current
                     break
 
                 current = self._materialize_and_rewrite(
-                    db, current, planned, trigger, iteration, report, temp_tables,
-                    locations,
+                    db, current, staged, iteration, report, temp_tables, handover
                 )
+                # The round is over: its rows must not live through the next.
+                staged = None
             else:  # pragma: no cover - loop always breaks
                 raise ReoptimizationError(
                     f"re-optimization of {ctx.bound.name!r} did not terminate"
@@ -190,10 +196,9 @@ class ReoptimizationInterceptor(QueryInterceptor):
             if not self.keep_temp_tables:
                 for name in temp_tables:
                     if name in db.catalog:
-                        db.drop_table(name)
+                        db.drop_intermediate(name)
 
-        if report.steps and not ctx.bound.select_items:
-            self._restore_star_output(report, original_columns, locations)
+        staged.result = handover.restore(staged.result)
         ctx.report = report
         ctx.planned = report.final_planned
         ctx.execution = report.final_execution
@@ -201,122 +206,63 @@ class ReoptimizationInterceptor(QueryInterceptor):
 
     # -- internals ----------------------------------------------------------
 
-    @staticmethod
-    def _restore_star_output(
-        report: ReoptimizationReport,
-        original_columns: List[Tuple[str, str]],
-        locations: Dict[Tuple[str, str], Tuple[str, str]],
-    ) -> None:
-        """Project a rewritten star query's result back to the original shape.
-
-        The rewritten query's ``SELECT *`` emits temp-table columns under
-        mapped names in rewritten FROM order; the client must see the original
-        query's columns in the original order, just like a plain execution or
-        the adaptive path.
-        """
-        # Imported lazily: the adaptive executor pulls in repro.core.triggers,
-        # so a module-level import would be circular through repro.core.
-        from repro.executor.adaptive import AdaptiveExecutor
-
-        execution = report.final_execution
-        if execution is None:
-            return
-        execution.result = AdaptiveExecutor._restore_output(
-            execution.result, original_columns, locations
-        )
-
-    def _too_short(self, iteration: int, execution: ExecutionResult) -> bool:
-        """Skip re-optimization for queries below the policy's length cutoff."""
-        if iteration > 0:
-            return False
-        return execution.simulated_seconds < self.policy.min_query_seconds
-
     def _materialize_and_rewrite(
         self,
         db,
         current: BoundQuery,
-        planned: PlannedQuery,
-        trigger,
+        staged: StagedExecution,
         iteration: int,
         report: ReoptimizationReport,
         temp_tables: List[str],
-        locations: Dict[Tuple[str, str], Tuple[str, str]],
+        handover: Handover,
     ) -> BoundQuery:
-        sub_execution = db.executor.execute(trigger)
-        report.rows_processed += sub_execution.rows_processed
-        report.wall_seconds += sub_execution.wall_seconds
-        if not current.select_items:
-            # SELECT *: every column of every collapsed alias is part of the
-            # client-visible output, so all of them ride along — in
-            # FROM-clause declaration order, matching the adaptive handover
-            # and the LIMIT tie-break's canonical star column sequence.
-            needed = [
-                (alias, column)
-                for alias in current.aliases
-                if alias in trigger.aliases
-                for column in db.catalog.schema(
-                    current.table_for(alias)
-                ).column_names
-            ]
-        else:
-            needed = referenced_columns(current, trigger.aliases)
-        if not needed:
-            # Nothing above references the sub-join (it is the whole query);
-            # still expose one join column so the rewrite stays well-formed.
-            alias = sorted(trigger.aliases)[0]
-            table = current.table_for(alias)
-            first_column = db.catalog.schema(table).column_names[0]
-            needed = [(alias, first_column)]
-        mapping: Dict[Tuple[str, str], str] = {
-            (alias, column): f"{alias}_{column}" for alias, column in needed
-        }
+        """The paper's handover: the trigger's rows become an ANALYZEd temp table.
+
+        The round stopped at the trigger, so its rows *are* the temp table's
+        rows; the step is charged what ``CREATE TEMP TABLE AS`` of that
+        sub-join costs — the sub-join's own work plus the write-out.
+        """
+        trigger = staged.trigger
+        sub_result = staged.trigger_result
         temp_name = db.next_temp_table_name()
-        db.create_temp_table_from_result(
-            temp_name,
-            sub_execution.result,
-            [((alias, column), mapping[(alias, column)]) for alias, column in needed],
-            alias_tables=current.alias_tables,
-            analyze=self.policy.analyze_temp_tables,
+        rewritten, columns = handover.collapse(
+            current, trigger.aliases, temp_name, f"reopt{iteration + 1}"
         )
         temp_tables.append(temp_name)
-
-        for qcol, location in locations.items():
-            if location[0] in trigger.aliases:
-                locations[qcol] = (temp_name, mapping[location])
+        # A kept table outlives the statement, so it is ordinary DDL; one the
+        # loop drops again is registered like an adaptive intermediate and
+        # leaves the plans cached for other statements valid.
+        db.create_temp_table_from_result(
+            temp_name,
+            sub_result,
+            columns,
+            alias_tables=current.alias_tables,
+            analyze=self.policy.analyze_temp_tables,
+            transient=not self.keep_temp_tables,
+        )
 
         materialize_work = db.cost_model.materialize_cost(
-            len(sub_execution.result), len(needed)
+            len(sub_result), len(columns)
         )
-        charged = sub_execution.total_work + materialize_work
+        charged = staged.trigger_work + materialize_work
         report.total_execution_work += charged
-
-        error = q_error(trigger.estimated_rows, trigger.actual_rows or 0)
-        create_sql = self._render_create_sql(current, trigger.aliases, temp_name, mapping)
         report.steps.append(
             ReoptimizationStep(
                 index=iteration,
                 trigger_label=trigger.label(),
                 trigger_aliases=tuple(sorted(trigger.aliases)),
                 estimated_rows=trigger.estimated_rows,
-                actual_rows=trigger.actual_rows or 0,
-                q_error=error,
+                actual_rows=len(sub_result),
+                q_error=q_error(trigger.estimated_rows, len(sub_result)),
                 temp_table=temp_name,
-                temp_rows=len(sub_execution.result),
+                temp_rows=len(sub_result),
                 charged_work=charged,
                 materialize_work=materialize_work,
-                create_sql=create_sql,
+                create_sql=self._render_create_sql(
+                    current, trigger.aliases, temp_name, dict(columns)
+                ),
             )
         )
-
-        rewritten = collapse_aliases(
-            current,
-            sorted(trigger.aliases),
-            temp_table=temp_name,
-            temp_alias=temp_name,
-            column_mapping=mapping,
-        )
-        base_name = report.query_name or "query"
-        rewritten.name = f"{base_name}#reopt{iteration + 1}"
         return rewritten
 
     @staticmethod

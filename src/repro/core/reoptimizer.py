@@ -47,9 +47,10 @@ class ReoptimizationReport:
     final_query: Optional[BoundQuery] = None
     total_planning_work: float = 0.0
     total_execution_work: float = 0.0
-    # Executor throughput accumulated across all iterations (every probing
-    # execution, trigger-subtree materialization and the final execution),
-    # named to match the ExecutionResult interface.
+    # Executor throughput accumulated across all rounds: the output rows of
+    # every plan node that ran (each at most once per round; a round cut
+    # short at its trigger counts only the nodes up to it) and the wall time
+    # inside operators.  Named to match the ExecutionResult interface.
     rows_processed: int = 0
     wall_seconds: float = 0.0
 

@@ -4,16 +4,17 @@ The paper triggers re-optimization when the Q-error of a join — the ratio
 between the larger and the smaller of (estimated, actual) cardinality —
 exceeds a threshold, and it materializes the *lowest* such join in the plan
 tree.  This module provides the Q-error metric, the trigger policy object and
-the plan inspection helpers shared by the re-optimization simulator and the
-mid-query re-optimizer.
+the per-join violation test both re-optimization loops hand to the staged
+executor (:meth:`~repro.executor.executor.Executor.execute_staged`), which
+scans the joins bottom-up and so picks the lowest violating join first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from repro.optimizer.plan import JoinNode, PlanNode
+from repro.optimizer.plan import JoinNode
 
 #: The threshold the paper settles on after the Figure 7 sweep.
 DEFAULT_THRESHOLD = 32.0
@@ -39,14 +40,16 @@ class ReoptimizationPolicy:
         trigger_site: ``"lowest"`` materializes the lowest violating join in
             the plan (the paper's choice); ``"highest"`` is the ablation that
             materializes the largest violating sub-join instead.  The
-            ablation exists only in the materialize-and-rewrite simulation:
-            operator-level adaptive execution observes breakers bottom-up
-            and always triggers at the lowest (it warns and ignores
-            ``"highest"``).
+            ablation exists only in the materialize-and-rewrite loop, where
+            such a round finishes its plan instead of pausing at the first
+            violation; operator-level adaptive execution always triggers at
+            the lowest (it warns and ignores ``"highest"``).
         max_iterations: hard cap on materialize/re-plan rounds per query.
-        min_query_seconds: queries whose first estimated execution time is
-            below this value are not re-optimized (the paper notes that
-            re-optimizing very short queries cannot pay off).
+        min_query_seconds: queries whose first execution time (the rewrite
+            loop finishes the first plan to read it; the adaptive loop goes
+            by the estimate) is below this value are not re-optimized (the
+            paper notes that re-optimizing very short queries cannot pay
+            off).
         analyze_temp_tables: ANALYZE each temporary table before re-planning
             (ablation knob; the true row count is always known).
     """
@@ -65,29 +68,6 @@ class ReoptimizationPolicy:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 
-
-def violating_joins(plan: PlanNode, threshold: float) -> List[JoinNode]:
-    """Executed joins whose Q-error exceeds ``threshold``, bottom-up order."""
-    violations: List[JoinNode] = []
-    for join in plan.join_nodes():
-        if join.actual_rows is None:
-            continue
-        if q_error(join.estimated_rows, join.actual_rows) > threshold:
-            violations.append(join)
-    return violations
-
-
-def find_trigger_join(
-    plan: PlanNode, policy: ReoptimizationPolicy
-) -> Optional[JoinNode]:
-    """The join whose mis-estimation should trigger re-optimization, if any.
-
-    With ``trigger_site == "lowest"`` the first violating join in bottom-up
-    order is returned (fewest tables involved); with ``"highest"`` the last.
-    """
-    violations = violating_joins(plan, policy.threshold)
-    if not violations:
-        return None
-    if policy.trigger_site == "lowest":
-        return violations[0]
-    return violations[-1]
+    def violates(self, join: JoinNode, actual_rows: int) -> bool:
+        """Whether ``join``'s estimate is off from ``actual_rows`` by more than the threshold."""
+        return q_error(join.estimated_rows, actual_rows) > self.threshold

@@ -89,7 +89,7 @@ def connect(
             materialize-and-re-plan loop.
         adaptive: ``True`` serves statements with operator-level adaptive
             execution (stage-wise executor, in-memory intermediate handover),
-            ``False`` with the paper's materialize-and-rewrite simulation;
+            ``False`` with the paper's materialize-and-rewrite loop;
             default follows the engine's ``adaptive`` setting.
         plan_cache_size: LRU capacity for *this connection's* plan cache
             (defaults to the engine settings; 0 disables caching).

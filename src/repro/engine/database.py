@@ -329,6 +329,7 @@ class Database:
         columns: Sequence[Tuple[Tuple[str, str], str]],
         alias_tables: Optional[Dict[str, str]] = None,
         analyze: Optional[bool] = None,
+        transient: bool = False,
     ) -> Table:
         """Materialize selected columns of a result set into a new table.
 
@@ -341,12 +342,50 @@ class Database:
                 table it came from; used to carry column types over exactly.
             analyze: whether to ANALYZE the new table (defaults to the
                 engine-wide ``analyze_temp_tables`` setting).
+            transient: register the table (and attach its statistics) without
+                bumping the catalog epoch, like an adaptive intermediate.
+                For tables only the creating statement can name and that it
+                drops with :meth:`drop_intermediate` before it returns, so
+                plans cached for other statements stay valid.
 
         Returns:
             The storage object of the created table.
         """
         if name in self.catalog:
             raise TempTableExists(f"temporary table {name!r} already exists")
+        schema, column_data = self._result_columns(name, result, columns, alias_tables)
+        table = Table(schema)
+        with self.catalog.lock:
+            if transient:
+                entry = self.catalog.register_transient(schema, table)
+            else:
+                entry = self.catalog.register(schema, table)
+            table.load_columns(column_data)
+            do_analyze = (
+                self.settings.analyze_temp_tables if analyze is None else analyze
+            )
+            if do_analyze:
+                stats = analyze_table(
+                    table,
+                    self.settings.statistics_target,
+                    sample_target=self.settings.sample_rows,
+                )
+                if transient:
+                    entry.stats = stats
+                else:
+                    self.catalog.set_stats(name, stats)
+            if not transient:
+                self.feedback.invalidate_table(name)
+        return table
+
+    def _result_columns(
+        self,
+        name: str,
+        result: ResultSet,
+        columns: Sequence[Tuple[Tuple[str, str], str]],
+        alias_tables: Optional[Dict[str, str]],
+    ) -> Tuple[TableSchema, List[List[object]]]:
+        """Schema and column value lists of a table holding ``columns`` of ``result``."""
         column_defs = []
         column_data = []
         for (source_alias, source_column), new_name in columns:
@@ -360,25 +399,7 @@ class Database:
                 col_type = _infer_type(values)
             column_defs.append(ColumnDef(new_name, col_type))
             column_data.append(values)
-        schema = TableSchema(name=name, columns=tuple(column_defs))
-        with self.catalog.lock:
-            table = self.create_table(schema)
-            table.load_columns(column_data)
-            do_analyze = (
-                self.settings.analyze_temp_tables if analyze is None else analyze
-            )
-            if do_analyze:
-                self.catalog.set_stats(
-                    name,
-                    analyze_table(
-                        table,
-                        self.settings.statistics_target,
-                        sample_target=self.settings.sample_rows,
-                    ),
-                )
-            self.feedback.invalidate_table(name)
-        return table
-
+        return TableSchema(name=name, columns=tuple(column_defs)), column_data
 
     # -- in-memory intermediates (adaptive execution support) ---------------------
 
@@ -399,26 +420,13 @@ class Database:
         when re-planning).  The caller must drop the pseudo-table with
         :meth:`drop_intermediate` before the statement returns.
         """
-        column_defs = []
-        column_data = []
-        for (source_alias, source_column), new_name in columns:
-            values = result.column_values(source_alias, source_column)
-            col_type = None
-            if alias_tables and source_alias in alias_tables:
-                source_schema = self.catalog.schema(alias_tables[source_alias])
-                if source_schema.has_column(source_column):
-                    col_type = source_schema.column(source_column).col_type
-            if col_type is None:
-                col_type = _infer_type(values)
-            column_defs.append(ColumnDef(new_name, col_type))
-            column_data.append(values)
-        schema = TableSchema(name=name, columns=tuple(column_defs))
+        schema, column_data = self._result_columns(name, result, columns, alias_tables)
         table = IntermediateTable(schema, column_data)
         self.catalog.register_transient(schema, table)
         return table
 
     def drop_intermediate(self, name: str) -> None:
-        """Drop a transient pseudo-table (no epoch bump)."""
+        """Drop a transient table or pseudo-table (no epoch bump)."""
         self.catalog.drop_transient(name)
 
     # -- snapshots (serving support) ----------------------------------------------

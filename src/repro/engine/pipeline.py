@@ -308,13 +308,10 @@ class FeedbackHarvestInterceptor(QueryInterceptor):
                 subset = frozenset(step.trigger_aliases)
                 if subset and subset <= valid:
                     observed[subset] = float(step.actual_rows)
-        plan = None
-        if ctx.report is not None and ctx.report.final_planned is not None:
-            plan = ctx.report.final_planned.plan
-        elif ctx.planned is not None and ctx.execution is not None:
-            plan = ctx.planned.plan
-        if plan is not None:
-            for subset, rows in harvest_observations(plan).items():
+        # After a re-optimization loop these are the final round's.
+        if ctx.planned is not None and ctx.execution is not None:
+            final = harvest_observations(ctx.planned.plan, ctx.execution.node_metrics)
+            for subset, rows in final.items():
                 if subset <= valid:
                     observed[subset] = rows
         for subset, rows in observed.items():

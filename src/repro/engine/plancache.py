@@ -5,7 +5,8 @@ SQL is the canonical rendering of the *bound* query (whitespace, keyword
 case and parameter values already resolved), so an ad-hoc statement and a
 prepared statement executed with the same values share one entry.  Keying on
 the catalog epoch makes invalidation implicit: ANALYZE, index creation and
-(temp-)table DDL all bump the epoch, so stale entries can never be served
+table DDL all bump the epoch (the re-optimization loops' statement-local
+tables are not DDL and leave it alone), so stale entries can never be served
 again.  They are also *pruned eagerly*: the first probe after an epoch bump
 drops every entry from older epochs (counted in
 :attr:`PlanCacheStats.stale_evictions`), so dead plans do not squat in the

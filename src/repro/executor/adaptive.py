@@ -1,7 +1,7 @@
 """Operator-level adaptive execution (true mid-query re-optimization).
 
-The legacy re-optimization path simulates the paper's scheme by rewriting SQL
-against materialized temporary tables.  This module is the real-system design
+The rewrite loop follows the paper's scheme by rewriting SQL against
+materialized temporary tables.  This module is the real-system design
 the paper names (Kabra & DeWitt-style): the executor runs the plan
 *stage-wise*, observing per-operator runtime statistics (actual rows,
 batches, hash-join build/probe sizes, work) at every operator.  Re-plan
@@ -19,27 +19,13 @@ the already-computed in-memory intermediate is handed to the new plan as a
 pseudo-table registered in the catalog without DDL — instead of being written
 out and re-scanned.
 
-Differences from the SQL-rewrite simulation, by design:
-
-* **No exploratory executions.**  Stage-wise execution observes cardinalities
-  while doing useful work, so every executed operator is charged exactly
-  once per round; the simulation's uncharged full "EXPLAIN ANALYZE" runs
-  disappear.
-* **No materialization surcharge.**  The intermediate never leaves memory;
-  the handover itself is free and only the re-planned remainder's scan of
-  the pseudo-table is charged (the quantity
-  :class:`~repro.core.midquery.MidQueryReoptimizer` models analytically).
-* **Client-transparent.**  The final result is restored to the original
-  query's output columns (names *and* order), so a re-planned ``SELECT *``
-  is indistinguishable from a plain execution — something the SQL-rewrite
-  simulation cannot do.
-* **Trigger site.**  Executing breakers bottom-up inherently triggers at the
-  *lowest* violating join (the paper's choice); the ``"highest"`` ablation
-  remains simulation-only.
+How this loop and the paper's rewrite loop differ — handover, accounting,
+trigger site — is laid out in :mod:`repro.core.interceptor`; both drive the
+same staged round (:meth:`Executor.execute_staged`) and the same query
+rewrite (:class:`~repro.executor.handover.Handover`).
 
 The loop is engine-agnostic: both the vectorized and the reference engine
-execute stage-wise through :meth:`Executor.execute_node`'s resumable memo.
-Under the morsel-driven parallel engine the stage boundaries double as the
+execute stage-wise.  Under the morsel-driven parallel engine the stage boundaries double as the
 gather barriers: every hash-join breaker the loop pauses at is exactly the
 point where the parallel engine has already merged its per-worker partial
 build tables and concatenated the probe morsels back into deterministic
@@ -49,37 +35,32 @@ identical to a serial run.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.triggers import ReoptimizationPolicy, q_error
 from repro.errors import ReoptimizationError
-from repro.executor.batch import ColumnBatch
 from repro.executor.executor import (
     ExecutionResult,
     NodeMetrics,
+    StagedExecution,
     WORK_UNITS_PER_SECOND,
 )
-from repro.executor.reference import ResultSet
+from repro.executor.handover import Handover
 from repro.optimizer.injection import CardinalityInjector
 from repro.optimizer.optimizer import PlannedQuery
-from repro.optimizer.plan import JoinNode, OneTimeFilterNode, PlanNode
+from repro.optimizer.plan import PlanNode
 from repro.optimizer.provenance import (
     Observations,
     harvest_observations,
-    plan_output_columns,
     runtime_injection,
     translate_observations,
 )
 from repro.sql.binder import BoundQuery
-from repro.sql.builder import collapse_aliases, referenced_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.database import Database
-
-QualifiedColumn = Tuple[str, str]
 
 
 @dataclass
@@ -160,13 +141,7 @@ class AdaptiveExecutor:
         db = self._db
         policy = self.policy
         executor = db.executor
-        original_columns = plan_output_columns(planned.plan, db.catalog)
-        # Where each original output column currently lives; collapses remap
-        # qualified (alias, column) names, projection outputs ("", name) are
-        # stable by construction.
-        locations: Dict[QualifiedColumn, QualifiedColumn] = {
-            qcol: qcol for qcol in original_columns
-        }
+        handover = Handover(planned.plan, db.catalog)
         observations: Observations = {}
         replans: List[ReplanPoint] = []
         pseudo_names: List[str] = []
@@ -176,39 +151,31 @@ class AdaptiveExecutor:
         wall_seconds = 0.0
         current_query = planned.query
         current_planned = planned
-        result: ResultSet
         try:
             for iteration in range(policy.max_iterations + 1):
-                metrics: Dict[int, NodeMetrics] = {}
-                memo: Dict[int, Tuple[ResultSet, float]] = {}
-                trigger: Optional[JoinNode] = None
-                started = time.perf_counter()
-                if self._should_adapt(iteration, current_query, current_planned):
-                    for join in current_planned.plan.join_nodes():
-                        result, _ = executor.execute_node(join, metrics, memo=memo)
-                        error = q_error(join.estimated_rows, len(result))
-                        if error > policy.threshold:
-                            trigger = join
-                            break
-                if trigger is None:
-                    result, _ = executor.execute_node(
-                        current_planned.plan, metrics, memo=memo
-                    )
-                wall_seconds += time.perf_counter() - started
-                round_work = self._performed_work(current_planned.plan, memo)
-                total_work += round_work
-                merged_metrics.update(metrics)
-                observations.update(
-                    harvest_observations(current_planned.plan, executed=memo)
+                adapt = self._should_adapt(iteration, current_query, current_planned)
+                staged = executor.execute_staged(
+                    current_planned.plan, policy.violates if adapt else None
                 )
-                if trigger is None:
+                wall_seconds += staged.wall_seconds
+                round_work = self._performed_work(
+                    current_planned.plan, staged.node_metrics
+                )
+                total_work += round_work
+                merged_metrics.update(staged.node_metrics)
+                observations.update(
+                    harvest_observations(current_planned.plan, staged.node_metrics)
+                )
+                if staged.trigger is None:
                     break
                 current_query, current_planned, observations, point = self._replan(
-                    current_query, trigger, result, iteration, round_work,
-                    observations, locations, pseudo_names,
+                    current_query, staged, iteration, round_work,
+                    observations, handover, pseudo_names,
                 )
                 replans.append(point)
                 replanning_work += point.planning_work
+                # The round is over: only the handed-over columns live on.
+                staged = None
             else:  # pragma: no cover - the last iteration never triggers
                 raise ReoptimizationError(
                     f"adaptive execution of {planned.query.name!r} did not terminate"
@@ -218,9 +185,8 @@ class AdaptiveExecutor:
                 if name in db.catalog:
                     db.drop_intermediate(name)
 
-        final_result = self._restore_output(result, original_columns, locations)
         return AdaptiveExecutionResult(
-            result=final_result,
+            result=handover.restore(staged.result),
             total_work=total_work,
             wall_seconds=wall_seconds,
             node_metrics=merged_metrics,
@@ -243,14 +209,6 @@ class AdaptiveExecutor:
             return False
         if query.num_tables() <= 1:
             return False
-        if any(
-            isinstance(node, OneTimeFilterNode) and not node.passes
-            for node in planned.plan.walk()
-        ):
-            # An always-false constant filter prunes the join tree; running
-            # its joins stage-wise would execute a subtree the plain
-            # executor never touches.
-            return False
         if iteration == 0 and self.policy.min_query_seconds > 0.0:
             # A real adaptive executor cannot know the actual runtime up
             # front; gate the short-query cutoff on the optimizer's estimate
@@ -261,53 +219,22 @@ class AdaptiveExecutor:
         return True
 
     @staticmethod
-    def _performed_work(plan: PlanNode, memo: Dict[int, Tuple[ResultSet, float]]) -> float:
+    def _performed_work(plan: PlanNode, metrics: Dict[int, NodeMetrics]) -> float:
         """Work actually performed this round: own work of every executed node."""
         return sum(
-            node.actual_work or 0.0
+            metrics[node.node_id].own_work
             for node in plan.walk()
-            if node.node_id in memo
+            if node.node_id in metrics
         )
-
-    def _handover_columns(
-        self, query: BoundQuery, trigger: JoinNode
-    ) -> List[QualifiedColumn]:
-        """Columns the pseudo-table must expose for the remainder to run."""
-        if not query.select_items:
-            # SELECT *: every column of every collapsed alias is part of the
-            # client-visible output, so all of them ride along (this is what
-            # lets the adaptive path re-plan star queries transparently).
-            # FROM-clause declaration order, not sorted order: the LIMIT
-            # tie-break sorts star output on the declared column sequence, so
-            # the handover must preserve it across re-plans.
-            return [
-                (alias, column)
-                for alias in query.aliases
-                if alias in trigger.aliases
-                for column in self._db.catalog.schema(
-                    query.table_for(alias)
-                ).column_names
-            ]
-        needed = referenced_columns(query, trigger.aliases)
-        if not needed:
-            # Nothing above references the sub-join (e.g. SELECT count(*)
-            # over exactly these tables); keep one join column so the
-            # rewritten query stays well-formed.
-            alias = sorted(trigger.aliases)[0]
-            table = query.table_for(alias)
-            first_column = self._db.catalog.schema(table).column_names[0]
-            needed = [(alias, first_column)]
-        return needed
 
     def _replan(
         self,
         query: BoundQuery,
-        trigger: JoinNode,
-        intermediate: ResultSet,
+        staged: StagedExecution,
         iteration: int,
         round_work: float,
         observations: Observations,
-        locations: Dict[QualifiedColumn, QualifiedColumn],
+        handover: Handover,
         pseudo_names: List[str],
     ) -> Tuple[BoundQuery, PlannedQuery, Observations, ReplanPoint]:
         """Hand the intermediate over and plan the remainder of the query.
@@ -317,32 +244,16 @@ class AdaptiveExecutor:
         later rounds), and the re-plan point record.
         """
         db = self._db
-        needed = self._handover_columns(query, trigger)
-        mapping: Dict[QualifiedColumn, str] = {
-            (alias, column): f"{alias}_{column}" for alias, column in needed
-        }
+        trigger = staged.trigger
+        intermediate = staged.trigger_result
         name = db.next_temp_table_name(base="stage")
+        rewritten, columns = handover.collapse(
+            query, trigger.aliases, name, f"adapt{iteration + 1}"
+        )
         db.register_intermediate_result(
-            name,
-            intermediate,
-            [(qcol, mapping[qcol]) for qcol in needed],
-            alias_tables=query.alias_tables,
+            name, intermediate, columns, alias_tables=query.alias_tables
         )
         pseudo_names.append(name)
-
-        for qcol, current in locations.items():
-            if current[0] in trigger.aliases:
-                locations[qcol] = (name, mapping[current])
-
-        rewritten = collapse_aliases(
-            query,
-            sorted(trigger.aliases),
-            temp_table=name,
-            temp_alias=name,
-            column_mapping=mapping,
-        )
-        base_name = query.name or "query"
-        rewritten.name = f"{base_name.split('#', 1)[0]}#adapt{iteration + 1}"
 
         translated = translate_observations(
             observations, frozenset(trigger.aliases), name
@@ -354,33 +265,11 @@ class AdaptiveExecutor:
             trigger_label=trigger.label(),
             trigger_aliases=tuple(sorted(trigger.aliases)),
             estimated_rows=trigger.estimated_rows,
-            actual_rows=trigger.actual_rows or 0,
-            q_error=q_error(trigger.estimated_rows, trigger.actual_rows or 0),
+            actual_rows=len(intermediate),
+            q_error=q_error(trigger.estimated_rows, len(intermediate)),
             pseudo_table=name,
             pseudo_rows=len(intermediate),
             executed_work=round_work,
             planning_work=planned.stats.planning_work,
         )
         return rewritten, planned, translated, point
-
-    @staticmethod
-    def _restore_output(
-        result: ResultSet,
-        original_columns: List[QualifiedColumn],
-        locations: Dict[QualifiedColumn, QualifiedColumn],
-    ) -> ResultSet:
-        """Project the final result back to the original output shape.
-
-        Re-planning is invisible to the client: whatever plan produced the
-        final rows, the columns come back under the original query's names in
-        the original order.
-        """
-        if tuple(result.columns) == tuple(original_columns):
-            return result
-        positions = [
-            result.column_position(*locations[qcol]) for qcol in original_columns
-        ]
-        if isinstance(result, ColumnBatch):
-            return result.with_columns(original_columns, positions)
-        rows = [tuple(row[p] for p in positions) for row in result.rows]
-        return ResultSet(original_columns, rows)

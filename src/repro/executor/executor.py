@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.errors import ExecutionError
@@ -97,6 +97,8 @@ class NodeMetrics:
     estimated_rows: float
     actual_rows: int
     work: float
+    #: ``work`` minus the children's: what this operator itself was charged.
+    own_work: float = 0.0
     batches: int = 1
     build_rows: Optional[int] = None
     probe_rows: Optional[int] = None
@@ -146,6 +148,56 @@ class ExecutionResult:
         return self.rows_processed / self.wall_seconds
 
 
+@dataclass
+class StagedExecution(ExecutionResult):
+    """The outcome of one staged round (:meth:`Executor.execute_staged`).
+
+    With no ``trigger`` this is the plain result of the whole plan.  When the
+    round paused, ``result`` and ``total_work`` are those of the ``trigger``
+    join's subtree — exactly what executing that sub-join on its own would
+    return.  When the round was asked to finish anyway they are the whole
+    plan's, and ``trigger_result`` keeps the trigger's rows beside them.
+    """
+
+    trigger: Optional[JoinNode] = None
+    trigger_result: Optional[ResultSet] = None
+
+    @property
+    def trigger_work(self) -> float:
+        """Cumulative work of the trigger's subtree."""
+        return self.node_metrics[self.trigger.node_id].work
+
+
+class _StageMemo:
+    """Outputs of a staged round that still await their consumer.
+
+    A node's rows stay here only until its parent has run, so a round holds
+    what a plain recursive execution would.  The exception is the pinned
+    node — the pending trigger candidate, whose rows the caller hands over.
+    Which nodes ran, and their work, is in the round's ``NodeMetrics``.
+    """
+
+    __slots__ = ("results", "pinned", "pinned_consumed")
+
+    def __init__(self) -> None:
+        self.results: Dict[int, ResultSet] = {}
+        self.pinned: Optional[int] = None
+        self.pinned_consumed = False
+
+    def pin(self, node_id: int) -> None:
+        """Keep ``node_id``'s rows past its parent; un-pin the previous candidate."""
+        if self.pinned_consumed:
+            del self.results[self.pinned]
+        self.pinned, self.pinned_consumed = node_id, False
+
+    def release(self, node_id: int) -> None:
+        """The parent of ``node_id`` has consumed its rows."""
+        if node_id == self.pinned:
+            self.pinned_consumed = True
+        else:
+            self.results.pop(node_id, None)
+
+
 class Executor:
     """Executes physical plans against a catalog.
 
@@ -193,34 +245,70 @@ class Executor:
 
     def execute(self, plan: PlanNode) -> ExecutionResult:
         """Execute ``plan`` and return its result with instrumentation."""
+        return self.execute_staged(plan)
+
+    def execute_staged(
+        self,
+        plan: PlanNode,
+        violates: Optional[Callable[[JoinNode, int], bool]] = None,
+        finish: bool = False,
+        last: bool = False,
+    ) -> StagedExecution:
+        """Run ``plan``'s joins bottom-up, pausing where ``violates`` fires.
+
+        This is the one round both re-optimization loops drive.  Every join —
+        the only pipeline breaker below other joins — runs once, in
+        :meth:`PlanNode.join_nodes` order, and ``violates(join, actual_rows)``
+        is asked after each.  At the first join it accepts the round stops
+        and returns that join's rows as the trigger; when none does (or
+        ``violates`` is ``None``) the root runs and the round is a plain
+        execution.  No node runs twice: a join reads its inputs from the
+        round's memo.
+
+        ``finish`` runs the plan to its root even after a join violated, for
+        callers that need the whole plan's work to decide; only the trigger's
+        rows stay pinned meanwhile.  ``last`` (with ``finish``) makes the
+        trigger the last violating join in bottom-up order, not the first.
+
+        A plan whose join tree an always-false constant filter prunes is not
+        staged: running its joins would execute a subtree the plain executor
+        never touches.
+        """
         start = time.perf_counter()
         metrics: Dict[int, NodeMetrics] = {}
-        result, work = self._execute_node(plan, metrics)
-        wall = time.perf_counter() - start
-        return ExecutionResult(
+        memo: Optional[_StageMemo] = None
+        trigger: Optional[JoinNode] = None
+        stage = violates is not None
+        if stage:
+            for node in plan.walk():
+                # Plan nodes are mutable and may come from the plan cache: a
+                # round cut short must not leave the joins above its trigger
+                # carrying an earlier execution's actuals.
+                node.actual_rows = node.actual_work = None
+                if isinstance(node, OneTimeFilterNode) and not node.passes:
+                    stage = False
+        if stage:
+            memo = _StageMemo()
+            for join in plan.join_nodes():
+                # Only the count is kept: a reference held here would keep
+                # the join's rows alive past their consumer.
+                actual_rows = len(self._execute_node(join, metrics, memo=memo)[0])
+                if (trigger is None or last) and violates(join, actual_rows):
+                    trigger = join
+                    if not finish:
+                        break
+                    memo.pin(join.node_id)
+        root = plan if trigger is None or finish else trigger
+        result, work = self._execute_node(root, metrics, memo=memo)
+        return StagedExecution(
             result=result,
             total_work=work,
-            wall_seconds=wall,
+            wall_seconds=time.perf_counter() - start,
             node_metrics=metrics,
             engine=self.engine,
+            trigger=trigger,
+            trigger_result=memo.results[trigger.node_id] if trigger else None,
         )
-
-    def execute_node(
-        self,
-        node: PlanNode,
-        metrics: Dict[int, NodeMetrics],
-        memo: Optional[Dict[int, Tuple[ResultSet, float]]] = None,
-    ) -> Tuple[ResultSet, float]:
-        """Execute one plan subtree, memoizing per-node results.
-
-        This is the stage-wise entry the adaptive executor drives: it executes
-        pipeline-breaker subtrees bottom-up, observing runtime statistics
-        after each, and finally the plan root.  Passing the same ``memo``
-        (keyed by node id) across calls makes execution *resumable* — a node
-        already executed in an earlier stage returns its cached result and
-        cumulative work instead of recomputing.
-        """
-        return self._execute_node(node, metrics, memo=memo)
 
     # -- node dispatch -----------------------------------------------------------
 
@@ -229,10 +317,10 @@ class Executor:
         node: PlanNode,
         metrics: Dict[int, NodeMetrics],
         charge: bool = True,
-        memo: Optional[Dict[int, Tuple[ResultSet, float]]] = None,
+        memo: Optional[_StageMemo] = None,
     ) -> Tuple[ResultSet, float]:
-        if memo is not None and node.node_id in memo:
-            return memo[node.node_id]
+        if memo is not None and node.node_id in memo.results:
+            return memo.results[node.node_id], metrics[node.node_id].work
         build_rows: Optional[int] = None
         probe_rows: Optional[int] = None
         observed: Dict[str, int] = {}
@@ -310,6 +398,7 @@ class Executor:
             estimated_rows=node.estimated_rows,
             actual_rows=len(result),
             work=work,
+            own_work=node.actual_work,
             batches=batch_count(len(result)),
             build_rows=build_rows,
             probe_rows=probe_rows,
@@ -321,7 +410,9 @@ class Executor:
             columns_decoded=observed.get("columns_decoded"),
         )
         if memo is not None:
-            memo[node.node_id] = (result, work)
+            memo.results[node.node_id] = result
+            for child in node.children():
+                memo.release(child.node_id)
         return result, work
 
     # -- operators ----------------------------------------------------------------
@@ -375,7 +466,7 @@ class Executor:
         self,
         node: JoinNode,
         metrics: Dict[int, NodeMetrics],
-        memo: Optional[Dict[int, Tuple[ResultSet, float]]] = None,
+        memo: Optional[_StageMemo] = None,
         observed: Optional[Dict[str, int]] = None,
     ) -> Tuple[ResultSet, float, int, int]:
         inner_is_index_probed = node.algorithm is JoinAlgorithm.INDEX_NESTED_LOOP

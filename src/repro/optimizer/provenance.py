@@ -26,7 +26,7 @@ re-optimization invisible to the client.
 
 from __future__ import annotations
 
-from typing import Container, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.optimizer.injection import (
@@ -50,31 +50,28 @@ Observations = Dict[FrozenSet[str], float]
 
 
 def harvest_observations(
-    plan: PlanNode, executed: Optional[Container[int]] = None
+    plan: PlanNode, executed: Mapping[int, object]
 ) -> Observations:
-    """True cardinalities observed while executing (part of) ``plan``.
+    """True cardinalities an execution of (part of) ``plan`` observed.
 
-    Only scans and joins carry subset cardinalities the optimizer estimates
-    (a scan's actual rows are its post-filter cardinality, a join's actual
-    rows the cardinality of its alias subset); aggregation/sort/limit nodes
-    share their child's alias set and are skipped.  Nodes that were never
-    executed (``actual_rows is None``) are skipped too, which is what makes
-    harvesting safe on a stage-wise, partially executed plan.
+    ``executed`` is that execution's ``node_metrics``.  Only scans and joins
+    carry subset cardinalities the optimizer estimates (a scan's actual rows
+    are its post-filter cardinality, a join's actual rows the cardinality of
+    its alias subset); aggregation/sort/limit nodes share their child's alias
+    set and are skipped.  Nodes the execution never ran are skipped too,
+    which is what makes harvesting safe on a stage-wise, partially executed
+    plan.
 
-    When ``executed`` is given, only nodes whose id it contains are read.
-    Stage-wise execution passes its memo keys: a plan served from the plan
-    cache may carry ``actual_rows`` left over from an *earlier* statement,
-    and those must not masquerade as this execution's observations.
+    The rows are read from ``executed``, not off the plan nodes: a plan
+    served from the plan cache is shared and mutable, so its nodes may carry
+    ``actual_rows`` written by an *earlier* (or concurrent) statement, and
+    those must not masquerade as this execution's observations.
     """
-    observed: Observations = {}
-    for node in plan.walk():
-        if node.actual_rows is None:
-            continue
-        if executed is not None and node.node_id not in executed:
-            continue
-        if isinstance(node, (ScanNode, JoinNode)):
-            observed[frozenset(node.aliases)] = float(node.actual_rows)
-    return observed
+    return {
+        frozenset(node.aliases): float(executed[node.node_id].actual_rows)
+        for node in plan.walk()
+        if isinstance(node, (ScanNode, JoinNode)) and node.node_id in executed
+    }
 
 
 def translate_observations(

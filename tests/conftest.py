@@ -69,6 +69,12 @@ def stock_db() -> Database:
     return build_stock_like_database()
 
 
+@pytest.fixture
+def stock_db_factory():
+    """Builder of further fresh skewed two-table databases (same rows every call)."""
+    return build_stock_like_database
+
+
 @pytest.fixture(scope="session")
 def shared_stock_db() -> Database:
     """Session-wide skewed two-table database (treat as read-only)."""

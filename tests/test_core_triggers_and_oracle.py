@@ -5,9 +5,7 @@ import pytest
 from repro.core import (
     ReoptimizationPolicy,
     TrueCardinalityOracle,
-    find_trigger_join,
     q_error,
-    violating_joins,
 )
 from repro.errors import CardinalityError
 
@@ -48,20 +46,23 @@ class TestTriggerSelection:
 
     def test_violating_join_found_under_skew(self, stock_db):
         planned = stock_db.plan(self.SQL)
-        stock_db.execute_plan(planned)
-        violations = violating_joins(planned.plan, threshold=4)
-        assert len(violations) == 1
-        trigger = find_trigger_join(planned.plan, ReoptimizationPolicy(threshold=4))
-        assert trigger is violations[0]
+        policy = ReoptimizationPolicy(threshold=4)
+        staged = stock_db.executor.execute_staged(planned.plan, policy.violates)
+        (join,) = planned.plan.join_nodes()
+        assert staged.trigger is join
+        assert policy.violates(join, len(staged.trigger_result))
+        assert q_error(join.estimated_rows, join.actual_rows) > 4
 
     def test_no_violation_above_huge_threshold(self, stock_db):
         planned = stock_db.plan(self.SQL)
-        stock_db.execute_plan(planned)
-        assert find_trigger_join(planned.plan, ReoptimizationPolicy(threshold=1e9)) is None
+        policy = ReoptimizationPolicy(threshold=1e9)
+        staged = stock_db.executor.execute_staged(planned.plan, policy.violates)
+        assert staged.trigger is None
+        assert staged.row_count == 1
 
-    def test_unexecuted_plan_has_no_violations(self, stock_db):
+    def test_a_round_without_a_predicate_never_triggers(self, stock_db):
         planned = stock_db.plan(self.SQL)
-        assert violating_joins(planned.plan, threshold=2) == []
+        assert stock_db.executor.execute_staged(planned.plan).trigger is None
 
 
 class TestOracle:
