@@ -46,15 +46,26 @@
 #                  parent) with this tree's generators, and fail when they
 #                  differ from the checked-in files.  PINS_DIR (default: a
 #                  fresh temp dir) is where the export is unpacked
+#   make ab      - the A/B protocol of benchmarks/perf/README.md for one
+#                  workload: PAIRS (default 10) alternating pairs of single
+#                  runs, PARENT (default HEAD~1, exported with git archive)
+#                  against this tree, pair k at seed SEED + k; prints each
+#                  end-to-end metric's medians, quartiles, wins and whether
+#                  the gap exceeds the parent's IQR.  e.g.
+#                  `make ab WORKLOAD=job_hot PARENT=HEAD~1 PAIRS=10 SEED=100`.
+#                  Not part of `ci`
 #   make lint    - ruff check (same invocation as the CI lint job)
 #   make all     - everything
 
 PYTHON ?= python
 SEED ?= 0
 PINS_COMMIT ?= HEAD
+WORKLOAD ?= job_hot
+PARENT ?= HEAD~1
+PAIRS ?= 10
 export PYTHONPATH := src
 
-.PHONY: ci test unit diff fuzz fuzz-nightly fuzz-parallel fuzz-partitioned guards stress perf-smoke perf bench bench-compare experiments pins lint all
+.PHONY: ci test unit diff fuzz fuzz-nightly fuzz-parallel fuzz-partitioned guards stress perf-smoke perf ab bench bench-compare experiments pins lint all
 
 # Mirrors the CI workflow's step sequence exactly (lint job, then the test
 # job's pytest steps, then the speedup guards, the serving stress and the
@@ -96,6 +107,9 @@ perf-smoke:
 
 perf:
 	$(PYTHON) benchmarks/perf/run.py --out BENCH_perf.json
+
+ab:
+	$(PYTHON) tools/perf_ab.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS) --seed $(SEED)
 
 bench:
 	$(PYTHON) -m pytest -x -q -s benchmarks

@@ -50,6 +50,7 @@ from repro.executor.executor import StagedExecution
 from repro.executor.handover import Handover
 from repro.sql.ast import Column, ColumnRef, SelectItem
 from repro.sql.binder import BoundQuery
+from repro.sql.builder import estimated_columns
 
 
 class ReoptimizationInterceptor(QueryInterceptor):
@@ -231,14 +232,23 @@ class ReoptimizationInterceptor(QueryInterceptor):
         temp_tables.append(temp_name)
         # A kept table outlives the statement, so it is ordinary DDL; one the
         # loop drops again is registered like an adaptive intermediate and
-        # leaves the plans cached for other statements valid.
+        # leaves the plans cached for other statements valid.  Its only
+        # reader is the rewritten query, so ANALYZE covers the columns that
+        # query can ask about — not the ones that ride along to the select
+        # list (every column under SELECT *, which orders and limits by them).
+        transient = not self.keep_temp_tables
         db.create_temp_table_from_result(
             temp_name,
             sub_result,
             columns,
             alias_tables=current.alias_tables,
             analyze=self.policy.analyze_temp_tables,
-            transient=not self.keep_temp_tables,
+            transient=transient,
+            analyze_only=(
+                estimated_columns(rewritten, temp_name)
+                if transient and rewritten.select_items
+                else None
+            ),
         )
 
         materialize_work = db.cost_model.materialize_cost(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import ColumnDef, ColumnType, TableSchema
@@ -330,6 +330,7 @@ class Database:
         alias_tables: Optional[Dict[str, str]] = None,
         analyze: Optional[bool] = None,
         transient: bool = False,
+        analyze_only: Optional[Collection[str]] = None,
     ) -> Table:
         """Materialize selected columns of a result set into a new table.
 
@@ -347,6 +348,9 @@ class Database:
                 For tables only the creating statement can name and that it
                 drops with :meth:`drop_intermediate` before it returns, so
                 plans cached for other statements stay valid.
+            analyze_only: new-table column names ANALYZE is limited to
+                (``None``: all) — the ones the creating statement's remainder
+                can ask statistics about.
 
         Returns:
             The storage object of the created table.
@@ -369,6 +373,7 @@ class Database:
                     table,
                     self.settings.statistics_target,
                     sample_target=self.settings.sample_rows,
+                    only=analyze_only,
                 )
                 if transient:
                     entry.stats = stats

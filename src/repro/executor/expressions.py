@@ -24,7 +24,8 @@ suite and the expression fuzzer enforce this bit-for-bit, floats included.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.sql import values as V
@@ -256,26 +257,21 @@ def compile_conjunction(
 # ---------------------------------------------------------------------------
 
 
-def _candidates(batch, candidates: Optional[Sequence[int]]) -> Iterable[int]:
-    return range(len(batch)) if candidates is None else candidates
+def _column_pairs(batch, position: int, candidates: Optional[Sequence[int]]):
+    """``(batch row, value)`` pairs of one column, for the leaf kernels.
 
-
-def _filter_column(position: int, keep: Callable[[object], bool]) -> BatchPredicate:
-    """Batch predicate keeping rows whose column value satisfies ``keep``.
-
-    The selection-vector indirection is resolved once per call, outside the
-    row loop, so the common zero-copy scan case (no selection vector) runs a
-    bare ``data[i]`` list access per row.
+    The selection vector and the candidate list are resolved by C-level
+    iterators, so a kernel is one comprehension with its condition inline:
+    no per-row Python call, no intermediate value list.
     """
-
-    def run(batch, candidates: Optional[Sequence[int]]) -> List[int]:
-        data, sel = batch.column_storage(position)
-        it = _candidates(batch, candidates)
-        if sel is None:
-            return [i for i in it if keep(data[i])]
-        return [i for i in it if keep(data[sel[i]])]
-
-    return run
+    data, sel = batch.column_storage(position)
+    if candidates is not None:
+        rows = candidates if sel is None else map(sel.__getitem__, candidates)
+        return zip(candidates, map(data.__getitem__, rows))
+    if sel is not None:
+        return enumerate(map(data.__getitem__, sel))
+    # The backing list may have grown since the batch was cut.
+    return enumerate(data if len(data) == len(batch) else islice(data, len(batch)))
 
 
 def _literal_value(expr: Expr) -> Tuple[bool, object]:
@@ -288,20 +284,53 @@ def _literal_value(expr: Expr) -> Tuple[bool, object]:
 def _column_comparison_filter(
     position: int, op: ComparisonOp, value: object
 ) -> BatchPredicate:
-    """Tight-loop filter for the ``column op literal`` shape."""
+    """One-pass filter for the ``column op literal`` shape."""
+    pairs = _column_pairs
     if value is None:
         return lambda batch, candidates: []
-    if op is ComparisonOp.EQ:
-        return _filter_column(position, lambda v: v is not None and v == value)
+    if op is ComparisonOp.EQ:  # NULL equals nothing: no guard needed
+        return lambda b, c: [i for i, v in pairs(b, position, c) if v == value]
     if op is ComparisonOp.NE:
-        return _filter_column(position, lambda v: v is not None and v != value)
+        return lambda b, c: [i for i, v in pairs(b, position, c) if v is not None and v != value]
     if op is ComparisonOp.LT:
-        return _filter_column(position, lambda v: v is not None and v < value)
+        return lambda b, c: [i for i, v in pairs(b, position, c) if v is not None and v < value]
     if op is ComparisonOp.LE:
-        return _filter_column(position, lambda v: v is not None and v <= value)
+        return lambda b, c: [i for i, v in pairs(b, position, c) if v is not None and v <= value]
     if op is ComparisonOp.GT:
-        return _filter_column(position, lambda v: v is not None and v > value)
-    return _filter_column(position, lambda v: v is not None and v >= value)
+        return lambda b, c: [i for i, v in pairs(b, position, c) if v is not None and v > value]
+    return lambda b, c: [i for i, v in pairs(b, position, c) if v is not None and v >= value]
+
+
+def _column_like_filter(position: int, pattern: str, want: bool) -> BatchPredicate:
+    """One-pass ``column [NOT] LIKE 'literal'`` (``want`` is False for NOT).
+
+    A pattern whose only wildcards are ``%`` at its ends is a substring,
+    prefix, suffix or equality test on the string itself; an inner ``%`` or
+    any ``_`` needs the regular expression.  The binder admits only text
+    operands, so values are ``str`` or NULL.
+    """
+    pairs = _column_pairs
+    text = pattern.strip("%")
+    if "%" in text or "_" in text:
+        match = like_pattern_to_regex(pattern).match
+        return lambda b, c: [
+            i for i, v in pairs(b, position, c) if v is not None and (match(v) is not None) is want
+        ]
+    if pattern[:1] == "%" and pattern[-1:] == "%":
+        return lambda b, c: [
+            i for i, v in pairs(b, position, c) if v is not None and (text in v) is want
+        ]
+    if pattern[:1] == "%":
+        return lambda b, c: [
+            i for i, v in pairs(b, position, c) if v is not None and v.endswith(text) is want
+        ]
+    if pattern[-1:] == "%":
+        return lambda b, c: [
+            i for i, v in pairs(b, position, c) if v is not None and v.startswith(text) is want
+        ]
+    return lambda b, c: [
+        i for i, v in pairs(b, position, c) if v is not None and (v == text) is want
+    ]
 
 
 def compile_batch_predicate(
@@ -310,80 +339,54 @@ def compile_batch_predicate(
     """Compile a filter expression into a columnar (batch-at-a-time) evaluator.
 
     The returned callable keeps exactly the rows the row-level compilation
-    of the same expression keeps.  Leaf predicates over bare columns use
-    specialized selection-vector loops; arbitrary trees fall back to the
-    column-wise scalar evaluator and keep the rows whose value is ``True``.
+    of the same expression keeps.  Leaf predicates over bare columns are one
+    comprehension over :func:`_column_pairs` with the condition inline;
+    arbitrary trees fall back to the column-wise scalar evaluator and keep
+    the rows whose value is ``True``.
     """
+    pairs = _column_pairs
+    position = None  # of the bare column a leaf shape tests
+    if isinstance(predicate, (InList, Like, Between, IsNull)):
+        if isinstance(predicate.operand, Column):
+            position = resolver.position(predicate.operand.alias, predicate.operand.column)
     if isinstance(predicate, Comparison):
         # column op literal (either orientation) -> specialized loop.
-        if isinstance(predicate.left, Column):
-            is_literal, value = _literal_value(predicate.right)
-            if is_literal:
-                position = resolver.position(
-                    predicate.left.alias, predicate.left.column
-                )
-                return _column_comparison_filter(position, predicate.op, value)
-        if isinstance(predicate.right, Column):
-            is_literal, value = _literal_value(predicate.left)
-            if is_literal:
-                position = resolver.position(
-                    predicate.right.alias, predicate.right.column
-                )
-                return _column_comparison_filter(
-                    position, predicate.op.flipped(), value
-                )
-    elif isinstance(predicate, InList) and isinstance(predicate.operand, Column):
+        for column, other, op in (
+            (predicate.left, predicate.right, predicate.op),
+            (predicate.right, predicate.left, predicate.op.flipped()),
+        ):
+            if isinstance(column, Column) and isinstance(other, Literal):
+                position = resolver.position(column.alias, column.column)
+                return _column_comparison_filter(position, op, other.value)
+    elif isinstance(predicate, InList) and position is not None:
         if all(isinstance(item, Literal) for item in predicate.items):
-            position = resolver.position(
-                predicate.operand.alias, predicate.operand.column
-            )
             literal_values = [item.value for item in predicate.items]
             non_null = {v for v in literal_values if v is not None}
             if not predicate.negated:
-                return _filter_column(position, lambda v: v in non_null)
+                return lambda b, c: [i for i, v in pairs(b, position, c) if v in non_null]
             if any(v is None for v in literal_values):
                 # ``x NOT IN (..., NULL)`` is never True.
                 return lambda batch, candidates: []
-            return _filter_column(
-                position, lambda v: v is not None and v not in non_null
-            )
-    elif isinstance(predicate, Like) and isinstance(predicate.operand, Column):
+            return lambda b, c: [
+                i for i, v in pairs(b, position, c) if v is not None and v not in non_null
+            ]
+    elif isinstance(predicate, Like) and position is not None:
         is_literal, pattern = _literal_value(predicate.pattern)
         if is_literal and pattern is not None:
-            position = resolver.position(
-                predicate.operand.alias, predicate.operand.column
-            )
-            regex = like_pattern_to_regex(str(pattern))
-            if predicate.negated:
-                return _filter_column(
-                    position, lambda v: v is not None and not regex.match(str(v))
-                )
-            return _filter_column(
-                position, lambda v: v is not None and bool(regex.match(str(v)))
-            )
-    elif isinstance(predicate, Between) and isinstance(predicate.operand, Column):
+            return _column_like_filter(position, str(pattern), not predicate.negated)
+    elif isinstance(predicate, Between) and position is not None:
         low_literal, low = _literal_value(predicate.low)
         high_literal, high = _literal_value(predicate.high)
         if low_literal and high_literal:
-            position = resolver.position(
-                predicate.operand.alias, predicate.operand.column
-            )
             if low is None or high is None:
                 return lambda batch, candidates: []
-            if predicate.negated:
-                return _filter_column(
-                    position, lambda v: v is not None and not (low <= v <= high)
-                )
-            return _filter_column(
-                position, lambda v: v is not None and low <= v <= high
-            )
-    elif isinstance(predicate, IsNull) and isinstance(predicate.operand, Column):
-        position = resolver.position(
-            predicate.operand.alias, predicate.operand.column
-        )
-        if predicate.negated:
-            return _filter_column(position, lambda v: v is not None)
-        return _filter_column(position, lambda v: v is None)
+            want = not predicate.negated
+            return lambda b, c: [
+                i for i, v in pairs(b, position, c) if v is not None and (low <= v <= high) is want
+            ]
+    elif isinstance(predicate, IsNull) and position is not None:
+        want = not predicate.negated
+        return lambda b, c: [i for i, v in pairs(b, position, c) if (v is None) is want]
     elif isinstance(predicate, BoolExpr):
         compiled = [
             compile_batch_predicate(operand, resolver)
@@ -466,10 +469,7 @@ def compile_batch_scalar(expr: Expr, resolver: ColumnResolver) -> BatchScalar:
         def run_column(batch, candidates: Optional[Sequence[int]]) -> List[object]:
             if candidates is None:
                 return batch.values(position)
-            data, sel = batch.column_storage(position)
-            if sel is None:
-                return [data[i] for i in candidates]
-            return [data[sel[i]] for i in candidates]
+            return batch.take(position, candidates)
 
         return run_column
     if isinstance(expr, Param):

@@ -6,9 +6,13 @@ This is the default execution engine.  Every operator consumes and produces
 * ``scan_table`` wraps the storage layer's raw column lists into a batch
   without copying and narrows it with a compiled batch predicate;
 * ``join_results`` hash-joins two batches by materializing only the key
-  columns, then represents the output as two shared selection vectors — no
-  payload column is touched until something downstream reads it;
-* ``aggregate_result`` folds aggregates directly over column lists.
+  columns and returns the factorized match; whole columns are gathered from
+  it per side, the output's selection vectors are laid out only when
+  something downstream reads *them*, and no payload column is touched
+  before either;
+* ``aggregate_result`` folds aggregates directly over column lists — and
+  ``MIN``/``MAX``/``COUNT(*)`` straight over a join's match, per side,
+  without ever laying its output out.
 
 The engine mirrors :mod:`repro.executor.reference` exactly: same output
 multiset (in fact the same row order: probe-side-major, build insertion
@@ -21,7 +25,7 @@ work charged by :mod:`repro.executor.executor`, never the rows produced.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, compress
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog
@@ -152,8 +156,14 @@ def join_results(
 
     The physical evaluation always builds a hash table on the smaller input;
     the optimizer's algorithm choice only affects work accounting.  Only the
-    key columns are materialized — the output batch reuses both inputs'
-    backing columns through composed selection vectors.
+    key columns are materialized, and the returned batch is the factorized
+    match (:meth:`ColumnBatch.from_join`): it knows its length — all the
+    scheduler, the cost model and a re-optimization trigger ask of a join —
+    gathers a column that is read whole on that column's side (the next
+    join's key, a handover, ``SUM``, a group key) and composes the inputs'
+    selection vectors into the output's only for a reader of the vectors
+    (the layout of the join above, a residual filter, a projection).  An
+    ungrouped ``MIN``/``MAX``/``COUNT(*)`` on top reads each matched row once.
 
     When ``observed`` is given, the operator records the runtime statistics
     of its pipeline breaker — the rows materialized into the hash build side
@@ -188,22 +198,23 @@ def join_results(
         buckets.setdefault(key, []).append(i)
 
     # One C-level pass per step over the probe keys: look every key up (a
-    # NULL key misses: none was inserted), keep the positions that hit, then
-    # lay the hit buckets end to end.  Probe-side-major, build insertion
+    # NULL key misses: none was inserted), keep the positions that hit and
+    # their buckets.  Laid out, that is probe-side-major, build insertion
     # order within a key.
     probe_keys = _key_rows(probe, probe_positions)
     matched = list(map(buckets.get, probe_keys))
-    probe_idx = list(compress(range(len(matched)), matched))
-    hit_buckets = list(compress(matched, matched))
-    build_idx = list(chain.from_iterable(hit_buckets))
-    if len(build_idx) != len(probe_idx):  # some build key repeats
-        probe_idx = [i for i, hits in zip(probe_idx, hit_buckets) for _ in hits]
-
-    if build_on_left:
-        left_sel, right_sel = build_idx, probe_idx
+    if all(matched):  # every probe row hit: no positions to keep (``None``)
+        probe_idx, hit_buckets = None, matched
     else:
-        left_sel, right_sel = probe_idx, build_idx
-    return ColumnBatch.concat(left.restrict(left_sel), right.restrict(right_sel))
+        probe_idx = list(compress(range(len(matched)), matched))
+        hit_buckets = list(compress(matched, matched))
+    if len(buckets) == len(build_keys):  # distinct build keys: one pair per hit
+        pairs = len(hit_buckets)
+    else:
+        pairs = sum(map(len, hit_buckets))
+    return ColumnBatch.from_join(
+        left, right, build_on_left, probe_idx, hit_buckets, pairs
+    )
 
 
 def cross_join_results(
@@ -280,14 +291,19 @@ def _fold_column(item: SelectItem, values: List[object]) -> object:
     skipped, SUM/AVG over an empty or all-NULL input return NULL, COUNT
     returns 0 — instead of both engines sharing one implementation.
     ``SUM``/``AVG`` accumulate in input order, which keeps float results
-    bit-identical with the oracle.
+    bit-identical with the oracle.  ``MIN``/``MAX`` return the first of equal
+    extremes, as the builtins do, so ``values`` may drop later repeats of a
+    row (:meth:`ColumnBatch.matched_columns`).  The builtin takes the column
+    as it is; only when a NULL makes it raise does the skipping pass run.
     """
     if item.aggregate is AggregateFunc.COUNT:
         return sum(1 for v in values if v is not None)
-    if item.aggregate is AggregateFunc.MIN:
-        return min((v for v in values if v is not None), default=None)
-    if item.aggregate is AggregateFunc.MAX:
-        return max((v for v in values if v is not None), default=None)
+    if item.aggregate in (AggregateFunc.MIN, AggregateFunc.MAX):
+        extreme = min if item.aggregate is AggregateFunc.MIN else max
+        try:
+            return extreme(values, default=None)
+        except TypeError:  # a NULL among the values compares with nothing
+            return extreme((v for v in values if v is not None), default=None)
     if item.aggregate in (AggregateFunc.SUM, AggregateFunc.AVG):
         total = None
         count = 0
@@ -326,12 +342,24 @@ def aggregate_result(
     has_aggregate = any(item.aggregate is not None for item in select_items)
     columns = output_columns(select_items)
     if has_aggregate:
-        row: List[object] = []
-        for item in select_items:
-            if item.expr is None:  # COUNT(*)
-                row.append(len(result))
-                continue
-            row.append(_fold_column(item, _item_values(result, item)))
+        folded = [item for item in select_items if item.expr is not None]
+        if all(
+            item.column is not None
+            and item.aggregate in (AggregateFunc.MIN, AggregateFunc.MAX)
+            for item in folded
+        ):
+            # Duplicate-insensitive folds (and COUNT(*), a length) need the
+            # rows that matched, not the pairs: a join below stays factorized.
+            inputs = result.matched_columns(
+                [
+                    result.column_position(item.column.alias, item.column.column)
+                    for item in folded
+                ]
+            )
+        else:  # one column at a time
+            inputs = (_item_values(result, item) for item in folded)
+        folds = map(_fold_column, folded, inputs)
+        row = [len(result) if item.expr is None else next(folds) for item in select_items]
         return ColumnBatch.from_rows(columns, [tuple(row)])
     if all(item.column is not None for item in select_items):
         positions = [
@@ -357,10 +385,8 @@ def group_aggregate_result(
     values mirror the reference engine exactly.
     """
     result = ColumnBatch.from_result(result)
-    key_positions = [
-        result.column_position(ref.alias, ref.column) for ref in group_keys
-    ]
-    keys = _key_rows(result, key_positions)
+    key_columns = [result.column_values(ref.alias, ref.column) for ref in group_keys]
+    keys = key_columns[0] if len(key_columns) == 1 else list(zip(*key_columns))
 
     group_index: Dict[object, int] = {}
     setdefault = group_index.setdefault
@@ -380,7 +406,10 @@ def group_aggregate_result(
                 counts[gid] += 1
             out_data.append(counts)
             continue
-        values = _item_values(result, item)
+        if item.aggregate is None and item.column in group_keys:
+            values = key_columns[group_keys.index(item.column)]  # read once
+        else:
+            values = _item_values(result, item)
         if item.aggregate is None:
             # Depends only on group keys (binder rule): the group's first
             # row represents it.

@@ -395,13 +395,31 @@ def scan_referenced_columns(query: BoundQuery, alias: str) -> Optional[FrozenSet
     """
     if not query.select_items:
         return None
-    needed = set()
+    needed = set(estimated_columns(query, alias))
     for item in query.select_items:
         if item.expr is None:
             continue
         for ref in item.expr.referenced_columns():
             if ref.alias == alias:
                 needed.add(ref.column)
+    return frozenset(needed)
+
+
+def estimated_columns(query: BoundQuery, alias: str) -> FrozenSet[str]:
+    """Columns of ``alias`` the planner can ask statistics about.
+
+    Everything that selects, matches or groups rows: the alias's pushed-down
+    filters, join keys, residual join filters, grouping keys and sort keys.
+    What is left out is the select list — a column that survives only as an
+    aggregate's argument or a projected value never meets the estimator —
+    unless the query is ``DISTINCT``, whose output size is estimated from the
+    projected columns' distinct counts.
+    """
+    needed = set()
+    if query.distinct:
+        for item in query.select_items:
+            if item.column is not None and item.column.alias == alias:
+                needed.add(item.column.column)
     for predicate in query.filters_for(alias):
         for ref in predicate.referenced_columns():
             if ref.alias == alias:

@@ -120,7 +120,11 @@ def between(value: object, low: object, high: object) -> Optional[bool]:
 
 @lru_cache(maxsize=4096)
 def like_pattern_to_regex(pattern: str) -> "re.Pattern":
-    """Translate a SQL LIKE pattern into an anchored regular expression."""
+    """Translate a SQL LIKE pattern into an anchored regular expression.
+
+    Anchored with ``\\Z``, not ``$``: ``$`` also matches before a trailing
+    newline, which would make ``'abc\\n' LIKE 'abc'`` true.
+    """
     parts: List[str] = []
     for ch in pattern:
         if ch == "%":
@@ -129,7 +133,7 @@ def like_pattern_to_regex(pattern: str) -> "re.Pattern":
             parts.append(".")
         else:
             parts.append(re.escape(ch))
-    return re.compile("^" + "".join(parts) + "$", re.DOTALL)
+    return re.compile("^" + "".join(parts) + r"\Z", re.DOTALL)
 
 
 def like(value: object, pattern: object) -> Optional[bool]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import List, Sequence
+from typing import Collection, List, Optional, Sequence
 
 from repro.catalog.schema import ColumnType
 from repro.stats.column_stats import ColumnStats, TableStats
@@ -36,6 +36,7 @@ def analyze_table(
     table: Table,
     statistics_target: int = 100,
     sample_target: int = 100,
+    only: Optional[Collection[str]] = None,
 ) -> TableStats:
     """Build :class:`~repro.stats.column_stats.TableStats` for one table.
 
@@ -45,13 +46,17 @@ def analyze_table(
             column (named after PostgreSQL's ``default_statistics_target``).
         sample_target: number of whole rows (schema column order) kept for
             the sampling estimator; ``0`` disables sampling.
+        only: analyze just these columns (``None``: all).  For a table whose
+            only reader is known, e.g. a re-optimization round's temporary
+            table; the row count and the row sample are whole either way.
     """
     stats = TableStats(table=table.name, row_count=table.row_count)
     columns = table.column_data()
     for col_def, values in zip(table.schema.columns, columns):
-        stats.columns[col_def.name] = _analyze_column(
-            col_def.name, col_def.col_type, values, statistics_target
-        )
+        if only is None or col_def.name in only:
+            stats.columns[col_def.name] = _analyze_column(
+                col_def.name, col_def.col_type, values, statistics_target
+            )
     if sample_target > 0:
         stats.sample = _sample_rows(
             table.name, columns, table.row_count, sample_target

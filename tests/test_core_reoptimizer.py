@@ -10,6 +10,7 @@ from repro.core import (
     ReoptimizationPolicy,
 )
 from repro.engine import QueryPipeline, connect
+from repro.executor.explain import explain_plan
 
 SKEWED_SQL = (
     "SELECT count(t.id) AS n FROM company AS c, trades AS t "
@@ -75,6 +76,60 @@ class TestReoptimizationPipeline:
         assert report.reoptimized
         assert report.steps[0].temp_table in stock_db.catalog
         stock_db.drop_table(report.steps[0].temp_table)
+
+    @pytest.mark.parametrize(
+        "select, tail, analyzed",
+        [
+            ("min(t.id) AS lo, min(u.id) AS v", "", set()),
+            ("DISTINCT t.venue AS v, u.venue AS w, t.id AS i, u.id AS j", "", {"venue"}),
+            (
+                "t.venue AS v, u.venue AS w, min(t.id) AS i, min(u.id) AS j",
+                " GROUP BY t.venue, u.venue ORDER BY v, w",
+                {"venue"},
+            ),
+            ("max(t.id) AS hi, max(u.id) AS uhi", " AND t.shares < u.shares + 4000", {"shares"}),
+        ],
+        ids=["min-only", "distinct", "group-order", "residual"],
+    )
+    def test_transient_temp_table_analyzes_what_the_remainder_can_ask(
+        self, stock_db_factory, select, tail, analyzed
+    ):
+        sql = (
+            f"SELECT {select} FROM company AS c, trades AS t, trades AS u "
+            "WHERE c.symbol = 'SYM1' AND c.id = t.company_id AND c.id = u.company_id "
+            f"AND u.shares < 40{tail}"
+        )
+        policy = ReoptimizationPolicy(threshold=4)
+        kept_db, loop_db = stock_db_factory(), stock_db_factory()
+        kept = reoptimize(kept_db, kept_db.parse(sql), policy, keep_temp_tables=True)
+
+        seen = {}
+        create = loop_db.create_temp_table_from_result
+
+        def recording(name, *args, **kwargs):
+            table = create(name, *args, **kwargs)
+            seen[name] = (set(table.schema.column_names), set(loop_db.catalog.stats(name).columns))
+            return table
+
+        loop_db.create_temp_table_from_result = recording
+        dropped = reoptimize(loop_db, loop_db.parse(sql), policy)
+
+        assert kept.reoptimized and len(kept.steps) == len(dropped.steps) == len(seen)
+        # Whichever of t and u the trigger collapsed with c: the key the
+        # remainder joins on is analyzed, the id that only feeds the select
+        # list is not — unless DISTINCT estimates its output from it.
+        columns, with_stats = seen[dropped.steps[0].temp_table]
+        side = "t" if "t_id" in columns else "u"
+        assert columns == {"c_id", f"{side}_id"} | {f"{side}_{name}" for name in analyzed}
+        carried = set() if "DISTINCT" in select else {f"{side}_id"}
+        assert with_stats == columns - carried
+        kept_stats = kept_db.catalog.stats(kept.steps[0].temp_table)
+        assert set(kept_stats.columns) == columns
+        # Same estimates, so the same plans at the same charged cost.
+        assert kept.rows == dropped.rows
+        assert kept.total_planning_work == dropped.total_planning_work
+        assert kept.total_execution_work == dropped.total_execution_work
+        assert explain_plan(kept.final_planned.plan) == explain_plan(dropped.final_planned.plan)
 
     def test_min_query_seconds_skips_short_queries(self, stock_db):
         policy = ReoptimizationPolicy(threshold=4, min_query_seconds=1e9)

@@ -113,6 +113,13 @@ class TestConstantFolding:
         expr = parse_expression("CASE WHEN 1 = 2 THEN 'a' ELSE 'b' END")
         assert fold_constants(expr) == Literal("b")
 
+    def test_like_does_not_match_before_a_trailing_newline(self):
+        # The pattern is anchored at the very end, not before a final newline.
+        assert fold_constants(parse_expression("'abc\n' LIKE 'abc'")) == Literal(False)
+        assert fold_constants(parse_expression("'abc\n' LIKE '%c'")) == Literal(False)
+        assert fold_constants(parse_expression("'abc\n' LIKE 'abc_'")) == Literal(True)
+        assert fold_constants(parse_expression("'abc' LIKE 'abc'")) == Literal(True)
+
     def test_partial_trees_do_not_fold(self):
         expr = parse_expression("a + 1 * 2")
         folded = fold_constants(expr)
