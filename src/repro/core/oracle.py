@@ -192,11 +192,12 @@ class TrueCardinalityOracle:
 
     def _materialize_join(self, query: BoundQuery, subset: AliasSet) -> GroupedRelation:
         graph = self._graph(query)
-        removable = self._pick_removable(graph, subset)
-        remainder = subset - {removable}
+        mask = graph.mask(subset)
+        removable = graph.pick_removable(mask)
+        remainder = graph.aliases_of(mask ^ removable)
         left = self._materialize(query, remainder)
-        right = self._materialize(query, frozenset((removable,)))
-        joins = graph.joins_between_sets(remainder, {removable})
+        right = self._materialize(query, graph.aliases_of(removable))
+        joins = graph.joins_between(mask ^ removable, removable)
         keep = self._external_columns(query, subset)
 
         if not joins:
@@ -255,12 +256,3 @@ class TrueCardinalityOracle:
                 counts[out_key] += lcount * rcount
         del combined_columns  # only the projected columns are retained
         return GroupedRelation(keep, counts)
-
-    @staticmethod
-    def _pick_removable(graph: JoinGraph, subset: AliasSet) -> str:
-        ordered = sorted(subset)
-        for alias in reversed(ordered):
-            remainder = subset - {alias}
-            if graph.is_connected(remainder) and graph.connects(remainder, {alias}):
-                return alias
-        return ordered[-1]

@@ -21,7 +21,7 @@ join size, which reproduces Table I of the paper.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.errors import CardinalityError
@@ -370,6 +370,10 @@ class CardinalityEstimator:
     :class:`~repro.optimizer.injection.CardinalityInjector` before falling
     back to the statistical model.  Perfect-(n) and LEO-style feedback are
     both implemented as injectors.
+
+    Subsets are keyed by their :class:`JoinGraph` mask (:meth:`cardinality`);
+    :meth:`subset_cardinality` is the ``frozenset`` wrapper, and injectors and
+    strategies are handed ``frozenset`` names.
     """
 
     def __init__(
@@ -388,7 +392,7 @@ class CardinalityEstimator:
         self.injector = injector if injector is not None else NoInjection()
         self.strategy = strategy
         self.selectivity = SelectivityEstimator(catalog)
-        self._memo: Dict[FrozenSet[str], float] = {}
+        self._memo: Dict[int, float] = {}
         self.estimates_by_size: Counter = Counter()
         self.estimate_calls = 0
         if strategy is not None:
@@ -398,20 +402,26 @@ class CardinalityEstimator:
 
     def scan_cardinality(self, alias: str) -> float:
         """Estimated rows of scanning ``alias`` with its filters applied."""
-        return self.subset_cardinality(frozenset((alias,)))
+        return self.subset_cardinality((alias,))
 
     def subset_cardinality(self, subset: FrozenSet[str]) -> float:
         """Estimated rows of joining all aliases in ``subset``."""
         if not subset:
             raise CardinalityError("cannot estimate the empty alias set")
-        subset = frozenset(subset)
-        if subset in self._memo:
-            return self._memo[subset]
-        unknown = subset - set(self.query.aliases)
-        if unknown:
+        mask = self.graph.mask(subset)
+        if mask > self.graph.full:
+            unknown = set(subset) - set(self.query.aliases)
             raise CardinalityError(
                 f"aliases {sorted(unknown)} are not part of query {self.query.name!r}"
             )
+        return self.cardinality(mask)
+
+    def cardinality(self, mask: int) -> float:
+        """Estimated rows of joining the aliases of a :class:`JoinGraph` mask."""
+        rows = self._memo.get(mask)
+        if rows is not None:
+            return rows
+        subset = self.graph.aliases_of(mask)
         self.estimate_calls += 1
         self.estimates_by_size[len(subset)] += 1
         injected = self.injector.lookup(self.query, subset)
@@ -430,11 +440,11 @@ class CardinalityEstimator:
                 if len(subset) == 1:
                     rows = self._estimate_scan(next(iter(subset)))
                 else:
-                    rows = self._estimate_join(subset)
-        self._memo[subset] = rows
+                    rows = self._estimate_join(mask)
+        self._memo[mask] = rows
         return rows
 
-    def join_selectivity(self, joins: List[BoundJoin]) -> float:
+    def join_selectivity(self, joins: Sequence[BoundJoin]) -> float:
         """Combined selectivity of the given join predicates (independence)."""
         selectivity = 1.0
         for join in joins:
@@ -471,7 +481,7 @@ class CardinalityEstimator:
         if subset is None:
             self._memo.clear()
         else:
-            self._memo.pop(frozenset(subset), None)
+            self._memo.pop(self.graph.mask(subset), None)
 
     # -- internals ----------------------------------------------------------
 
@@ -480,20 +490,20 @@ class CardinalityEstimator:
         filters = self.query.filters_for(alias)
         return self.selectivity.scan_rows(table, filters)
 
-    def _estimate_join(self, subset: FrozenSet[str]) -> float:
-        removable = self._pick_removable(subset)
-        remainder = subset - {removable}
-        joins = self.graph.joins_between_sets(remainder, {removable})
-        left_rows = self.subset_cardinality(remainder)
-        right_rows = self.subset_cardinality(frozenset((removable,)))
+    def _estimate_join(self, mask: int) -> float:
+        graph = self.graph
+        removable = graph.pick_removable(mask)
+        remainder = mask ^ removable
+        joins = graph.joins_between(remainder, removable)
+        left_rows = self.cardinality(remainder)
+        right_rows = self.cardinality(removable)
         # Residual join filters become applicable exactly when the subset
         # first covers all their aliases; their selectivity multiplies in
         # here so every plan over this subset sees the same estimate.
         residuals = [
             residual
-            for residual in self.query.residuals
-            if removable in residual.referenced_aliases()
-            and set(residual.referenced_aliases()) <= subset
+            for residual, aliases in graph.residuals
+            if aliases & removable and not aliases & ~mask
         ]
         selectivity = self.residual_selectivity(residuals) if residuals else 1.0
         if not joins and not residuals:
@@ -502,16 +512,3 @@ class CardinalityEstimator:
         if joins:
             selectivity *= self.join_selectivity(joins)
         return max(MIN_ROWS, left_rows * right_rows * selectivity)
-
-    def _pick_removable(self, subset: FrozenSet[str]) -> str:
-        """Pick a deterministic alias whose removal keeps the subset connected."""
-        ordered = sorted(subset)
-        for alias in reversed(ordered):
-            remainder = subset - {alias}
-            if self.graph.is_connected(remainder) and self.graph.connects(
-                remainder, {alias}
-            ):
-                return alias
-        # Disconnected subsets (should not happen for enumerated subsets, but
-        # injected experiments may probe them): peel off the last alias.
-        return ordered[-1]

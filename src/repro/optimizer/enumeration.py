@@ -11,19 +11,31 @@ Three strategies, mirroring how PostgreSQL scales its search with query size:
 * **Greedy operator ordering** for large queries (the stand-in for GEQO):
   repeatedly join the pair of components with the smallest estimated output.
 
+Alias sets are :class:`~repro.optimizer.joingraph.JoinGraph` bitmasks (bit
+``i`` = ``i``-th alias in sorted order).  The dynamic program walks only the
+connected subsets, grown level by level from the graph's neighbourhoods
+(:meth:`JoinGraph.connected_levels`) instead of testing all 2^n, and splits
+each from its mask in the historical order, so candidates, tie-breaks and
+counters are those of a plain subset enumeration.
+
 All strategies share the candidate costing in :meth:`_cheapest_join`, which
 considers hash join, nested loop, index nested loop (when the inner is a
 base table with an index on the join key) and merge join in both
-orientations, costed with the shared :class:`~repro.optimizer.cost.CostModel`.
+orientations, costed with the shared :class:`~repro.optimizer.cost.CostModel`
+(the hash and nested-loop formulas inlined, same float evaluation order).
 Candidates are compared as plain cost floats; a :class:`JoinNode` is built
 only for the cheapest join of each alias subset the search keeps.
+
+``candidates_considered`` is charged as simulated planning time, so work
+the search skips by reuse — the greedy ordering's pairs re-costed in every
+round — is still charged as if recomputed: only the recomputation goes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import ColumnType
@@ -57,8 +69,6 @@ from repro.sql.ast import (
 from repro.sql.binder import BoundJoin, BoundQuery
 from repro.sql.builder import scan_referenced_columns
 from repro.storage.partition import PartitionedTable
-
-AliasSet = FrozenSet[str]
 
 #: A costed join the enumerator has not built yet:
 #: ``(cost, outer, inner, algorithm, join_predicates, residual_filters)``.
@@ -105,7 +115,16 @@ class JoinEnumerator:
         self.config = config or PlannerConfig()
         self.graph = estimator.graph
         self.candidates_considered = 0
-        self._best: Dict[AliasSet, PlanNode] = {}
+        #: Cheapest plan of each alias mask planned so far.
+        self._best: Dict[int, PlanNode] = {}
+        #: Per base-table alias bit: the aliases it can be index-probed from
+        #: (the other side of a join whose column on this side is indexed).
+        self._index_partners: Dict[int, int] = dict.fromkeys(self.graph.adjacent, 0)
+        for join, left, right in self.graph.joins:
+            if join.left_column in catalog.indexes(query.table_for(join.left_alias)):
+                self._index_partners[left] |= right
+            if join.right_column in catalog.indexes(query.table_for(join.right_alias)):
+                self._index_partners[right] |= left
 
     # -- public API ------------------------------------------------------------
 
@@ -127,10 +146,10 @@ class JoinEnumerator:
                 f"supported (components: {[sorted(c) for c in components]})"
             )
         for alias in self.query.aliases:
-            self._best[frozenset((alias,))] = self._best_scan(alias)
+            self._best[self.graph.bits[alias]] = self._best_scan(alias)
         num_tables = len(self.query.aliases)
         if num_tables == 1:
-            best = self._best[frozenset(self.query.aliases)]
+            best = self._best[self.graph.full]
         elif num_tables <= self.config.dp_limit:
             best = self._dynamic_programming(
                 bushy=num_tables <= self.config.bushy_limit
@@ -252,47 +271,14 @@ class JoinEnumerator:
 
     # -- join candidates -----------------------------------------------------------
 
-    def _bridges_residual(self, left: PlanNode, right: PlanNode) -> bool:
-        """Whether a residual spanning 3+ tables connects these sub-plans.
-
-        Such a residual makes the pair graph-connected without giving this
-        join anything to evaluate yet (it only applies once *all* its
-        aliases are covered), so the pair still needs a plain cross-product
-        candidate for the enumeration to reach the covering join.
-        """
-        for residual in self.query.residuals:
-            aliases = set(residual.referenced_aliases())
-            if aliases & left.aliases and aliases & right.aliases:
-                return True
-        return False
-
-    def _residuals_for(self, left: PlanNode, right: PlanNode) -> Tuple[Expr, ...]:
-        """Residual join filters first covered by joining ``left`` and ``right``.
-
-        A residual is attached to the join node whose alias set first covers
-        every alias it references and neither child does on its own, so each
-        residual is applied exactly once along any plan tree.
-        """
-        union = left.aliases | right.aliases
-        residuals = []
-        for residual in self.query.residuals:
-            aliases = set(residual.referenced_aliases())
-            if (
-                aliases <= union
-                and not aliases <= left.aliases
-                and not aliases <= right.aliases
-            ):
-                residuals.append(residual)
-        return tuple(residuals)
-
     def _cheapest_join(
         self,
-        left: PlanNode,
-        right: PlanNode,
+        left: int,
+        right: int,
         output_rows: float,
         best: Optional[_JoinChoice] = None,
     ) -> Optional[_JoinChoice]:
-        """Cost every physical join of two sub-plans against the incumbent.
+        """Cost every physical join of two planned alias masks against the incumbent.
 
         Candidates are costed as plain floats, both orientations, in a fixed
         order (hash, nested loop, merge, index nested loop); a candidate
@@ -300,83 +286,81 @@ class JoinEnumerator:
         cheap candidates wins.  Returns the surviving choice — ``best`` itself
         when nothing here beats it — from which :meth:`_make_join` builds the
         one :class:`JoinNode` a subset keeps.
+
+        A residual join filter is attached to the join whose alias set first
+        covers every alias it references and neither child does on its own,
+        so each applies exactly once along any plan tree.  A pair without join
+        keys still gets a candidate when a residual links it: one it covers,
+        or one spanning 3+ tables that applies further up (the pair needs a
+        plain cross product for the enumeration to reach the covering join).
         """
-        joins = tuple(self.graph.joins_between_sets(left.aliases, right.aliases))
-        residuals = self._residuals_for(left, right)
-        if not joins and not residuals and not self._bridges_residual(left, right):
+        joins = self.graph.joins_between(left, right)
+        residuals: Tuple[Expr, ...] = ()
+        if self.graph.residuals:
+            union = left | right
+            residuals = tuple(
+                residual
+                for residual, aliases in self.graph.residuals
+                if not aliases & ~union and aliases & ~left and aliases & ~right
+            )
+        if not joins and not any(
+            aliases & left and aliases & right for _, aliases in self.graph.residuals
+        ):
             return best
         best_cost = best[0] if best is not None else None
-        model = self.cost_model
         config = self.config
-        for outer, inner in ((left, right), (right, left)):
+        model = self.cost_model
+        operator_cost = model.params.cpu_operator_cost
+        build_factor = model.params.hash_build_factor
+        emit = output_rows * model.params.cpu_tuple_cost
+        nested_loop_ok = config.enable_nested_loop or not joins
+        candidates = 0
+        for outer_mask, inner_mask in ((left, right), (right, left)):
+            outer = self._best[outer_mask]
+            inner = self._best[inner_mask]
             outer_rows = outer.estimated_rows
             inner_rows = inner.estimated_rows
             base_cost = outer.estimated_cost + inner.estimated_cost
-            nested_loop = (
-                JoinAlgorithm.NESTED_LOOP,
-                base_cost + model.nested_loop_cost(outer_rows, inner_rows, output_rows),
-            )
-            if not joins:
-                # No equi-join keys: the only physical option is a (possibly
-                # filtered) cross product, costed as a nested loop.  A pair
-                # bridging a wider residual gets a plain cross product here;
-                # the residual itself applies at the join that first covers it.
-                costed = [nested_loop]
-            else:
-                costed = [
-                    (
-                        JoinAlgorithm.HASH_JOIN,
-                        base_cost
-                        + model.hash_join_cost(outer_rows, inner_rows, output_rows),
-                    )
-                ]
-                if config.enable_nested_loop:
-                    costed.append(nested_loop)
-                if config.enable_merge_join:
-                    costed.append(
-                        (
-                            JoinAlgorithm.MERGE_JOIN,
-                            base_cost
-                            + model.merge_join_cost(outer_rows, inner_rows, output_rows),
-                        )
-                    )
-                if (
-                    config.enable_index_nested_loop
-                    and self._index_nested_loop_column(inner, joins) is not None
-                ):
-                    # The inner side is probed through its index, so its own
-                    # scan cost is not paid; only the outer subtree cost is.
-                    costed.append(
-                        (
-                            JoinAlgorithm.INDEX_NESTED_LOOP,
-                            outer.estimated_cost
-                            + model.index_nested_loop_cost(
-                                outer_rows,
-                                output_rows,
-                                len(inner.filters) if isinstance(inner, ScanNode) else 0,
-                            ),
-                        )
-                    )
-            self.candidates_considered += len(costed)
-            for algorithm, cost in costed:
+            # Each candidate is compared as soon as it is costed.  Hash and
+            # nested loop are CostModel.hash_join_cost / .nested_loop_cost
+            # inlined term by term.  Without equi-join keys the only option is
+            # a (possibly filtered) cross product, costed as a nested loop.
+            if joins:
+                candidates += 1
+                cost = base_cost + (
+                    inner_rows * operator_cost * build_factor + outer_rows * operator_cost + emit
+                )
                 if best_cost is None or cost < best_cost:
                     best_cost = cost
-                    best = (cost, outer, inner, algorithm, joins, residuals)
+                    best = (cost, outer, inner, JoinAlgorithm.HASH_JOIN, joins, residuals)
+            if nested_loop_ok:
+                candidates += 1
+                cost = base_cost + (outer_rows * inner_rows * operator_cost + emit)
+                if best_cost is None or cost < best_cost:
+                    best_cost = cost
+                    best = (cost, outer, inner, JoinAlgorithm.NESTED_LOOP, joins, residuals)
+            if joins and config.enable_merge_join:
+                candidates += 1
+                cost = base_cost + model.merge_join_cost(outer_rows, inner_rows, output_rows)
+                if cost < best_cost:
+                    best_cost = cost
+                    best = (cost, outer, inner, JoinAlgorithm.MERGE_JOIN, joins, residuals)
+            if (
+                joins
+                and config.enable_index_nested_loop
+                and self._index_partners.get(inner_mask, 0) & outer_mask
+            ):
+                # The inner base table is probed through its index, so its
+                # own scan cost is not paid; only the outer subtree cost is.
+                candidates += 1
+                cost = outer.estimated_cost + model.index_nested_loop_cost(
+                    outer_rows, output_rows, len(inner.filters)
+                )
+                if cost < best_cost:
+                    best_cost = cost
+                    best = (cost, outer, inner, JoinAlgorithm.INDEX_NESTED_LOOP, joins, residuals)
+        self.candidates_considered += candidates
         return best
-
-    def _index_nested_loop_column(
-        self, inner: PlanNode, joins
-    ) -> Optional[str]:
-        """Column of the inner base table usable for index-nested-loop probing."""
-        if not isinstance(inner, ScanNode):
-            return None
-        indexes = self._catalog.indexes(inner.table)
-        for join in joins:
-            if join.touches(inner.alias):
-                column = join.column_for(inner.alias)
-                if column in indexes:
-                    return column
-        return None
 
     @staticmethod
     def _make_join(choice: _JoinChoice, output_rows: float) -> JoinNode:
@@ -395,88 +379,84 @@ class JoinEnumerator:
     # -- dynamic programming ----------------------------------------------------------
 
     def _dynamic_programming(self, bushy: bool) -> PlanNode:
-        aliases = list(self.query.aliases)
-        total = len(aliases)
-        for size in range(2, total + 1):
-            for combo in combinations(aliases, size):
-                subset = frozenset(combo)
-                splits = self._splits(subset, bushy)
-                if not splits:
-                    continue  # not a connected subset
-                output_rows = self.estimator.subset_cardinality(subset)
+        """Plan every connected subset, smallest first, from its cheapest split.
+
+        Subsets come from :meth:`JoinGraph.connected_levels`, in the order
+        ``combinations(query.aliases, size)`` lists them, so the estimator
+        (and through it every injector and strategy) is asked in that order.
+        """
+        levels = self.graph.connected_levels()
+        next(levels)  # single tables: planned by _best_scan
+        for level in levels:
+            for subset in level:
+                output_rows = self.estimator.cardinality(subset)
                 best: Optional[_JoinChoice] = None
-                for left_set, right_set in splits:
-                    best = self._cheapest_join(
-                        self._best[left_set], self._best[right_set], output_rows, best
-                    )
-                if best is not None:
-                    self._best[subset] = self._make_join(best, output_rows)
-        full = frozenset(aliases)
-        if full not in self._best:
-            raise PlanningError(
-                f"no connected plan covers all tables of query {self.query.name!r}"
-            )
-        return self._best[full]
+                for left, right in self._splits(subset, bushy):
+                    best = self._cheapest_join(left, right, output_rows, best)
+                self._best[subset] = self._make_join(best, output_rows)
+        return self._best[self.graph.full]
 
-    def _splits(
-        self, subset: AliasSet, bushy: bool
-    ) -> List[Tuple[AliasSet, AliasSet]]:
-        """Connected, join-linked binary splits of ``subset``.
+    def _splits(self, subset: int, bushy: bool) -> Iterator[Tuple[int, int]]:
+        """Connected, join-linked binary splits of a connected ``subset``.
 
-        Connectivity is read off the DP table instead of walking the join
-        graph: ``_best`` holds exactly the connected subsets of every smaller
-        size by the time the splits of this one are asked for (two planned
-        sides with a join edge between them always yield a candidate), so a
-        side is connected iff it has an entry, and ``subset`` itself is
-        connected iff it has a split.
+        Bushy: every left side holding the lowest alias, by size, then in
+        ``combinations`` order of the other aliases.  Linear (and any pair):
+        ``(subset - alias, alias)`` for each alias, ascending.  A side is
+        connected iff ``_best`` plans it: by the time a subset is split, every
+        smaller connected subset has been planned.
         """
         planned = self._best
-        splits: List[Tuple[AliasSet, AliasSet]] = []
-        if bushy and len(subset) > 2:
-            members = sorted(subset)
+        members = self.graph.bits_of(subset)
+        if bushy and len(members) > 2:
+            neighbours = self.graph.neighbours
             anchor = members[0]
             others = members[1:]
-            for r in range(0, len(others)):
-                for combo in combinations(others, r):
-                    left = frozenset((anchor,) + combo)
-                    if left not in planned:
-                        continue
-                    right = subset - left
-                    if right not in planned:
-                        continue
-                    if not self.graph.connects(left, right):
-                        continue
-                    splits.append((left, right))
+            for size in range(len(others)):
+                for combo in combinations(others, size):
+                    left = anchor + sum(combo)
+                    right = subset ^ left
+                    if left in planned and right in planned and neighbours(left) & right:
+                        yield left, right
         else:
-            for alias in sorted(subset):
-                rest = subset - {alias}
-                if rest not in planned:
-                    continue
-                if not self.graph.connects(rest, {alias}):
-                    continue
-                splits.append((rest, frozenset((alias,))))
-        return splits
+            adjacent = self.graph.adjacent
+            for alias in members:
+                rest = subset ^ alias
+                if rest in planned and adjacent[alias] & rest:
+                    yield rest, alias
 
     # -- greedy operator ordering ---------------------------------------------------------
 
     def _greedy_operator_ordering(self) -> PlanNode:
-        components: Dict[AliasSet, PlanNode] = {
-            frozenset((alias,)): self._best[frozenset((alias,))]
-            for alias in self.query.aliases
-        }
+        """Repeatedly join the connected pair of components with the fewest rows.
+
+        A pair's sub-plans and estimate never change while both components
+        survive, so its costed choice is computed once and reused in later
+        rounds — charging its candidates again each round, as if recomputed,
+        because ``candidates_considered`` is simulated planning time.
+        """
+        graph = self.graph
+        components = graph.bits_of(graph.full)
+        choices: Dict[Tuple[int, int], Tuple[Optional[_JoinChoice], int]] = {}
         while len(components) > 1:
-            best_pair: Optional[Tuple[AliasSet, AliasSet]] = None
+            best_pair: Optional[Tuple[int, int]] = None
             best_choice: Optional[_JoinChoice] = None
             best_rows = float("inf")
-            keys = sorted(components, key=lambda s: tuple(sorted(s)))
-            for left_set, right_set in combinations(keys, 2):
-                if not self.graph.connects(left_set, right_set):
+            # Disjoint components order by their lowest alias as they would
+            # by their sorted alias tuples.
+            components.sort(key=lambda mask: mask & -mask)
+            reach = {mask: graph.neighbours(mask) for mask in components}
+            for pair in combinations(components, 2):
+                left, right = pair
+                if not reach[left] & right:
                     continue
-                union = left_set | right_set
-                output_rows = self.estimator.subset_cardinality(union)
-                cheapest = self._cheapest_join(
-                    components[left_set], components[right_set], output_rows
-                )
+                output_rows = self.estimator.cardinality(left | right)
+                if pair in choices:
+                    self.candidates_considered += choices[pair][1]
+                else:
+                    before = self.candidates_considered
+                    choice = self._cheapest_join(left, right, output_rows)
+                    choices[pair] = (choice, self.candidates_considered - before)
+                cheapest = choices[pair][0]
                 if cheapest is None:
                     continue
                 if output_rows < best_rows or (
@@ -485,17 +465,14 @@ class JoinEnumerator:
                     and cheapest[0] < best_choice[0]
                 ):
                     best_rows = output_rows
-                    best_pair = (left_set, right_set)
+                    best_pair = pair
                     best_choice = cheapest
-            if best_pair is None or best_choice is None:
-                raise PlanningError(
-                    f"greedy ordering could not connect query {self.query.name!r}"
-                )
-            left_set, right_set = best_pair
-            del components[left_set]
-            del components[right_set]
-            components[left_set | right_set] = self._make_join(best_choice, best_rows)
-        return next(iter(components.values()))
+            left, right = best_pair
+            components.remove(left)
+            components.remove(right)
+            components.append(left | right)
+            self._best[left | right] = self._make_join(best_choice, best_rows)
+        return self._best[components[0]]
 
     # -- finalization -------------------------------------------------------------------
 

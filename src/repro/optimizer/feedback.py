@@ -59,10 +59,82 @@ def _rename_aliases(expr: Expr, mapping: Mapping[str, str]) -> Expr:
     return transform_expr(expr, rename)
 
 
-def _alias_signature(query: BoundQuery, alias: str) -> Tuple[str, Tuple[str, ...]]:
-    """Alias identity independent of its spelling: table + rendered filters."""
-    filters = sorted(f.to_sql() for f in query.filters_for(alias))
-    return query.table_for(alias), tuple(filters)
+#: Stands in for an alias while its filters are rendered once per query; the
+#: placeholder a subset gives the alias is substituted into the text.
+_SLOT = "\x00"
+
+
+class SubsetKeys:
+    """:func:`subset_key` for many subsets of one query.
+
+    Each alias's signature and its filters' SQL text are rendered once per
+    instance (i.e. per bound query), the filters with :data:`_SLOT` where the
+    alias goes, instead of once per subset; the keys are the same strings.
+    """
+
+    def __init__(self, query: BoundQuery) -> None:
+        self.query = query
+        # alias -> (signature, filter texts around _SLOT, or None to rename per key)
+        self._aliases: Dict[str, Tuple[Tuple[str, Tuple[str, ...]], Optional[List[str]]]] = {}
+
+    def _alias(self, alias: str):
+        """Alias identity independent of its spelling — table + rendered
+        filters — and its filters rendered around :data:`_SLOT`."""
+        known = self._aliases.get(alias)
+        if known is None:
+            filters = self.query.filters_for(alias)
+            texts = tuple(sorted(f.to_sql() for f in filters))
+            # Substituting the slot is exact only when each filter mentions
+            # this alias alone and no text holds the slot character already.
+            exact = all(f.referenced_aliases() == (alias,) for f in filters)
+            slotted = None
+            if exact and not any(_SLOT in text for text in texts):
+                slotted = [_rename_aliases(f, {alias: _SLOT}).to_sql() for f in filters]
+            known = self._aliases[alias] = ((self.query.table_for(alias), texts), slotted)
+        return known
+
+    def key(self, subset: FrozenSet[str]) -> str:
+        """Normalized key for the join subtree over ``subset`` (see :func:`subset_key`)."""
+        query = self.query
+        ordered = sorted(subset, key=lambda a: (self._alias(a)[0], a))
+        mapping = {alias: f"r{i}" for i, alias in enumerate(ordered)}
+        parts = []
+        for alias in ordered:
+            slotted = self._alias(alias)[1]
+            if slotted is None:
+                texts = [_rename_aliases(f, mapping).to_sql() for f in query.filters_for(alias)]
+            else:
+                texts = [text.replace(_SLOT, mapping[alias]) for text in slotted]
+            filters = " AND ".join(sorted(texts))
+            parts.append(f"{mapping[alias]}={query.table_for(alias)}[{filters}]")
+        edges = sorted(
+            "{}.{}={}.{}".format(
+                *min(
+                    (
+                        (
+                            mapping[j.left_alias],
+                            j.left_column,
+                            mapping[j.right_alias],
+                            j.right_column,
+                        ),
+                        (
+                            mapping[j.right_alias],
+                            j.right_column,
+                            mapping[j.left_alias],
+                            j.left_column,
+                        ),
+                    )
+                )
+            )
+            for j in query.joins
+            if j.left_alias in subset and j.right_alias in subset
+        )
+        residuals = sorted(
+            _rename_aliases(r, mapping).to_sql()
+            for r in query.residuals
+            if set(r.referenced_aliases()) <= subset
+        )
+        return "&".join(parts) + "|" + ",".join(edges) + "|" + ",".join(residuals)
 
 
 def subset_key(query: BoundQuery, subset: FrozenSet[str]) -> str:
@@ -75,43 +147,7 @@ def subset_key(query: BoundQuery, subset: FrozenSet[str]) -> str:
     the branches are interchangeable, so either assignment names the same
     subtree.
     """
-    ordered = sorted(subset, key=lambda a: (_alias_signature(query, a), a))
-    mapping = {alias: f"r{i}" for i, alias in enumerate(ordered)}
-    parts: List[str] = []
-    for alias in ordered:
-        table = query.table_for(alias)
-        filters = sorted(
-            _rename_aliases(f, mapping).to_sql() for f in query.filters_for(alias)
-        )
-        parts.append(f"{mapping[alias]}={table}[{' AND '.join(filters)}]")
-    edges = sorted(
-        "{}.{}={}.{}".format(
-            *min(
-                (
-                    (
-                        mapping[j.left_alias],
-                        j.left_column,
-                        mapping[j.right_alias],
-                        j.right_column,
-                    ),
-                    (
-                        mapping[j.right_alias],
-                        j.right_column,
-                        mapping[j.left_alias],
-                        j.left_column,
-                    ),
-                )
-            )
-        )
-        for j in query.joins
-        if j.left_alias in subset and j.right_alias in subset
-    )
-    residuals = sorted(
-        _rename_aliases(r, mapping).to_sql()
-        for r in query.residuals
-        if set(r.referenced_aliases()) <= subset
-    )
-    return "&".join(parts) + "|" + ",".join(edges) + "|" + ",".join(residuals)
+    return SubsetKeys(query).key(subset)
 
 
 def subset_tables(query: BoundQuery, subset: Iterable[str]) -> FrozenSet[str]:
@@ -147,6 +183,7 @@ class FeedbackStore:
             OrderedDict()
         )
         self._table_versions: Dict[str, int] = {}
+        self._keys: Optional[SubsetKeys] = None
         self.stats = FeedbackStats()
 
     def __len__(self) -> int:
@@ -155,9 +192,18 @@ class FeedbackStore:
 
     # -- feedback lifecycle -------------------------------------------------
 
+    def _key(self, query: BoundQuery, subset: FrozenSet[str]) -> str:
+        # Records and lookups come in runs for one query (a statement's
+        # harvest, a plan's estimates): the last query's SubsetKeys serves
+        # the run.  A thread that finds another query's swaps in its own.
+        keys = self._keys
+        if keys is None or keys.query is not query:
+            keys = self._keys = SubsetKeys(query)
+        return keys.key(subset)
+
     def record(self, query: BoundQuery, subset: FrozenSet[str], rows: float) -> None:
         """Record an observed cardinality for a subtree of ``query``."""
-        key = subset_key(query, subset)
+        key = self._key(query, subset)
         tables = subset_tables(query, subset)
         with self._lock:
             versions = {t: self._table_versions.get(t, 0) for t in tables}
@@ -169,7 +215,7 @@ class FeedbackStore:
 
     def lookup(self, query: BoundQuery, subset: FrozenSet[str]) -> Optional[float]:
         """Observed rows for the subtree, or ``None`` (unknown or stale)."""
-        key = subset_key(query, subset)
+        key = self._key(query, subset)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:

@@ -18,7 +18,6 @@ from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParameters
 from repro.optimizer.enumeration import JoinEnumerator, PlannerConfig
 from repro.optimizer.injection import CardinalityInjector
-from repro.optimizer.joingraph import JoinGraph
 from repro.optimizer.plan import PlanNode
 from repro.sql.binder import BoundQuery
 
@@ -58,7 +57,6 @@ class PlannedQuery:
     query: BoundQuery
     plan: PlanNode
     stats: PlanningStats
-    estimator: CardinalityEstimator
 
     @property
     def estimated_cost(self) -> float:
@@ -95,13 +93,8 @@ class Optimizer:
             injector: optional cardinality injection hook (perfect-(n),
                 feedback corrections, temp-table cardinalities...).
         """
-        graph = JoinGraph(query)
         estimator = CardinalityEstimator(
-            self._catalog,
-            query,
-            graph=graph,
-            injector=injector,
-            strategy=self.strategy,
+            self._catalog, query, injector=injector, strategy=self.strategy
         )
         enumerator = JoinEnumerator(
             self._catalog, query, estimator, self.cost_model, self.config
@@ -112,4 +105,4 @@ class Optimizer:
             estimates_by_size=dict(estimator.estimates_by_size),
             candidates_considered=enumerator.candidates_considered,
         )
-        return PlannedQuery(query=query, plan=plan, stats=stats, estimator=estimator)
+        return PlannedQuery(query=query, plan=plan, stats=stats)

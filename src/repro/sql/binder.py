@@ -315,17 +315,6 @@ class BoundQuery:
         """Filter expressions that apply to ``alias`` (possibly empty)."""
         return self.filters.get(alias, [])
 
-    def joins_between(self, left_aliases, right_aliases) -> List[BoundJoin]:
-        """Joins with one side in ``left_aliases`` and the other in ``right_aliases``."""
-        left = set(left_aliases)
-        right = set(right_aliases)
-        return [
-            join
-            for join in self.joins
-            if (join.left_alias in left and join.right_alias in right)
-            or (join.left_alias in right and join.right_alias in left)
-        ]
-
     def num_tables(self) -> int:
         """Number of FROM-clause tables."""
         return len(self.aliases)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.errors import LexerError
 
@@ -79,99 +80,69 @@ class Token:
         return self.type is TokenType.KEYWORD and self.value == keyword.lower()
 
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "/", "%")
+#: One alternative per token class, tried in this order at each offset; the
+#: last catches a character no token can start with.
+_TOKEN_PATTERN = re.compile(
+    r"(\s+|--[^\n]*\n?)"  # 1: whitespace or a comment to end of line
+    r"|'([^']*(?:''[^']*)*)'(?!')"  # 2: string body, '' escapes a quote
+    r"|(\d[\d.]*)"  # 3: number
+    r"|([^\W\d]\w*)"  # 4: word
+    r"|(<=|>=|<>|!=|[=<>+\-/%])"  # 5: operator
+    r"|([,.()*;?])"  # 6: punctuation
+    r"|(.)",  # 7: anything else
+    re.DOTALL,
+)
+_PUNCTUATION = {
+    ",": TokenType.COMMA,
+    ".": TokenType.DOT,
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+    "*": TokenType.STAR,
+    ";": TokenType.SEMICOLON,
+    "?": TokenType.PARAMETER,
+}
 
 
 def tokenize(sql: str) -> List[Token]:
     """Tokenize SQL text into a list of tokens ending with an EOF token.
 
+    Every token carries the offset of its first character (a string
+    literal's is its opening quote).  A leading ``-`` is always the operator
+    token; the parser folds unary minus over number literals itself, so
+    ``x-3`` and ``x - 3`` tokenize identically.
+
     Raises:
         LexerError: on characters that cannot start any token or on an
             unterminated string literal.
     """
-    return list(_iter_tokens(sql))
-
-
-def _iter_tokens(sql: str) -> Iterator[Token]:
-    i = 0
-    length = len(sql)
-    while i < length:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
+    tokens: List[Token] = []
+    for found in _TOKEN_PATTERN.finditer(sql):
+        kind = found.lastindex
+        if kind == 1:
             continue
-        if sql.startswith("--", i):
-            newline = sql.find("\n", i)
-            i = length if newline == -1 else newline + 1
-            continue
-        if ch == "'":
-            value, i = _read_string(sql, i)
-            yield Token(TokenType.STRING, value, i)
-            continue
-        # A leading ``-`` is always the operator token; the parser folds
-        # unary minus over number literals itself, so ``x-3`` and ``x - 3``
-        # tokenize identically.
-        if ch.isdigit():
-            start = i
-            i += 1
-            while i < length and (sql[i].isdigit() or sql[i] == "."):
-                i += 1
-            yield Token(TokenType.NUMBER, sql[start:i], start)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < length and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i]
-            lowered = word.lower()
+        text = found.group(kind)
+        start = found.start()
+        if kind == 4:
+            # \w also admits numeric characters that are not decimal digits
+            # ('²', '½'); a word starts with a letter or '_' only.
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise LexerError(f"unexpected character {text[0]!r}", start)
+            lowered = text.lower()
             if lowered in KEYWORDS:
-                yield Token(TokenType.KEYWORD, lowered, start)
+                tokens.append(Token(TokenType.KEYWORD, lowered, start))
             else:
-                yield Token(TokenType.IDENTIFIER, word, start)
-            continue
-        matched_operator = False
-        for op in _OPERATORS:
-            if sql.startswith(op, i):
-                canonical = "<>" if op == "!=" else op
-                yield Token(TokenType.OPERATOR, canonical, i)
-                i += len(op)
-                matched_operator = True
-                break
-        if matched_operator:
-            continue
-        if ch == ",":
-            yield Token(TokenType.COMMA, ch, i)
-        elif ch == ".":
-            yield Token(TokenType.DOT, ch, i)
-        elif ch == "(":
-            yield Token(TokenType.LPAREN, ch, i)
-        elif ch == ")":
-            yield Token(TokenType.RPAREN, ch, i)
-        elif ch == "*":
-            yield Token(TokenType.STAR, ch, i)
-        elif ch == ";":
-            yield Token(TokenType.SEMICOLON, ch, i)
-        elif ch == "?":
-            yield Token(TokenType.PARAMETER, ch, i)
+                tokens.append(Token(TokenType.IDENTIFIER, text, start))
+        elif kind == 6:
+            tokens.append(Token(_PUNCTUATION[text], text, start))
+        elif kind == 5:
+            tokens.append(Token(TokenType.OPERATOR, "<>" if text == "!=" else text, start))
+        elif kind == 3:
+            tokens.append(Token(TokenType.NUMBER, text, start))
+        elif kind == 2:
+            tokens.append(Token(TokenType.STRING, text.replace("''", "'"), start))
+        elif text == "'":
+            raise LexerError("unterminated string literal", start)
         else:
-            raise LexerError(f"unexpected character {ch!r}", i)
-        i += 1
-    yield Token(TokenType.EOF, "", length)
-
-
-def _read_string(sql: str, start: int) -> tuple:
-    """Read a single-quoted string starting at ``start``; '' escapes a quote."""
-    i = start + 1
-    chars: List[str] = []
-    length = len(sql)
-    while i < length:
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < length and sql[i + 1] == "'":
-                chars.append("'")
-                i += 2
-                continue
-            return "".join(chars), i + 1
-        chars.append(ch)
-        i += 1
-    raise LexerError("unterminated string literal", start)
+            raise LexerError(f"unexpected character {text!r}", start)
+    tokens.append(Token(TokenType.EOF, "", len(sql)))
+    return tokens

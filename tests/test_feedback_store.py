@@ -2,9 +2,19 @@
 
 import json
 import threading
+from collections import OrderedDict
+from itertools import combinations
 
-from repro.optimizer.feedback import FeedbackStore, subset_key, subset_tables
-from repro.sql import parameterize
+from repro.engine import connect
+from repro.optimizer.feedback import (
+    FeedbackStore,
+    SubsetKeys,
+    _rename_aliases,
+    subset_key,
+    subset_tables,
+)
+from repro.sql import QueryBuilder, parameterize
+from repro.sql.ast import Comparison, ComparisonOp, Literal, column
 from repro.sql.params import bind_parameters
 
 SKEWED_SQL = (
@@ -60,6 +70,118 @@ class TestSubsetKey:
     def test_subset_tables(self, stock_db):
         query = stock_db.parse(SKEWED_SQL, name="tables")
         assert subset_tables(query, ["c", "t"]) == frozenset(["company", "trades"])
+
+
+def _frozen_subset_key(query, subset):
+    """``subset_key`` as persisted stores (format v1) were keyed before each
+    alias's signature and rendered filters were memoized per query."""
+
+    def signature(alias):
+        filters = sorted(f.to_sql() for f in query.filters_for(alias))
+        return query.table_for(alias), tuple(filters)
+
+    ordered = sorted(subset, key=lambda a: (signature(a), a))
+    mapping = {alias: f"r{i}" for i, alias in enumerate(ordered)}
+    parts = []
+    for alias in ordered:
+        table = query.table_for(alias)
+        filters = sorted(
+            _rename_aliases(f, mapping).to_sql() for f in query.filters_for(alias)
+        )
+        parts.append(f"{mapping[alias]}={table}[{' AND '.join(filters)}]")
+    edges = sorted(
+        "{}.{}={}.{}".format(
+            *min(
+                (
+                    (mapping[j.left_alias], j.left_column, mapping[j.right_alias], j.right_column),
+                    (mapping[j.right_alias], j.right_column, mapping[j.left_alias], j.left_column),
+                )
+            )
+        )
+        for j in query.joins
+        if j.left_alias in subset and j.right_alias in subset
+    )
+    residuals = sorted(
+        _rename_aliases(r, mapping).to_sql()
+        for r in query.residuals
+        if set(r.referenced_aliases()) <= subset
+    )
+    return "&".join(parts) + "|" + ",".join(edges) + "|" + ",".join(residuals)
+
+
+def _all_subsets(query):
+    return [
+        frozenset(combo)
+        for size in range(1, len(query.aliases) + 1)
+        for combo in combinations(query.aliases, size)
+    ]
+
+
+class TestSubsetKeysMatchFrozenFormat:
+    def test_every_harvested_job_subset(self, imdb_db, job_queries, monkeypatch, tmp_path):
+        harvested = {}  # id(bound query) -> (query, [(subset, rows), ...])
+        record = FeedbackStore.record
+
+        def spy(store, query, subset, rows):
+            harvested.setdefault(id(query), (query, []))[1].append((subset, rows))
+            return record(store, query, subset, rows)
+
+        monkeypatch.setattr(FeedbackStore, "record", spy)
+        conn = connect(imdb_db)
+        try:
+            for job in job_queries:
+                conn.execute(job.sql)
+        finally:
+            conn.close()
+        monkeypatch.undo()
+        assert len(harvested) == len(job_queries)
+        assert sum(len(observed) for _, observed in harvested.values()) > 900
+        for query, observed in harvested.values():
+            store = FeedbackStore(capacity=len(observed))
+            for subset, rows in observed:
+                store.record(query, subset, rows)
+            path = tmp_path / "store.json"
+            store.save(str(path))
+            persisted = [entry["key"] for entry in json.loads(path.read_text())["entries"]]
+            expected = OrderedDict()  # a repeated key moves to the LRU end
+            for subset, _ in observed:
+                key = _frozen_subset_key(query, subset)
+                expected[key] = None
+                expected.move_to_end(key)
+            assert persisted == list(expected)
+
+    def test_self_join_ties_and_residuals(self, stock_db):
+        query = stock_db.parse(
+            "SELECT count(t.id) AS n FROM company AS b, trades AS t, company AS a, "
+            "trades AS u WHERE a.id = t.company_id AND b.id = t.company_id "
+            "AND u.company_id = a.id AND a.symbol = 'SYM1' AND b.symbol = 'SYM1' "
+            "AND t.shares > 10 AND u.shares > 10 AND a.id < b.id "
+            "AND a.id + b.id < t.shares",
+            name="ties",
+        )
+        assert len(query.residuals) == 2
+        keys = SubsetKeys(query)  # one instance: its memo serves every subset
+        for subset in _all_subsets(query):
+            expected = _frozen_subset_key(query, subset)
+            assert keys.key(subset) == expected, sorted(subset)
+            assert subset_key(query, subset) == expected
+
+
+    def test_filters_rendered_per_key_when_a_slot_would_not_be_exact(self):
+        """A filter mentioning another alias, or text already holding the
+        slot character, is renamed per key like before."""
+        builder = QueryBuilder(name="odd")
+        for alias in ("a", "b", "c"):
+            builder.add_table("company", alias)
+        builder.add_join("a", "id", "b", "id")
+        builder.add_join("b", "id", "c", "id")
+        builder.add_filter("a", Comparison(ComparisonOp.LT, column("a", "id"), column("c", "id")))
+        builder.add_filter("b", Comparison(ComparisonOp.EQ, column("b", "symbol"), Literal("\x00.")))
+        builder.add_filter("c", Comparison(ComparisonOp.EQ, column("c", "symbol"), Literal("x")))
+        query = builder.build()
+        keys = SubsetKeys(query)
+        for subset in _all_subsets(query):
+            assert keys.key(subset) == _frozen_subset_key(query, subset), sorted(subset)
 
 
 class TestFeedbackStoreLifecycle:

@@ -1,7 +1,10 @@
 """Unit tests for the join graph."""
 
+from itertools import combinations
+
 from repro.optimizer import JoinGraph
 from repro.sql import QueryBuilder
+from repro.sql.ast import Comparison, ComparisonOp, column
 
 
 def chain_query(n=4):
@@ -27,9 +30,12 @@ def star_query():
 class TestJoinGraph:
     def test_neighbors_and_degree(self):
         graph = JoinGraph(star_query())
-        assert graph.neighbors("t") == {"a", "b", "c"}
-        assert graph.degree("t") == 3
-        assert graph.degree("a") == 1
+        # Bits follow sorted alias order: a, b, c, t.
+        assert graph.names == ("a", "b", "c", "t")
+        assert graph.bits["a"] == 1 and graph.bits["t"] == 8
+        assert graph.neighbours(graph.bits["t"]) == graph.mask("abc")
+        assert graph.neighbours(graph.mask("at")) == graph.mask("bc")
+        assert graph.aliases_of(graph.neighbours(graph.bits["a"])) == {"t"}
 
     def test_edges(self):
         graph = JoinGraph(chain_query(3))
@@ -37,16 +43,24 @@ class TestJoinGraph:
 
     def test_is_connected(self):
         graph = JoinGraph(star_query())
-        assert graph.is_connected({"t", "a"})
-        assert graph.is_connected({"t", "a", "b", "c"})
-        assert not graph.is_connected({"a", "b"})
-        assert not graph.is_connected(set())
-        assert graph.is_connected({"a"})
+        assert graph.is_connected(graph.mask("ta"))
+        assert graph.is_connected(graph.mask("tabc"))
+        assert not graph.is_connected(graph.mask("ab"))
+        assert not graph.is_connected(0)
+        assert graph.is_connected(graph.mask("a"))
 
     def test_connects(self):
         graph = JoinGraph(star_query())
-        assert graph.connects({"t"}, {"a"})
-        assert not graph.connects({"a"}, {"b"})
+        assert graph.neighbours(graph.mask("t")) & graph.mask("a")
+        assert not graph.neighbours(graph.mask("a")) & graph.mask("b")
+
+    def test_pick_removable_keeps_the_rest_connected(self):
+        graph = JoinGraph(star_query())
+        # The hub t is the highest alias but would disconnect a, b, c.
+        assert graph.pick_removable(graph.mask("tabc")) == graph.bits["c"]
+        assert graph.pick_removable(graph.mask("ta")) == graph.bits["t"]
+        # Disconnected: the highest alias is peeled off.
+        assert graph.pick_removable(graph.mask("ab")) == graph.bits["b"]
 
     def test_connected_components(self):
         graph = JoinGraph(chain_query(4))
@@ -71,9 +85,34 @@ class TestJoinGraph:
         assert len(graph.connected_subsets_of_size(3)) == 3
         assert len(graph.connected_subsets_up_to(2)) == 4 + 3
 
+    def test_connected_levels_list_combinations_order(self):
+        """Each level is exactly the connected subsets, in the order
+        ``combinations(query.aliases, k)`` lists them."""
+        builder = QueryBuilder(name="mixed")
+        for alias in ("t", "mk", "k", "ci", "n", "a"):
+            builder.add_table("title", alias)
+        builder.add_join("t", "id", "mk", "id")
+        builder.add_join("mk", "id", "k", "id")
+        builder.add_join("t", "id", "ci", "id")
+        builder.add_join("ci", "id", "n", "id")
+        builder.add_residual(
+            Comparison(ComparisonOp.LT, column("n", "id"), column("a", "id"))
+        )
+        query = builder.build()
+        graph = JoinGraph(query)
+        levels = list(graph.connected_levels())
+        assert len(levels) == len(query.aliases)
+        for size, level in enumerate(levels, 1):
+            expected = [
+                graph.mask(combo)
+                for combo in combinations(query.aliases, size)
+                if graph.is_connected(graph.mask(combo))
+            ]
+            assert level == expected
+
     def test_joins_between_sets(self):
         graph = JoinGraph(star_query())
-        joins = graph.joins_between_sets({"t", "a"}, {"b"})
+        joins = graph.joins_between(graph.mask("ta"), graph.mask("b"))
         assert len(joins) == 1
 
     def test_to_dot_and_text(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import BindError
+from repro.optimizer import JoinGraph
 from repro.sql import parse_select
 
 SQL = """
@@ -78,9 +79,10 @@ class TestBinder:
         assert len(rebound.filters_for("c")) == len(bound.filters_for("c"))
 
     def test_joins_between(self, stock_db):
-        bound = stock_db.parse(SQL)
-        assert len(bound.joins_between(["c"], ["t"])) == 1
-        assert bound.joins_between(["c"], ["c"]) == []
+        graph = JoinGraph(stock_db.parse(SQL))
+        c, t = graph.bits["c"], graph.bits["t"]
+        assert len(graph.joins_between(c, t)) == 1
+        assert graph.joins_between(c, c) == ()
 
     def test_num_tables(self, stock_db):
         assert stock_db.parse(SQL).num_tables() == 2

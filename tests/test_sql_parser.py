@@ -410,3 +410,13 @@ class TestParserErrorMessages:
     def test_error_at_end_of_input(self):
         with pytest.raises(ParseError, match="near 'end of input'"):
             parse_select("SELECT t.id FROM title t LIMIT")
+
+    def test_string_literal_error_points_at_its_opening_quote(self):
+        # A string token's offset is its first character, not one past its end.
+        with pytest.raises(ParseError) as excinfo:
+            parse_select("SELECT * FROM t WHERE a = 'abc' 'def'")
+        assert excinfo.value.position == 32
+        assert str(excinfo.value) == (
+            "unexpected trailing input 'def' "
+            "(at offset 32, line 1 column 33, near \"'def'\")"
+        )
