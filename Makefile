@@ -53,6 +53,9 @@
 #                  end-to-end metric's medians, quartiles, wins and whether
 #                  the gap exceeds the parent's IQR.  e.g.
 #                  `make ab WORKLOAD=job_hot PARENT=HEAD~1 PAIRS=10 SEED=100`.
+#                  LAYERS=a,b adds a traced run per side and the same table
+#                  for those per-layer metrics; METRIC= picks the metric the
+#                  per-pair progress line shows (default pass_wall_s).
 #                  Not part of `ci`
 #   make lint    - ruff check (same invocation as the CI lint job)
 #   make all     - everything
@@ -63,6 +66,8 @@ PINS_COMMIT ?= HEAD
 WORKLOAD ?= job_hot
 PARENT ?= HEAD~1
 PAIRS ?= 10
+LAYERS ?=
+METRIC ?= pass_wall_s
 export PYTHONPATH := src
 
 .PHONY: ci test unit diff fuzz fuzz-nightly fuzz-parallel fuzz-partitioned guards stress perf-smoke perf ab bench bench-compare experiments pins lint all
@@ -109,7 +114,8 @@ perf:
 	$(PYTHON) benchmarks/perf/run.py --out BENCH_perf.json
 
 ab:
-	$(PYTHON) tools/perf_ab.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS) --seed $(SEED)
+	$(PYTHON) tools/perf_ab.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS) --seed $(SEED) \
+		--layers "$(LAYERS)" --metric $(METRIC)
 
 bench:
 	$(PYTHON) -m pytest -x -q -s benchmarks

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import iadd
 from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.catalog.catalog import Catalog
@@ -36,6 +38,10 @@ from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.optimizer.estimators import CardinalityStrategy
+
+#: Rows :meth:`Database.load_rows` transposes at a time: enough to spread the
+#: per-chunk calls thin, few enough that the flat chunk stays small.
+LOAD_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -192,27 +198,28 @@ class Database:
     ) -> int:
         """Load rows (tuples in schema order, or dicts) into ``table_name``.
 
-        Rows are accumulated column-wise and appended with a single
+        Rows are transposed into columns and appended with a single
         :meth:`~repro.storage.table.Table.load_columns` call — the bulk-load
-        path the columnar executor scans zero-copy — instead of packing and
-        unpacking one tuple per row.  The load is atomic: a bad value rolls
-        the whole batch back.
+        path the columnar executor scans zero-copy.  The transpose takes
+        :data:`LOAD_CHUNK_ROWS` rows at a time, concatenates them into one
+        flat list (``list += row`` per row, no per-row iterator) and slices
+        that per column; a chunk holding a dict row or a row of the wrong
+        width is first put in schema order row by row, which raises for the
+        first offending row.  The load is atomic: a bad value rolls the whole
+        batch back.
         """
         table = self.catalog.table(table_name)
         width = len(table.schema.columns)
         columns: List[List[object]] = [[] for _ in range(width)]
         count = 0
-        for row in rows:
-            if isinstance(row, dict):
-                row = table.row_values_from_dict(row)
-            elif len(row) != width:
-                raise StorageError(
-                    f"table {table.name!r} expects {width} values, "
-                    f"got {len(row)}"
-                )
-            for position, value in enumerate(row):
-                columns[position].append(value)
-            count += 1
+        rows = iter(rows)
+        while chunk := list(itertools.islice(rows, LOAD_CHUNK_ROWS)):
+            if not set(map(type, chunk)) <= {tuple, list} or set(map(len, chunk)) != {width}:
+                chunk = [_schema_row(table, row, width) for row in chunk]
+            flat = reduce(iadd, chunk, [])
+            for position, values in enumerate(columns):
+                values += flat[position::width]
+            count += len(chunk)
         if count:
             # Under the catalog lock so a concurrent snapshot() pins either
             # none or all of the batch, never a torn prefix.
@@ -447,6 +454,19 @@ class Database:
         from repro.engine.snapshot import SnapshotDatabase
 
         return SnapshotDatabase(self)
+
+
+def _schema_row(
+    table: Union[Table, PartitionedTable], row: Union[Sequence, Dict[str, object]], width: int
+) -> Sequence:
+    """One ``load_rows`` row as a sequence in schema order."""
+    if isinstance(row, dict):
+        return table.row_values_from_dict(row)
+    if len(row) != width:
+        raise StorageError(
+            f"table {table.name!r} expects {width} values, got {len(row)}"
+        )
+    return row
 
 
 def _infer_type(values: Iterable[object]) -> ColumnType:

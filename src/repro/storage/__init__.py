@@ -1,7 +1,7 @@
 """Storage subsystem: columnar tables and secondary indexes."""
 
 from repro.storage.column import Column
-from repro.storage.index import HashIndex, Index, SortedIndex, build_foreign_key_indexes
+from repro.storage.index import HashIndex, Index, build_foreign_key_indexes
 from repro.storage.intermediate import IntermediateTable
 from repro.storage.table import Table
 
@@ -10,7 +10,6 @@ __all__ = [
     "HashIndex",
     "Index",
     "IntermediateTable",
-    "SortedIndex",
     "Table",
     "build_foreign_key_indexes",
 ]

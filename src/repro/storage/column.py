@@ -17,7 +17,8 @@ string into INT, ``int`` into FLOAT, ...) takes the per-value path that
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.catalog.schema import ColumnDef
 from repro.errors import StorageError
@@ -55,6 +56,35 @@ def checked_values(
     if not foreign or (foreign == {_NONE_TYPE} and definition.nullable):
         return values
     return [checked_value(definition, value) for value in values]
+
+
+def value_range(
+    values: Sequence[object], low: object = None, high: object = None
+) -> Tuple[object, object, int]:
+    """``(minimum, maximum, NULL count)`` of ``values`` after running extremes.
+
+    Builtin ``min``/``max`` with ``low``/``high`` leading, so the first of equal
+    values wins; extremes are ``None`` when there is no non-NULL value.  A NULL
+    compares with nothing, so ``min``/``max`` run straight over ``values`` and
+    NULLs are counted and filtered only once that raises.  Raises
+    ``TypeError`` for mutually incomparable values.
+    """
+    if values and values[-1] is not None:
+        try:
+            return (*_extremes(values, low, high), 0)
+        except TypeError:
+            pass  # a NULL further up, or incomparable values (raised again below)
+    nulls = values.count(None)
+    present = [v for v in values if v is not None] if nulls else values
+    return (*_extremes(present, low, high), nulls)
+
+
+def _extremes(values: Sequence[object], low: object, high: object) -> Tuple[object, object]:
+    if not values:
+        return low, high
+    if low is None:
+        return min(values), max(values)
+    return min(chain((low,), values)), max(chain((high,), values))
 
 
 class Column:
@@ -102,22 +132,3 @@ class Column:
         payloads.
         """
         return self._values
-
-    def non_null_values(self) -> List[object]:
-        """Return all non-NULL values (a new list)."""
-        return [v for v in self._values if v is not None]
-
-    def null_count(self) -> int:
-        """Number of NULL values stored."""
-        return sum(1 for v in self._values if v is None)
-
-    def distinct_count(self) -> int:
-        """Number of distinct non-NULL values."""
-        return len(set(self.non_null_values()))
-
-    def min_max(self) -> Optional[tuple]:
-        """Return ``(min, max)`` over non-NULL values, or ``None`` if empty."""
-        values = self.non_null_values()
-        if not values:
-            return None
-        return min(values), max(values)

@@ -18,15 +18,25 @@ Three codecs:
   clustered columns, e.g. a range-partitioned partition key).
 
 :func:`encode_segment` picks the codec from the data (``codec="auto"``) or
-honours an explicit choice.  Encoding is exact: ``segment.values()`` always
-round-trips the input list element-for-element (including NULLs), which the
-differential fuzzer relies on when it serves the whole query stream from a
-compressed database.
+honours an explicit choice.  Auto costs both codecs from counts — the
+dictionary size from one ``dict.fromkeys`` pass, the run count from one
+pairwise ``!=`` pass, skipped once runs cannot win — and builds only the
+winner, in C-level passes that allocate nothing per row.  Encoding is exact:
+``segment.values()`` round-trips the input element-for-element, NULLs
+included, equal by type and by the sign of zero; a column where equal values
+differ (``True``/``1``/``1.0``, ``0.0``/``-0.0``) is keyed by type, value and
+sign instead of by value.  The differential fuzzer relies on this when it
+serves the whole query stream from a compressed database.
 """
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from math import copysign
+from operator import eq, ne, sub
 from typing import List, Optional, Sequence, Tuple
+
+from repro.storage.column import value_range
 
 __all__ = [
     "BLOCK_ROWS",
@@ -52,28 +62,19 @@ BlockStats = Optional[Tuple[Optional[object], Optional[object], int]]
 
 def compute_block_stats(values: Sequence[object]) -> List[BlockStats]:
     """Min/max/null-count synopses of ``values`` in :data:`BLOCK_ROWS` blocks."""
-    stats: List[BlockStats] = []
-    for start in range(0, len(values), BLOCK_ROWS):
-        block = values[start : start + BLOCK_ROWS]
-        minimum: Optional[object] = None
-        maximum: Optional[object] = None
-        nulls = 0
-        try:
-            for value in block:
-                if value is None:
-                    nulls += 1
-                    continue
-                if minimum is None or value < minimum:
-                    minimum = value
-                if maximum is None or value > maximum:
-                    maximum = value
-        except TypeError:
-            # Incomparable mix of types: record "no stats" for the block so
-            # the skipping logic conservatively keeps it.
-            stats.append(None)
-            continue
-        stats.append((minimum, maximum, nulls))
-    return stats
+    return [
+        _block_stats(values[start : start + BLOCK_ROWS])
+        for start in range(0, len(values), BLOCK_ROWS)
+    ]
+
+
+def _block_stats(block: List[object]) -> BlockStats:
+    try:
+        return value_range(block)
+    except TypeError:
+        # Incomparable mix of types: record "no stats" for the block so the
+        # skipping logic conservatively keeps it.
+        return None
 
 
 class Segment:
@@ -143,16 +144,7 @@ class DictionarySegment(Segment):
     codec = "dictionary"
     __slots__ = ("_dictionary", "_codes", "_decoded", "_block_stats")
 
-    def __init__(self, values: Sequence[object]) -> None:
-        dictionary: List[object] = []
-        code_of = {}
-        codes: List[int] = []
-        for value in values:
-            code = code_of.get(value)
-            if code is None:
-                code = code_of[value] = len(dictionary)
-                dictionary.append(value)
-            codes.append(code)
+    def __init__(self, dictionary: List[object], codes: List[int]) -> None:
         self._dictionary = dictionary
         self._codes = codes
         self._decoded: Optional[List[object]] = None
@@ -204,15 +196,9 @@ class RLESegment(Segment):
     codec = "rle"
     __slots__ = ("_runs", "_length", "_decoded", "_block_stats")
 
-    def __init__(self, values: Sequence[object]) -> None:
-        runs: List[Tuple[object, int]] = []
-        for value in values:
-            if runs and runs[-1][0] == value and _same_kind(runs[-1][0], value):
-                runs[-1] = (value, runs[-1][1] + 1)
-            else:
-                runs.append((value, 1))
+    def __init__(self, runs: List[Tuple[object, int]], length: int) -> None:
         self._runs = runs
-        self._length = len(values)
+        self._length = length
         self._decoded: Optional[List[object]] = None
         self._block_stats: Optional[List[BlockStats]] = None
 
@@ -241,41 +227,70 @@ class RLESegment(Segment):
         return 2 * len(self._runs)
 
 
-def _same_kind(a: object, b: object) -> bool:
-    # 1 == 1.0 and True == 1 under ==; keep runs type-faithful so decoding
-    # reproduces the exact input objects.
-    return type(a) is type(b)
-
-
 def encode_segment(values: Sequence[object], codec: str = "auto") -> Segment:
     """Encode a value list into a segment.
 
     ``codec`` is one of ``"plain"``, ``"dictionary"``, ``"rle"`` or
-    ``"auto"``.  Auto picks the encoding with the fewest stored cells and
-    falls back to plain unless a codec actually shrinks the data, so
-    pathological inputs (all-distinct, alternating) never pay decode cost
-    for nothing.
+    ``"auto"``.  Auto picks the encoding with the fewest stored cells (RLE on
+    a tie with the dictionary) and falls back to plain unless a codec
+    actually shrinks the data, so pathological inputs (all-distinct,
+    alternating) never pay decode cost for nothing.  It costs the codecs
+    from counts and builds only the one it picks.
     """
     values = list(values)
-    segment: Segment
-    if codec == "plain":
-        segment = PlainSegment(values)
-    elif codec == "dictionary":
-        segment = DictionarySegment(values)
-    elif codec == "rle":
-        segment = RLESegment(values)
-    elif codec != "auto":
+    if codec not in ("auto", "plain", "dictionary", "rle"):
         raise ValueError(f"unknown compression codec {codec!r}")
-    elif not values:
-        segment = PlainSegment(values)
+    if codec == "auto" and not values:
+        codec = "plain"
+    keys = values if codec == "plain" else _codec_keys(values)
+    distinct = dict.fromkeys(keys) if codec in ("auto", "dictionary") else {}
+    if codec == "auto":
+        codec = _cheapest_codec(keys, len(distinct))
+    segment: Segment
+    if codec == "dictionary":
+        code_of = dict(zip(distinct, range(len(distinct))))
+        dictionary = list(distinct) if keys is values else [key[1] for key in distinct]
+        segment = DictionarySegment(dictionary, list(map(code_of.__getitem__, keys)))
+    elif codec == "rle":
+        breaks = compress(range(1, len(values)), map(ne, keys, keys[1:]))
+        starts = [0, *breaks] if values else []
+        ends = [*starts[1:], len(values)]
+        # A run's values are equal by type and sign of zero: keep its first.
+        runs = list(zip(map(values.__getitem__, starts), map(sub, ends, starts)))
+        segment = RLESegment(runs, len(values))
     else:
-        candidates: List[Segment] = [
-            RLESegment(values),
-            DictionarySegment(values),
-        ]
-        best = min(candidates, key=lambda candidate: candidate.encoded_cells())
-        segment = best if best.encoded_cells() < len(values) else PlainSegment(values)
+        segment = PlainSegment(values)
     # Sealed at encode time from the still-plain input: segment-skipping
     # never has to decode a column just to learn its block min/max.
     segment.seal_block_stats(compute_block_stats(values))
     return segment
+
+
+def _cheapest_codec(keys: Sequence[object], distinct: int) -> str:
+    rows = len(keys)
+    cells = distinct + (rows + 3) // 4
+    codec = "dictionary"
+    # A column has at least as many runs as distinct values, so RLE (two
+    # cells a run) can only win while 2 * distinct <= the dictionary's cells.
+    if 2 * distinct <= cells:
+        run_cells = 2 * (1 + sum(map(ne, keys, keys[1:])))
+        if run_cells <= cells:
+            codec, cells = "rle", run_cells
+    return codec if cells < rows else "plain"
+
+
+def _codec_keys(values: List[object]) -> Sequence[object]:
+    """What both codecs compare: ``values`` itself, unless equal values in it
+    differ (more than one non-NULL type, or both signs of zero)."""
+    kinds = set(map(type, values)) - {type(None)}
+    if len(kinds) <= 1 and not (float in kinds and _both_zeros(values)):
+        return values
+    return [
+        (float, v, copysign(1.0, v)) if type(v) is float else (type(v), v)
+        for v in values
+    ]
+
+
+def _both_zeros(values: List[object]) -> bool:
+    zeros = compress(values, map(eq, values, repeat(0.0)))
+    return len(set(map(copysign, repeat(1.0), zeros))) > 1

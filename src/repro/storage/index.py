@@ -1,22 +1,22 @@
 """Secondary indexes.
 
-Two index flavours are provided:
+:class:`HashIndex` answers equality lookups for index-nested-loop joins and
+equality predicates — PostgreSQL's btree-for-equality usage without the
+ordering machinery.  Indexes are built eagerly from a
+:class:`~repro.storage.table.Table` and are read-only afterwards; the
+workloads in this repository load data once and then query it, matching the
+paper's analytic setting.
 
-* :class:`HashIndex` — equality lookups, used by index-nested-loop joins and
-  equality predicates.  This models PostgreSQL's btree-for-equality usage
-  without the ordering machinery.
-* :class:`SortedIndex` — a sorted ``(key, row_id)`` list supporting range
-  lookups, used for range predicates on indexed columns.
-
-Both are built eagerly from a :class:`~repro.storage.table.Table` and are
-read-only afterwards; the workloads in this repository load data once and
-then query it, matching the paper's analytic setting.
+A hash index first maps each key to a row id in one C-level pass over the
+column (``dict(zip(values, range(n)))``, no object per row).  When no key
+repeats — a primary key — that map *is* the index, and a lookup answers a
+one-element list.  Only a column whose keys repeat (a foreign key) also
+keeps a list of row ids per key, built row by row.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import StorageError
 from repro.storage.table import Table
@@ -45,85 +45,44 @@ class Index:
 
 
 class HashIndex(Index):
-    """Equality index: maps key value to the list of row ids holding it."""
+    """Equality index: maps key value to the row ids holding it."""
 
     kind = "hash"
 
     def __init__(self, table: Table, column: str) -> None:
         super().__init__(table, column)
-        self._buckets: Dict[object, List[int]] = {}
         values = table.column_values(column)
-        for row_id, value in enumerate(values):
-            if value is None:
-                continue
-            self._buckets.setdefault(value, []).append(row_id)
+        rows = len(values)
+        row_of = dict(zip(values, range(rows)))
+        if None in row_of:
+            del row_of[None]
+            rows -= values.count(None)
+        self._rows = rows
+        self._row_of = row_of
+        self._buckets: Optional[Dict[object, List[int]]] = None
+        if len(row_of) < rows:
+            buckets: Dict[object, List[int]] = {}
+            for row_id, value in enumerate(values):
+                if value is None:
+                    continue
+                buckets.setdefault(value, []).append(row_id)
+            self._buckets = buckets
 
     def lookup(self, key: object) -> List[int]:
         """Row ids with ``column == key`` (NULL never matches)."""
         if key is None:
             return []
-        return self._buckets.get(key, [])
+        if self._buckets is not None:
+            return self._buckets.get(key, [])
+        row_id = self._row_of.get(key)
+        return [] if row_id is None else [row_id]
 
     def distinct_keys(self) -> int:
         """Number of distinct keys in the index."""
-        return len(self._buckets)
+        return len(self._row_of)
 
     def __len__(self) -> int:
-        return sum(len(rows) for rows in self._buckets.values())
-
-
-class SortedIndex(Index):
-    """Ordered index supporting equality and range lookups."""
-
-    kind = "sorted"
-
-    def __init__(self, table: Table, column: str) -> None:
-        super().__init__(table, column)
-        pairs: List[Tuple[object, int]] = [
-            (value, row_id)
-            for row_id, value in enumerate(table.column_values(column))
-            if value is not None
-        ]
-        pairs.sort(key=lambda pair: pair[0])
-        self._keys: List[object] = [key for key, _ in pairs]
-        self._row_ids: List[int] = [row_id for _, row_id in pairs]
-
-    def lookup(self, key: object) -> List[int]:
-        """Row ids with ``column == key``."""
-        if key is None:
-            return []
-        lo = bisect.bisect_left(self._keys, key)
-        hi = bisect.bisect_right(self._keys, key)
-        return self._row_ids[lo:hi]
-
-    def range_lookup(
-        self,
-        low: Optional[object] = None,
-        high: Optional[object] = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> List[int]:
-        """Row ids whose key falls in the requested (possibly open) range."""
-        lo = 0
-        hi = len(self._keys)
-        if low is not None:
-            lo = (
-                bisect.bisect_left(self._keys, low)
-                if include_low
-                else bisect.bisect_right(self._keys, low)
-            )
-        if high is not None:
-            hi = (
-                bisect.bisect_right(self._keys, high)
-                if include_high
-                else bisect.bisect_left(self._keys, high)
-            )
-        if hi < lo:
-            return []
-        return self._row_ids[lo:hi]
-
-    def __len__(self) -> int:
-        return len(self._keys)
+        return self._rows
 
 
 def build_foreign_key_indexes(table: Table) -> List[Index]:

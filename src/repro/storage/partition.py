@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import PartitionSpec, TableSchema
 from repro.errors import StorageError
-from repro.storage.column import checked_value, checked_values
+from repro.storage.column import checked_value, checked_values, value_range
 from repro.storage.compression import Segment, encode_segment
 
 __all__ = [
@@ -90,17 +91,10 @@ class ColumnZone:
         Same zone as :meth:`note` on each value in order: the running
         extremes lead the comparison, so the first of equal values wins.
         """
-        nulls = values.count(None)
+        self.minimum, self.maximum, nulls = value_range(
+            values, self.minimum, self.maximum
+        )
         self.null_count += nulls
-        if nulls == len(values):
-            return
-        present = [v for v in values if v is not None] if nulls else values
-        if self.minimum is None:
-            self.minimum = min(present)
-            self.maximum = max(present)
-        else:
-            self.minimum = min(chain((self.minimum,), present))
-            self.maximum = max(chain((self.maximum,), present))
 
 
 @dataclass
@@ -341,6 +335,15 @@ class PartitionedTable:
                 f"bounds of table {self.name!r}"
             ) from exc
 
+    def _route_all(self, keys: Sequence[object]) -> List[int]:
+        """Partition of every key: range bounds by one C-level map."""
+        if self.spec.method == "range":
+            try:
+                return list(map(partial(bisect_right, self.spec.bounds), keys))
+            except TypeError:
+                pass  # a NULL or incomparable key: route row by row
+        return list(map(self.route, keys))
+
     # -- mutation ------------------------------------------------------------
 
     def _invalidate(self) -> None:
@@ -406,8 +409,9 @@ class PartitionedTable:
 
         Column-wise throughout: every column is validated as a whole
         (:func:`~repro.storage.column.checked_values`), the key column is
-        routed once into one row-index list per shard, and each shard
-        receives its slice of every column in one append.  Atomic like
+        routed in one pass, rows are grouped by shard with one stable sort,
+        and each shard receives its part of every column in one append — a
+        slice when its rows are contiguous.  Atomic like
         :meth:`Table.load_columns`: a rejected value or key leaves every
         partition unchanged.
         """
@@ -427,16 +431,20 @@ class PartitionedTable:
             checked_values(col_def, values)
             for col_def, values in zip(self.schema.columns, columns)
         ]
-        shard_rows: List[List[int]] = [[] for _ in self._partitions]
-        for row_id, key in enumerate(checked[self._key_position]):
-            shard_rows[self.route(key)].append(row_id)
+        shard_of = self._route_all(checked[self._key_position])
+        order = sorted(range(count), key=shard_of.__getitem__)
         before = [partition.row_count for partition in self._partitions]
         try:
-            for partition, rows in zip(self._partitions, shard_rows):
-                if rows:
-                    partition.append_columns(
-                        [list(map(values.__getitem__, rows)) for values in checked]
-                    )
+            start = 0
+            for shard, size in sorted(Counter(shard_of).items()):
+                rows = order[start : start + size]
+                start += size
+                first, last = rows[0], rows[-1]
+                if last - first + 1 == size:
+                    part = [values[first : last + 1] for values in checked]
+                else:
+                    part = [list(map(values.__getitem__, rows)) for values in checked]
+                self._partitions[shard].append_columns(part)
         except BaseException:
             for partition, length in zip(self._partitions, before):
                 partition.truncate(length)

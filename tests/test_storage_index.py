@@ -1,10 +1,10 @@
-"""Unit tests for hash and sorted indexes."""
+"""Unit tests for hash indexes."""
 
 import pytest
 
 from repro.catalog import ColumnType, make_schema
 from repro.errors import StorageError
-from repro.storage import HashIndex, SortedIndex, Table, build_foreign_key_indexes
+from repro.storage import HashIndex, Table, build_foreign_key_indexes
 
 
 def _table_with_rows():
@@ -43,23 +43,6 @@ class TestHashIndex:
     def test_unknown_column(self):
         with pytest.raises(StorageError):
             HashIndex(_table_with_rows(), "missing")
-
-
-class TestSortedIndex:
-    def test_equality_lookup(self):
-        index = SortedIndex(_table_with_rows(), "company_id")
-        assert sorted(index.lookup(10)) == [0, 1]
-        assert index.lookup(None) == []
-
-    def test_range_lookup(self):
-        index = SortedIndex(_table_with_rows(), "company_id")
-        assert sorted(index.range_lookup(low=10, high=20)) == [0, 1, 2]
-        assert sorted(index.range_lookup(low=15)) == [2, 4]
-        assert sorted(index.range_lookup(high=10, include_high=False)) == []
-        assert index.range_lookup(low=25, high=21) == []
-
-    def test_len(self):
-        assert len(SortedIndex(_table_with_rows(), "company_id")) == 4
 
 
 class TestForeignKeyIndexes:

@@ -21,18 +21,11 @@ class TestColumn:
         column = Column(ColumnDef("age", ColumnType.INT))
         column.extend([1, "2", None])
         assert column.values() == [1, 2, None]
-        assert column.null_count() == 1
-        assert column.distinct_count() == 2
-        assert column.min_max() == (1, 2)
 
     def test_non_nullable_rejects_none(self):
         column = Column(ColumnDef("id", ColumnType.INT, nullable=False))
         with pytest.raises(StorageError):
             column.append(None)
-
-    def test_min_max_empty(self):
-        column = Column(ColumnDef("x", ColumnType.INT))
-        assert column.min_max() is None
 
 
 class TestTable:
