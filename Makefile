@@ -1,8 +1,8 @@
 # Convenience targets; every recipe matches what CI runs.
 #
 #   make ci      - the exact step sequence of .github/workflows/ci.yml:
-#                  lint -> unit -> differential -> fuzz -> guards -> stress
-#                  -> perf-smoke
+#                  lint -> unit -> differential -> fuzz -> fuzz-partitioned
+#                  -> guards -> stress -> perf-smoke
 #   make test    - tier-1 suite (unit + integration + property + differential)
 #   make unit    - the unit/integration/property suites as CI runs them
 #                  (differential + fuzz split out into their own steps)
@@ -12,14 +12,12 @@
 #                  adaptive=True vs adaptive=False vs the reference oracle)
 #   make fuzz-nightly - the randomized nightly profile (10x examples); pass
 #                  SEED=... to reproduce a nightly CI failure
-#   make fuzz-parallel - the CI fuzz stream with the fuzz databases serving
-#                  from the morsel-parallel engine (fused kernels, small
-#                  morsels, 3 workers)
 #   make fuzz-partitioned - the CI fuzz stream against partitioned +
 #                  compressed storage (4 shards per table, zone-map and
-#                  routing pruning live) under a tiny memory budget, so
-#                  grace hash joins and external merge sorts spill
-#   make guards  - the engine/aggregation/expression-eval/parallel/pruning/
+#                  routing pruning live); partitioned scans filter through
+#                  the fused single-pass kernel, so this is its differential
+#                  coverage
+#   make guards  - the engine/aggregation/expression-eval/pruning/
 #                  late-materialization speedup guards
 #   make stress  - the threaded serving layer under churn: the
 #                  writers-vs-readers snapshot stress suite plus the
@@ -70,12 +68,12 @@ LAYERS ?=
 METRIC ?= pass_wall_s
 export PYTHONPATH := src
 
-.PHONY: ci test unit diff fuzz fuzz-nightly fuzz-parallel fuzz-partitioned guards stress perf-smoke perf ab bench bench-compare experiments pins lint all
+.PHONY: ci test unit diff fuzz fuzz-nightly fuzz-partitioned guards stress perf-smoke perf ab bench bench-compare experiments pins lint all
 
 # Mirrors the CI workflow's step sequence exactly (lint job, then the test
 # job's pytest steps, then the speedup guards, the serving stress and the
 # ledger smoke).
-ci: lint unit diff fuzz fuzz-parallel fuzz-partitioned guards stress perf-smoke
+ci: lint unit diff fuzz fuzz-partitioned guards stress perf-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q tests
@@ -95,14 +93,11 @@ fuzz:
 fuzz-nightly:
 	HYPOTHESIS_PROFILE=nightly $(PYTHON) -m pytest -x -q tests/property/test_sql_fuzz_differential.py --hypothesis-seed=$(SEED)
 
-fuzz-parallel:
-	HYPOTHESIS_PROFILE=ci REPRO_FUZZ_ENGINE=parallel $(PYTHON) -m pytest -x -q tests/property/test_sql_fuzz_differential.py
-
 fuzz-partitioned:
 	HYPOTHESIS_PROFILE=ci REPRO_FUZZ_PARTITIONS=4 $(PYTHON) -m pytest -x -q tests/property/test_sql_fuzz_differential.py
 
 guards:
-	$(PYTHON) -m pytest -x -q -s benchmarks/test_engine_speedup.py benchmarks/test_aggregate_speedup.py benchmarks/test_expression_eval.py benchmarks/test_parallel_speedup.py benchmarks/test_partition_pruning.py benchmarks/test_late_materialization.py
+	$(PYTHON) -m pytest -x -q -s benchmarks/test_engine_speedup.py benchmarks/test_aggregate_speedup.py benchmarks/test_expression_eval.py benchmarks/test_partition_pruning.py benchmarks/test_late_materialization.py
 
 stress:
 	$(PYTHON) -m pytest -x -q -s tests/test_server_concurrency.py benchmarks/test_serving_concurrency.py

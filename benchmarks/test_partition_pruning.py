@@ -1,7 +1,7 @@
 """Micro-benchmark guard: zone-map partition pruning vs full-table scans.
 
-The storage analogue of ``test_parallel_speedup.py``: the same selective
-range query over the stocks trades table runs against two copies of the
+The same selective range query over the stocks trades table runs against
+two copies of the
 data — one range-partitioned on ``company_id`` into 16 shards, one plain
 single-shard — and the partitioned scan must finish at least 3x faster.
 The speedup comes from the planner/executor pruning every shard whose zone

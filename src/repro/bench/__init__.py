@@ -13,7 +13,6 @@ from repro.bench.harness import (
     total_seconds,
 )
 from repro.bench.regimes import (
-    MidQueryRegime,
     PerfectRegime,
     PostgresRegime,
     QueryOutcome,
@@ -24,7 +23,6 @@ from repro.bench.reporting import ExperimentResult, format_table
 
 __all__ = [
     "ExperimentResult",
-    "MidQueryRegime",
     "PerfectRegime",
     "PostgresRegime",
     "QueryOutcome",

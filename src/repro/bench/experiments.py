@@ -19,7 +19,6 @@ from repro.bench.harness import (
     total_seconds,
 )
 from repro.bench.regimes import (
-    MidQueryRegime,
     PerfectRegime,
     PostgresRegime,
     QueryOutcome,
@@ -561,17 +560,21 @@ def ablation_temp_table_stats(
 def ablation_midquery(
     context: WorkloadContext, top: int = 10, threshold: float = 32.0
 ) -> ExperimentResult:
-    """Materializing simulation vs pipelined mid-query re-optimization."""
+    """Materialize-and-rewrite vs adaptive (in-memory) mid-query re-optimization."""
     names = _longest_query_names(context, top)
     simulated = reoptimized_regime(context, threshold=threshold)
-    pipelined = MidQueryRegime(ReoptimizationPolicy(threshold=threshold))
-    matrix = run_matrix(context, [simulated, pipelined], names)
+    adaptive = ReoptimizedRegime(
+        ReoptimizationPolicy(threshold=threshold),
+        name=f"adaptive-{int(threshold)}",
+        adaptive=True,
+    )
+    matrix = run_matrix(context, [simulated, adaptive], names)
     result = ExperimentResult(
         experiment_id="ablation-midquery",
-        title=f"Materializing vs pipelined re-optimization over the top-{top} longest queries",
+        title=f"Materializing vs adaptive re-optimization over the top-{top} longest queries",
         headers=["variant", "execute_s", "plan_s"],
     )
-    for regime in (simulated, pipelined):
+    for regime in (simulated, adaptive):
         execution, planning = total_seconds(matrix[regime.name])
         result.add_row(regime.name, execution, planning)
     return result

@@ -6,9 +6,8 @@ A *regime* is a way of planning and executing one query:
 * ``perfect-(n)`` — true cardinalities injected for joins of at most ``n``
   tables (perfect-(17) is "Perfect");
 * ``reoptimized`` — the paper's materialize-and-re-plan scheme, optionally on
-  top of perfect-(n) estimates (Figure 8);
-* ``midquery`` — the pipelined variant without materialization surcharge
-  (ablation).
+  top of perfect-(n) estimates (Figure 8), or the adaptive executor's
+  in-memory loop (ablation).
 
 Regimes produce :class:`QueryOutcome` records with simulated planning and
 execution times, which the experiments aggregate into the paper's artifacts.
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.interceptor import ReoptimizationInterceptor
-from repro.core.midquery import MidQueryReoptimizer
 from repro.core.oracle import TrueCardinalityOracle
 from repro.core.triggers import ReoptimizationPolicy
 from repro.engine.database import Database
@@ -124,7 +122,13 @@ class PerfectRegime(Regime):
 
 
 class ReoptimizedRegime(Regime):
-    """The paper's re-optimization scheme (optionally on top of perfect-(n))."""
+    """The paper's re-optimization scheme (optionally on top of perfect-(n)).
+
+    ``adaptive`` is handed to the
+    :class:`~repro.core.interceptor.ReoptimizationInterceptor`: ``True``
+    runs the adaptive executor's in-memory loop instead of the paper's
+    materialize-and-rewrite loop.
+    """
 
     def __init__(
         self,
@@ -132,10 +136,12 @@ class ReoptimizedRegime(Regime):
         oracle: Optional[TrueCardinalityOracle] = None,
         perfect_tables: int = 0,
         name: Optional[str] = None,
+        adaptive: Optional[bool] = None,
     ) -> None:
         self.policy = policy or ReoptimizationPolicy()
         self._oracle = oracle
         self.perfect_tables = perfect_tables
+        self.adaptive = adaptive
         if name is not None:
             self.name = name
         elif perfect_tables > 0:
@@ -149,30 +155,8 @@ class ReoptimizedRegime(Regime):
         return None
 
     def run(self, database: Database, query: BoundQuery) -> QueryOutcome:
-        pipeline = QueryPipeline(database, [ReoptimizationInterceptor(self.policy)])
+        pipeline = QueryPipeline(
+            database, [ReoptimizationInterceptor(self.policy, adaptive=self.adaptive)]
+        )
         context = pipeline.run(bound=query, injector=self._injector())
         return self._outcome(query, context)
-
-
-class MidQueryRegime(ReoptimizedRegime):
-    """Pipelined re-optimization without materialization surcharge (ablation)."""
-
-    def __init__(
-        self,
-        policy: Optional[ReoptimizationPolicy] = None,
-    ) -> None:
-        super().__init__(policy=policy, name="midquery")
-
-    def run(self, database: Database, query: BoundQuery) -> QueryOutcome:
-        reoptimizer = MidQueryReoptimizer(database, self.policy)
-        report = reoptimizer.reoptimize(query)
-        return QueryOutcome(
-            query_name=query.name or "",
-            regime=self.name,
-            planning_seconds=report.planning_seconds,
-            execution_seconds=report.execution_seconds,
-            rows=len(report.rows),
-            reoptimization_steps=len(report.steps),
-            rows_processed=report.rows_processed,
-            wall_seconds=report.wall_seconds,
-        )

@@ -6,7 +6,7 @@ per table — schema and statistics by reference, a private copy of the index
 dict, and a read-only storage snapshot
 (:func:`~repro.storage.snapshot.take_snapshot`).  A
 :class:`CatalogSnapshot` is a full :class:`Catalog` over those frozen
-entries, so the binder, optimizer, all three engines and the adaptive
+entries, so the binder, optimizer, both engines and the adaptive
 re-optimizer run against it unchanged.
 
 The snapshot is **session-local and writable**: the re-optimizer registers

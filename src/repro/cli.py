@@ -49,7 +49,7 @@ EXPERIMENTS: Dict[str, tuple] = {
     "table6": ("runtime after re-optimization relative to perfect-(17)", True, exp.table6),
     "ablation-site": ("lowest vs highest trigger join", True, exp.ablation_trigger_site),
     "ablation-stats": ("ANALYZE vs no ANALYZE on temp tables", True, exp.ablation_temp_table_stats),
-    "ablation-midquery": ("materializing vs pipelined re-optimization", True, exp.ablation_midquery),
+    "ablation-midquery": ("materializing vs adaptive re-optimization", True, exp.ablation_midquery),
     "estimators": ("estimator-strategy x workload matrix (Q-error, re-plans)", True, exp.estimator_matrix),
 }
 
@@ -79,23 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[engine.value for engine in ExecutionEngine],
         default=None,
         help=(
-            "execution engine: 'vectorized' (columnar batches, default), "
-            "'reference' (row-at-a-time oracle) or 'parallel' (morsel-driven "
-            "scans/joins over a worker pool); simulated times are identical, "
-            "only wall-clock changes"
+            "execution engine: 'vectorized' (columnar batches, default) or "
+            "'reference' (row-at-a-time oracle); simulated times are "
+            "identical, only wall-clock changes"
         ),
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker-pool size for --engine parallel (default 4)",
-    )
-    run.add_argument(
-        "--morsel-size",
-        type=int,
-        default=None,
-        help="rows per morsel for --engine parallel (default 4096)",
     )
     run.add_argument(
         "--estimator",
@@ -119,18 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[engine.value for engine in ExecutionEngine],
         default=None,
         help="execution engine (vectorized default)",
-    )
-    sql.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker-pool size for --engine parallel (default 4)",
-    )
-    sql.add_argument(
-        "--morsel-size",
-        type=int,
-        default=None,
-        help="rows per morsel for --engine parallel (default 4096)",
     )
     sql.add_argument(
         "--estimator",
@@ -215,10 +190,7 @@ def _resolve_ids(requested: List[str]) -> List[str]:
 
 
 def _engine_settings(
-    engine: Optional[str],
-    workers: Optional[int] = None,
-    morsel_size: Optional[int] = None,
-    estimator: Optional[str] = None,
+    engine: Optional[str], estimator: Optional[str]
 ) -> Optional[EngineSettings]:
     """Settings for the CLI's engine knobs (None when all are default).
 
@@ -226,15 +198,9 @@ def _engine_settings(
     :meth:`~repro.engine.settings.EngineSettings.resolve` — the same
     precedence rule ``connect()`` and ``Server`` use.
     """
-    if engine is None and workers is None and morsel_size is None and estimator is None:
+    if engine is None and estimator is None:
         return None
-    return EngineSettings.resolve(
-        None,
-        engine=engine,
-        workers=workers,
-        morsel_size=morsel_size,
-        estimator=estimator,
-    )
+    return EngineSettings.resolve(None, engine=engine, estimator=estimator)
 
 
 def run_experiments(
@@ -243,14 +209,12 @@ def run_experiments(
     seed: int = 42,
     query_limit: Optional[int] = None,
     engine: Optional[str] = None,
-    workers: Optional[int] = None,
-    morsel_size: Optional[int] = None,
     estimator: Optional[str] = None,
     emit: Callable[[str], None] = print,
 ) -> List[ExperimentResult]:
     """Run the requested experiments and emit their text artifacts."""
     ids = _resolve_ids(ids)
-    settings = _engine_settings(engine, workers, morsel_size, estimator)
+    settings = _engine_settings(engine, estimator)
     context: Optional[WorkloadContext] = None
     results: List[ExperimentResult] = []
     for experiment_id in ids:
@@ -332,9 +296,7 @@ def _print_statement(
 
 def run_sql(args, stdin: Optional[TextIO] = None) -> int:
     """The ``sql`` command: a Connection-backed statement shell."""
-    settings = _engine_settings(
-        args.engine, args.workers, args.morsel_size, args.estimator
-    )
+    settings = _engine_settings(args.engine, args.estimator)
     print(
         f"# building the synthetic IMDB database (scale={args.scale})...",
         flush=True,
@@ -494,8 +456,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         query_limit=args.query_limit,
         engine=args.engine,
-        workers=args.workers,
-        morsel_size=args.morsel_size,
         estimator=args.estimator,
         emit=emit,
     )

@@ -2,7 +2,6 @@
 
 from repro.core.feedback import FeedbackIteration, FeedbackLoop, FeedbackResult
 from repro.core.interceptor import ReoptimizationInterceptor
-from repro.core.midquery import MidQueryReoptimizer
 from repro.core.oracle import TrueCardinalityOracle
 from repro.core.reoptimizer import (
     ReoptimizationReport,
@@ -19,7 +18,6 @@ __all__ = [
     "FeedbackIteration",
     "FeedbackLoop",
     "FeedbackResult",
-    "MidQueryReoptimizer",
     "ReoptimizationInterceptor",
     "ReoptimizationPolicy",
     "ReoptimizationReport",

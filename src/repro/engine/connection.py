@@ -72,7 +72,7 @@ def connect(
     ``settings`` object > defaults (see
     :meth:`~repro.engine.settings.EngineSettings.resolve`): any
     :class:`~repro.engine.settings.EngineSettings` field may be passed as a
-    keyword (``connect(engine="parallel", workers=8, estimator="feedback")``)
+    keyword (``connect(engine="reference", estimator="feedback")``)
     and is lowered onto ``settings``.  Unknown keywords raise
     :class:`~repro.errors.ConfigError` naming the nearest valid field.  When
     ``database`` is an existing instance, the resolved settings are applied
@@ -97,9 +97,9 @@ def connect(
             and the re-optimization loop.
         capture_explain: record EXPLAIN ANALYZE text of every statement on
             its cursor (``Cursor.explain_text``).
-        **overrides: :class:`EngineSettings` fields — ``engine``, ``workers``,
-            ``morsel_size``, ``memory_budget``, ``estimator``, ... — applied
-            at the highest precedence.
+        **overrides: :class:`EngineSettings` fields — ``engine``,
+            ``estimator``, ``sample_rows``, ... — applied at the highest
+            precedence.
     """
     return Connection(
         database,

@@ -111,12 +111,7 @@ class Database:
         )
         self.cost_model = CostModel(self.catalog, self.settings.cost)
         self.executor = Executor(
-            self.catalog,
-            self.cost_model,
-            engine=self.settings.engine,
-            workers=self.settings.workers,
-            morsel_size=self.settings.morsel_size,
-            memory_budget=self.settings.memory_budget,
+            self.catalog, self.cost_model, engine=self.settings.engine
         )
         self.binder = Binder(self.catalog)
         # itertools.count.__next__ is atomic in CPython, so concurrent
@@ -146,30 +141,13 @@ class Database:
         self.optimizer.strategy = strategy
         return strategy
 
-    def executor_for(
-        self,
-        engine: ExecutionEngine,
-        workers: Optional[int] = None,
-        morsel_size: Optional[int] = None,
-        memory_budget: Optional[int] = None,
-    ) -> Executor:
+    def executor_for(self, engine: ExecutionEngine) -> Executor:
         """A second executor over the same catalog using ``engine``.
 
         Used by the differential-testing harness to run one planned query
-        through several engines.  ``workers``/``morsel_size``/
-        ``memory_budget`` default to the database settings; the first two
-        only matter for the parallel engine.
+        through both engines.
         """
-        return Executor(
-            self.catalog,
-            self.cost_model,
-            engine=engine,
-            workers=self.settings.workers if workers is None else workers,
-            morsel_size=self.settings.morsel_size if morsel_size is None else morsel_size,
-            memory_budget=(
-                self.settings.memory_budget if memory_budget is None else memory_budget
-            ),
-        )
+        return Executor(self.catalog, self.cost_model, engine=engine)
 
     # -- DDL and loading ----------------------------------------------------
 

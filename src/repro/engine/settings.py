@@ -2,13 +2,13 @@
 
 Collects the knobs the paper's experimental setup mentions (statistics
 target, planner limits, cost constants) — plus the engine's own knobs
-(execution engine, parallelism, plan cache, estimator strategy, feedback
-persistence) — into one object so benchmarks, tests, ``connect()``, the
-threaded server and the CLI all configure engines the same way.
+(execution engine, plan cache, estimator strategy, feedback persistence) —
+into one object so benchmarks, tests, ``connect()``, the threaded server and
+the CLI all configure engines the same way.
 
 Configuration precedence, everywhere a settings object is accepted:
 
-1. an explicit keyword argument (``connect(workers=8)``),
+1. an explicit keyword argument (``connect(plan_cache_size=8)``),
 2. the provided settings object (``connect(settings=EngineSettings(...))``),
 3. the field defaults below.
 
@@ -65,16 +65,6 @@ class EngineSettings:
             materialize-and-rewrite simulation.  Off by default so the
             paper-figure benchmarks keep reproducing the published accounting;
             per-connection override on ``connect()``.
-        workers: worker-pool size for the morsel-driven parallel engine
-            (``engine="parallel"``); ignored by the serial engines.
-        morsel_size: rows per morsel for the parallel engine's scan and
-            join splitting; ignored by the serial engines.
-        memory_budget: max rows a pipeline breaker may hold in memory
-            (``None`` = unbounded).  When set, hash-join build sides larger
-            than the budget run as grace hash joins and oversized sorts as
-            external merge sorts, both spilling row-index runs to temp files
-            (see :mod:`repro.executor.spilling`); results are bit-identical
-            to in-memory execution.
         estimator: active cardinality-estimation strategy — one of
             :data:`ESTIMATOR_NAMES` (see :mod:`repro.optimizer.estimators`).
             The default ``"stats"`` reproduces the paper's PostgreSQL-style
@@ -96,9 +86,6 @@ class EngineSettings:
     engine: ExecutionEngine = ExecutionEngine.VECTORIZED
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
     adaptive: bool = False
-    workers: int = 4
-    morsel_size: int = 4096
-    memory_budget: Optional[int] = None
     estimator: str = "stats"
     feedback_capacity: int = DEFAULT_FEEDBACK_CAPACITY
     feedback_path: Optional[str] = None
@@ -108,12 +95,6 @@ class EngineSettings:
         self.engine = ExecutionEngine.from_name(self.engine)
         _require(self.statistics_target >= 1, "statistics_target must be >= 1")
         _require(self.plan_cache_size >= 0, "plan_cache_size must be >= 0")
-        _require(self.workers >= 1, "workers must be >= 1")
-        _require(self.morsel_size >= 1, "morsel_size must be >= 1")
-        _require(
-            self.memory_budget is None or self.memory_budget >= 1,
-            "memory_budget must be >= 1 (or None for unbounded)",
-        )
         _require(self.feedback_capacity >= 1, "feedback_capacity must be >= 1")
         _require(self.sample_rows >= 0, "sample_rows must be >= 0")
         if self.estimator not in ESTIMATOR_NAMES:
@@ -144,8 +125,8 @@ class EngineSettings:
         and the CLI: an explicit (non-``None``) keyword beats the settings
         object, which beats the defaults.  ``None`` overrides mean "not
         specified" and are dropped — no settings field is ``None``-valued
-        except ``memory_budget``/``feedback_path``, which callers set through
-        a settings object when they genuinely mean "unset".
+        except ``feedback_path``, which callers set through a settings
+        object when they genuinely mean "unset".
         """
         base = settings if settings is not None else cls()
         supplied = {k: v for k, v in overrides.items() if v is not None}

@@ -25,12 +25,7 @@ same staged round (:meth:`Executor.execute_staged`) and the same query
 rewrite (:class:`~repro.executor.handover.Handover`).
 
 The loop is engine-agnostic: both the vectorized and the reference engine
-execute stage-wise.  Under the morsel-driven parallel engine the stage boundaries double as the
-gather barriers: every hash-join breaker the loop pauses at is exactly the
-point where the parallel engine has already merged its per-worker partial
-build tables and concatenated the probe morsels back into deterministic
-order, so the observed cardinalities (and any handed-over intermediate) are
-identical to a serial run.
+execute stage-wise.
 """
 
 from __future__ import annotations

@@ -6,16 +6,13 @@ model evaluated with true row counts.  This plays the role of
 ``EXPLAIN ANALYZE`` in the paper: the re-optimization driver compares each
 join's estimated and actual cardinality to decide whether to re-plan.
 
-Three interchangeable operator sets implement the plan nodes, all driven
+Two interchangeable operator sets implement the plan nodes, both driven
 through the pull-style protocol in :mod:`repro.executor.protocol`:
 
 * :data:`ExecutionEngine.VECTORIZED` (default) — the columnar batch engine
   in :mod:`repro.executor.operators`;
 * :data:`ExecutionEngine.REFERENCE` — the original row-at-a-time oracle in
-  :mod:`repro.executor.reference`;
-* :data:`ExecutionEngine.PARALLEL` — the morsel-driven engine in
-  :mod:`repro.executor.parallel` (fused filter kernels, worker-pool scans
-  and hash joins, deterministic result order restored by morsel index).
+  :mod:`repro.executor.reference`.
 
 Work accounting is **engine-invariant**: charged work depends only on row
 counts (rows fetched, join input/output cardinalities, index probe matches),
@@ -79,10 +76,8 @@ class NodeMetrics:
     Beyond the estimated/actual cardinalities and charged work, the executor
     records ``batches`` (nominal :data:`VECTOR_BATCH_ROWS`-row vectors the
     output occupies — engine-invariant) and, for joins, the build/probe input
-    sizes observed at the hash-join pipeline breaker.  Under the parallel
-    engine, scans and joins additionally record ``morsels`` (row ranges
-    dispatched) and ``workers`` (pool slots actually usable for them).
-    Sequential scans of partitioned tables record ``partitions_scanned`` /
+    sizes observed at the hash-join pipeline breaker.  Sequential scans of
+    partitioned tables record ``partitions_scanned`` /
     ``partitions_pruned`` (the zone-map pruning actually applied at
     execution time) plus the late-materialization counters:
     ``segments_skipped`` (row blocks refuted by sealed min/max/null-count
@@ -102,8 +97,6 @@ class NodeMetrics:
     batches: int = 1
     build_rows: Optional[int] = None
     probe_rows: Optional[int] = None
-    morsels: Optional[int] = None
-    workers: Optional[int] = None
     partitions_scanned: Optional[int] = None
     partitions_pruned: Optional[int] = None
     segments_skipped: Optional[int] = None
@@ -206,12 +199,6 @@ class Executor:
         cost_model: work-accounting model (built from the catalog by default).
         engine: which operator implementation to use; work accounting is
             identical across engines by construction.
-        workers: worker-pool size for the parallel engine (ignored by the
-            serial engines).
-        morsel_size: scan/join morsel size (rows) for the parallel engine.
-        memory_budget: max rows a pipeline breaker may hold in memory; when
-            set, hash-join build sides and sort runs beyond it spill to temp
-            files (grace hash join / external merge sort).
     """
 
     def __init__(
@@ -219,19 +206,11 @@ class Executor:
         catalog: Catalog,
         cost_model: Optional[CostModel] = None,
         engine: ExecutionEngine = ExecutionEngine.VECTORIZED,
-        workers: Optional[int] = None,
-        morsel_size: Optional[int] = None,
-        memory_budget: Optional[int] = None,
     ) -> None:
         self._catalog = catalog
         self.cost_model = cost_model or CostModel(catalog)
         self.engine = ExecutionEngine.from_name(engine)
-        self._ops: OperatorSet = operators_for(
-            self.engine,
-            workers=workers,
-            morsel_size=morsel_size,
-            memory_budget=memory_budget,
-        )
+        self._ops: OperatorSet = operators_for(self.engine)
 
     @property
     def operators(self):
@@ -402,8 +381,6 @@ class Executor:
             batches=batch_count(len(result)),
             build_rows=build_rows,
             probe_rows=probe_rows,
-            morsels=observed.get("morsels"),
-            workers=observed.get("workers"),
             partitions_scanned=observed.get("partitions_scanned"),
             partitions_pruned=observed.get("partitions_pruned"),
             segments_skipped=observed.get("segments_skipped"),

@@ -71,10 +71,6 @@ def _render(
             text += f" build_rows={metrics.build_rows}"
         if metrics.probe_rows is not None:
             text += f" probe_rows={metrics.probe_rows}"
-        if metrics.morsels is not None:
-            text += f" morsels={metrics.morsels}"
-        if metrics.workers is not None:
-            text += f" workers={metrics.workers}"
         if metrics.partitions_scanned is not None:
             text += f" partitions_scanned={metrics.partitions_scanned}"
         if metrics.partitions_pruned is not None:

@@ -669,7 +669,7 @@ def _count(batch, candidates: Optional[Sequence[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fused single-pass kernels (the morsel-parallel engine's scan target)
+# Fused single-pass kernels (the partitioned scan's residual filter)
 # ---------------------------------------------------------------------------
 #
 # The batch compiler above runs one Python pass per tree node: every
@@ -677,10 +677,12 @@ def _count(batch, candidates: Optional[Sequence[int]]) -> int:
 # the whole candidate set.  The fused compiler instead generates Python
 # source for the *entire* filter conjunction — one row loop, one local
 # assignment per tree node, short-circuiting between top-level conjuncts —
-# and ``compile()``s it once per plan.  On a scan-heavy workload this
-# replaces N list materializations and N closure dispatches per batch with a
-# single interpreted loop, which is where the parallel engine's speedup over
-# the serial vectorized engine comes from.
+# and ``compile()``s it once per plan.  Its one caller is
+# :func:`repro.executor.scan.scan_partitioned`: the conjuncts a shard cannot
+# refute by segment skipping or settle in the compressed domain run through
+# one such loop over the decoded columns, threaded with the surviving
+# candidates.  On an arithmetic filter this replaces N list
+# materializations and N closure dispatches with a single interpreted loop.
 #
 # The generated code implements exactly the three-valued semantics of
 # :mod:`repro.sql.values` (the differential fuzzer pins this bit-for-bit);
@@ -928,9 +930,8 @@ def compile_fused_filter(
 ) -> Optional[FusedFilter]:
     """Fuse a whole filter conjunction into one compiled single-pass kernel.
 
-    Returns ``(columns, start, end) -> kept indices`` — a callable over the
-    batch's raw backing column lists, suitable for dispatching disjoint
-    ``[start, end)`` morsels to a worker pool — or ``None`` when the
+    Returns ``(columns, start, end[, candidates]) -> kept indices`` — a
+    callable over the batch's raw backing column lists — or ``None`` when the
     conjunction is empty or contains a node fusion cannot express (the
     caller then falls back to :func:`compile_batch_conjunction`).  Kernels
     are cached per (filter SQL, column layout), so a plan executed many

@@ -86,8 +86,8 @@ def scan_table(
     kernels, then decode of only the surviving rows.  ``columns`` is the
     planner's projection-pushdown set (``None`` = full width); it must
     include every column the filters reference.  ``observed`` is part of
-    the operator protocol (the parallel engine records morsel statistics
-    through it, partitioned scans their skip/decode counters).
+    the operator protocol (partitioned scans record their skip/decode
+    counters through it).
 
     Returns:
         ``(batch, rows_fetched)`` where ``rows_fetched`` is the number of

@@ -3,30 +3,26 @@
 The executor's scheduler (:class:`repro.executor.executor.Executor`) drives a
 physical plan by *pulling* each node's result from an operator set.  An
 operator set is anything satisfying :class:`OperatorSet`: one callable per
-plan-node shape, consuming child results and producing a new result.  Three
-implementations exist:
+plan-node shape, consuming child results and producing a new result.  Two
+implementations exist, both plain modules (modules satisfy the protocol
+structurally):
 
 * :data:`ExecutionEngine.VECTORIZED` — the columnar batch operators in
-  :mod:`repro.executor.operators` (a plain module; modules satisfy the
-  protocol structurally);
+  :mod:`repro.executor.operators`;
 * :data:`ExecutionEngine.REFERENCE` — the row-at-a-time oracle in
-  :mod:`repro.executor.reference`;
-* :data:`ExecutionEngine.PARALLEL` — the morsel-driven scheduler in
-  :mod:`repro.executor.parallel`, a stateful
-  :class:`~repro.executor.parallel.MorselOperators` instance carrying its
-  worker pool and morsel size.
+  :mod:`repro.executor.reference`.
 
-Because one scheduler drives all three through this protocol, work
-accounting stays engine-invariant by construction and every engine is
-differential-testable against the others.
+Because one scheduler drives both through this protocol, work accounting
+stays engine-invariant by construction and the vectorized engine is
+differential-testable against its oracle.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Optional, Protocol, Sequence, Tuple
 
-from repro.errors import ExecutionError
+from repro.errors import ConfigError
 
 QualifiedColumn = Tuple[str, str]
 
@@ -36,18 +32,21 @@ class ExecutionEngine(enum.Enum):
 
     VECTORIZED = "vectorized"
     REFERENCE = "reference"
-    PARALLEL = "parallel"
 
     @classmethod
     def from_name(cls, name: "str | ExecutionEngine") -> "ExecutionEngine":
-        """Coerce a CLI/config string (or an engine) to an engine."""
+        """Coerce a CLI/config string (or an engine) to an engine.
+
+        An unknown name is a :class:`~repro.errors.ConfigError` naming the
+        engines there are.
+        """
         if isinstance(name, cls):
             return name
         try:
             return cls(str(name).lower())
         except ValueError:
             options = ", ".join(engine.value for engine in cls)
-            raise ExecutionError(
+            raise ConfigError(
                 f"unknown execution engine {name!r} (expected one of: {options})"
             ) from None
 
@@ -63,8 +62,7 @@ class OperatorSet(Protocol):
 
     Operators that run a pipeline breaker accept an ``observed`` dict and
     record runtime statistics into it (``build_rows``/``probe_rows`` for
-    joins; ``morsels``/``workers`` for morsel-parallel scans and joins;
-    ``segments_skipped``/``columns_decoded`` for late-materializing
+    joins; ``segments_skipped``/``columns_decoded`` for late-materializing
     partitioned scans); the scheduler copies these into the node's
     :class:`NodeMetrics`.
 
@@ -128,36 +126,12 @@ class OperatorSet(Protocol):
     def distinct_result(self, result): ...
 
 
-def operators_for(
-    engine: "str | ExecutionEngine",
-    workers: Optional[int] = None,
-    morsel_size: Optional[int] = None,
-    memory_budget: Optional[int] = None,
-) -> OperatorSet:
-    """Resolve an engine name to its operator set.
-
-    ``workers`` and ``morsel_size`` configure the parallel engine and are
-    ignored by the serial ones (their operators have no tuning state).
-    ``memory_budget`` (max in-memory rows per pipeline breaker) wraps the
-    base operators in :class:`~repro.executor.spilling.SpillingOperators`,
-    which reroutes oversized hash-join builds and sorts through grace-hash /
-    external-merge temp files.
-    """
-    engine = ExecutionEngine.from_name(engine)
-    if engine is ExecutionEngine.VECTORIZED:
-        import repro.executor.operators as vectorized_operators
-
-        base: OperatorSet = vectorized_operators
-    elif engine is ExecutionEngine.REFERENCE:
+def operators_for(engine: "str | ExecutionEngine") -> OperatorSet:
+    """Resolve an engine name to its operator set."""
+    if ExecutionEngine.from_name(engine) is ExecutionEngine.REFERENCE:
         import repro.executor.reference as reference_operators
 
-        base = reference_operators
-    else:
-        from repro.executor.parallel import MorselOperators
+        return reference_operators
+    import repro.executor.operators as vectorized_operators
 
-        base = MorselOperators(workers=workers, morsel_size=morsel_size)
-    if memory_budget is not None:
-        from repro.executor.spilling import SpillingOperators
-
-        return SpillingOperators(base, memory_budget)
-    return base
+    return vectorized_operators

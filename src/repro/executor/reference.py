@@ -77,8 +77,9 @@ def scan_table(
 ) -> Tuple[ResultSet, int]:
     """Scan a base table, optionally through an index.
 
-    ``observed`` is part of the operator protocol (the parallel engine
-    records morsel statistics through it); the serial scan reports nothing.
+    ``observed`` is part of the operator protocol (the vectorized engine's
+    partitioned scans record their skip/decode counters through it); the
+    oracle reports nothing.
     For a partitioned table, ``pruned_partitions`` drops whole shards before
     filtering; the surviving shards are read in partition order, matching
     the table's global row-id order.  ``columns`` — the planner's

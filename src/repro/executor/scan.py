@@ -1,8 +1,8 @@
-"""Late-materializing partitioned scans, shared by the fast engines.
+"""Late-materializing partitioned scans of the vectorized engine.
 
-The vectorized and morsel-parallel engines both scan partitioned tables
-through :func:`scan_partitioned`, which runs a three-stage pipeline per
-shard — filter first, decode last:
+The vectorized engine scans partitioned tables through
+:func:`scan_partitioned`, which runs a three-stage pipeline per shard —
+filter first, decode last:
 
 1. **Segment skipping** — each filter conjunct (in negation normal form) is
    tested against per-:data:`~repro.storage.compression.BLOCK_ROWS`-block
@@ -299,16 +299,12 @@ def scan_partitioned(
     pruned_partitions: Sequence[int],
     columns: Optional[Sequence[str]],
     observed: Optional[Dict[str, int]] = None,
-    pool=None,
-    workers: int = 1,
 ) -> Tuple[ColumnBatch, int]:
     """Late-materializing scan of a partitioned table's unpruned shards.
 
-    ``pool``/``workers`` let the morsel-parallel engine dispatch one shard
-    pipeline per pool task; shard results always concatenate in partition
-    order, so the output is bit-identical for any worker count.  Returns
-    ``(batch, rows_fetched)`` with ``rows_fetched`` the unpruned shards' row
-    sum — segment skipping changes decode work, never work accounting.
+    Shard results concatenate in partition order.  Returns ``(batch,
+    rows_fetched)`` with ``rows_fetched`` the unpruned shards' row sum —
+    segment skipping changes decode work, never work accounting.
     """
     schema = table.schema
     names = projected_names(schema, columns)
@@ -339,19 +335,13 @@ def scan_partitioned(
         return ColumnBatch(qualified, data, length=rows_fetched), rows_fetched
 
     compiled = _CompiledFilters(alias, filters, schema)
-    task = lambda partition: _scan_one_partition(  # noqa: E731
-        partition, compiled, positions, names
-    )
-    if pool is not None and workers > 1 and len(kept) > 1:
-        results = list(pool.map(task, kept))
-    else:
-        results = [task(partition) for partition in kept]
-
     out: List[List[object]] = [[] for _ in positions]
-    survivors = 0
     skipped_total = 0
     decoded_all: Set[str] = set()
-    for columns_part, skipped, decoded in results:
+    for partition in kept:
+        columns_part, skipped, decoded = _scan_one_partition(
+            partition, compiled, positions, names
+        )
         for accumulator, part in zip(out, columns_part):
             accumulator.extend(part)
         skipped_total += skipped

@@ -49,8 +49,8 @@ __all__ = [
 
 #: Rows per statistics block.  Segment-skipping refutes filters one block at
 #: a time, so this is the granularity at which a scan can avoid decoding;
-#: finer than the parallel engine's default morsel (4096) so even a single
-#: mid-sized shard yields several skippable units.
+#: small enough that even a single mid-sized shard yields several skippable
+#: units.
 BLOCK_ROWS = 1024
 
 #: Per-block synopsis: ``(minimum, maximum, null_count)`` over the block's

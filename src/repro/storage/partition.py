@@ -11,7 +11,7 @@ the maps from scratch.
 The class exposes the full read surface of
 :class:`~repro.storage.table.Table` — ``column_data``, ``column_values``,
 ``row``, ``iter_rows``, ``estimated_pages`` — so the catalog, statistics,
-indexes and all three execution engines work unchanged.  **Global row ids
+indexes and both execution engines work unchanged.  **Global row ids
 are partition-gather order**: partition 0's rows first, then partition 1's,
 and so on.  Every gathering accessor uses that same order, so hash indexes
 built from :meth:`column_values` resolve through :meth:`row` consistently,

@@ -81,7 +81,7 @@ class TableSnapshot:
     """Read-only view of a :class:`~repro.storage.table.Table` at pin time.
 
     Duck-type compatible with the ``Table`` read surface the binder,
-    statistics and all three execution engines use.
+    statistics and both execution engines use.
     """
 
     def __init__(self, base: Table) -> None:

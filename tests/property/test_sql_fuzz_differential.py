@@ -15,15 +15,6 @@ plan on both engines and asserts they agree on:
 * the charged work (the engine-invariance the paper's figures rely on);
 * per-node actual cardinalities.
 
-Every plan also runs on the morsel-driven parallel engine (small morsel
-size, several workers, so even the tiny fuzz tables split into multiple
-morsels) and must reproduce the oracle's rows, order, work and per-node
-cardinalities exactly — the merge-by-morsel-index design makes parallel
-execution bit-identical to serial.  Setting ``REPRO_FUZZ_ENGINE=parallel``
-additionally builds every fuzz database itself on the parallel engine, so
-the serving-pipeline legs (adaptive and simulated re-optimization) execute
-on it too; CI runs the fuzz step once in that mode.
-
 Every generated query additionally runs through the serving pipeline under
 operator-level adaptive execution (``adaptive=True``), the paper's
 materialize-and-rewrite simulation (``adaptive=False``) and is compared
@@ -55,31 +46,20 @@ import repro
 from repro.catalog import ColumnType, PartitionSpec, make_schema
 from repro.core.triggers import ReoptimizationPolicy
 from repro.engine import Database, ExecutionEngine
-from repro.engine.settings import EngineSettings
 from repro.optimizer.injection import CardinalityInjector
 
 #: Re-plan whenever a join estimate is off by more than 2x.
 FUZZ_REOPT_THRESHOLD = 2.0
-
-#: Engine the fuzz databases themselves run on (the serving-pipeline legs);
-#: CI sets ``REPRO_FUZZ_ENGINE=parallel`` for one of its fuzz invocations.
-FUZZ_ENGINE = ExecutionEngine.from_name(
-    os.environ.get("REPRO_FUZZ_ENGINE", "vectorized")
-)
 
 #: Partition count for the fuzz tables (0 = plain single-shard storage).
 #: When set, ``groups`` is range-partitioned on ``id`` and ``records``
 #: hash-partitioned on its (nullable!) ``gid``, every shard is compressed
 #: after loading, and the whole differential stream — scans with zone-map
 #: and routing pruning, joins, re-optimization legs — runs against the
-#: partitioned storage.  CI sets ``REPRO_FUZZ_PARTITIONS=4``.
+#: partitioned storage.  Partitioned scans run their residual filters
+#: through the fused single-pass kernel, so this mode is that kernel's
+#: differential coverage.  CI sets ``REPRO_FUZZ_PARTITIONS=4``.
 FUZZ_PARTITIONS = int(os.environ.get("REPRO_FUZZ_PARTITIONS", "0"))
-
-#: Parallel-leg knobs: a morsel size far below the fuzz table sizes and more
-#: workers than morsels on the smallest tables, so splitting, the worker
-#: pool, partial-build merging and single-morsel fallbacks all get exercised.
-FUZZ_PARALLEL_WORKERS = 3
-FUZZ_PARALLEL_MORSEL_SIZE = 4
 
 
 class UnderestimateJoins(CardinalityInjector):
@@ -110,17 +90,7 @@ LIKE_PATTERNS = ["a%", "%b", "%a%", "a_", "%"]
 
 
 def build_database(g_rows: List[tuple], r_rows: List[tuple]) -> Database:
-    db = Database(
-        EngineSettings(
-            engine=FUZZ_ENGINE,
-            workers=FUZZ_PARALLEL_WORKERS,
-            morsel_size=FUZZ_PARALLEL_MORSEL_SIZE,
-            # In partitioned mode a row budget far below the join fan-outs
-            # forces grace hash joins and external merge sorts on every leg,
-            # so the differential stream also pins spill determinism.
-            memory_budget=8 if FUZZ_PARTITIONS > 1 else None,
-        )
-    )
+    db = Database()
     groups_partition = records_partition = None
     if FUZZ_PARTITIONS > 1:
         # Range bounds inside the generators' 1..10 id domain so several
@@ -479,30 +449,17 @@ def sql_query_strategy(draw) -> str:
 def assert_engines_agree(
     g_rows: List[tuple], r_rows: List[tuple], sql: str
 ) -> None:
-    """Plan once, execute on all three engines, require exact agreement."""
+    """Plan once, execute on both engines, require exact agreement."""
     db = build_database(g_rows, r_rows)
     planned = db.plan(sql)
     vectorized = db.executor_for(ExecutionEngine.VECTORIZED).execute(planned.plan)
     reference = db.executor_for(ExecutionEngine.REFERENCE).execute(planned.plan)
-    parallel = db.executor_for(
-        ExecutionEngine.PARALLEL,
-        workers=FUZZ_PARALLEL_WORKERS,
-        morsel_size=FUZZ_PARALLEL_MORSEL_SIZE,
-    ).execute(planned.plan)
     assert list(vectorized.result.rows) == list(reference.result.rows), sql
     assert vectorized.result.columns == reference.result.columns, sql
     assert vectorized.total_work == reference.total_work, sql
-    # The parallel engine must be bit-identical to the serial engines: same
-    # rows in the same order, same charged work, same per-node cardinality.
-    assert list(parallel.result.rows) == list(reference.result.rows), sql
-    assert parallel.result.columns == reference.result.columns, sql
-    assert parallel.total_work == reference.total_work, sql
     for node_id, metrics in vectorized.node_metrics.items():
         assert (
             metrics.actual_rows == reference.node_metrics[node_id].actual_rows
-        ), (sql, metrics.label)
-        assert (
-            metrics.actual_rows == parallel.node_metrics[node_id].actual_rows
         ), (sql, metrics.label)
     assert_reoptimization_modes_agree(db, planned, reference, sql)
 

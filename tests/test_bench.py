@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench import (
     ExperimentResult,
-    MidQueryRegime,
     PerfectRegime,
     PostgresRegime,
     ReoptimizedRegime,
@@ -68,12 +67,18 @@ class TestRegimesAndHarness:
         assert len(outcomes) == 6
         assert any(outcome.reoptimization_steps >= 0 for outcome in outcomes)
 
-    def test_midquery_regime(self, bench_context):
-        name = bench_context.query_names()[2]
-        outcome = run_query(
-            bench_context, MidQueryRegime(ReoptimizationPolicy(threshold=8)), name
+    def test_adaptive_reoptimized_regime_matches_the_rewrite_loop_rows(self, bench_context):
+        policy = ReoptimizationPolicy(threshold=8)
+        names = bench_context.query_names()[:6]
+        rewrite = run_workload(bench_context, ReoptimizedRegime(policy), names)
+        adaptive = run_workload(
+            bench_context,
+            ReoptimizedRegime(policy, name="adaptive-8", adaptive=True),
+            names,
         )
-        assert outcome.regime == "midquery"
+        assert [o.regime for o in adaptive] == ["adaptive-8"] * 6
+        assert [o.rows for o in adaptive] == [o.rows for o in rewrite]
+        assert any(o.reoptimization_steps for o in adaptive)
 
     def test_run_matrix_and_totals(self, bench_context):
         names = bench_context.query_names()[:4]

@@ -1,11 +1,10 @@
-"""Unit tests for the re-optimization interceptor, mid-query variant,
-feedback loop and connection accounting."""
+"""Unit tests for the re-optimization interceptor, feedback loop and
+connection accounting."""
 
 import pytest
 
 from repro.core import (
     FeedbackLoop,
-    MidQueryReoptimizer,
     ReoptimizationInterceptor,
     ReoptimizationPolicy,
 )
@@ -156,19 +155,6 @@ class TestReoptimizationPipeline:
             plain = imdb_db.run(query)
             report = reoptimize(imdb_db, query, policy)
             assert report.rows == plain.rows, job.name
-
-
-class TestMidQueryReoptimizer:
-    def test_cheaper_than_materializing_simulation(self, stock_db):
-        policy = ReoptimizationPolicy(threshold=4)
-        simulated = reoptimize(
-            stock_db, stock_db.parse(SKEWED_SQL, name="mat"), policy
-        )
-        pipelined = MidQueryReoptimizer(stock_db, policy).reoptimize(
-            stock_db.parse(SKEWED_SQL, name="pipe")
-        )
-        assert pipelined.rows == simulated.rows
-        assert pipelined.total_execution_work <= simulated.total_execution_work
 
 
 class TestFeedbackLoop:

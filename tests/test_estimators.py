@@ -159,32 +159,42 @@ class TestFeedbackEstimator:
 
 class TestEngineSettingsResolution:
     def test_precedence_kwarg_beats_settings_beats_default(self):
-        base = EngineSettings(workers=2, estimator="sampling")
-        resolved = EngineSettings.resolve(base, workers=8)
-        assert resolved.workers == 8  # explicit kwarg wins
+        base = EngineSettings(plan_cache_size=2, estimator="sampling")
+        resolved = EngineSettings.resolve(base, plan_cache_size=8)
+        assert resolved.plan_cache_size == 8  # explicit kwarg wins
         assert resolved.estimator == "sampling"  # settings object second
-        assert resolved.morsel_size == EngineSettings().morsel_size  # default
+        assert resolved.sample_rows == EngineSettings().sample_rows  # default
 
     def test_none_overrides_mean_unspecified(self):
-        base = EngineSettings(workers=3)
-        assert EngineSettings.resolve(base, workers=None).workers == 3
+        base = EngineSettings(plan_cache_size=3)
+        assert EngineSettings.resolve(base, plan_cache_size=None).plan_cache_size == 3
 
     def test_unknown_setting_names_nearest_field(self):
-        with pytest.raises(ConfigError, match="did you mean 'workers'"):
-            EngineSettings().replace(worker=3)
+        with pytest.raises(ConfigError, match="did you mean 'sample_rows'"):
+            EngineSettings().replace(sample_row=3)
         with pytest.raises(ConfigError, match="unknown engine setting"):
             EngineSettings.resolve(None, plan_cash_size=7)
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError, match="workers"):
-            EngineSettings(workers=0)
+        with pytest.raises(ConfigError, match="sample_rows"):
+            EngineSettings(sample_rows=-1)
         with pytest.raises(ConfigError, match="unknown estimator"):
             EngineSettings(estimator="exact")
 
+    def test_unknown_engine_is_a_config_error_naming_the_engines(self):
+        with pytest.raises(ConfigError, match="expected one of: vectorized, reference"):
+            EngineSettings(engine="parallel")
+
+    def test_connect_rejects_removed_engine_and_knobs(self, stock_db):
+        with pytest.raises(ConfigError, match="unknown execution engine 'parallel'"):
+            connect(stock_db, engine="parallel")
+        with pytest.raises(ConfigError, match="unknown engine setting 'workers'"):
+            connect(stock_db, workers=4)
+
     def test_replace_returns_validated_copy(self):
         base = EngineSettings()
-        derived = base.replace(estimator="feedback", workers=6)
-        assert (derived.estimator, derived.workers) == ("feedback", 6)
+        derived = base.replace(estimator="feedback", plan_cache_size=6)
+        assert (derived.estimator, derived.plan_cache_size) == ("feedback", 6)
         assert base.estimator == "stats"  # original untouched
 
     def test_connect_applies_overrides_to_existing_database(self, stock_db):

@@ -199,11 +199,7 @@ def test_pruned_scans_agree_across_engines_and_match_plain_storage():
     )
     expected = plain.run(sql).rows
     planned = db.plan(sql)
-    for engine in (
-        ExecutionEngine.VECTORIZED,
-        ExecutionEngine.REFERENCE,
-        ExecutionEngine.PARALLEL,
-    ):
+    for engine in (ExecutionEngine.VECTORIZED, ExecutionEngine.REFERENCE):
         execution = db.executor_for(engine).execute(planned.plan)
         assert execution.result.rows == expected, engine
 

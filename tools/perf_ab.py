@@ -8,9 +8,12 @@ The parent is exported with ``git archive`` into a temporary directory (as
 ``make pins`` does), so both sides run from their own ``src/`` and their own
 ``benchmarks/perf/``.  Each pair is two single runs of
 ``benchmarks/perf/run.py --workload W --seed S --trace 0`` — pair ``k`` at
-seed ``S + k`` on both sides, the side that goes first alternating — and a
-pair whose two ``config_id``s differ is refused: the sides did not measure
-the same thing.  Per end-to-end metric the report gives each side's median
+seed ``S + k`` on both sides, the side that goes first alternating.  Each
+run's ``config`` is flattened to dotted keys (``engine_settings.engine``); a
+pair is refused when a key both sides carry has different values — the
+sides did not measure the same thing.  A key only one side carries (a
+setting the change added or removed) is printed once, with its value, above
+the report.  Per end-to-end metric the report gives each side's median
 and quartiles, the pairs the change won, and whether the gap between the
 medians exceeds the parent's own interquartile range; a gain may be claimed
 when it wins at least nine pairs in ten and the gap does.
@@ -62,6 +65,35 @@ def run_once(
         raise SystemExit(f"{tree}: seed {seed}: {contract['failed']} failed, "
                          f"correct={contract['correct']}")
     return row, contract
+
+
+def flatten(config: dict, prefix: str = "") -> Dict[str, object]:
+    """A nested config as ``{dotted.key: value}``."""
+    flat: Dict[str, object] = {}
+    for key, value in config.items():
+        if isinstance(value, dict):
+            flat.update(flatten(value, f"{prefix}{key}."))
+        else:
+            flat[f"{prefix}{key}"] = value
+    return flat
+
+
+def compare_configs(
+    parent: Dict[str, object], change: Dict[str, object]
+) -> Tuple[List[str], List[str]]:
+    """Two flattened configs: the shared keys whose values differ, and
+    ``only in <side>: key=value`` for every key one side lacks."""
+    differing = [
+        f"{key} {parent[key]!r} != {change[key]!r}"
+        for key in sorted(parent.keys() & change.keys())
+        if parent[key] != change[key]
+    ]
+    one_sided = [
+        f"only in {side}: {key}={config[key]!r}"
+        for side, config, other in (("parent", parent, change), ("change", change, parent))
+        for key in sorted(config.keys() - other.keys())
+    ]
+    return differing, one_sided
 
 
 def quartiles(values: List[float]) -> Tuple[float, float, float]:
@@ -122,6 +154,7 @@ def main() -> int:
     change: Dict[str, List[float]] = {name: [] for name in parent}
     if args.metric not in parent:
         parser.error(f"--metric {args.metric!r} is neither end-to-end nor one of --layers")
+    one_sided: Dict[str, None] = {}
     with tempfile.TemporaryDirectory(prefix="perf-ab-") as parent_tree:
         export_parent(args.parent, parent_tree)
         for pair in range(args.pairs):
@@ -130,25 +163,29 @@ def main() -> int:
             if pair % 2:
                 sides.reverse()
             for trace, metrics in sections:
-                ids = {}
+                configs = {}
                 for tree, into in sides:
                     row, contract = run_once(
                         tree, args.workload, seed, spec["run_seconds"], trace
                     )
-                    ids[tree] = row["config_id"]
+                    configs[tree] = flatten(row["config"])
                     for metric in metrics:
                         into[metric["name"]].append(
                             contract["metrics"][metric["name"]]["value"]
                         )
-                if len(set(ids.values())) != 1:
+                differing, lines = compare_configs(configs[parent_tree], configs[REPO])
+                if differing:
                     raise SystemExit(
-                        f"seed {seed}: config_id differs between the sides: {ids}"
+                        f"seed {seed}: config differs between the sides: {', '.join(differing)}"
                     )
+                one_sided.update(dict.fromkeys(lines))
             print(f"pair {pair + 1}/{args.pairs} seed {seed}: {args.metric} "
                   f"{parent[args.metric][-1]:.4f} -> {change[args.metric][-1]:.4f}",
                   flush=True)
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}, "
           f"parent {args.parent} -> working tree")
+    for line in one_sided:
+        print(line)
     for _, metrics in sections:
         report(metrics, parent, change)
     return 0
