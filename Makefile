@@ -14,9 +14,9 @@
 #                  SEED=... to reproduce a nightly CI failure
 #   make fuzz-partitioned - the CI fuzz stream against partitioned +
 #                  compressed storage (4 shards per table, zone-map and
-#                  routing pruning live); partitioned scans filter through
-#                  the fused single-pass kernel, so this is its differential
-#                  coverage
+#                  routing pruning live); partitioned scans run their shard
+#                  residual filters through the batch compiler, so this is
+#                  that path's differential coverage
 #   make guards  - the engine/aggregation/expression-eval/pruning/
 #                  late-materialization speedup guards
 #   make stress  - the threaded serving layer under churn: the

@@ -106,25 +106,7 @@ class ReoptimizationInterceptor(QueryInterceptor):
         report.total_execution_work = execution.total_work
         report.rows_processed = execution.rows_processed
         report.wall_seconds = execution.wall_seconds
-        for point in execution.replans:
-            report.steps.append(
-                ReoptimizationStep(
-                    index=point.index,
-                    trigger_label=point.trigger_label,
-                    trigger_aliases=point.trigger_aliases,
-                    estimated_rows=point.estimated_rows,
-                    actual_rows=point.actual_rows,
-                    q_error=point.q_error,
-                    temp_table=point.pseudo_table,
-                    temp_rows=point.pseudo_rows,
-                    charged_work=point.executed_work,
-                    materialize_work=0.0,
-                    create_sql=(
-                        f"-- adaptive handover: {point.pseudo_rows} rows kept "
-                        f"in memory as {point.pseudo_table}"
-                    ),
-                )
-            )
+        report.steps = list(execution.steps)
         report.final_planned = execution.final_planned
         report.final_execution = execution
         report.final_query = execution.final_query

@@ -21,7 +21,12 @@ from repro.sql.binder import BoundQuery
 
 @dataclass
 class ReoptimizationStep:
-    """One materialize-and-re-plan round."""
+    """One re-plan round of either loop.
+
+    The rewrite loop's ``temp_table`` is a materialized, ANALYZEd temporary
+    table; the adaptive loop's is the in-memory pseudo-table it handed over,
+    with ``materialize_work`` 0.0.
+    """
 
     index: int
     trigger_label: str

@@ -34,6 +34,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.core.reoptimizer import ReoptimizationStep
 from repro.core.triggers import ReoptimizationPolicy, q_error
 from repro.errors import ReoptimizationError
 from repro.executor.executor import (
@@ -59,33 +60,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass
-class ReplanPoint:
-    """One mid-query re-plan: where execution paused and what it learned."""
-
-    index: int
-    trigger_label: str
-    trigger_aliases: Tuple[str, ...]
-    estimated_rows: float
-    actual_rows: int
-    q_error: float
-    pseudo_table: str
-    pseudo_rows: int
-    #: Work performed in the round that was cut short at the breaker.
-    executed_work: float
-    #: Planning work of re-optimizing the remainder.
-    planning_work: float
-
-
-@dataclass
 class AdaptiveExecutionResult(ExecutionResult):
     """An :class:`ExecutionResult` augmented with the adaptive loop's history.
 
     ``node_metrics`` accumulates the metrics of every round (node ids are
     globally unique), so EXPLAIN ANALYZE of the final plan finds its nodes and
-    ``rows_processed`` counts every operator the loop actually ran.
+    ``rows_processed`` counts every operator the loop actually ran.  ``steps``
+    holds one record per mid-query re-plan, in the rewrite loop's shape (the
+    pseudo-table is the step's temp table; nothing is materialized).
     """
 
-    replans: List[ReplanPoint] = field(default_factory=list)
+    steps: List[ReoptimizationStep] = field(default_factory=list)
     replanning_work: float = 0.0
     rounds: int = 1
     pseudo_tables: Tuple[str, ...] = ()
@@ -95,7 +80,7 @@ class AdaptiveExecutionResult(ExecutionResult):
     @property
     def replanned(self) -> bool:
         """True if at least one mid-query re-plan happened."""
-        return bool(self.replans)
+        return bool(self.steps)
 
 
 class AdaptiveExecutor:
@@ -138,7 +123,7 @@ class AdaptiveExecutor:
         executor = db.executor
         handover = Handover(planned.plan, db.catalog)
         observations: Observations = {}
-        replans: List[ReplanPoint] = []
+        steps: List[ReoptimizationStep] = []
         pseudo_names: List[str] = []
         merged_metrics: Dict[int, NodeMetrics] = {}
         total_work = 0.0
@@ -163,12 +148,12 @@ class AdaptiveExecutor:
                 )
                 if staged.trigger is None:
                     break
-                current_query, current_planned, observations, point = self._replan(
+                current_query, current_planned, observations, step = self._replan(
                     current_query, staged, iteration, round_work,
                     observations, handover, pseudo_names,
                 )
-                replans.append(point)
-                replanning_work += point.planning_work
+                steps.append(step)
+                replanning_work += current_planned.stats.planning_work
                 # The round is over: only the handed-over columns live on.
                 staged = None
             else:  # pragma: no cover - the last iteration never triggers
@@ -186,9 +171,9 @@ class AdaptiveExecutor:
             wall_seconds=wall_seconds,
             node_metrics=merged_metrics,
             engine=executor.engine,
-            replans=replans,
+            steps=steps,
             replanning_work=replanning_work,
-            rounds=len(replans) + 1,
+            rounds=len(steps) + 1,
             pseudo_tables=tuple(pseudo_names),
             final_planned=current_planned,
             final_query=current_query,
@@ -231,12 +216,13 @@ class AdaptiveExecutor:
         observations: Observations,
         handover: Handover,
         pseudo_names: List[str],
-    ) -> Tuple[BoundQuery, PlannedQuery, Observations, ReplanPoint]:
+    ) -> Tuple[BoundQuery, PlannedQuery, Observations, ReoptimizationStep]:
         """Hand the intermediate over and plan the remainder of the query.
 
         Returns the rewritten query, its plan, the observations translated
         into the rewritten query's alias space (the loop carries them into
-        later rounds), and the re-plan point record.
+        later rounds), and the step record: charged the round's performed
+        work, no materialization.
         """
         db = self._db
         trigger = staged.trigger
@@ -255,16 +241,18 @@ class AdaptiveExecutor:
         )
         injector = runtime_injection(translated, self._injector)
         planned = db.plan(rewritten, injector=injector)
-        point = ReplanPoint(
+        rows = len(intermediate)
+        step = ReoptimizationStep(
             index=iteration,
             trigger_label=trigger.label(),
             trigger_aliases=tuple(sorted(trigger.aliases)),
             estimated_rows=trigger.estimated_rows,
-            actual_rows=len(intermediate),
-            q_error=q_error(trigger.estimated_rows, len(intermediate)),
-            pseudo_table=name,
-            pseudo_rows=len(intermediate),
-            executed_work=round_work,
-            planning_work=planned.stats.planning_work,
+            actual_rows=rows,
+            q_error=q_error(trigger.estimated_rows, rows),
+            temp_table=name,
+            temp_rows=rows,
+            charged_work=round_work,
+            materialize_work=0.0,
+            create_sql=f"-- adaptive handover: {rows} rows kept in memory as {name}",
         )
-        return rewritten, planned, translated, point
+        return rewritten, planned, translated, step

@@ -33,17 +33,17 @@ def explain_plan(plan: PlanNode, analyze: Optional[ExecutionResult] = None) -> s
     """
     lines: List[str] = []
     _render(plan, 0, lines, analyze)
-    replans = getattr(analyze, "replans", None)
-    if replans:
+    steps = getattr(analyze, "steps", None)
+    if steps:
         lines.append("Re-plan points:")
-        for point in replans:
+        for step in steps:
             lines.append(
-                f"  #{point.index + 1} at {point.trigger_label}: "
-                f"est_rows={point.estimated_rows:.0f} "
-                f"actual_rows={point.actual_rows} "
-                f"q_error={point.q_error:.1f} -> remainder re-planned, "
-                f"{point.pseudo_rows} rows handed over in memory "
-                f"as {point.pseudo_table}"
+                f"  #{step.index + 1} at {step.trigger_label}: "
+                f"est_rows={step.estimated_rows:.0f} "
+                f"actual_rows={step.actual_rows} "
+                f"q_error={step.q_error:.1f} -> remainder re-planned, "
+                f"{step.temp_rows} rows handed over in memory "
+                f"as {step.temp_table}"
             )
     return "\n".join(lines)
 

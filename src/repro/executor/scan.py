@@ -21,9 +21,10 @@ filter first, decode last:
    row, so the keep set is bit-identical by construction.
 3. **Decode-path residual** — everything else (multi-column conjuncts,
    plain/open columns, shapes the value compiler rejects) decodes only the
-   columns it references and runs through the fused filter kernel (with the
-   surviving candidates threaded through its ``_cand`` parameter) or the
-   per-node batch compiler as a fallback.
+   columns it references and runs through
+   :func:`repro.executor.expressions.compile_batch_conjunction`, the same
+   batch compiler plain scans and join residuals use, with the surviving
+   candidates threaded through it.
 
 Surviving rows then materialize **only the projected columns**
 (:class:`~repro.optimizer.plan.ScanNode.columns`); partitions concatenate
@@ -40,9 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.executor.batch import ColumnBatch
 from repro.executor.expressions import (
-    ColumnResolver,
-    compile_batch_predicate,
-    compile_fused_filter,
+    compile_batch_conjunction,
     compile_value_predicate,
 )
 from repro.optimizer.pruning import may_match
@@ -270,22 +269,14 @@ def _scan_one_partition(
             name for name in compiled.schema.column_names if name in needed
         ]
         decoded.update(residual_names)
-        qualified = [(compiled.alias, name) for name in residual_names]
-        data = [
-            partition.column_at(compiled.positions[name])
-            for name in residual_names
-        ]
-        resolver = ColumnResolver(qualified)
-        kernel = compile_fused_filter(residual, resolver)
-        if kernel is not None:
-            candidates = kernel(data, 0, row_count, candidates)
-        else:
-            batch = ColumnBatch(qualified, data, length=row_count)
-            for conjunct in residual:
-                check = compile_batch_predicate(conjunct, resolver)
-                candidates = check(batch, candidates)
-                if not candidates:
-                    break
+        batch = ColumnBatch(
+            [(compiled.alias, name) for name in residual_names],
+            [partition.column_at(compiled.positions[name]) for name in residual_names],
+            length=row_count,
+        )
+        candidates = compile_batch_conjunction(residual, batch.resolver)(
+            batch, candidates
+        )
 
     decoded.update(names)
     out = [_materialize(partition, position, candidates) for position in positions]

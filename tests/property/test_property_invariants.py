@@ -11,7 +11,6 @@ from repro.executor.expressions import (
     ColumnResolver,
     compile_batch_conjunction,
     compile_conjunction,
-    like_match,
 )
 from repro.executor.operators import ResultSet, join_results
 from repro.optimizer.plan import JoinAlgorithm, ScanNode
@@ -29,6 +28,7 @@ from repro.sql.ast import (
     column,
 )
 from repro.sql.binder import BoundJoin
+from repro.sql.values import like
 from repro.stats import EquiDepthHistogram, MostCommonValues
 from repro.workloads import ZipfSampler
 
@@ -95,11 +95,12 @@ class TestZipfProperties:
 class TestLikeProperties:
     @given(st.text(alphabet="abc%_", min_size=0, max_size=10), st.text(alphabet="abc", max_size=10))
     def test_like_never_crashes_and_is_boolean(self, pattern, value):
-        assert like_match(value, pattern) in (True, False)
+        # Non-NULL operands give a two-valued answer, never NULL.
+        assert isinstance(like(value, pattern), bool)
 
     @given(st.text(alphabet="abcd", max_size=12))
     def test_percent_matches_everything(self, value):
-        assert like_match(value, "%")
+        assert like(value, "%") is True
 
 
 class TestJoinProperties:

@@ -56,8 +56,9 @@ FUZZ_REOPT_THRESHOLD = 2.0
 #: hash-partitioned on its (nullable!) ``gid``, every shard is compressed
 #: after loading, and the whole differential stream — scans with zone-map
 #: and routing pruning, joins, re-optimization legs — runs against the
-#: partitioned storage.  Partitioned scans run their residual filters
-#: through the fused single-pass kernel, so this mode is that kernel's
+#: partitioned storage.  Partitioned scans run their shard residual filters
+#: through the batch compiler, threaded with the candidates segment skipping
+#: and the compressed-domain kernels left, so this mode is that path's
 #: differential coverage.  CI sets ``REPRO_FUZZ_PARTITIONS=4``.
 FUZZ_PARTITIONS = int(os.environ.get("REPRO_FUZZ_PARTITIONS", "0"))
 

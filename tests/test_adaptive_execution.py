@@ -70,11 +70,11 @@ class TestAdaptiveExecutor:
         planned = db2.plan(SELF_JOIN_COUNT)
         execution = AdaptiveExecutor(db2, adaptive_policy()).execute(planned)
         assert execution.replanned
-        assert len(execution.replans) == 1
+        assert len(execution.steps) == 1
         assert execution.result.rows == plain
-        point = execution.replans[0]
-        assert point.q_error > 4.0
-        assert point.actual_rows == point.pseudo_rows
+        step = execution.steps[0]
+        assert step.q_error > 4.0
+        assert step.actual_rows == step.temp_rows
 
     def test_no_replan_below_threshold(self):
         db = build_skew_database()
@@ -123,15 +123,15 @@ class TestAdaptiveExecutor:
         planned = db.plan(SELF_JOIN_COUNT)
         execution = AdaptiveExecutor(db, adaptive_policy()).execute(planned)
         assert execution.replanned
-        point = execution.replans[0]
+        step = execution.steps[0]
         # The remainder's scan of the pseudo-table is planned with the exact
         # observed cardinality, not a statistical estimate.
         scans = [
             node
             for node in execution.final_planned.plan.walk()
-            if node.label().startswith("Seq Scan on " + point.pseudo_table)
+            if node.label().startswith("Seq Scan on " + step.temp_table)
         ]
-        assert scans and scans[0].estimated_rows == point.actual_rows
+        assert scans and scans[0].estimated_rows == step.actual_rows
 
     def test_pseudo_tables_dropped_and_epoch_stable(self):
         db = build_skew_database()
@@ -161,7 +161,7 @@ class TestAdaptiveExecutor:
         planned = db.plan(SELF_JOIN_COUNT)
         policy = ReoptimizationPolicy(threshold=4.0, max_iterations=1)
         execution = AdaptiveExecutor(db, policy).execute(planned)
-        assert len(execution.replans) <= 1
+        assert len(execution.steps) <= 1
         assert execution.result.rows == build_skew_database().run(SELF_JOIN_COUNT).rows
 
     def test_short_query_cutoff_disables_adaptivity(self):

@@ -4,9 +4,10 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.executor import ResultSet, explain_plan
-from repro.executor.expressions import ColumnResolver, compile_conjunction, like_match
+from repro.executor.expressions import ColumnResolver, compile_conjunction
 from repro.executor.operators import aggregate_result, join_results, scan_table
 from repro.optimizer.plan import JoinAlgorithm
+from repro.sql.values import like
 
 from repro.sql.ast import (
     AggregateFunc,
@@ -23,11 +24,11 @@ from repro.sql.binder import BoundJoin
 
 class TestLikeMatch:
     def test_wildcards(self):
-        assert like_match("Downey, Robert 1", "%Downey%Robert%")
-        assert not like_match("Smith, John", "%Downey%")
-        assert like_match("X-files", "X%")
-        assert like_match("abc", "a_c")
-        assert not like_match(None, "%")
+        assert like("Downey, Robert 1", "%Downey%Robert%") is True
+        assert like("Smith, John", "%Downey%") is not True
+        assert like("X-files", "X%") is True
+        assert like("abc", "a_c") is True
+        assert like(None, "%") is not True
 
 
 class TestPredicateCompilation:

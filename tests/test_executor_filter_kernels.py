@@ -4,12 +4,11 @@ Every leaf shape of :func:`compile_batch_predicate` — ``col op literal``,
 ``[NOT] IN``, ``[NOT] BETWEEN``, ``IS [NOT] NULL``, ``[NOT] LIKE`` — is run
 over a column with no selection vector, through a selection vector, and
 under a candidate list, and compared with :func:`compile_predicate` (the
-oracle) row by row.  The fused single-pass kernel
-(:func:`compile_fused_filter`, the partitioned scan's residual filter) is
-checked against the serial scan, with its fallback and its compile cache.
-A query sweep then pins the vectorized engine to the reference engine, and
-a range-partitioned ``t`` (whose scans filter through the fused kernel) to
-the plain table.
+oracle) row by row; :func:`compile_batch_conjunction` is checked the same
+way, with and without a candidate list.  A query sweep then pins the
+vectorized engine to the reference engine, and a range-partitioned ``t``
+(whose shard residuals filter through the same batch compiler, threaded
+with the candidates segment skipping left) to the plain table.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.executor.expressions import (
     ColumnResolver,
     compile_batch_conjunction,
     compile_batch_predicate,
-    compile_fused_filter,
     compile_predicate,
 )
 from repro.optimizer.plan import ScanNode
@@ -124,9 +122,13 @@ def test_conjunctions_thread_candidates_through_the_kernels():
     ]
     checks = [compile_predicate(c, resolver) for c in conjuncts]
     run = compile_batch_conjunction(conjuncts, resolver)
+    rng = random.Random(13)
     for name, batch, rows in batches():
-        want = [i for i, row in enumerate(rows) if all(check(row) for check in checks)]
-        assert run(batch) == want, name
+        keep = [all(check(row) for check in checks) for row in rows]
+        assert run(batch) == [i for i, kept in enumerate(keep) if kept], name
+        candidates = sorted(rng.sample(range(len(rows)), len(rows) // 2))
+        assert run(batch, candidates) == [i for i in candidates if keep[i]], name
+        assert run(batch, []) == [], name
 
 
 @pytest.mark.parametrize("engine", ["vectorized", "reference"])
@@ -152,8 +154,9 @@ def test_trailing_newline_through_both_serial_engines(engine):
 def build_db(partition_by: Optional[PartitionSpec] = None) -> Database:
     """``t`` (120 rows, NULL-bearing ``v``/``s``) and ``u`` (90 rows, FK to ``t``).
 
-    With ``partition_by``, ``t`` is stored as shards, so its scans take the
-    partitioned path whose residual filter runs through the fused kernel.
+    With ``partition_by``, ``t`` is stored as (uncompressed) shards, so its
+    scans take the partitioned path and every filter conjunct runs as the
+    shard's residual through the batch compiler.
     """
     db = Database()
     db.create_table(
@@ -191,20 +194,20 @@ def build_db(partition_by: Optional[PartitionSpec] = None) -> Database:
     return db
 
 
-ARITHMETIC = "SELECT t.id, t.v FROM t WHERE (t.v * 2 - 1) % 3 = 0 AND t.id / 2 >= 10"
-DISJUNCTION = "SELECT t.id FROM t WHERE t.s LIKE 'a%' OR t.v IN (1, 2, 3) OR t.v IS NULL"
-CASE_FILTER = "SELECT count(*) AS n FROM t WHERE CASE WHEN t.v > 2 THEN 1 ELSE 0 END = 1"
-
-#: Queries spanning what the fused kernel and its fallbacks must agree on:
-#: arithmetic, LIKE/IN/BETWEEN/NULL filters, division by zero, CASE (no
-#: fusion), joins with fan-out, star output, grouping, DISTINCT and
-#: ORDER BY + LIMIT over ties.
+#: Queries spanning what the batch compiler must agree on with the row
+#: oracle, over plain tables and over shards: arithmetic, LIKE/IN/BETWEEN/NULL
+#: filters, division and modulo by zero, CASE, a residual over two columns,
+#: joins with fan-out, star output, grouping, DISTINCT and ORDER BY + LIMIT
+#: over ties.
 QUERIES = [
-    ARITHMETIC,
-    DISJUNCTION,
+    "SELECT t.id, t.v FROM t WHERE (t.v * 2 - 1) % 3 = 0 AND t.id / 2 >= 10",
+    "SELECT t.id FROM t WHERE t.s LIKE 'a%' OR t.v IN (1, 2, 3) OR t.v IS NULL",
     "SELECT t.id FROM t WHERE NOT (t.v BETWEEN 2 AND 5) AND t.s IS NOT NULL",
     "SELECT t.id FROM t WHERE t.v / 0 IS NULL ORDER BY t.id LIMIT 10",
-    CASE_FILTER,
+    "SELECT t.id FROM t WHERE t.v / 0 IS NULL AND t.v % 0 IS NULL "
+    "ORDER BY t.id LIMIT 10",
+    "SELECT count(*) AS n FROM t WHERE CASE WHEN t.v > 2 THEN 1 ELSE 0 END = 1",
+    "SELECT t.id FROM t WHERE t.v < t.id / 10",
     "SELECT t.id, u.w FROM t, u WHERE t.id = u.tid AND t.v > 1 "
     "ORDER BY u.w, t.id LIMIT 9",
     "SELECT * FROM t, u WHERE t.id = u.tid ORDER BY t.v DESC, u.id LIMIT 7",
@@ -235,7 +238,7 @@ def test_vectorized_engine_matches_the_reference_engine(sql):
 
 @pytest.mark.parametrize("sql", QUERIES)
 def test_partitioned_scan_residual_matches_the_unpartitioned_table(sql):
-    """The fused residual over shards keeps exactly the rows a plain scan keeps."""
+    """The shard residual keeps exactly the rows a plain scan keeps."""
     plain = build_db()
     sharded = build_db(partition_by=RANGE_SHARDS)
     assert isinstance(sharded.catalog.table("t"), PartitionedTable)
@@ -247,63 +250,32 @@ def test_partitioned_scan_residual_matches_the_unpartitioned_table(sql):
         assert Counter(got) == Counter(expected)
 
 
-class TestFusedFilterKernels:
-    def _scan_filters(self, db: Database, sql: str):
-        planned = db.plan(sql)
-        scan = next(
-            node
-            for node in planned.plan.walk()
-            if isinstance(node, ScanNode) and node.filters
-        )
-        table = db.catalog.table(scan.table)
-        data = table.column_data()
-        batch = ColumnBatch(
-            [(scan.alias, name) for name in table.schema.column_names],
-            data,
-            length=table.row_count,
-        )
-        return list(scan.filters), batch, data
+def test_scan_filters_in_one_batch_conjunction_match_the_serial_scan():
+    """A scan's filters compiled as one conjunction keep the serial scan's rows."""
+    db = build_db()
+    planned = db.plan(QUERIES[1])
+    scan = next(
+        node for node in planned.plan.walk() if isinstance(node, ScanNode) and node.filters
+    )
+    table = db.catalog.table(scan.table)
+    data = table.column_data()
+    batch = ColumnBatch(
+        [(scan.alias, name) for name in table.schema.column_names],
+        data,
+        length=table.row_count,
+    )
+    run = compile_batch_conjunction(list(scan.filters), batch.resolver)
+    expected = db.executor_for(ExecutionEngine.VECTORIZED).execute(planned.plan).result.rows
+    kept = run(batch)
+    assert [(data[0][i],) for i in kept] == list(expected)
+    candidates = list(range(0, len(batch), 3))
+    assert run(batch, candidates) == [i for i in kept if i % 3 == 0]
 
-    def test_kernel_compiles_and_matches_serial_selection(self):
-        db = build_db()
-        sql = DISJUNCTION
-        filters, batch, data = self._scan_filters(db, sql)
-        kernel = compile_fused_filter(filters, batch.resolver)
-        assert kernel is not None
-        assert "def _fused" in kernel._fused_source
-        # One fused pass over the whole table == the serial scan's selection.
-        serial = db.executor_for(ExecutionEngine.VECTORIZED)
-        planned = db.plan(sql)
-        expected = serial.execute(planned.plan).result.rows
-        kept = kernel(data, 0, len(batch))
-        got = [(data[0][i],) for i in kept]
-        assert got == list(expected), sql
 
-    def test_kernel_is_cached_per_filter_shape(self):
-        db = build_db()
-        filters, batch, _ = self._scan_filters(db, ARITHMETIC)
-        first = compile_fused_filter(filters, batch.resolver)
-        second = compile_fused_filter(filters, batch.resolver)
-        assert first is second
+def test_shard_residual_keeps_every_row_under_division_and_modulo_by_zero():
+    """``v / 0`` and ``v % 0`` are NULL for every row, NULL ``v`` included."""
+    sql = "SELECT t.id FROM t WHERE t.v / 0 IS NULL AND t.v % 0 IS NULL"
+    got = build_db(partition_by=RANGE_SHARDS).run(sql).rows
+    assert len(got) == 120
+    assert Counter(got) == Counter(build_db().run(sql).rows)
 
-    def test_case_expression_falls_back_to_generic_scan(self):
-        db = build_db()
-        filters, batch, _ = self._scan_filters(db, CASE_FILTER)
-        assert compile_fused_filter(filters, batch.resolver) is None
-        # ...and the engine still answers the query correctly through the
-        # per-node batch compiler.
-        planned = db.plan(CASE_FILTER)
-        serial = db.executor_for(ExecutionEngine.VECTORIZED).execute(planned.plan)
-        oracle = db.executor_for(ExecutionEngine.REFERENCE).execute(planned.plan)
-        assert list(serial.result.rows) == list(oracle.result.rows)
-
-    def test_division_by_zero_and_null_semantics_in_kernel(self):
-        db = build_db()
-        sql = "SELECT t.id FROM t WHERE t.v / 0 IS NULL AND t.v % 0 IS NULL"
-        filters, batch, data = self._scan_filters(db, sql)
-        kernel = compile_fused_filter(filters, batch.resolver)
-        assert kernel is not None
-        serial = db.executor_for(ExecutionEngine.VECTORIZED).execute(db.plan(sql).plan)
-        got = [(data[0][i],) for i in kernel(data, 0, len(batch))]
-        assert got == list(serial.result.rows)
-        assert len(got) == 120  # NULL for every row, incl. NULL v

@@ -2,18 +2,20 @@
 
 Runs, in this one process, the five wall-clock ledger workloads at smoke
 size with tracing on (``benchmarks/perf/run.py --smoke --trace 1`` per
-workload) and the fig1/fig5 paper-figure benchmark modules (through
-``pytest.main``), with a ``sys.setprofile``/``threading.setprofile`` hook
-recording every function call into ``src/repro``.  Then prints, per module,
-how many of the functions it defines were called at least once, lowest
-share first::
+workload), the fig1/fig5 paper-figure benchmark modules and the two CI
+streams of the differential SQL fuzzer (``HYPOTHESIS_PROFILE=ci``, once over
+plain tables and once with ``REPRO_FUZZ_PARTITIONS=4``), the last two
+through ``pytest.main``, with a ``sys.setprofile``/``threading.setprofile``
+hook recording every function call into ``src/repro``.  Then prints, per
+module, how many of the functions it defines were called at least once,
+lowest share first::
 
     python tools/reach.py
 
 A function is a code object compiled from the module's source: ``def``s and
 methods, nested ones included; class bodies, lambdas and comprehensions are
-not counted.  A module at 0 is code no workload or figure reaches.  Takes a
-minute or two; the profile hook slows every Python call.
+not counted.  A module at 0 is code no workload, figure or fuzz stream
+reaches.  Takes a few minutes; the profile hook slows every Python call.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ PACKAGE = os.path.join(SRC, "repro")
 PERF_DIR = os.path.join(REPO, "benchmarks", "perf")
 WORKLOADS = ("job_cold", "job_hot", "stocks_agg", "wide_scan", "server_churn")
 FIGURES = ("test_fig1_top20.py", "test_fig5_feedback_loop.py")
+FUZZ = os.path.join(REPO, "tests", "property", "test_sql_fuzz_differential.py")
+#: ``REPRO_FUZZ_PARTITIONS`` of the fuzz streams: plain tables, four shards.
+FUZZ_PARTITIONS = ("0", "4")
+#: A timed pytest-benchmark round pauses any profile hook; a disabled
+#: benchmark calls its target plainly.
+PYTEST_ARGS = ("-q", "-p", "no:cacheprovider", "--benchmark-disable", "--rootdir", REPO)
 
 #: A function's identity across compilations of the same file.
 FunctionKey = Tuple[str, int, str]
@@ -106,17 +114,31 @@ def run_workloads() -> None:
         print(f"ran {workload}", file=sys.stderr, flush=True)
 
 
-def run_figures() -> int:
+def run_pytest(paths: List[str], label: str) -> int:
     import pytest
 
-    paths = [os.path.join(REPO, "benchmarks", name) for name in FIGURES]
-    # A timed pytest-benchmark round pauses any profile hook; a disabled
-    # benchmark calls its target plainly.
-    args = ["-q", "-p", "no:cacheprovider", "--benchmark-disable", "--rootdir", REPO]
     with contextlib.redirect_stdout(io.StringIO()):
-        status = pytest.main([*args, *paths])
-    print(f"ran {', '.join(FIGURES)}: pytest exit {int(status)}", file=sys.stderr, flush=True)
-    return int(status)
+        status = int(pytest.main([*PYTEST_ARGS, *paths]))
+    print(f"ran {label}: pytest exit {status}", file=sys.stderr, flush=True)
+    return status
+
+
+def run_figures() -> int:
+    paths = [os.path.join(REPO, "benchmarks", name) for name in FIGURES]
+    return run_pytest(paths, ", ".join(FIGURES))
+
+
+def run_fuzz() -> int:
+    """The CI fuzz stream once per ``FUZZ_PARTITIONS`` value; worst exit status."""
+    module = os.path.splitext(os.path.basename(FUZZ))[0]
+    os.environ["HYPOTHESIS_PROFILE"] = "ci"
+    status = 0
+    for partitions in FUZZ_PARTITIONS:
+        os.environ["REPRO_FUZZ_PARTITIONS"] = partitions
+        # The fuzz module reads the variable at import: import it afresh.
+        sys.modules.pop(module, None)
+        status = max(status, run_pytest([FUZZ], f"fuzz, REPRO_FUZZ_PARTITIONS={partitions}"))
+    return status
 
 
 def report(modules: Dict[str, Set[FunctionKey]], reached: Set[FunctionKey]) -> List[str]:
@@ -143,8 +165,11 @@ def main() -> int:
     recorder = CallRecorder()
     with recorder.installed():
         run_workloads()
-        status = run_figures()
-    print(f"reach census: {', '.join(WORKLOADS)} (smoke, traced) + {', '.join(FIGURES)}")
+        status = max(run_figures(), run_fuzz())
+    print(
+        f"reach census: {', '.join(WORKLOADS)} (smoke, traced) + {', '.join(FIGURES)}"
+        f" + fuzz (ci profile, REPRO_FUZZ_PARTITIONS {' and '.join(FUZZ_PARTITIONS)})"
+    )
     print("\n".join(report(modules, recorder.reached())))
     return status
 
