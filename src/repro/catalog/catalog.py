@@ -216,7 +216,7 @@ class Catalog:
         other session and are excluded.
         """
         from repro.catalog.snapshot import CatalogSnapshot
-        from repro.storage.snapshot import take_snapshot
+        from repro.storage.snapshot import SnapshotTable
 
         with self.lock:
             cache: Dict[str, Tuple[object, int, object]] = {}
@@ -233,7 +233,7 @@ class Catalog:
                 ):
                     snap_table = prior[2]
                 else:
-                    snap_table = take_snapshot(table)
+                    snap_table = SnapshotTable(table)
                 cache[name] = (table, table.row_count, snap_table)
                 frozen_entry = CatalogEntry(entry.schema, snap_table)
                 frozen_entry.stats = entry.stats

@@ -147,8 +147,9 @@ class TableSchema:
         columns: ordered column definitions.
         primary_key: name of the primary key column, if any.
         foreign_keys: foreign-key edges departing from this table.
-        partition_spec: optional :class:`PartitionSpec`; tables carrying one
-            are stored as :class:`~repro.storage.partition.PartitionedTable`.
+        partition_spec: optional :class:`PartitionSpec`; a table carrying one
+            is stored as one routed, zone-mapped shard per partition, any
+            other table as a single shard.
     """
 
     name: str

@@ -4,7 +4,7 @@
 lock, the epoch plus a frozen :class:`~repro.catalog.catalog.CatalogEntry`
 per table — schema and statistics by reference, a private copy of the index
 dict, and a read-only storage snapshot
-(:func:`~repro.storage.snapshot.take_snapshot`).  A
+(:class:`~repro.storage.snapshot.SnapshotTable`).  A
 :class:`CatalogSnapshot` is a full :class:`Catalog` over those frozen
 entries, so the binder, optimizer, both engines and the adaptive
 re-optimizer run against it unchanged.

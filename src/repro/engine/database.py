@@ -32,8 +32,6 @@ from repro.sql.binder import Binder, BoundQuery
 from repro.sql.parser import parse_create_table, parse_select
 from repro.stats.analyze import analyze_table
 from repro.storage.index import HashIndex, build_foreign_key_indexes
-from repro.storage.intermediate import IntermediateTable
-from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -151,23 +149,16 @@ class Database:
 
     # -- DDL and loading ----------------------------------------------------
 
-    def create_table(
-        self, schema: Union[TableSchema, str]
-    ) -> Union[Table, PartitionedTable]:
+    def create_table(self, schema: Union[TableSchema, str]) -> Table:
         """Create an empty table and register it in the catalog.
 
         Accepts either a prepared :class:`TableSchema` or ``CREATE TABLE``
-        SQL text (including ``PARTITION BY HASH/RANGE`` clauses).  Schemas
-        carrying a partition spec are stored as
-        :class:`~repro.storage.partition.PartitionedTable` shards; plain
-        schemas keep the single-:class:`Table` storage.
+        SQL text (including ``PARTITION BY HASH/RANGE`` clauses, which give
+        the table one shard per partition instead of one).
         """
         if isinstance(schema, str):
             schema = parse_create_table(schema)
-        if schema.partition_spec is not None:
-            table: Union[Table, PartitionedTable] = PartitionedTable(schema)
-        else:
-            table = Table(schema)
+        table = Table(schema)
         self.catalog.register(schema, table)
         return table
 
@@ -224,8 +215,8 @@ class Database:
     def analyze(self, tables: Optional[Iterable[str]] = None) -> None:
         """Run ANALYZE over ``tables`` (default: all tables).
 
-        Partitioned tables additionally refresh their per-partition zone
-        maps, re-deriving min/max/null-count exactly from storage.
+        Partitioned tables additionally refresh their per-shard zone maps,
+        re-deriving min/max/null-count exactly from storage.
         """
         with self.catalog.lock:
             names = (
@@ -233,9 +224,7 @@ class Database:
             )
             for name in names:
                 entry = self.catalog.entry(name)
-                refresh = getattr(entry.table, "refresh_zone_maps", None)
-                if refresh is not None:
-                    refresh()
+                entry.table.refresh_zone_maps()
                 self.catalog.set_stats(
                     name,
                     analyze_table(
@@ -399,24 +388,24 @@ class Database:
         result: ResultSet,
         columns: Sequence[Tuple[Tuple[str, str], str]],
         alias_tables: Optional[Dict[str, str]] = None,
-    ) -> IntermediateTable:
-        """Register an in-memory result as a transient pseudo-table.
+    ) -> Table:
+        """Register an in-memory result as a transient one-shard table.
 
         This is the adaptive executor's handover path: unlike
         :meth:`create_temp_table_from_result` it issues no DDL — the result's
-        column value lists back the pseudo-table directly, the catalog epoch
+        column value lists back the table directly (:meth:`Table.adopt`), the catalog epoch
         is *not* bumped (cached plans for other statements stay valid), and
         no statistics are gathered (the caller injects the exact cardinality
-        when re-planning).  The caller must drop the pseudo-table with
+        when re-planning).  The caller must drop the table with
         :meth:`drop_intermediate` before the statement returns.
         """
         schema, column_data = self._result_columns(name, result, columns, alias_tables)
-        table = IntermediateTable(schema, column_data)
+        table = Table.adopt(schema, column_data)
         self.catalog.register_transient(schema, table)
         return table
 
     def drop_intermediate(self, name: str) -> None:
-        """Drop a transient table or pseudo-table (no epoch bump)."""
+        """Drop a transient table (no epoch bump)."""
         self.catalog.drop_transient(name)
 
     # -- snapshots (serving support) ----------------------------------------------
@@ -435,7 +424,7 @@ class Database:
 
 
 def _schema_row(
-    table: Union[Table, PartitionedTable], row: Union[Sequence, Dict[str, object]], width: int
+    table: Table, row: Union[Sequence, Dict[str, object]], width: int
 ) -> Sequence:
     """One ``load_rows`` row as a sequence in schema order."""
     if isinstance(row, dict):

@@ -15,9 +15,9 @@ between a join's estimated and actual cardinality crosses the
 :class:`~repro.core.triggers.ReoptimizationPolicy` threshold, the remainder
 of the query is re-planned with the observed true cardinalities injected, and
 the already-computed in-memory intermediate is handed to the new plan as a
-:class:`~repro.storage.intermediate.IntermediateTable` — a ColumnBatch-backed
-pseudo-table registered in the catalog without DDL — instead of being written
-out and re-scanned.
+one-shard :class:`~repro.storage.table.Table` that adopts the result's column
+lists (:meth:`~repro.storage.table.Table.adopt`), registered in the catalog
+without DDL, instead of being written out and re-scanned.
 
 How this loop and the paper's rewrite loop differ — handover, accounting,
 trigger site — is laid out in :mod:`repro.core.interceptor`; both drive the

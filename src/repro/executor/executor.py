@@ -50,7 +50,6 @@ from repro.optimizer.plan import (
 )
 from repro.optimizer.provenance import plan_output_columns
 from repro.optimizer.pruning import prune_partitions
-from repro.storage.partition import PartitionedTable
 
 # Conversion between abstract work units and "simulated seconds" reported by
 # the benchmark harness.  The constant is chosen so that a JOB-like workload
@@ -403,16 +402,14 @@ class Executor:
             index_column = node.index_column
             index_filter = node.index_filter
         pruned_partitions: Optional[Tuple[int, ...]] = None
-        storage = self._catalog.table(node.table)
-        if node.access_path is AccessPath.SEQ_SCAN and isinstance(
-            storage, PartitionedTable
-        ):
+        partitioned = self._catalog.schema(node.table).partition_spec is not None
+        if node.access_path is AccessPath.SEQ_SCAN and partitioned:
             # Pruning is re-derived here, not read off the plan: table loads
             # do not invalidate cached plans, so the plan-time set can be
             # stale.  Because this one scheduler drives every engine, the
             # execution-time set is engine-invariant automatically.
             pruned_partitions, total = prune_partitions(
-                storage, list(node.filters)
+                self._catalog.table(node.table), list(node.filters)
             )
             observed["partitions_scanned"] = total - len(pruned_partitions)
             observed["partitions_pruned"] = len(pruned_partitions)
@@ -423,7 +420,9 @@ class Executor:
             list(node.filters),
             index_column=index_column,
             index_filter=index_filter,
-            observed=observed,
+            # An unpartitioned scan reports no partition, segment or decode
+            # counters.
+            observed=observed if partitioned else None,
             pruned_partitions=pruned_partitions,
             columns=node.columns,
         )

@@ -3,8 +3,10 @@
 This is the default execution engine.  Every operator consumes and produces
 :class:`~repro.executor.batch.ColumnBatch` objects:
 
-* ``scan_table`` wraps the storage layer's raw column lists into a batch
-  without copying and narrows it with a compiled batch predicate;
+* ``scan_table`` walks a table's unpruned shards
+  (:func:`~repro.executor.scan.scan_shards`): one shard of open columns is
+  wrapped into a batch without copying and narrowed by a selection vector,
+  sealed or several shards materialize only their surviving rows;
 * ``join_results`` hash-joins two batches by materializing only the key
   columns and returns the factorized match; whole columns are gathered from
   it per side, the output's selection vectors are laid out only when
@@ -41,7 +43,7 @@ from repro.executor.reference import (
     output_columns,
     resolve_join_positions,
 )
-from repro.executor.scan import projected_names, scan_partitioned
+from repro.executor.scan import projected_names, scan_shards
 from repro.sql.ast import AggregateFunc, ColumnRef, SelectItem
 from repro.sql.binder import BoundJoin, BoundSortKey
 
@@ -77,17 +79,16 @@ def scan_table(
 ) -> Tuple[ColumnBatch, int]:
     """Scan a base table column-wise, optionally through an index.
 
-    The sequential path hands the table's backing column lists straight into
-    the batch (zero-copy); filtering only builds a selection vector.  For a
-    partitioned table, ``pruned_partitions`` (derived by the executor from
-    the zone maps) drops whole shards before the filter runs, and the scan
-    goes through the late-materialization pipeline in
-    :mod:`repro.executor.scan` — segment skipping, compressed-domain filter
-    kernels, then decode of only the surviving rows.  ``columns`` is the
-    planner's projection-pushdown set (``None`` = full width); it must
-    include every column the filters reference.  ``observed`` is part of
-    the operator protocol (partitioned scans record their skip/decode
-    counters through it).
+    A sequential scan walks the table's shards through the
+    late-materialization pipeline in :mod:`repro.executor.scan` — segment
+    skipping, compressed-domain filter kernels, then decode of only the
+    surviving rows; ``pruned_partitions`` (derived by the executor from the
+    zone maps of a partitioned table) drops whole shards before the filter
+    runs.  An index scan gathers the table's columns and keeps the indexed
+    rows.  ``columns`` is the planner's projection-pushdown set (``None`` =
+    full width); it must include every column the filters reference.
+    ``observed`` is part of the operator protocol (sequential scans record
+    their skip/decode counters through it).
 
     Returns:
         ``(batch, rows_fetched)`` where ``rows_fetched`` is the number of
@@ -96,34 +97,25 @@ def scan_table(
         a pruned partitioned scan fewer than the full table).
     """
     table = catalog.table(table_name)
-    if pruned_partitions is not None:
-        return scan_partitioned(
-            table, alias, list(filters), pruned_partitions, columns, observed
+    if index_column is None or index_filter is None:
+        return scan_shards(
+            table, alias, list(filters), pruned_partitions or (), columns, observed
         )
     names = projected_names(table.schema, columns)
     qualified: List[QualifiedColumn] = [(alias, name) for name in names]
-    if columns is None:
-        data = table.column_data()
-    else:
-        table_data = table.column_data()
-        data = [table_data[table.schema.column_index(name)] for name in names]
-    batch = ColumnBatch(qualified, data, length=table.row_count)
-
-    if index_column is not None and index_filter is not None:
-        index = catalog.indexes(table_name).get(index_column)
-        if index is None:
-            raise ExecutionError(
-                f"plan requires an index on {table_name}.{index_column} that does not exist"
-            )
-        keys = index_probe_keys(index_filter)
-        row_ids: List[int] = []
-        for key in keys:
-            row_ids.extend(index.lookup(key))
-        row_ids = sorted(set(row_ids))
-        batch = batch.restrict(row_ids)
-        rows_fetched = len(row_ids)
-    else:
-        rows_fetched = table.row_count
+    table_data = table.column_data()
+    data = [table_data[table.schema.column_index(name)] for name in names]
+    index = catalog.indexes(table_name).get(index_column)
+    if index is None:
+        raise ExecutionError(
+            f"plan requires an index on {table_name}.{index_column} that does not exist"
+        )
+    row_ids: List[int] = []
+    for key in index_probe_keys(index_filter):
+        row_ids.extend(index.lookup(key))
+    row_ids = sorted(set(row_ids))
+    batch = ColumnBatch(qualified, data, length=table.row_count).restrict(row_ids)
+    rows_fetched = len(row_ids)
 
     predicate = compile_batch_conjunction(list(filters), batch.resolver)
     if predicate is not None:

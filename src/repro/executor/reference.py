@@ -78,11 +78,11 @@ def scan_table(
     """Scan a base table, optionally through an index.
 
     ``observed`` is part of the operator protocol (the vectorized engine's
-    partitioned scans record their skip/decode counters through it); the
+    sequential scans record their skip/decode counters through it); the
     oracle reports nothing.
-    For a partitioned table, ``pruned_partitions`` drops whole shards before
-    filtering; the surviving shards are read in partition order, matching
-    the table's global row-id order.  ``columns`` — the planner's
+    A sequential scan reads the table's shards in partition order, matching
+    its global row-id order; ``pruned_partitions`` drops whole shards before
+    filtering.  ``columns`` — the planner's
     projection-pushdown set — is deliberately **ignored**: the oracle always
     reads full-width decoded rows, so differential tests independently
     check that late materialization never changes any referenced value.
@@ -98,17 +98,6 @@ def scan_table(
     ]
     resolver = ColumnResolver(columns)
 
-    if pruned_partitions is not None:
-        pruned = set(pruned_partitions)
-        candidate_rows: List[Tuple[object, ...]] = []
-        for index, partition in enumerate(table.partitions()):
-            if index not in pruned:
-                candidate_rows.extend(partition.iter_rows())
-        rows_fetched = len(candidate_rows)
-        predicate = compile_conjunction(list(filters), resolver)
-        rows = [row for row in candidate_rows if predicate(row)]
-        return ResultSet(columns, rows), rows_fetched
-
     if index_column is not None and index_filter is not None:
         index = catalog.indexes(table_name).get(index_column)
         if index is None:
@@ -121,7 +110,11 @@ def scan_table(
             row_ids.extend(index.lookup(key))
         candidate_rows = [table.row(row_id) for row_id in sorted(set(row_ids))]
     else:
-        candidate_rows = list(table.iter_rows())
+        pruned = set(pruned_partitions or ())
+        candidate_rows = []
+        for shard, partition in enumerate(table.partitions()):
+            if shard not in pruned:
+                candidate_rows.extend(partition.iter_rows())
 
     rows_fetched = len(candidate_rows)
     predicate = compile_conjunction(list(filters), resolver)

@@ -1,8 +1,9 @@
-"""Late-materializing partitioned scans of the vectorized engine.
+"""Late-materializing sequential scans of the vectorized engine.
 
-The vectorized engine scans partitioned tables through
-:func:`scan_partitioned`, which runs a three-stage pipeline per shard —
-filter first, decode last:
+Every sequential scan goes through :func:`scan_shards`, which walks the
+table's unpruned :class:`~repro.storage.partition.Partition` shards (an
+unpartitioned table has one, and nothing pruned) and runs a three-stage
+pipeline per shard — filter first, decode last:
 
 1. **Segment skipping** — each filter conjunct (in negation normal form) is
    tested against per-:data:`~repro.storage.compression.BLOCK_ROWS`-block
@@ -12,8 +13,8 @@ filter first, decode last:
    kernel and no decode ever touches them.  A conjunct participates only
    when *every* column it references has sealed block statistics.
 2. **Compressed-domain kernels** — a conjunct referencing exactly one
-   column evaluates on the encoded form: once per dictionary entry on a
-   :class:`~repro.storage.compression.DictionarySegment` (a code-level
+   sealed column evaluates on the encoded form: once per dictionary entry
+   on a :class:`~repro.storage.compression.DictionarySegment` (a code-level
    match set mapped over the codes) and once per run on an
    :class:`~repro.storage.compression.RLESegment`.  The per-value verdict
    comes from :func:`repro.executor.expressions.compile_value_predicate`,
@@ -23,12 +24,18 @@ filter first, decode last:
    plain/open columns, shapes the value compiler rejects) decodes only the
    columns it references and runs through
    :func:`repro.executor.expressions.compile_batch_conjunction`, the same
-   batch compiler plain scans and join residuals use, with the surviving
-   candidates threaded through it.
+   batch compiler join residuals use, with the surviving candidates
+   threaded through it.
 
-Surviving rows then materialize **only the projected columns**
-(:class:`~repro.optimizer.plan.ScanNode.columns`); partitions concatenate
-in partition order, reproducing the global row-id order every engine
+Nothing is compiled or normalized for a stage that has no sealed column to
+work on, so a scan of open storage pays for the residual compiler only.
+
+A scan of one shard whose projected columns are all open (every scan of an
+unpartitioned table) stays zero-copy: the batch wraps the shard's backing
+lists and the survivors are a selection vector.  Otherwise surviving rows
+materialize **only the projected columns**
+(:class:`~repro.optimizer.plan.ScanNode.columns`); shards concatenate in
+partition order, reproducing the global row-id order every engine
 produces.  The two counters reported through ``observed`` —
 ``segments_skipped`` (refuted blocks) and ``columns_decoded`` (distinct
 columns materialized) — are derived from row counts and sealed statistics
@@ -54,7 +61,7 @@ from repro.storage.compression import (
 )
 from repro.storage.partition import ColumnZone, Partition, ZoneMap
 
-__all__ = ["projected_names", "scan_partitioned"]
+__all__ = ["projected_names", "scan_shards"]
 
 
 def projected_names(schema, columns: Optional[Sequence[str]]) -> List[str]:
@@ -71,33 +78,47 @@ def projected_names(schema, columns: Optional[Sequence[str]]) -> List[str]:
 
 
 class _CompiledFilters:
-    """Per-scan compilation of the filter conjunction (shared by all shards)."""
+    """Per-scan view of the filter conjunction (shared by all shards).
+
+    The negation normal forms and the per-value predicates are built on
+    first use: only a shard with sealed columns needs them.
+    """
 
     def __init__(self, alias: str, filters: Sequence[Expr], schema) -> None:
+        self.alias = alias
+        self.schema = schema
         self.filters = list(filters)
-        self.normalized = [push_not_down(conjunct) for conjunct in self.filters]
-        self.ref_names: List[Tuple[str, ...]] = []
-        self.value_predicates: List[Optional[Callable[[object], bool]]] = []
-        for conjunct in self.filters:
-            names = tuple(
+        self.ref_names: List[Tuple[str, ...]] = [
+            tuple(
                 dict.fromkeys(
                     ref.column
                     for ref in conjunct.referenced_columns()
                     if ref.alias == alias
                 )
             )
-            self.ref_names.append(names)
-            predicate = None
-            if len(names) == 1:
-                predicate = compile_value_predicate(conjunct, alias, names[0])
-            self.value_predicates.append(predicate)
-        self.alias = alias
-        self.schema = schema
+            for conjunct in self.filters
+        ]
         self.positions = {
             name: schema.column_index(name)
             for names in self.ref_names
             for name in names
         }
+        self._normalized: Optional[List[Expr]] = None
+        self._value_predicates: Dict[int, Optional[Callable[[object], bool]]] = {}
+
+    def normalized(self, index: int) -> Expr:
+        """Conjunct ``index`` in negation normal form."""
+        if self._normalized is None:
+            self._normalized = [push_not_down(conjunct) for conjunct in self.filters]
+        return self._normalized[index]
+
+    def value_predicate(self, index: int) -> Optional[Callable[[object], bool]]:
+        """Per-value form of single-column conjunct ``index`` (``None``: none)."""
+        if index not in self._value_predicates:
+            self._value_predicates[index] = compile_value_predicate(
+                self.filters[index], self.alias, self.ref_names[index][0]
+            )
+        return self._value_predicates[index]
 
 
 def _block_zone_maps(
@@ -117,8 +138,8 @@ def _block_zone_maps(
         segment = partition.segment_at(position)
         stats_for[name] = segment.block_stats() if segment is not None else None
     usable = [
-        (normalized, names)
-        for normalized, names in zip(compiled.normalized, compiled.ref_names)
+        (compiled.normalized(index), names)
+        for index, names in enumerate(compiled.ref_names)
         if names and all(stats_for[name] is not None for name in names)
     ]
     ranges: List[Tuple[int, int]] = []
@@ -221,44 +242,41 @@ def _ranges_to_indices(ranges: List[Tuple[int, int]]) -> List[int]:
     return out
 
 
-def _scan_one_partition(
-    partition: Partition,
-    compiled: _CompiledFilters,
-    positions: Sequence[int],
-    names: Sequence[str],
-) -> Tuple[List[List[object]], int, Set[str]]:
-    """Run the skip -> compressed-domain -> decode pipeline over one shard.
+def _shard_candidates(
+    partition: Partition, compiled: _CompiledFilters
+) -> Tuple[Optional[List[int]], int, Set[str]]:
+    """Run the skip -> compressed-domain -> residual filter over one shard.
 
-    Returns ``(projected survivor columns, blocks skipped, columns decoded)``.
-    Survivors stay in ascending local row order, so concatenating shard
-    results in partition order reproduces the classic gather-then-filter
-    row order bit for bit.
+    Returns ``(survivors, blocks skipped, columns the residual decoded)``;
+    survivors are ascending local row ids, ``None`` when every row passes.
     """
     row_count = partition.row_count
     decoded: Set[str] = set()
     if row_count == 0:
-        return [[] for _ in positions], 0, decoded
+        return [], 0, decoded
 
     ranges, skipped = _block_zone_maps(partition, compiled)
     candidates: Optional[List[int]]
     candidates = None if not skipped else _ranges_to_indices(ranges)
 
     residual_positions: List[int] = []
-    for index, predicate in enumerate(compiled.value_predicates):
+    for index, names in enumerate(compiled.ref_names):
         if candidates is not None and not candidates:
-            break
+            return candidates, skipped, decoded
         segment = None
-        if predicate is not None:
-            name = compiled.ref_names[index][0]
-            segment = partition.segment_at(compiled.positions[name])
-        if isinstance(segment, DictionarySegment):
+        if len(names) == 1:
+            segment = partition.segment_at(compiled.positions[names[0]])
+        predicate = None
+        if isinstance(segment, (DictionarySegment, RLESegment)):
+            predicate = compiled.value_predicate(index)
+        if predicate is None:
+            residual_positions.append(index)
+        elif isinstance(segment, DictionarySegment):
             candidates = _dictionary_filter(
                 segment, predicate, candidates, row_count
             )
-        elif isinstance(segment, RLESegment):
-            candidates = _rle_filter(segment, predicate, candidates)
         else:
-            residual_positions.append(index)
+            candidates = _rle_filter(segment, predicate, candidates)
 
     if residual_positions and not (candidates is not None and not candidates):
         residual = [compiled.filters[i] for i in residual_positions]
@@ -277,13 +295,10 @@ def _scan_one_partition(
         candidates = compile_batch_conjunction(residual, batch.resolver)(
             batch, candidates
         )
-
-    decoded.update(names)
-    out = [_materialize(partition, position, candidates) for position in positions]
-    return out, skipped, decoded
+    return candidates, skipped, decoded
 
 
-def scan_partitioned(
+def scan_shards(
     table,
     alias: str,
     filters: Sequence[Expr],
@@ -291,7 +306,7 @@ def scan_partitioned(
     columns: Optional[Sequence[str]],
     observed: Optional[Dict[str, int]] = None,
 ) -> Tuple[ColumnBatch, int]:
-    """Late-materializing scan of a partitioned table's unpruned shards.
+    """Late-materializing sequential scan of a table's unpruned shards.
 
     Shard results concatenate in partition order.  Returns ``(batch,
     rows_fetched)`` with ``rows_fetched`` the unpruned shards' row sum —
@@ -326,19 +341,31 @@ def scan_partitioned(
         return ColumnBatch(qualified, data, length=rows_fetched), rows_fetched
 
     compiled = _CompiledFilters(alias, filters, schema)
-    out: List[List[object]] = [[] for _ in positions]
     skipped_total = 0
     decoded_all: Set[str] = set()
-    for partition in kept:
-        columns_part, skipped, decoded = _scan_one_partition(
-            partition, compiled, positions, names
+    if len(kept) == 1 and all(kept[0].segment_at(p) is None for p in positions):
+        # One shard of open columns: wrap its lists, narrow by selection.
+        shard = kept[0]
+        candidates, skipped_total, decoded_all = _shard_candidates(shard, compiled)
+        batch = ColumnBatch(
+            qualified,
+            [shard.column_at(position) for position in positions],
+            length=shard.row_count,
         )
-        for accumulator, part in zip(out, columns_part):
-            accumulator.extend(part)
-        skipped_total += skipped
-        decoded_all.update(decoded)
-    survivors = len(out[0]) if out else 0
+        if candidates is not None:
+            batch = batch.restrict(candidates)
+    else:
+        out: List[List[object]] = [[] for _ in positions]
+        for partition in kept:
+            candidates, skipped, decoded = _shard_candidates(partition, compiled)
+            for accumulator, position in zip(out, positions):
+                accumulator.extend(_materialize(partition, position, candidates))
+            skipped_total += skipped
+            decoded_all.update(decoded)
+        batch = ColumnBatch(qualified, out, length=len(out[0]) if out else 0)
+    if any(partition.row_count for partition in kept):
+        decoded_all.update(names)
     if observed is not None:
         observed["segments_skipped"] = skipped_total
         observed["columns_decoded"] = len(decoded_all)
-    return ColumnBatch(qualified, out, length=survivors), rows_fetched
+    return batch, rows_fetched

@@ -45,7 +45,6 @@ from repro.sql.ast import (
 from repro.sql.binder import BoundJoin, BoundQuery
 from repro.sql.values import is_truthy
 from repro.stats.column_stats import ColumnStats, TableStats
-from repro.storage.partition import PartitionedTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.optimizer.estimators import CardinalityStrategy
@@ -78,7 +77,7 @@ def scan_upper_bound(
     the row count.
     """
     storage = catalog.table(table)
-    if isinstance(storage, PartitionedTable) and predicates:
+    if storage.schema.partition_spec is not None and predicates:
         pruned, _total = prune_partitions(storage, predicates)
         return float(storage.scanned_rows(pruned))
     return None

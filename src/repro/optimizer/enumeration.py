@@ -68,7 +68,6 @@ from repro.sql.ast import (
 )
 from repro.sql.binder import BoundJoin, BoundQuery
 from repro.sql.builder import scan_referenced_columns
-from repro.storage.partition import PartitionedTable
 
 #: A costed join the enumerator has not built yet:
 #: ``(cost, outer, inner, algorithm, join_predicates, residual_filters)``.
@@ -85,16 +84,10 @@ class PlannerConfig:
         bushy_limit: queries with at most this many tables get full bushy DP.
         dp_limit: queries with at most this many tables get linear DP;
             larger queries fall back to greedy operator ordering.
-        enable_nested_loop: whether plain nested-loop joins are considered.
-        enable_index_nested_loop: whether index nested-loop joins are considered.
-        enable_merge_join: whether merge joins are considered.
     """
 
     bushy_limit: int = 7
     dp_limit: int = 10
-    enable_nested_loop: bool = True
-    enable_index_nested_loop: bool = True
-    enable_merge_join: bool = True
 
 
 class JoinEnumerator:
@@ -173,7 +166,7 @@ class JoinEnumerator:
         partitions_total: Optional[int] = None
         pruned: Tuple[int, ...] = ()
         scanned_rows = table_rows
-        if isinstance(storage, PartitionedTable):
+        if storage.schema.partition_spec is not None:
             pruned, partitions_total = prune_partitions(storage, filters)
             scanned_rows = min(table_rows, float(storage.scanned_rows(pruned)))
 
@@ -308,12 +301,10 @@ class JoinEnumerator:
         ):
             return best
         best_cost = best[0] if best is not None else None
-        config = self.config
         model = self.cost_model
         operator_cost = model.params.cpu_operator_cost
         build_factor = model.params.hash_build_factor
         emit = output_rows * model.params.cpu_tuple_cost
-        nested_loop_ok = config.enable_nested_loop or not joins
         candidates = 0
         for outer_mask, inner_mask in ((left, right), (right, left)):
             outer = self._best[outer_mask]
@@ -333,23 +324,18 @@ class JoinEnumerator:
                 if best_cost is None or cost < best_cost:
                     best_cost = cost
                     best = (cost, outer, inner, JoinAlgorithm.HASH_JOIN, joins, residuals)
-            if nested_loop_ok:
-                candidates += 1
-                cost = base_cost + (outer_rows * inner_rows * operator_cost + emit)
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best = (cost, outer, inner, JoinAlgorithm.NESTED_LOOP, joins, residuals)
-            if joins and config.enable_merge_join:
+            candidates += 1
+            cost = base_cost + (outer_rows * inner_rows * operator_cost + emit)
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best = (cost, outer, inner, JoinAlgorithm.NESTED_LOOP, joins, residuals)
+            if joins:
                 candidates += 1
                 cost = base_cost + model.merge_join_cost(outer_rows, inner_rows, output_rows)
                 if cost < best_cost:
                     best_cost = cost
                     best = (cost, outer, inner, JoinAlgorithm.MERGE_JOIN, joins, residuals)
-            if (
-                joins
-                and config.enable_index_nested_loop
-                and self._index_partners.get(inner_mask, 0) & outer_mask
-            ):
+            if joins and self._index_partners.get(inner_mask, 0) & outer_mask:
                 # The inner base table is probed through its index, so its
                 # own scan cost is not paid; only the outer subtree cost is.
                 candidates += 1

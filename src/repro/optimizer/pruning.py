@@ -11,7 +11,7 @@ TRUE for any stored row.  Two independent mechanisms combine:
   conjunct may still be TRUE there.
 * **Partition-key routing** — equality and ``IN`` conjuncts on the
   partition key compute the exact target shards via
-  :meth:`~repro.storage.partition.PartitionedTable.route`.  This is what
+  :meth:`~repro.storage.table.Table.route`.  This is what
   prunes *hash* partitions, whose zone maps all cover the full key range.
 
 Soundness rule: a partition is pruned only when the conjunction is provably
@@ -43,13 +43,14 @@ from repro.sql.ast import (
     Literal,
     Negate,
 )
-from repro.storage.partition import PartitionedTable, ZoneMap
+from repro.storage.partition import ZoneMap
+from repro.storage.table import Table
 
 __all__ = ["may_match", "prune_partitions"]
 
 
 def prune_partitions(
-    table: PartitionedTable, filters: Sequence[Expr]
+    table: Table, filters: Sequence[Expr]
 ) -> Tuple[Tuple[int, ...], int]:
     """Partitions of ``table`` that ``filters`` provably cannot match.
 
@@ -87,7 +88,7 @@ def prune_partitions(
 
 
 def _routing_keys(
-    conjunct: Expr, table: PartitionedTable
+    conjunct: Expr, table: Table
 ) -> Optional[List[object]]:
     """Exact key values a conjunct restricts the partition key to.
 

@@ -1,24 +1,21 @@
-"""Columnar storage for a single column.
+"""Column value validation and range helpers shared by the storage layer.
 
-A :class:`Column` is a thin wrapper around a Python list holding one value
-per row.  It knows its :class:`~repro.catalog.schema.ColumnType` and performs
-coercion on append, so that everything downstream (statistics, predicate
-evaluation, hash joins) can rely on values being either ``None`` or the
-declared Python type.
-
-Bulk loads validate a whole column at once (:func:`checked_values`): when
-every value already is ``None`` or exactly the declared Python type — what
-an executor result materialized into a temporary table always is — the
-check is one C-level pass over the values and nothing is converted.  Only a
-column in which some other type is actually seen (``bool`` or a numeric
-string into INT, ``int`` into FLOAT, ...) takes the per-value path that
-:meth:`Column.append` takes, so the stored values are the same either way.
+Every stored value is either ``None`` or the declared Python type of its
+column's :class:`~repro.catalog.schema.ColumnType`, so everything downstream
+(statistics, predicate evaluation, hash joins) can rely on it.
+:func:`checked_value` coerces one value; bulk loads validate a whole column
+at once (:func:`checked_values`): when every value already is ``None`` or
+exactly the declared Python type — what an executor result materialized
+into a temporary table always is — the check is one C-level pass over the
+values and nothing is converted.  Only a column in which some other type is
+actually seen (``bool`` or a numeric string into INT, ``int`` into FLOAT,
+...) takes the per-value path, so the stored values are the same either way.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from repro.catalog.schema import ColumnDef
 from repro.errors import StorageError
@@ -85,50 +82,3 @@ def _extremes(values: Sequence[object], low: object, high: object) -> Tuple[obje
     if low is None:
         return min(values), max(values)
     return min(chain((low,), values)), max(chain((high,), values))
-
-
-class Column:
-    """In-memory storage for one column of a table."""
-
-    def __init__(self, definition: ColumnDef) -> None:
-        self.definition = definition
-        self._values: List[object] = []
-
-    @property
-    def name(self) -> str:
-        """Column name."""
-        return self.definition.name
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self) -> Iterator[object]:
-        return iter(self._values)
-
-    def __getitem__(self, row_id: int) -> object:
-        return self._values[row_id]
-
-    def append(self, value: object) -> None:
-        """Append a value, coercing it to the declared type.
-
-        Raises:
-            StorageError: if a NULL is appended to a non-nullable column.
-        """
-        self._values.append(checked_value(self.definition, value))
-
-    def extend(self, values: Iterable[object]) -> None:
-        """Append many values (all of them, or none if one is rejected)."""
-        self._values.extend(checked_values(self.definition, values))
-
-    def truncate(self, length: int) -> None:
-        """Discard values beyond ``length`` (bulk-load rollback support)."""
-        del self._values[length:]
-
-    def values(self) -> List[object]:
-        """Return the underlying value list (not a copy; treat as read-only).
-
-        This is the zero-copy handle the vectorized executor wraps into a
-        :class:`~repro.executor.batch.ColumnBatch` — scans never copy column
-        payloads.
-        """
-        return self._values

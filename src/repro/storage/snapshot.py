@@ -3,22 +3,25 @@
 The serving layer (:mod:`repro.server`) pins a snapshot of every base table
 at statement start so readers never block — and are never torn by — a
 concurrent ANALYZE, bulk load or DDL running on the shared
-:class:`~repro.engine.database.Database`.  A snapshot captures two things
+:class:`~repro.engine.database.Database`.  A snapshot captures, per shard and
 under the catalog lock:
 
-* the **row count** at pin time, and
-* references to the backing column lists.
+* the **row count** at pin time,
+* references to the sealed segments and the open backing column lists, and
+* a private copy of the zone map, if the shard keeps one.
 
-Nothing is copied up front.  Because the storage layer only ever *appends*
+Nothing is copied or decoded up front.  A sealed segment is immutable — an
+append after sealing replaces it with a reopened plain list, it never
+mutates it — so the snapshot shares it by reference and keeps segment
+skipping and the compressed-domain kernels.  An open list only ever grows
 (the sole truncation path is the bulk-load rollback, which restores a
-pre-load length that is necessarily >= any pinned count), the first
-``row_count`` elements of every captured list are immutable.  The snapshot
-therefore materializes exact pinned-length lists lazily — one slice per
-column on the first read — and serves them from then on.  The slice is
-mandatory, not an optimization detail: scan consumers such as the
-partitioned gather extend the returned lists without a length bound, so
-handing out a still-growing shared list would leak rows appended after the
-pin into a reader's result.
+pre-load length that is necessarily >= any pinned count), so its first
+``row_count`` elements are immutable; the snapshot slices one exact
+pinned-length copy per open column on that column's first read and serves
+it from then on.  The slice is mandatory, not an optimization detail: scan
+consumers such as the shard gather extend the returned lists without a
+length bound, so handing out a still-growing shared list would leak rows
+appended after the pin into a reader's result.
 
 Snapshots are read-only: every mutator raises
 :class:`~repro.errors.StorageError`.  Statement-local writable state (the
@@ -28,23 +31,13 @@ session's catalog snapshot instead.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List
 
 from repro.errors import StorageError
-from repro.storage.partition import (
-    ColumnZone,
-    Partition,
-    PartitionedTable,
-    ZoneMap,
-)
+from repro.storage.partition import ColumnZone, Partition, ZoneMap
 from repro.storage.table import Table
 
-__all__ = [
-    "PartitionSnapshot",
-    "PartitionedTableSnapshot",
-    "TableSnapshot",
-    "take_snapshot",
-]
+__all__ = ["PartitionSnapshot", "SnapshotTable"]
 
 
 def _read_only(name: str) -> StorageError:
@@ -52,18 +45,6 @@ def _read_only(name: str) -> StorageError:
         f"table {name!r} is a pinned snapshot and cannot be written; "
         "mutations go through the shared database"
     )
-
-
-def _pin_columns(
-    source: List[List[object]], row_count: int
-) -> List[List[object]]:
-    """Exact pinned-length copies of the captured backing lists.
-
-    ``list[:n]`` is atomic under the GIL and the captured lists never shrink
-    below ``row_count``, so this is safe against a concurrently appending
-    writer without taking any lock.
-    """
-    return [values[:row_count] for values in source]
 
 
 def _copy_zone_map(zone_map: ZoneMap, row_count: int) -> ZoneMap:
@@ -77,125 +58,49 @@ def _copy_zone_map(zone_map: ZoneMap, row_count: int) -> ZoneMap:
     )
 
 
-class TableSnapshot:
-    """Read-only view of a :class:`~repro.storage.table.Table` at pin time.
-
-    Duck-type compatible with the ``Table`` read surface the binder,
-    statistics and both execution engines use.
-    """
-
-    def __init__(self, base: Table) -> None:
-        self.schema = base.schema
-        # Pin the count before touching the columns: Table appends extend
-        # the columns first and bump the count last, so a count captured
-        # here can never cover a torn row.
-        self._row_count = base.row_count
-        self._source = base.column_data()
-        self._pinned: Optional[List[List[object]]] = None
-
-    @property
-    def name(self) -> str:
-        """Table name (from the schema)."""
-        return self.schema.name
-
-    @property
-    def row_count(self) -> int:
-        """Number of rows visible to this snapshot."""
-        return self._row_count
-
-    def __len__(self) -> int:
-        return self._row_count
-
-    def column_data(self) -> List[List[object]]:
-        """Pinned-length value lists of all columns, in schema order.
-
-        Materialized lazily on first read (outside the catalog lock) and
-        cached; concurrent first readers may both build the copy, which is
-        benign because the results are identical.
-        """
-        pinned = self._pinned
-        if pinned is None:
-            pinned = self._pinned = _pin_columns(self._source, self._row_count)
-        return pinned
-
-    def column_values(self, name: str) -> List[object]:
-        """A fresh copy of one column's pinned values (safe to mutate)."""
-        return list(self.column_data()[self.schema.column_index(name)])
-
-    def row(self, row_id: int) -> Tuple[object, ...]:
-        """Return the packed tuple of values for ``row_id``."""
-        if not 0 <= row_id < self._row_count:
-            raise StorageError(
-                f"row id {row_id} out of range for table {self.name!r}"
-            )
-        return tuple(column[row_id] for column in self.column_data())
-
-    def value(self, row_id: int, column: str) -> object:
-        """Return a single cell value."""
-        return self.row(row_id)[self.schema.column_index(column)]
-
-    def iter_rows(self) -> Iterator[Tuple[object, ...]]:
-        """Iterate over the pinned rows as packed tuples."""
-        data = self.column_data()
-        for row_id in range(self._row_count):
-            yield tuple(column[row_id] for column in data)
-
-    def iter_row_ids(self) -> Iterator[int]:
-        """Iterate over the pinned row ids in storage order."""
-        return iter(range(self._row_count))
-
-    def estimated_pages(self, rows_per_page: int = 100) -> int:
-        """Crude page-count estimate used by the cost model."""
-        if self._row_count == 0:
-            return 1
-        return (self._row_count + rows_per_page - 1) // rows_per_page
-
-    # -- mutators (rejected) -------------------------------------------------
-
-    def insert_row(self, values) -> int:
-        raise _read_only(self.name)
-
-    def insert_rows(self, rows) -> int:
-        raise _read_only(self.name)
-
-    def insert_dicts(self, rows) -> int:
-        raise _read_only(self.name)
-
-    def load_columns(self, columns) -> int:
-        raise _read_only(self.name)
-
-
 class PartitionSnapshot(Partition):
     """Read-only view of one shard at pin time.
 
-    Subclasses :class:`Partition` so the shard-level scan paths (pruned
-    gathers, the reference engine's per-partition iteration) work unchanged;
-    ``column_data`` always returns exact pinned-length lists because the
-    gather extends them without a length bound.
+    Subclasses :class:`Partition` so the shard-level scan paths (segment
+    skipping, compressed-domain kernels, the reference engine's per-shard
+    iteration) work unchanged.
     """
 
     def __init__(self, base: Partition) -> None:
         self.schema = base.schema
         self.index = base.index
+        # Count first: appends extend the columns before bumping it, so the
+        # pinned count never covers a torn row.
         self._row_count = base.row_count
-        self._source = base.column_data()
-        self._pinned: Optional[List[List[object]]] = None
-        # Inherited read surface expects these; a snapshot is never sealed.
+        self._source = list(base._plain)
+        self._segments = list(base._segments)
         self._plain = [None] * len(base.schema.columns)
-        self._segments = [None] * len(base.schema.columns)
-        # Writers update zones in place on every append, so pin a copy.
-        self.zone_map = _copy_zone_map(base.zone_map, self._row_count)
+        self.zone_map = None
+        if base.zone_map is not None:
+            self.zone_map = _copy_zone_map(base.zone_map, self._row_count)
 
-    def column_data(self) -> List[List[object]]:
-        """Pinned-length value lists of the shard (lazily materialized)."""
-        pinned = self._pinned
+    def column_at(self, position: int) -> List[object]:
+        """One column's pinned values: the shared segment's decode, or an
+        exact pinned-length copy of the open list, sliced on first read.
+
+        ``list[:n]`` is atomic under the GIL and the captured lists never
+        shrink below the pinned count, so no lock is needed; concurrent
+        first readers may both slice, which is benign.
+        """
+        segment = self._segments[position]
+        if segment is not None:
+            return segment.values()
+        pinned = self._plain[position]
         if pinned is None:
-            pinned = self._pinned = _pin_columns(self._source, self._row_count)
+            pinned = self._plain[position] = self._source[position][: self._row_count]
         return pinned
 
     # -- mutators (rejected) -------------------------------------------------
 
     def append_row(self, values) -> None:
+        raise _read_only(self.schema.name)
+
+    def append_columns(self, columns) -> None:
         raise _read_only(self.schema.name)
 
     def truncate(self, length: int) -> None:
@@ -204,32 +109,31 @@ class PartitionSnapshot(Partition):
     def compress(self, codec: str = "auto") -> None:
         raise _read_only(self.schema.name)
 
-    def refresh_zone_map(self) -> ZoneMap:
-        raise _read_only(self.schema.name)
+    def refresh_zone_map(self) -> None:
+        # Nothing to refresh without a zone map; a pinned one is read-only.
+        if self.zone_map is not None:
+            raise _read_only(self.schema.name)
 
 
-class PartitionedTableSnapshot(PartitionedTable):
-    """Read-only view of a :class:`PartitionedTable` at pin time.
+class SnapshotTable(Table):
+    """Read-only view of a :class:`~repro.storage.table.Table` at pin time.
 
-    Subclasses the real table because the executor dispatches partition
-    pruning on ``isinstance(storage, PartitionedTable)``; every inherited
-    read path (gathered ``column_data``, ``row``, zone maps, routing) works
+    Must be built with the owning catalog's lock held so the captured row
+    counts, column references and zone maps are mutually consistent.  Every
+    inherited read path (``column_data``, ``row``, zone maps, routing) works
     on the pinned shard snapshots.
     """
 
-    def __init__(self, base: PartitionedTable) -> None:
+    def __init__(self, base: Table) -> None:
         # Deliberately not calling super().__init__: it would allocate empty
         # shards. The snapshot wraps pinned views of the existing ones.
         self.schema = base.schema
         self.spec = base.spec
-        self._key_position = base._key_position
         self._partitions = [
             PartitionSnapshot(partition) for partition in base.partitions()
         ]
         self._row_count = sum(p.row_count for p in self._partitions)
-        self._offsets = None
-        self._gathered = None
-        self._gathered_cols = {}
+        self._invalidate()
 
     # -- mutators (rejected) -------------------------------------------------
 
@@ -241,17 +145,3 @@ class PartitionedTableSnapshot(PartitionedTable):
 
     def compress(self, codec: str = "auto") -> None:
         raise _read_only(self.name)
-
-    def refresh_zone_maps(self) -> None:
-        raise _read_only(self.name)
-
-
-def take_snapshot(table):
-    """Pin a read-only snapshot of any storage object.
-
-    Must be called with the owning catalog's lock held so the captured
-    row counts, column lists and zone maps are mutually consistent.
-    """
-    if isinstance(table, PartitionedTable):
-        return PartitionedTableSnapshot(table)
-    return TableSnapshot(table)

@@ -7,12 +7,8 @@ import pytest
 from repro.catalog.schema import ColumnType, make_schema
 from repro.engine import Database
 from repro.errors import StorageError
-from repro.storage.partition import PartitionedTable
-from repro.storage.snapshot import (
-    PartitionedTableSnapshot,
-    TableSnapshot,
-    take_snapshot,
-)
+from repro.storage.compression import DictionarySegment, PlainSegment, RLESegment
+from repro.storage.snapshot import PartitionSnapshot, SnapshotTable
 from repro.storage.table import Table
 from repro.workloads.stocks import StocksConfig, build_stocks_database
 
@@ -46,8 +42,7 @@ class TestStorageSnapshots:
     def test_table_snapshot_pins_row_count(self):
         db = _plain_db(rows=100)
         table = db.catalog.table("t")
-        snap = take_snapshot(table)
-        assert isinstance(snap, TableSnapshot)
+        snap = SnapshotTable(table)
         assert snap.row_count == 100
 
         db.load_rows("t", [(i, i) for i in range(100, 150)])
@@ -61,10 +56,10 @@ class TestStorageSnapshots:
     def test_partitioned_snapshot_pins_every_shard(self):
         db = _partitioned_db(rows=120)
         table = db.catalog.table("p")
-        snap = take_snapshot(table)
-        assert isinstance(snap, PartitionedTableSnapshot)
-        # The executor dispatches pruning on this isinstance check.
-        assert isinstance(snap, PartitionedTable)
+        snap = SnapshotTable(table)
+        assert all(isinstance(shard, PartitionSnapshot) for shard in snap.partitions())
+        # The executor prunes what the schema says is partitioned.
+        assert snap.schema.partition_spec is not None
         assert snap.row_count == 120
 
         db.load_rows("p", [(i, i % 7) for i in range(120, 200)])
@@ -73,15 +68,19 @@ class TestStorageSnapshots:
         assert sum(len(part.column_data()[0]) for part in snap.partitions()) == 120
 
     def test_snapshots_reject_all_mutations(self):
-        plain = take_snapshot(_plain_db().catalog.table("t"))
+        plain = SnapshotTable(_plain_db().catalog.table("t"))
         with pytest.raises(StorageError):
             plain.insert_row((1, 2))
         with pytest.raises(StorageError):
             plain.insert_rows([(1, 2)])
         with pytest.raises(StorageError):
+            plain.insert_dicts([{"id": 1}])
+        with pytest.raises(StorageError):
             plain.load_columns([[1], [2]])
+        with pytest.raises(StorageError):
+            plain.compress()
 
-        parted = take_snapshot(_partitioned_db().catalog.table("p"))
+        parted = SnapshotTable(_partitioned_db().catalog.table("p"))
         with pytest.raises(StorageError):
             parted.insert_row((1, 2))
         with pytest.raises(StorageError):
@@ -97,7 +96,7 @@ class TestStorageSnapshots:
     def test_partition_snapshot_zone_maps_detached_from_writer(self):
         db = _partitioned_db(rows=120)
         table = db.catalog.table("p")
-        snap = take_snapshot(table)
+        snap = SnapshotTable(table)
         before = [
             shard.zone_map.columns["id"].maximum for shard in snap.partitions()
         ]
@@ -110,6 +109,59 @@ class TestStorageSnapshots:
         assert max(
             shard.zone_map.columns["id"].maximum for shard in table.partitions()
         ) >= 10_000
+
+
+    def test_snapshot_pins_open_columns_lazily(self):
+        table = _plain_db(rows=100).catalog.table("t")
+        snap = SnapshotTable(table)
+        shard = snap.partitions()[0]
+        assert shard._plain == [None, None]  # nothing copied at pin time
+        pinned = snap.column_data()
+        assert [len(column) for column in pinned] == [100, 100]
+        assert pinned[0] is not table.partitions()[0].column_at(0)
+        assert snap.column_data()[0] is pinned[0]  # sliced once, then served
+
+
+def _compressed_range_db():
+    db = Database()
+    db.create_table(
+        "CREATE TABLE w (id INT, v INT) PARTITION BY RANGE (id) VALUES (5000)"
+    )
+    db.load_rows("w", [(i, i % 11) for i in range(10_000)])
+    db.finalize_load()
+    db.catalog.table("w").compress()
+    return db
+
+
+class TestSnapshotsKeepSealedSegments:
+    SQL = "SELECT count(*) FROM w AS w WHERE w.id > 9000"
+
+    def test_snapshot_scans_skip_segments_like_the_database(self):
+        db = _compressed_range_db()
+        direct = db.explain(self.SQL, analyze=True)
+        snapped = db.snapshot().explain(self.SQL, analyze=True)
+        assert "segments_skipped=3" in direct
+        assert snapped == direct
+        assert db.snapshot().run(self.SQL).rows == [(999,)]
+
+    def test_taking_a_snapshot_decodes_nothing(self, monkeypatch):
+        db = _compressed_range_db()
+        decodes = []
+        for cls in (PlainSegment, DictionarySegment, RLESegment):
+            original = cls.values
+            monkeypatch.setattr(
+                cls,
+                "values",
+                lambda self, original=original: decodes.append(self) or original(self),
+            )
+        snap = SnapshotTable(db.catalog.table("w"))
+        assert decodes == []
+        base_shard = db.catalog.table("w").partitions()[1]
+        shard = snap.partitions()[1]
+        assert all(
+            shard.segment_at(p) is base_shard.segment_at(p) is not None
+            for p in range(2)
+        )
 
 
 class TestDatabaseSnapshots:

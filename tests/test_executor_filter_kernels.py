@@ -41,7 +41,6 @@ from repro.sql.ast import (
     Like,
     Literal,
 )
-from repro.storage.partition import PartitionedTable
 
 COLUMNS = [("t", "n"), ("t", "s")]
 N = Column(ColumnRef("t", "n"))
@@ -241,7 +240,7 @@ def test_partitioned_scan_residual_matches_the_unpartitioned_table(sql):
     """The shard residual keeps exactly the rows a plain scan keeps."""
     plain = build_db()
     sharded = build_db(partition_by=RANGE_SHARDS)
-    assert isinstance(sharded.catalog.table("t"), PartitionedTable)
+    assert sharded.catalog.table("t").num_partitions > 1
     expected = plain.run(sql).rows
     got = sharded.run(sql).rows
     if "ORDER BY" in sql:

@@ -5,12 +5,9 @@ import pytest
 from repro.errors import PlanningError
 from repro.optimizer import (
     DictInjection,
-    JoinAlgorithm,
-    Optimizer,
-    PlannerConfig,
     ScanNode,
 )
-from repro.optimizer.plan import AccessPath, AggregateNode, JoinNode
+from repro.optimizer.plan import AccessPath, AggregateNode
 
 
 class TestOptimizerOnStocks:
@@ -64,21 +61,6 @@ class TestOptimizerOnStocks:
         query = stock_db.parse("SELECT c.id FROM company AS c, trades AS t WHERE c.id = 1")
         with pytest.raises(PlanningError):
             stock_db.plan(query)
-
-    def test_disable_join_algorithms(self, stock_db):
-        config = PlannerConfig(
-            enable_nested_loop=False,
-            enable_index_nested_loop=False,
-            enable_merge_join=False,
-        )
-        optimizer = Optimizer(stock_db.catalog, planner_config=config)
-        planned = optimizer.plan(
-            stock_db.parse(
-                "SELECT c.id FROM company AS c, trades AS t WHERE c.id = t.company_id"
-            )
-        )
-        algorithms = {join.algorithm for join in planned.plan.join_nodes()}
-        assert algorithms == {JoinAlgorithm.HASH_JOIN}
 
 
 class TestOptimizerOnImdb:

@@ -7,7 +7,7 @@ they replaced (every subset of ``combinations(aliases, size)`` probed against
 the DP table, string-set BFS connectivity), kept as the oracle.  Over seeded
 random join graphs — chain, star, cycle, clique and random shapes, self-joins,
 2- and 3-alias residual filters, 1 to 17 tables — in the bushy, linear and
-greedy regimes, under each ``enable_*`` toggle and each estimation source,
+greedy regimes, under each estimation source,
 both must produce the same EXPLAIN text, ``candidates_considered``,
 ``estimate_calls`` and ``estimates_by_size``, and ask injectors and
 strategies about the same subsets *in the same order* (``FeedbackStore.lookup``
@@ -219,7 +219,6 @@ class ReferenceEnumerator(JoinEnumerator):
             return best
         best_cost = best[0] if best is not None else None
         model = self.cost_model
-        config = self.config
         for outer, inner in ((left, right), (right, left)):
             outer_rows = outer.estimated_rows
             inner_rows = inner.estimated_rows
@@ -235,22 +234,14 @@ class ReferenceEnumerator(JoinEnumerator):
                     (
                         JoinAlgorithm.HASH_JOIN,
                         base_cost + model.hash_join_cost(outer_rows, inner_rows, output_rows),
-                    )
+                    ),
+                    nested_loop,
+                    (
+                        JoinAlgorithm.MERGE_JOIN,
+                        base_cost + model.merge_join_cost(outer_rows, inner_rows, output_rows),
+                    ),
                 ]
-                if config.enable_nested_loop:
-                    costed.append(nested_loop)
-                if config.enable_merge_join:
-                    costed.append(
-                        (
-                            JoinAlgorithm.MERGE_JOIN,
-                            base_cost
-                            + model.merge_join_cost(outer_rows, inner_rows, output_rows),
-                        )
-                    )
-                if (
-                    config.enable_index_nested_loop
-                    and self._index_nested_loop_column(inner, joins) is not None
-                ):
+                if self._index_nested_loop_column(inner, joins) is not None:
                     costed.append(
                         (
                             JoinAlgorithm.INDEX_NESTED_LOOP,
@@ -473,15 +464,12 @@ def random_query(shape: str, n: int, seed: int):
     return builder.build()
 
 
-def _config(regime: str, n: int, toggle: Optional[str]) -> PlannerConfig:
-    config = {
+def _config(regime: str, n: int) -> PlannerConfig:
+    return {
         "bushy": PlannerConfig(bushy_limit=n, dp_limit=n),
         "linear": PlannerConfig(bushy_limit=1, dp_limit=n),
         "greedy": PlannerConfig(bushy_limit=1, dp_limit=1),
     }[regime]
-    if toggle is not None:
-        setattr(config, toggle, False)
-    return config
 
 
 def _estimation(kind: str, db: Database, query, seed: int):
@@ -555,7 +543,6 @@ def _plan_both(db, query, config, injector, make_strategy):
 
 
 ESTIMATION = ("none", "dict", "perfect", "sampling", "feedback")
-TOGGLES = (None, "enable_nested_loop", "enable_index_nested_loop", "enable_merge_join")
 MAX_TABLES = {"bushy": 8, "linear": 11, "greedy": 17}
 
 
@@ -568,22 +555,21 @@ def _cases():
                 rng = random.Random(f"{shape}-{regime}-{draw}")
                 top = MAX_TABLES[regime] if shape != "clique" else min(MAX_TABLES[regime], 9)
                 n = (rng.choice((1, 2, 3)), top, rng.randint(2, top))[draw]
-                toggle = TOGGLES[index % len(TOGGLES)]
                 estimation = ESTIMATION[(index // 2) % len(ESTIMATION)]
-                cases.append((shape, regime, n, toggle, estimation, 1000 + index))
+                cases.append((shape, regime, n, estimation, 1000 + index))
                 index += 1
     return cases
 
 
 @pytest.mark.parametrize(
-    "shape,regime,n,toggle,estimation,seed",
+    "shape,regime,n,estimation,seed",
     _cases(),
-    ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3] or 'all'}-{c[4]}" for c in _cases()],
+    ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in _cases()],
 )
-def test_masks_plan_like_frozensets(db, shape, regime, n, toggle, estimation, seed):
+def test_masks_plan_like_frozensets(db, shape, regime, n, estimation, seed):
     query = random_query(shape, n, seed)
     injector, make_strategy = _estimation(estimation, db, query, seed)
-    reference, new = _plan_both(db, query, _config(regime, n, toggle), injector, make_strategy)
+    reference, new = _plan_both(db, query, _config(regime, n), injector, make_strategy)
     assert new[0] == reference[0]  # EXPLAIN text
     assert new[1:4] == reference[1:4]  # candidates, estimate calls, by size
     assert new[4] == reference[4]  # injector / strategy calls, in order
@@ -592,8 +578,7 @@ def test_masks_plan_like_frozensets(db, shape, regime, n, toggle, estimation, se
 def test_every_case_dimension_is_covered():
     cases = _cases()
     assert {c[0] for c in cases} == set(SHAPES)
-    assert {c[3] for c in cases} == set(TOGGLES)
-    assert {c[4] for c in cases} == set(ESTIMATION)
+    assert {c[3] for c in cases} == set(ESTIMATION)
     assert {c[2] for c in cases} >= {1, 17}
     assert any(
         c[0] == "residuals" and c[2] >= 3 for c in cases

@@ -8,12 +8,12 @@ from repro.engine.settings import EngineSettings
 from repro.executor.executor import ExecutionEngine
 from repro.optimizer.pruning import prune_partitions
 from repro.sql.parser import parse_expression
-from repro.storage.partition import PartitionedTable
+from repro.storage.table import Table
 
 
-def make_range_table() -> PartitionedTable:
+def make_range_table() -> Table:
     """id-range shards [..9], [10..19], [20..]; `score` NULL-heavy on purpose."""
-    table = PartitionedTable(
+    table = Table(
         make_schema(
             "t",
             [("id", ColumnType.INT), ("score", ColumnType.INT), ("tag", ColumnType.TEXT)],
@@ -123,7 +123,7 @@ def test_conjuncts_combine_and_unknown_shapes_stay_conservative():
 
 
 def test_hash_partitions_prune_by_key_routing():
-    table = PartitionedTable(
+    table = Table(
         make_schema(
             "r",
             [("id", ColumnType.INT), ("gid", ColumnType.INT)],

@@ -19,8 +19,7 @@ from repro.stats.analyze import _analyze_column, analyze_table
 from repro.stats.column_stats import ColumnStats
 from repro.stats.histogram import EquiDepthHistogram
 from repro.stats.mcv import MostCommonValues
-from repro.storage.partition import PartitionedTable
-from repro.storage.snapshot import take_snapshot
+from repro.storage.snapshot import SnapshotTable
 from repro.storage.table import Table
 
 # -- the frozen reference --------------------------------------------------------
@@ -193,7 +192,7 @@ def _plain(count):
 
 
 def _partitioned_compressed(count):
-    table = PartitionedTable(
+    table = Table(
         _schema(PartitionSpec(method="hash", column="id", partitions=4))
     )
     table.insert_rows(_rows(count))
@@ -204,8 +203,8 @@ def _partitioned_compressed(count):
 LAYOUTS = {
     "table": _plain,
     "compressed_partitioned": _partitioned_compressed,
-    "table_snapshot": lambda count: take_snapshot(_plain(count)),
-    "partitioned_snapshot": lambda count: take_snapshot(_partitioned_compressed(count)),
+    "table_snapshot": lambda count: SnapshotTable(_plain(count)),
+    "partitioned_snapshot": lambda count: SnapshotTable(_partitioned_compressed(count)),
 }
 
 

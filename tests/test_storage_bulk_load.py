@@ -1,6 +1,6 @@
 """Bulk column loads: same stored values as row inserts, atomic on failure.
 
-``Table.load_columns`` / ``PartitionedTable.load_columns`` validate whole
+``Table.load_columns`` (one shard, or routed to many) validates whole
 columns and only fall back to per-value coercion when a foreign type is
 seen; these tests pin that the stored values equal what ``insert_rows``
 stores, on both layouts, and that no failure leaves a torn table.
@@ -20,7 +20,6 @@ from repro.catalog.schema import (
     make_schema,
 )
 from repro.errors import CatalogError, StorageError
-from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
 
 COLUMNS = (
@@ -35,7 +34,7 @@ HASH = PartitionSpec(method="hash", column="flag", partitions=3)
 
 def _table(spec=None):
     schema = TableSchema(name="t", columns=COLUMNS, partition_spec=spec)
-    return PartitionedTable(schema) if spec is not None else Table(schema)
+    return Table(schema)
 
 
 def _typed(values):
@@ -199,7 +198,7 @@ def test_partitioned_bulk_load_rejects_an_unroutable_key_atomically():
         [("k", ColumnType.TEXT), ("v", ColumnType.INT)],
         partition_by=PartitionSpec(method="range", column="k", bounds=(10,)),
     )
-    table = PartitionedTable(schema)
+    table = Table(schema)
     table.load_columns([[None], [1]])  # NULL keys route to partition 0
     with pytest.raises(StorageError):
         table.load_columns([[None, "a"], [2, 3]])

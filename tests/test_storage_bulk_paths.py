@@ -26,7 +26,7 @@ from repro.engine.settings import EngineSettings
 from repro.errors import StorageError
 from repro.storage import HashIndex, Table
 from repro.storage.compression import BLOCK_ROWS, encode_segment
-from repro.storage.partition import ColumnZone, PartitionedTable
+from repro.storage.partition import ColumnZone
 
 LENGTHS = (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 20_000)
 CODECS = ("auto", "plain", "dictionary", "rle")
@@ -368,9 +368,9 @@ def test_load_rows_equals_row_by_row_inserts(layout, order):
     db = Database()
     loaded = db.create_table(_load_table(layout))
     assert db.load_rows("t", rows) == len(rows)
-    oracle = PartitionedTable(_load_table(layout))
+    oracle = Table(_load_table(layout))
     assert oracle.load_columns(_frozen_load_columns(oracle, rows)) == len(rows)
-    by_row = PartitionedTable(_load_table(layout))
+    by_row = Table(_load_table(layout))
     by_row.insert_rows(zip(*_frozen_load_columns(by_row, rows)))
     assert _partitions(loaded) == _partitions(oracle) == _partitions(by_row)
 
@@ -412,7 +412,7 @@ def test_zone_folds_equal_per_value_notes():
 
 
 def test_range_routing_keeps_the_row_path_for_unroutable_keys():
-    table = PartitionedTable(
+    table = Table(
         make_schema(
             "t",
             [("k", ColumnType.TEXT), ("v", ColumnType.INT)],

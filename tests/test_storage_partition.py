@@ -12,7 +12,7 @@ from repro.storage.compression import (
     RLESegment,
     encode_segment,
 )
-from repro.storage.partition import PartitionedTable, stable_hash
+from repro.storage.partition import stable_hash
 from repro.storage.table import Table
 
 
@@ -61,16 +61,21 @@ def test_schema_rejects_unknown_partition_key():
         )
 
 
-def test_partitioned_table_requires_a_spec():
-    with pytest.raises(StorageError):
-        PartitionedTable(make_schema("t", [("id", ColumnType.INT)]))
+def test_a_table_without_a_spec_is_one_unrouted_shard_without_zone_maps():
+    table = Table(make_schema("t", [("id", ColumnType.INT)]))
+    table.insert_rows([(3,), (None,), (1,)])
+    assert table.num_partitions == 1
+    assert table.zone_map(0) is None
+    table.refresh_zone_maps()
+    assert table.zone_map(0) is None
+    assert table.column_data() == [[3, None, 1]]
 
 
 # -- routing -----------------------------------------------------------------
 
 
 def test_range_routing_uses_inclusive_lower_bounds():
-    table = PartitionedTable(range_schema())
+    table = Table(range_schema())
     assert table.route(None) == 0  # NULL keys always land in partition 0
     assert table.route(9) == 0
     assert table.route(10) == 1  # bounds are inclusive lower bounds
@@ -80,7 +85,7 @@ def test_range_routing_uses_inclusive_lower_bounds():
 
 
 def test_hash_routing_is_stable_and_null_safe():
-    table = PartitionedTable(hash_schema(partitions=4))
+    table = Table(hash_schema(partitions=4))
     assert table.route(None) == 0
     for key in (0, 1, 7, 12345):
         assert table.route(key) == stable_hash(key) % 4
@@ -90,7 +95,7 @@ def test_hash_routing_is_stable_and_null_safe():
 
 
 def test_range_routing_rejects_uncomparable_keys():
-    table = PartitionedTable(range_schema())
+    table = Table(range_schema())
     with pytest.raises(StorageError):
         table.route("not-an-int-bound")
 
@@ -99,7 +104,7 @@ def test_range_routing_rejects_uncomparable_keys():
 
 
 def test_rows_gather_in_partition_order():
-    table = PartitionedTable(range_schema())
+    table = Table(range_schema())
     # Insert out of partition order on purpose.
     rows = [(25, "c", 1.0), (5, "a", 2.0), (15, "b", 3.0), (7, "a", 4.0)]
     table.insert_rows(rows)
@@ -115,7 +120,7 @@ def test_rows_gather_in_partition_order():
 
 
 def test_insert_row_returns_gather_order_row_id():
-    table = PartitionedTable(range_schema())
+    table = Table(range_schema())
     assert table.insert_row((15, "b", 1.0)) == 0
     # A row routed into an earlier partition lands *before* the first one.
     assert table.insert_row((5, "a", 2.0)) == 0
@@ -123,7 +128,7 @@ def test_insert_row_returns_gather_order_row_id():
 
 
 def test_load_columns_routes_and_rolls_back_atomically():
-    table = PartitionedTable(range_schema())
+    table = Table(range_schema())
     table.load_columns([[5, 15], ["a", "b"], [1.0, 2.0]])
     assert table.row_count == 2
     with pytest.raises(CatalogError):
@@ -139,7 +144,7 @@ def test_load_columns_routes_and_rolls_back_atomically():
 
 
 def test_insert_dicts_and_coercion():
-    table = PartitionedTable(range_schema())
+    table = Table(range_schema())
     table.insert_dicts([{"id": 15, "kind": "b"}, {"id": "5", "score": 7}])
     assert table.column_values("id") == [5, 15]  # "5" coerced to int
     assert table.column_values("score") == [7.0, None]
@@ -161,7 +166,7 @@ def test_table_column_values_returns_a_copy():
 
 
 def test_partitioned_column_values_returns_a_copy():
-    table = PartitionedTable(range_schema())
+    table = Table(range_schema())
     table.insert_rows([(5, "a", 1.0), (15, "b", 2.0)])
     leaked = table.column_values("id")
     leaked.clear()
@@ -205,7 +210,7 @@ def test_rle_never_merges_equal_values_of_different_types():
 
 
 def test_partition_compress_round_trip_and_reopen_on_write():
-    table = PartitionedTable(range_schema())
+    table = Table(range_schema())
     table.insert_rows([(i, f"k{i % 2}", float(i % 3)) for i in range(30)])
     before = [table.row(i) for i in table.iter_row_ids()]
     table.compress()
@@ -221,7 +226,7 @@ def test_partition_compress_round_trip_and_reopen_on_write():
 
 
 def test_zone_maps_track_min_max_and_nulls_incrementally():
-    table = PartitionedTable(range_schema())
+    table = Table(range_schema())
     table.insert_rows([(5, "a", None), (7, None, 2.5), (15, "b", 1.0)])
     zone = table.zone_map(0)
     assert zone.row_count == 2
