@@ -82,10 +82,11 @@ unit:
 	$(PYTHON) -m pytest -x -q tests \
 		--ignore=tests/test_executor_differential.py \
 		--ignore=tests/test_executor_edge_cases.py \
+		--ignore=tests/test_executor_index_join.py \
 		--ignore=tests/property/test_sql_fuzz_differential.py
 
 diff:
-	$(PYTHON) -m pytest -x -q tests/test_executor_differential.py tests/test_executor_edge_cases.py
+	$(PYTHON) -m pytest -x -q tests/test_executor_differential.py tests/test_executor_edge_cases.py tests/test_executor_index_join.py
 
 fuzz:
 	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -x -q tests/property/test_sql_fuzz_differential.py

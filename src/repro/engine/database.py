@@ -175,7 +175,8 @@ class Database:
         that per column; a chunk holding a dict row or a row of the wrong
         width is first put in schema order row by row, which raises for the
         first offending row.  The load is atomic: a bad value rolls the whole
-        batch back.
+        batch back.  Indexes the table already has are rebuilt over the new
+        rows.
         """
         table = self.catalog.table(table_name)
         width = len(table.schema.columns)
@@ -191,11 +192,26 @@ class Database:
             count += len(chunk)
         if count:
             # Under the catalog lock so a concurrent snapshot() pins either
-            # none or all of the batch, never a torn prefix.
+            # none or all of the batch, never a torn prefix, and never the
+            # new rows beside indexes that miss them.
             with self.catalog.lock:
                 table.load_columns(columns)
+                self._rebuild_indexes(table_name)
                 self.feedback.invalidate_table(table_name)
         return count
+
+    def _rebuild_indexes(self, table_name: str) -> None:
+        """Replace every index of ``table_name`` with one built afresh.
+
+        Rebuilt, not extended: a load shifts the global row ids of a sharded
+        table's later shards.  New objects, so a pinned snapshot keeps the
+        indexes that match its rows.  Cached plans stay valid (the same
+        access paths exist), so the epoch does not move.
+        """
+        indexes = self.catalog.indexes(table_name)
+        table = self.catalog.table(table_name)
+        for column, index in list(indexes.items()):
+            indexes[column] = type(index)(table, column)
 
     def build_indexes(self, table_name: Optional[str] = None) -> None:
         """Build primary/foreign-key hash indexes (all tables by default)."""

@@ -41,7 +41,14 @@ class ColumnBatch:
     """A columnar intermediate result with per-column selection vectors."""
 
     __slots__ = (
-        "columns", "resolver", "_data", "_selections", "_length", "_rows", "_match"
+        "columns",
+        "resolver",
+        "scan_parts",
+        "_data",
+        "_selections",
+        "_length",
+        "_rows",
+        "_match",
     )
 
     def __init__(
@@ -70,6 +77,10 @@ class ColumnBatch:
         self._length = length
         self.resolver = ColumnResolver(self.columns)
         self._rows: Optional[List[tuple]] = None
+        #: Set on a base-table scan's output only: one ``(offset, local row
+        #: ids, row count)`` part per shard read, local ids ``None`` when
+        #: every row of the shard is in the batch (see :meth:`row_ids`).
+        self.scan_parts: Optional[List[Tuple[int, Optional[List[int]], int]]] = None
 
     # -- constructors -------------------------------------------------------
 
@@ -193,6 +204,32 @@ class ColumnBatch:
                 return data[: self._length]
             return data
         return [data[i] for i in sel]
+
+    def row_ids(self) -> Optional[Sequence[int]]:
+        """Global row ids of a base-table scan's rows, ascending.
+
+        ``None`` for any batch that is not a scan's output.  The ids are
+        expanded from :attr:`scan_parts` on each call — only an index
+        nested-loop join asks, once per join — and cost nothing for one
+        unpruned shard: its local ids are the global ones.
+        """
+        parts = self.scan_parts
+        if parts is None:
+            return None
+        if len(parts) == 1:
+            offset, local, count = parts[0]
+            if local is None:
+                return range(offset, offset + count)
+            if not offset:
+                return local
+        return list(
+            chain.from_iterable(
+                range(offset, offset + count)
+                if local is None
+                else map(offset.__add__, local)
+                for offset, local, count in parts
+            )
+        )
 
     def column_values(self, alias: str, column: str) -> List[object]:
         """All values of one column (selection applied; may alias storage)."""

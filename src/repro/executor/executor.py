@@ -19,6 +19,13 @@ counts (rows fetched, join input/output cardinalities, index probe matches),
 which both engines compute identically; only wall-clock differs.  This is
 what makes differential testing between the engines meaningful.
 
+Hash, nested-loop and merge joins run as the same hash join
+(``join_results``); their algorithm changes only the charged work.  An
+index nested-loop join runs through the inner table's index
+(``index_join_results``), which also returns the index matches it is
+charged for; its inner scan still runs, uncharged, so the actual rows the
+re-optimization loops observe do not depend on the algorithm.
+
 See DESIGN.md (Metrics) for why deterministic work units, not wall-clock,
 are the primary execution-time proxy.
 """
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.errors import ExecutionError
@@ -50,6 +57,7 @@ from repro.optimizer.plan import (
 )
 from repro.optimizer.provenance import plan_output_columns
 from repro.optimizer.pruning import prune_partitions
+from repro.sql.binder import BoundJoin
 
 # Conversion between abstract work units and "simulated seconds" reported by
 # the benchmark harness.  The constant is chosen so that a JOB-like workload
@@ -445,14 +453,25 @@ class Executor:
         memo: Optional[_StageMemo] = None,
         observed: Optional[Dict[str, int]] = None,
     ) -> Tuple[ResultSet, float, int, int]:
-        inner_is_index_probed = node.algorithm is JoinAlgorithm.INDEX_NESTED_LOOP
+        index_probed = node.algorithm is JoinAlgorithm.INDEX_NESTED_LOOP
         outer_result, outer_work = self._execute_node(node.left, metrics, memo=memo)
+        # An index-probed inner still scans, uncharged: its actual rows are
+        # what the re-optimization loops and the feedback harvest observe.
         inner_result, inner_work = self._execute_node(
-            node.right, metrics, charge=not inner_is_index_probed, memo=memo
+            node.right, metrics, charge=not index_probed, memo=memo
         )
         if observed is None:
             observed = {}
-        if node.join_predicates:
+        if index_probed:
+            joined, index_matches = self._ops.index_join_results(
+                outer_result,
+                inner_result,
+                self._index_probe_order(node),
+                self._catalog,
+                node.right.table,
+                observed=observed,
+            )
+        elif node.join_predicates:
             joined = self._ops.join_results(
                 outer_result,
                 inner_result,
@@ -476,8 +495,12 @@ class Executor:
             own = self.cost_model.nested_loop_cost(outer_rows, inner_rows, output_rows)
         elif node.algorithm is JoinAlgorithm.MERGE_JOIN:
             own = self.cost_model.merge_join_cost(outer_rows, inner_rows, output_rows)
-        elif node.algorithm is JoinAlgorithm.INDEX_NESTED_LOOP:
-            own = self._index_nested_loop_work(node, outer_result, output_rows)
+        elif index_probed:
+            # Probes pay one index lookup per outer row; every index match is
+            # fetched and residual-filtered even if it does not survive.
+            own = self.cost_model.index_nested_loop_cost(
+                outer_rows, max(index_matches, output_rows), len(node.right.filters)
+            )
         else:  # pragma: no cover - enum is exhaustive
             raise ExecutionError(f"unknown join algorithm {node.algorithm}")
         return (
@@ -487,30 +510,20 @@ class Executor:
             observed.get("probe_rows", outer_rows),
         )
 
-    def _index_nested_loop_work(
-        self, node: JoinNode, outer_result: ResultSet, output_rows: int
-    ) -> float:
+    def _index_probe_order(self, node: JoinNode) -> List[BoundJoin]:
+        """An index nested loop's join predicates, the one it probes first.
+
+        The probed predicate is the first whose column on the inner base
+        table carries an index.
+        """
         inner = node.right
         if not isinstance(inner, ScanNode):
             raise ExecutionError(
                 "index nested loop plans must have a base-table scan as inner child"
             )
-        join = None
-        for candidate in node.join_predicates:
-            if candidate.touches(inner.alias):
-                join = candidate
-                break
-        if join is None:
-            raise ExecutionError("index nested loop join has no usable join predicate")
-        inner_column = join.column_for(inner.alias)
-        outer_alias, outer_column = join.other(inner.alias)
-        outer_position = outer_result.column_position(outer_alias, outer_column)
-        probe_matches = self._ops.count_index_probe_matches(
-            outer_result, [outer_position], self._catalog, inner.table, inner_column
-        )
-        # Probes pay one index lookup per outer row; every index match is
-        # fetched and residual-filtered even if it does not survive.
-        charged_matches = max(probe_matches, output_rows)
-        return self.cost_model.index_nested_loop_cost(
-            len(outer_result), charged_matches, len(inner.filters)
-        )
+        indexes = self._catalog.indexes(inner.table)
+        joins = list(node.join_predicates)
+        for i, join in enumerate(joins):
+            if join.column_for(inner.alias) in indexes:
+                return [joins.pop(i)] + joins
+        raise ExecutionError("index nested loop join has no indexed join predicate")

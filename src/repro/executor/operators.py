@@ -12,23 +12,30 @@ This is the default execution engine.  Every operator consumes and produces
   it per side, the output's selection vectors are laid out only when
   something downstream reads *them*, and no payload column is touched
   before either;
+* ``index_join_results`` joins through the inner table's hash index: one
+  lookup per distinct outer key, the fetched rows kept where the inner scan
+  kept them, and the same factorized match as ``join_results``;
 * ``aggregate_result`` folds aggregates directly over column lists — and
   ``MIN``/``MAX``/``COUNT(*)`` straight over a join's match, per side,
   without ever laying its output out.
 
 The engine mirrors :mod:`repro.executor.reference` exactly: same output
 multiset (in fact the same row order: probe-side-major, build insertion
-order within a key) and same work-accounting inputs.  Like the reference
-engine it is a *functional simulator* — the optimizer's physical algorithm
-choice (``NESTED_LOOP`` vs ``HASH_JOIN`` …) only affects the deterministic
-work charged by :mod:`repro.executor.executor`, never the rows produced.
+order within a key) and same work-accounting inputs.  Hash, nested-loop
+and merge joins all run as ``join_results``' hash join — their algorithm
+only changes the deterministic work :mod:`repro.executor.executor`
+charges; an index nested-loop join runs through the index
+(``index_join_results``) and yields the very rows, in the very order, the
+hash join would.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress, repeat
+from operator import mul
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.errors import ExecutionError
@@ -53,12 +60,12 @@ __all__ = [
     "ColumnBatch",
     "ResultSet",
     "aggregate_result",
-    "count_index_probe_matches",
     "cross_join_results",
     "distinct_result",
     "empty_result",
     "filter_result",
     "group_aggregate_result",
+    "index_join_results",
     "join_results",
     "limit_result",
     "scan_table",
@@ -105,11 +112,7 @@ def scan_table(
     qualified: List[QualifiedColumn] = [(alias, name) for name in names]
     table_data = table.column_data()
     data = [table_data[table.schema.column_index(name)] for name in names]
-    index = catalog.indexes(table_name).get(index_column)
-    if index is None:
-        raise ExecutionError(
-            f"plan requires an index on {table_name}.{index_column} that does not exist"
-        )
+    index = _index_on(catalog, table_name, index_column)
     row_ids: List[int] = []
     for key in index_probe_keys(index_filter):
         row_ids.extend(index.lookup(key))
@@ -119,7 +122,10 @@ def scan_table(
 
     predicate = compile_batch_conjunction(list(filters), batch.resolver)
     if predicate is not None:
-        batch = batch.restrict(predicate(batch))
+        keep = predicate(batch)
+        batch = batch.restrict(keep)
+        row_ids = [row_ids[i] for i in keep]
+    batch.scan_parts = [(0, row_ids, table.row_count)]
     return batch, rows_fetched
 
 
@@ -147,7 +153,8 @@ def join_results(
     """Equi-join two batches on all given join predicates.
 
     The physical evaluation always builds a hash table on the smaller input;
-    the optimizer's algorithm choice only affects work accounting.  Only the
+    every join but an index nested loop (:func:`index_join_results`) runs
+    here, whatever algorithm the optimizer chose.  Only the
     key columns are materialized, and the returned batch is the factorized
     match (:meth:`ColumnBatch.from_join`): it knows its length — all the
     scheduler, the cost model and a re-optimization trigger ask of a join —
@@ -209,6 +216,164 @@ def join_results(
     )
 
 
+def index_join_results(
+    outer: ColumnBatch,
+    inner: ColumnBatch,
+    joins: Sequence[BoundJoin],
+    catalog: Catalog,
+    inner_table: str,
+    observed: Optional[Dict[str, int]] = None,
+) -> Tuple[ColumnBatch, int]:
+    """Index nested-loop join: fetch the inner rows through its hash index.
+
+    ``inner`` is the output of a scan of ``inner_table``; ``joins[0]`` is
+    the predicate whose inner column carries the index.  Each distinct
+    non-NULL outer key of that predicate is looked up once; a fetched row
+    joins when the inner scan kept it (its pushed-down filters passed) and
+    it matches on every other predicate.  Row ids beyond the table's row
+    count — an index newer than a pinned snapshot — are dropped.
+
+    The rows, their order and ``observed`` are exactly :func:`join_results`'
+    on the same inputs: inner-major (inner rows ascending, outer insertion
+    order within a key) when ``len(outer) <= len(inner)``, outer-major
+    (inner rows ascending within a key) otherwise.
+
+    Returns:
+        ``(batch, matches)`` with ``matches`` the rows the index lookups
+        fetched, summed over outer rows — the charged quantity, counted
+        before the inner filters.
+    """
+    if not joins:
+        raise ExecutionError("index_join_results requires at least one join predicate")
+    outer = ColumnBatch.from_result(outer)
+    inner = ColumnBatch.from_result(inner)
+    row_ids = inner.row_ids()
+    if row_ids is None:
+        raise ExecutionError("an index nested-loop join needs a base-table scan as inner")
+    outer_positions, inner_positions = resolve_join_positions(outer, inner, joins)
+    index = _index_on(catalog, inner_table, inner.columns[inner_positions[0]][1])
+    table_rows = catalog.table(inner_table).row_count
+    if observed is not None:
+        observed["build_rows"] = min(len(outer), len(inner))
+        observed["probe_rows"] = max(len(outer), len(inner))
+
+    composite = len(joins) > 1
+    outer_keys = _key_rows(outer, outer_positions)
+    multiplicity = Counter([key[0] for key in outer_keys] if composite else outer_keys)
+    multiplicity.pop(None, None)
+    fetched_of: Dict[object, List[int]] = {}
+    for value in multiplicity:
+        fetched = index.lookup(value)
+        if fetched and fetched[-1] >= table_rows:
+            fetched = [row_id for row_id in fetched if row_id < table_rows]
+        fetched_of[value] = fetched
+    fetched_sizes = list(map(len, fetched_of.values()))
+    matches = sum(map(mul, multiplicity.values(), fetched_sizes))
+    locate = _row_locator(row_ids, sum(fetched_sizes))
+    # Inner positions per join key, ascending: the build side's buckets as
+    # the hash join would fill them, but only for keys the outer holds.
+    inner_of: Dict[object, List[int]] = {}
+    for value, fetched in fetched_of.items():
+        positions = locate(fetched)
+        if not positions:
+            continue
+        if not composite:
+            inner_of[value] = positions
+            continue
+        others = [inner.take(p, positions) for p in inner_positions[1:]]
+        for position, key in zip(positions, zip(repeat(value), *others)):
+            if not _key_is_null(key, True):
+                inner_of.setdefault(key, []).append(position)
+
+    if len(outer) > len(inner):  # outer-major: outer rows probe the inner buckets
+        matched = list(map(inner_of.get, outer_keys))
+        if all(matched):
+            outer_idx, hit_buckets = None, matched
+        else:
+            outer_idx = list(compress(range(len(matched)), matched))
+            hit_buckets = list(compress(matched, matched))
+        return (
+            ColumnBatch.from_join(
+                outer, inner, False, outer_idx, hit_buckets, sum(map(len, hit_buckets))
+            ),
+            matches,
+        )
+    # Inner-major: every fetched inner row beside its outer bucket.
+    buckets: Dict[object, List[int]] = {}
+    for i, key in enumerate(outer_keys):
+        if not _key_is_null(key, composite):
+            buckets.setdefault(key, []).append(i)
+    hits = [
+        (positions, buckets[key]) for key, positions in inner_of.items() if key in buckets
+    ]
+    length = sum(len(positions) * len(bucket) for positions, bucket in hits)
+    if len(hits) == 1:  # one key: its positions are ascending already
+        inner_idx, bucket = hits[0]
+        hit_buckets = [bucket] * len(inner_idx)
+    else:
+        bucket_at: Dict[int, List[int]] = {}
+        for positions, bucket in hits:
+            bucket_at.update(zip(positions, repeat(bucket)))
+        inner_idx = sorted(bucket_at)
+        hit_buckets = list(map(bucket_at.__getitem__, inner_idx))
+    if len(inner_idx) == len(inner):
+        inner_idx = None
+    return (
+        ColumnBatch.from_join(outer, inner, True, inner_idx, hit_buckets, length),
+        matches,
+    )
+
+
+def _index_on(catalog: Catalog, table_name: str, column: str):
+    """The index a plan probes on ``table_name.column`` (raises when missing)."""
+    index = catalog.indexes(table_name).get(column)
+    if index is None:
+        raise ExecutionError(
+            f"plan requires an index on {table_name}.{column} that does not exist"
+        )
+    return index
+
+
+def _row_locator(
+    row_ids: Sequence[int], fetched_rows: int
+) -> Callable[[List[int]], List[int]]:
+    """Map ascending fetched row ids to their positions in a scan's output.
+
+    ``row_ids`` (the scan's, ascending) is a ``range`` when the scan kept
+    every row of a contiguous span: positions are offsets.  Otherwise a
+    join fetching many rows (``fetched_rows`` in all) maps the scan's row
+    ids once, and one fetching few bisects them per fetched row.  Row ids
+    the scan did not keep are dropped.
+    """
+    if isinstance(row_ids, range):
+        start, stop = row_ids.start, row_ids.stop
+        if start == 0:
+            return lambda fetched: (
+                list(fetched)  # a copy: the index keeps its own list
+                if not fetched or fetched[-1] < stop
+                else [row_id for row_id in fetched if row_id < stop]
+            )
+        return lambda fetched: [
+            row_id - start for row_id in fetched if start <= row_id < stop
+        ]
+    if fetched_rows * 8 >= len(row_ids):
+        position_of = dict(zip(row_ids, range(len(row_ids))))
+        return lambda fetched: [
+            position for position in map(position_of.get, fetched) if position is not None
+        ]
+    size = len(row_ids)
+
+    def bisected(fetched: List[int]) -> List[int]:
+        positions: List[int] = []
+        for row_id in fetched:
+            position = bisect_left(row_ids, row_id)
+            if position < size and row_ids[position] == row_id:
+                positions.append(position)
+        return positions
+
+    return bisected
+
+
 def cross_join_results(
     left: ColumnBatch,
     right: ColumnBatch,
@@ -242,36 +407,6 @@ def filter_result(result: ColumnBatch, predicates: Sequence) -> ColumnBatch:
 def empty_result(columns: Sequence[QualifiedColumn]) -> ColumnBatch:
     """An empty batch with the given column layout (pruned subtrees)."""
     return ColumnBatch(columns, [[] for _ in columns], length=0)
-
-
-def count_index_probe_matches(
-    outer: ColumnBatch,
-    outer_positions: Sequence[int],
-    catalog: Catalog,
-    inner_table: str,
-    inner_column: str,
-) -> int:
-    """Number of index matches an index-nested-loop join would fetch.
-
-    Counts, over all outer rows, how many inner rows share the join key
-    *before* the inner table's residual filters are applied — the quantity an
-    index nested loop actually pays for.
-    """
-    index = catalog.indexes(inner_table).get(inner_column)
-    if index is None:
-        return 0
-    outer = ColumnBatch.from_result(outer)
-    composite = len(outer_positions) > 1
-    key_counts: Counter = Counter(
-        key
-        for key in _key_rows(outer, outer_positions)
-        if not _key_is_null(key, composite)
-    )
-    matches = 0
-    for key, count in key_counts.items():
-        probe_key = key[0] if isinstance(key, tuple) else key
-        matches += count * len(index.lookup(probe_key))
-    return matches
 
 
 def _fold_column(item: SelectItem, values: List[object]) -> object:

@@ -60,6 +60,13 @@ class OperatorSet(Protocol):
     ``rows``, ``column_position``, ``column_values`` and ``resolver`` behave
     identically, which is what lets the scheduler stay engine-agnostic.
 
+    ``index_join_results`` joins an outer result with the output of a scan
+    of ``inner_table`` through that table's index on ``joins[0]``'s inner
+    column.  It returns the rows (and order, and ``observed`` values)
+    ``join_results`` returns for the same inputs, plus the number of rows
+    the index lookups fetch over all outer rows — the match count an index
+    nested loop is charged for.
+
     Operators that run a pipeline breaker accept an ``observed`` dict and
     record runtime statistics into it (``build_rows``/``probe_rows`` for
     joins; ``segments_skipped``/``columns_decoded`` for late-materializing
@@ -90,6 +97,16 @@ class OperatorSet(Protocol):
         self, left, right, joins: Sequence, observed: Optional[Dict[str, int]] = None
     ): ...
 
+    def index_join_results(
+        self,
+        outer,
+        inner,
+        joins: Sequence,
+        catalog,
+        inner_table: str,
+        observed: Optional[Dict[str, int]] = None,
+    ) -> Tuple[object, int]: ...
+
     def cross_join_results(
         self, left, right, observed: Optional[Dict[str, int]] = None
     ): ...
@@ -98,14 +115,6 @@ class OperatorSet(Protocol):
 
     def empty_result(self, columns: Sequence[QualifiedColumn]): ...
 
-    def count_index_probe_matches(
-        self,
-        outer,
-        outer_positions: Sequence[int],
-        catalog,
-        inner_table: str,
-        inner_column: str,
-    ) -> int: ...
 
     def aggregate_result(self, result, select_items: Sequence): ...
 

@@ -36,7 +36,10 @@ lists and the survivors are a selection vector.  Otherwise surviving rows
 materialize **only the projected columns**
 (:class:`~repro.optimizer.plan.ScanNode.columns`); shards concatenate in
 partition order, reproducing the global row-id order every engine
-produces.  The two counters reported through ``observed`` —
+produces.  Either way the batch records which global row ids it holds
+(:attr:`~repro.executor.batch.ColumnBatch.scan_parts`), so an index
+nested-loop join above it can tell which fetched rows the scan kept.  The
+two counters reported through ``observed`` —
 ``segments_skipped`` (refuted blocks) and ``columns_decoded`` (distinct
 columns materialized) — are derived from row counts and sealed statistics
 only, hence engine-invariant, like all work accounting.
@@ -317,12 +320,13 @@ def scan_shards(
     positions = [schema.column_index(name) for name in names]
     qualified = [(alias, name) for name in names]
     pruned = set(pruned_partitions)
-    kept = [
-        partition
-        for index, partition in enumerate(table.partitions())
-        if index not in pruned
-    ]
-    rows_fetched = sum(partition.row_count for partition in kept)
+    kept: List[Tuple[int, Partition]] = []  # (global row id of row 0, shard)
+    offset = 0
+    for index, partition in enumerate(table.partitions()):
+        if index not in pruned:
+            kept.append((offset, partition))
+        offset += partition.row_count
+    rows_fetched = sum(partition.row_count for _, partition in kept)
 
     filters = list(filters)
     if not filters:
@@ -333,19 +337,26 @@ def scan_shards(
                 data = [table.gathered_column(position) for position in positions]
         else:
             data = [[] for _ in positions]
-            for partition in kept:
+            for _, partition in kept:
                 for accumulator, position in zip(data, positions):
                     accumulator.extend(partition.column_at(position))
         if observed is not None and columns is not None:
             observed["columns_decoded"] = len(names)
-        return ColumnBatch(qualified, data, length=rows_fetched), rows_fetched
+        batch = ColumnBatch(qualified, data, length=rows_fetched)
+        batch.scan_parts = (
+            [(start, None, partition.row_count) for start, partition in kept]
+            if pruned
+            else [(0, None, rows_fetched)]
+        )
+        return batch, rows_fetched
 
     compiled = _CompiledFilters(alias, filters, schema)
     skipped_total = 0
     decoded_all: Set[str] = set()
-    if len(kept) == 1 and all(kept[0].segment_at(p) is None for p in positions):
+    parts = []
+    if len(kept) == 1 and all(kept[0][1].segment_at(p) is None for p in positions):
         # One shard of open columns: wrap its lists, narrow by selection.
-        shard = kept[0]
+        start, shard = kept[0]
         candidates, skipped_total, decoded_all = _shard_candidates(shard, compiled)
         batch = ColumnBatch(
             qualified,
@@ -354,16 +365,19 @@ def scan_shards(
         )
         if candidates is not None:
             batch = batch.restrict(candidates)
+        parts.append((start, candidates, shard.row_count))
     else:
         out: List[List[object]] = [[] for _ in positions]
-        for partition in kept:
+        for start, partition in kept:
             candidates, skipped, decoded = _shard_candidates(partition, compiled)
             for accumulator, position in zip(out, positions):
                 accumulator.extend(_materialize(partition, position, candidates))
             skipped_total += skipped
             decoded_all.update(decoded)
+            parts.append((start, candidates, partition.row_count))
         batch = ColumnBatch(qualified, out, length=len(out[0]) if out else 0)
-    if any(partition.row_count for partition in kept):
+    batch.scan_parts = parts
+    if any(partition.row_count for _, partition in kept):
         decoded_all.update(names)
     if observed is not None:
         observed["segments_skipped"] = skipped_total

@@ -12,7 +12,9 @@ A :class:`Server` multiplexes statements from any number of
 * one process-wide thread-safe :class:`~repro.engine.plancache.PlanCache`
   is shared by every session, keyed on normalized SQL plus catalog epoch;
 * :class:`ServerStats` aggregates end-to-end latency (queueing included)
-  into the p50/p99 numbers the serving benchmark reports.
+  into the p50/p99 numbers the serving benchmark reports, over a fixed
+  window of the most recent statements so its memory and the cost of a
+  percentile stay flat in server age.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
-from typing import List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
 from repro.engine.database import Database
 from repro.engine.plancache import PlanCache
@@ -34,6 +37,9 @@ __all__ = ["Server", "ServerStats"]
 #: Sentinel telling a worker thread to exit its loop.
 _SHUTDOWN = object()
 
+#: How many of the most recent end-to-end latencies :class:`ServerStats` keeps.
+LATENCY_WINDOW = 8192
+
 
 class ServerStats:
     """Thread-safe aggregate accounting of a server's lifetime."""
@@ -45,7 +51,7 @@ class ServerStats:
         self.errors = 0
         self.shed = 0
         self.reoptimized = 0
-        self._latencies: List[float] = []
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     def record(self, result: StatementResult, latency_seconds: float) -> None:
         """Fold one successful statement (end-to-end latency) in."""
@@ -67,12 +73,21 @@ class ServerStats:
             self.shed += 1
 
     def latencies(self) -> List[float]:
-        """A copy of all recorded end-to-end latencies, in completion order."""
+        """A copy of the window of recent end-to-end latencies.
+
+        The window holds the last :data:`LATENCY_WINDOW` statements recorded,
+        in completion order; older latencies are dropped as new ones arrive
+        (``statements`` still counts every one).
+        """
         with self._lock:
             return list(self._latencies)
 
     def percentile(self, q: float) -> float:
-        """The ``q``-th latency percentile in seconds (0 when unused)."""
+        """The ``q``-th latency percentile in seconds (0 when unused).
+
+        Exact over the window :meth:`latencies` returns — the last
+        :data:`LATENCY_WINDOW` statements — not over the server's lifetime.
+        """
         with self._lock:
             if not self._latencies:
                 return 0.0

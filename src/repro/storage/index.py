@@ -3,9 +3,11 @@
 :class:`HashIndex` answers equality lookups for index-nested-loop joins and
 equality predicates — PostgreSQL's btree-for-equality usage without the
 ordering machinery.  Indexes are built eagerly from a
-:class:`~repro.storage.table.Table` and are read-only afterwards; the
-workloads in this repository load data once and then query it, matching the
-paper's analytic setting.
+:class:`~repro.storage.table.Table` and never change afterwards: a load into
+an indexed table (:meth:`~repro.engine.database.Database.load_rows`) replaces
+its indexes with rebuilt ones — a load shifts the row ids of a sharded
+table — so a snapshot pinned before the load keeps the indexes that match
+its rows.
 
 A hash index first maps each key to a row id in one C-level pass over the
 column (``dict(zip(values, range(n)))``, no object per row).  When no key

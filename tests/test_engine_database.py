@@ -5,6 +5,7 @@ import pytest
 from repro.catalog import ColumnType, make_schema
 from repro.engine import Database, EngineSettings
 from repro.errors import CatalogError, StorageError, TempTableExists
+from repro.optimizer.plan import JoinAlgorithm
 
 
 class TestDatabaseDDL:
@@ -78,6 +79,67 @@ class TestDatabaseDDL:
     def test_create_extra_index(self, stock_db):
         stock_db.create_index("trades", "venue")
         assert "venue" in stock_db.catalog.indexes("trades")
+
+
+class TestLoadAfterIndexBuild:
+    """A load into an indexed table rebuilds its indexes over the new rows."""
+
+    @staticmethod
+    def _db():
+        db = Database()
+        db.create_table(
+            make_schema("t", [("id", ColumnType.INT), ("v", ColumnType.INT)], primary_key="id")
+        )
+        db.create_table(
+            make_schema(
+                "u",
+                [("id", ColumnType.INT), ("t_id", ColumnType.INT)],
+                primary_key="id",
+                foreign_keys=[("t_id", "t", "id")],
+            )
+        )
+        db.load_rows("t", [(i, i % 3) for i in range(1000)])
+        db.load_rows("u", [(i, i) for i in range(5)])
+        db.build_indexes()
+        db.analyze()
+        return db
+
+    def test_index_scan_finds_a_late_row(self):
+        db = self._db()
+        index = db.catalog.indexes("t")["id"]
+        epoch = db.catalog.epoch
+        db.load_rows("t", [(i, 3) for i in range(1000, 1010)])
+        sql = "SELECT t.v FROM t AS t WHERE t.id = 1005"
+        assert "Index Scan" in db.explain(sql)
+        assert db.run(sql).rows == [(3,)]
+        assert db.run("SELECT count(*) AS n FROM t AS t").rows == [(1010,)]
+        assert db.catalog.indexes("t")["id"] is not index
+        assert db.catalog.epoch == epoch  # cached plans stay valid
+
+    def test_index_nested_loop_join_fetches_late_rows(self):
+        db = self._db()
+        db.load_rows("u", [(i, i) for i in range(1000, 1010)])
+        db.load_rows("t", [(i, 3) for i in range(1000, 1010)])
+        planned = db.plan(
+            "SELECT u.id, t.v FROM u AS u, t AS t WHERE u.t_id = t.id AND t.v = 3"
+        )
+        (join,) = planned.plan.join_nodes()
+        if join.right.alias != "t":
+            join.left, join.right = join.right, join.left
+        join.algorithm = JoinAlgorithm.INDEX_NESTED_LOOP
+        rows = db.execute_plan(planned).result.rows
+        assert sorted(rows) == [(i, 3) for i in range(1000, 1010)]
+
+    def test_a_snapshot_pinned_before_the_load_keeps_its_indexes(self):
+        db = self._db()
+        pinned = db.snapshot()
+        index = pinned.catalog.indexes("t")["id"]
+        db.load_rows("t", [(i, 3) for i in range(1000, 1010)])
+        assert pinned.catalog.indexes("t")["id"] is index
+        assert len(index) == 1000
+        assert pinned.run("SELECT t.v FROM t AS t WHERE t.id = 1005").rows == []
+        assert pinned.run("SELECT t.v FROM t AS t WHERE t.id = 5").rows == [(2,)]
+        assert db.snapshot().run("SELECT t.v FROM t AS t WHERE t.id = 1005").rows == [(3,)]
 
 
 class TestDatabaseQuerying:

@@ -52,6 +52,10 @@ class CountingOperators:
         self.calls["join"] += 1
         return self._base.join_results(*args, **kwargs)
 
+    def index_join_results(self, *args, **kwargs):
+        self.calls["join"] += 1
+        return self._base.index_join_results(*args, **kwargs)
+
     def cross_join_results(self, *args, **kwargs):
         self.calls["join"] += 1
         return self._base.cross_join_results(*args, **kwargs)
