@@ -43,12 +43,12 @@ class ColumnBatch:
     __slots__ = (
         "columns",
         "resolver",
-        "scan_parts",
         "_data",
         "_selections",
         "_length",
         "_rows",
         "_match",
+        "_scan_parts",
     )
 
     def __init__(
@@ -57,7 +57,12 @@ class ColumnBatch:
         data: Sequence[List[object]],
         sels: Optional[Sequence[Optional[List[int]]]] = None,
         length: Optional[int] = None,
+        scan_parts: Optional[Sequence[Tuple[int, Sequence[int]]]] = None,
     ) -> None:
+        """``scan_parts`` is given by a base-table scan only: one ``(global
+        row id of the shard's first row, local row ids kept)`` pair per shard
+        read, the local ids ascending — a ``range`` when the scan kept every
+        row of the shard (see :meth:`row_ids`)."""
         self.columns: Tuple[QualifiedColumn, ...] = tuple(columns)
         self._data: List[List[object]] = list(data)
         if len(self._data) != len(self.columns):
@@ -77,10 +82,7 @@ class ColumnBatch:
         self._length = length
         self.resolver = ColumnResolver(self.columns)
         self._rows: Optional[List[tuple]] = None
-        #: Set on a base-table scan's output only: one ``(offset, local row
-        #: ids, row count)`` part per shard read, local ids ``None`` when
-        #: every row of the shard is in the batch (see :meth:`row_ids`).
-        self.scan_parts: Optional[List[Tuple[int, Optional[List[int]], int]]] = None
+        self._scan_parts = scan_parts
 
     # -- constructors -------------------------------------------------------
 
@@ -209,26 +211,21 @@ class ColumnBatch:
         """Global row ids of a base-table scan's rows, ascending.
 
         ``None`` for any batch that is not a scan's output.  The ids are
-        expanded from :attr:`scan_parts` on each call — only an index
+        expanded from the scan's parts on each call — only an index
         nested-loop join asks, once per join — and cost nothing for one
-        unpruned shard: its local ids are the global ones.
+        shard starting at row 0: its local ids are the global ones.
         """
-        parts = self.scan_parts
+        parts = self._scan_parts
         if parts is None:
             return None
         if len(parts) == 1:
-            offset, local, count = parts[0]
-            if local is None:
-                return range(offset, offset + count)
+            offset, local = parts[0]
             if not offset:
                 return local
+            if isinstance(local, range):
+                return range(local.start + offset, local.stop + offset)
         return list(
-            chain.from_iterable(
-                range(offset, offset + count)
-                if local is None
-                else map(offset.__add__, local)
-                for offset, local, count in parts
-            )
+            chain.from_iterable(map(offset.__add__, local) for offset, local in parts)
         )
 
     def column_values(self, alias: str, column: str) -> List[object]:

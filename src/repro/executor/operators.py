@@ -31,7 +31,6 @@ hash join would.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from itertools import compress, repeat
 from operator import mul
@@ -117,15 +116,15 @@ def scan_table(
     for key in index_probe_keys(index_filter):
         row_ids.extend(index.lookup(key))
     row_ids = sorted(set(row_ids))
-    batch = ColumnBatch(qualified, data, length=table.row_count).restrict(row_ids)
     rows_fetched = len(row_ids)
+    fetched = ColumnBatch(qualified, data, [row_ids] * len(data), rows_fetched)
 
-    predicate = compile_batch_conjunction(list(filters), batch.resolver)
+    predicate = compile_batch_conjunction(list(filters), fetched.resolver)
     if predicate is not None:
-        keep = predicate(batch)
-        batch = batch.restrict(keep)
-        row_ids = [row_ids[i] for i in keep]
-    batch.scan_parts = [(0, row_ids, table.row_count)]
+        row_ids = [row_ids[i] for i in predicate(fetched)]
+    batch = ColumnBatch(
+        qualified, data, [row_ids] * len(data), len(row_ids), scan_parts=[(0, row_ids)]
+    )
     return batch, rows_fetched
 
 
@@ -230,8 +229,7 @@ def index_join_results(
     the predicate whose inner column carries the index.  Each distinct
     non-NULL outer key of that predicate is looked up once; a fetched row
     joins when the inner scan kept it (its pushed-down filters passed) and
-    it matches on every other predicate.  Row ids beyond the table's row
-    count — an index newer than a pinned snapshot — are dropped.
+    it matches on every other predicate.
 
     The rows, their order and ``observed`` are exactly :func:`join_results`'
     on the same inputs: inner-major (inner rows ascending, outer insertion
@@ -252,7 +250,6 @@ def index_join_results(
         raise ExecutionError("an index nested-loop join needs a base-table scan as inner")
     outer_positions, inner_positions = resolve_join_positions(outer, inner, joins)
     index = _index_on(catalog, inner_table, inner.columns[inner_positions[0]][1])
-    table_rows = catalog.table(inner_table).row_count
     if observed is not None:
         observed["build_rows"] = min(len(outer), len(inner))
         observed["probe_rows"] = max(len(outer), len(inner))
@@ -261,15 +258,9 @@ def index_join_results(
     outer_keys = _key_rows(outer, outer_positions)
     multiplicity = Counter([key[0] for key in outer_keys] if composite else outer_keys)
     multiplicity.pop(None, None)
-    fetched_of: Dict[object, List[int]] = {}
-    for value in multiplicity:
-        fetched = index.lookup(value)
-        if fetched and fetched[-1] >= table_rows:
-            fetched = [row_id for row_id in fetched if row_id < table_rows]
-        fetched_of[value] = fetched
-    fetched_sizes = list(map(len, fetched_of.values()))
-    matches = sum(map(mul, multiplicity.values(), fetched_sizes))
-    locate = _row_locator(row_ids, sum(fetched_sizes))
+    fetched_of = {value: index.lookup(value) for value in multiplicity}
+    matches = sum(map(mul, multiplicity.values(), map(len, fetched_of.values())))
+    locate = _row_locator(row_ids)
     # Inner positions per join key, ascending: the build side's buckets as
     # the hash join would fill them, but only for keys the outer holds.
     inner_of: Dict[object, List[int]] = {}
@@ -334,16 +325,13 @@ def _index_on(catalog: Catalog, table_name: str, column: str):
     return index
 
 
-def _row_locator(
-    row_ids: Sequence[int], fetched_rows: int
-) -> Callable[[List[int]], List[int]]:
+def _row_locator(row_ids: Sequence[int]) -> Callable[[List[int]], List[int]]:
     """Map ascending fetched row ids to their positions in a scan's output.
 
     ``row_ids`` (the scan's, ascending) is a ``range`` when the scan kept
-    every row of a contiguous span: positions are offsets.  Otherwise a
-    join fetching many rows (``fetched_rows`` in all) maps the scan's row
-    ids once, and one fetching few bisects them per fetched row.  Row ids
-    the scan did not keep are dropped.
+    every row of a contiguous span: positions are offsets.  Otherwise the
+    scan's row ids are mapped to positions once.  Row ids the scan did not
+    keep are dropped.
     """
     if isinstance(row_ids, range):
         start, stop = row_ids.start, row_ids.stop
@@ -356,22 +344,10 @@ def _row_locator(
         return lambda fetched: [
             row_id - start for row_id in fetched if start <= row_id < stop
         ]
-    if fetched_rows * 8 >= len(row_ids):
-        position_of = dict(zip(row_ids, range(len(row_ids))))
-        return lambda fetched: [
-            position for position in map(position_of.get, fetched) if position is not None
-        ]
-    size = len(row_ids)
-
-    def bisected(fetched: List[int]) -> List[int]:
-        positions: List[int] = []
-        for row_id in fetched:
-            position = bisect_left(row_ids, row_id)
-            if position < size and row_ids[position] == row_id:
-                positions.append(position)
-        return positions
-
-    return bisected
+    position_of = dict(zip(row_ids, range(len(row_ids))))
+    return lambda fetched: [
+        position for position in map(position_of.get, fetched) if position is not None
+    ]
 
 
 def cross_join_results(

@@ -37,7 +37,7 @@ materialize **only the projected columns**
 (:class:`~repro.optimizer.plan.ScanNode.columns`); shards concatenate in
 partition order, reproducing the global row-id order every engine
 produces.  Either way the batch records which global row ids it holds
-(:attr:`~repro.executor.batch.ColumnBatch.scan_parts`), so an index
+(:meth:`~repro.executor.batch.ColumnBatch.row_ids`), so an index
 nested-loop join above it can tell which fetched rows the scan kept.  The
 two counters reported through ``observed`` —
 ``segments_skipped`` (refuted blocks) and ``columns_decoded`` (distinct
@@ -342,41 +342,50 @@ def scan_shards(
                     accumulator.extend(partition.column_at(position))
         if observed is not None and columns is not None:
             observed["columns_decoded"] = len(names)
-        batch = ColumnBatch(qualified, data, length=rows_fetched)
-        batch.scan_parts = (
-            [(start, None, partition.row_count) for start, partition in kept]
+        parts = (
+            [(start, range(partition.row_count)) for start, partition in kept]
             if pruned
-            else [(0, None, rows_fetched)]
+            else [(0, range(rows_fetched))]
         )
-        return batch, rows_fetched
+        return (
+            ColumnBatch(qualified, data, length=rows_fetched, scan_parts=parts),
+            rows_fetched,
+        )
 
     compiled = _CompiledFilters(alias, filters, schema)
     skipped_total = 0
     decoded_all: Set[str] = set()
-    parts = []
     if len(kept) == 1 and all(kept[0][1].segment_at(p) is None for p in positions):
         # One shard of open columns: wrap its lists, narrow by selection.
         start, shard = kept[0]
         candidates, skipped_total, decoded_all = _shard_candidates(shard, compiled)
+        if candidates is None:
+            candidates = range(shard.row_count)
+            sels = None
+        else:
+            sels = [candidates] * len(positions)
         batch = ColumnBatch(
             qualified,
             [shard.column_at(position) for position in positions],
-            length=shard.row_count,
+            sels,
+            length=len(candidates),
+            scan_parts=[(start, candidates)],
         )
-        if candidates is not None:
-            batch = batch.restrict(candidates)
-        parts.append((start, candidates, shard.row_count))
     else:
         out: List[List[object]] = [[] for _ in positions]
+        parts: List[Tuple[int, Sequence[int]]] = []
         for start, partition in kept:
             candidates, skipped, decoded = _shard_candidates(partition, compiled)
             for accumulator, position in zip(out, positions):
                 accumulator.extend(_materialize(partition, position, candidates))
             skipped_total += skipped
             decoded_all.update(decoded)
-            parts.append((start, candidates, partition.row_count))
-        batch = ColumnBatch(qualified, out, length=len(out[0]) if out else 0)
-    batch.scan_parts = parts
+            parts.append(
+                (start, range(partition.row_count) if candidates is None else candidates)
+            )
+        batch = ColumnBatch(
+            qualified, out, length=len(out[0]) if out else 0, scan_parts=parts
+        )
     if any(partition.row_count for _, partition in kept):
         decoded_all.update(names)
     if observed is not None:

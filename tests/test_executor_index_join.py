@@ -261,27 +261,21 @@ def test_charged_matches_count_index_rows_before_the_inner_filters():
     assert matches == sum(1 for key in fk_rows if key is not None and key <= 12)
 
 
-def test_an_index_newer_than_the_pinned_rows_fetches_none_past_them():
-    """Row ids at or beyond a snapshot's row count are dropped, not fetched."""
+def test_a_join_probing_its_second_predicate_is_charged_for_what_it_fetches():
+    """The probed predicate is the first indexed one, not the first listed.
+
+    ``dims.grp`` has no index, so the join probes ``dims.id`` through the
+    second predicate and pays for every dimension row those lookups fetch,
+    though fewer of them also match on ``grp``.
+    """
     db = build("plain")
-    pinned = db.catalog.snapshot()
-    db.load_rows("facts", _fact_rows(first=41, count=30))
-    # Probe the pinned rows through the live index, built over 70 rows.
-    pinned.entry("facts").indexes = dict(db.catalog.indexes("facts"))
-    planned = db.plan("SELECT d.id, f.id FROM dims AS d, facts AS f WHERE d.id = f.dim_id")
-    (join,) = planned.plan.join_nodes()
-    predicates = list(join.join_predicates)
-    dims, _ = operators.scan_table(pinned, "d", "dims", [])
-    facts, _ = operators.scan_table(pinned, "f", "facts", [])
-    expected = sum(1 for row in _fact_rows() if row[1] is not None and row[1] <= 12)
-    joined, matches = operators.index_join_results(dims, facts, predicates, pinned, "facts")
-    oracle, oracle_matches = reference.index_join_results(
-        reference.scan_table(pinned, "d", "dims", [])[0],
-        reference.scan_table(pinned, "f", "facts", [])[0],
-        predicates,
-        pinned,
-        "facts",
-    )
-    assert matches == oracle_matches == expected
-    assert list(joined.rows) == oracle.rows
-    assert len(joined) == expected
+    (sql,) = [case[1] for case in CASES if case[0] == "two-predicates-pk-inner"]
+    plan, join = force_index_join(db.plan(sql), "d")
+    assert [p.column_for("d") for p in join.join_predicates] == ["grp", "id"]
+    assert "grp" not in db.catalog.indexes("dims")
+    execution = db.executor.execute(plan)
+    fetched = sum(1 for row in _fact_rows() if row[1] is not None and row[1] <= 12)
+    metric = execution.node_metrics[join.node_id]
+    assert metric.actual_rows < fetched
+    expected = db.cost_model.index_nested_loop_cost(len(_fact_rows()), fetched, 0)
+    assert metric.own_work == pytest.approx(expected)
