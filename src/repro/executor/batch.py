@@ -59,10 +59,11 @@ class ColumnBatch:
         length: Optional[int] = None,
         scan_parts: Optional[Sequence[Tuple[int, Sequence[int]]]] = None,
     ) -> None:
-        """``scan_parts`` is given by a base-table scan only: one ``(global
-        row id of the shard's first row, local row ids kept)`` pair per shard
-        read, the local ids ascending — a ``range`` when the scan kept every
-        row of the shard (see :meth:`row_ids`)."""
+        """``scan_parts`` is given by :mod:`repro.executor.scan`'s base-table
+        scans only: one ``(global row id of the shard's first row, local row
+        ids kept)`` pair per shard read, the local ids ascending — a
+        ``range`` when the scan kept every row of the shard (see
+        :meth:`row_ids`)."""
         self.columns: Tuple[QualifiedColumn, ...] = tuple(columns)
         self._data: List[List[object]] = list(data)
         if len(self._data) != len(self.columns):

@@ -49,7 +49,7 @@ from repro.executor.reference import (
     output_columns,
     resolve_join_positions,
 )
-from repro.executor.scan import projected_names, scan_shards
+from repro.executor.scan import scan_rows, scan_shards
 from repro.sql.ast import AggregateFunc, ColumnRef, SelectItem
 from repro.sql.binder import BoundJoin, BoundSortKey
 
@@ -107,25 +107,12 @@ def scan_table(
         return scan_shards(
             table, alias, list(filters), pruned_partitions or (), columns, observed
         )
-    names = projected_names(table.schema, columns)
-    qualified: List[QualifiedColumn] = [(alias, name) for name in names]
-    table_data = table.column_data()
-    data = [table_data[table.schema.column_index(name)] for name in names]
     index = _index_on(catalog, table_name, index_column)
     row_ids: List[int] = []
     for key in index_probe_keys(index_filter):
         row_ids.extend(index.lookup(key))
     row_ids = sorted(set(row_ids))
-    rows_fetched = len(row_ids)
-    fetched = ColumnBatch(qualified, data, [row_ids] * len(data), rows_fetched)
-
-    predicate = compile_batch_conjunction(list(filters), fetched.resolver)
-    if predicate is not None:
-        row_ids = [row_ids[i] for i in predicate(fetched)]
-    batch = ColumnBatch(
-        qualified, data, [row_ids] * len(data), len(row_ids), scan_parts=[(0, row_ids)]
-    )
-    return batch, rows_fetched
+    return scan_rows(table, alias, row_ids, list(filters), columns), len(row_ids)
 
 
 def _key_rows(

@@ -36,9 +36,10 @@ lists and the survivors are a selection vector.  Otherwise surviving rows
 materialize **only the projected columns**
 (:class:`~repro.optimizer.plan.ScanNode.columns`); shards concatenate in
 partition order, reproducing the global row-id order every engine
-produces.  Either way the batch records which global row ids it holds
-(:meth:`~repro.executor.batch.ColumnBatch.row_ids`), so an index
-nested-loop join above it can tell which fetched rows the scan kept.  The
+produces.  An index scan's rows (:func:`scan_rows`) are a selection over
+the table's gathered columns.  Every scan's batch records which global row
+ids it holds (:meth:`~repro.executor.batch.ColumnBatch.row_ids`), so an
+index nested-loop join above it can tell which fetched rows the scan kept.  The
 two counters reported through ``observed`` —
 ``segments_skipped`` (refuted blocks) and ``columns_decoded`` (distinct
 columns materialized) — are derived from row counts and sealed statistics
@@ -64,7 +65,7 @@ from repro.storage.compression import (
 )
 from repro.storage.partition import ColumnZone, Partition, ZoneMap
 
-__all__ = ["projected_names", "scan_shards"]
+__all__ = ["projected_names", "scan_rows", "scan_shards"]
 
 
 def projected_names(schema, columns: Optional[Sequence[str]]) -> List[str]:
@@ -392,3 +393,25 @@ def scan_shards(
         observed["segments_skipped"] = skipped_total
         observed["columns_decoded"] = len(decoded_all)
     return batch, rows_fetched
+
+
+def scan_rows(
+    table,
+    alias: str,
+    row_ids: List[int],
+    filters: Sequence[Expr],
+    columns: Optional[Sequence[str]],
+) -> ColumnBatch:
+    """An index scan's output: the rows at ``row_ids`` (ascending) that pass
+    ``filters``, as a selection over the table's gathered columns."""
+    names = projected_names(table.schema, columns)
+    qualified = [(alias, name) for name in names]
+    table_data = table.column_data()
+    data = [table_data[table.schema.column_index(name)] for name in names]
+    fetched = ColumnBatch(qualified, data, [row_ids] * len(data), len(row_ids))
+    predicate = compile_batch_conjunction(list(filters), fetched.resolver)
+    if predicate is not None:
+        row_ids = [row_ids[i] for i in predicate(fetched)]
+    return ColumnBatch(
+        qualified, data, [row_ids] * len(data), len(row_ids), scan_parts=[(0, row_ids)]
+    )
