@@ -83,10 +83,11 @@ unit:
 		--ignore=tests/test_executor_differential.py \
 		--ignore=tests/test_executor_edge_cases.py \
 		--ignore=tests/test_executor_index_join.py \
+		--ignore=tests/test_executor_sort_group.py \
 		--ignore=tests/property/test_sql_fuzz_differential.py
 
 diff:
-	$(PYTHON) -m pytest -x -q tests/test_executor_differential.py tests/test_executor_edge_cases.py tests/test_executor_index_join.py
+	$(PYTHON) -m pytest -x -q tests/test_executor_differential.py tests/test_executor_edge_cases.py tests/test_executor_index_join.py tests/test_executor_sort_group.py
 
 fuzz:
 	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -x -q tests/property/test_sql_fuzz_differential.py

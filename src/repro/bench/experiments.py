@@ -31,6 +31,7 @@ from repro.core.triggers import ReoptimizationPolicy, q_error
 from repro.engine.pipeline import FeedbackHarvestInterceptor, QueryPipeline
 from repro.core.oracle import TrueCardinalityOracle
 from repro.optimizer.optimizer import Optimizer
+from repro.stats.percentile import nearest_rank
 from repro.workloads.job import table_count_distribution
 from repro.workloads.stocks import StocksConfig, build_stocks_database, example_query
 
@@ -585,15 +586,6 @@ def ablation_midquery(
 # ---------------------------------------------------------------------------
 
 
-def _percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (0 when empty)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, round(q / 100.0 * len(ordered)) - 1))
-    return ordered[rank]
-
-
 def estimator_matrix(
     context: WorkloadContext,
     queries: int = 12,
@@ -654,8 +646,8 @@ def estimator_matrix(
                     estimator,
                     run,
                     replans,
-                    _percentile(errors, 50.0),
-                    _percentile(errors, 90.0),
+                    nearest_rank(errors, 50.0),
+                    nearest_rank(errors, 90.0),
                     max(errors) if errors else 0.0,
                 )
     finally:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import compress, repeat
-from operator import mul
+from operator import is_, itemgetter, mul, not_
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.catalog import Catalog
@@ -469,45 +469,48 @@ def group_aggregate_result(
 ) -> ColumnBatch:
     """Grouped aggregation over compacted key columns.
 
-    Group ids are assigned in first-appearance order (NULL keys form their
-    own group), then every output column is folded column-wise over the
-    per-group value lists — no row tuples are ever built.  Output order and
-    values mirror the reference engine exactly.
+    One ``Counter`` over the key column (composite keys: their tuples) gives
+    the groups in first-appearance order (NULL keys form their own group)
+    and ``COUNT(*)``.  A group-key output column is read off the Counter's
+    keys: a dict keeps the first key object it saw, so first-of-equals such
+    as ``0.0``/``-0.0`` stays byte-identical.  Per-row group ids are built
+    only when an aggregate folds a column; a computed non-aggregate item
+    reads each group's first row.  Output order and values mirror the
+    reference engine exactly.
     """
     result = ColumnBatch.from_result(result)
     key_columns = [result.column_values(ref.alias, ref.column) for ref in group_keys]
     keys = key_columns[0] if len(key_columns) == 1 else list(zip(*key_columns))
-
-    group_index: Dict[object, int] = {}
-    setdefault = group_index.setdefault
-    group_ids = [setdefault(key, len(group_index)) for key in keys]
-    num_groups = len(group_index)
-
-    first_row: List[int] = [-1] * num_groups
-    for i, gid in enumerate(group_ids):
-        if first_row[gid] < 0:
-            first_row[gid] = i
+    counts = Counter(keys)
+    num_groups = len(counts)
+    group_ids: Optional[List[int]] = None
 
     out_data: List[List[object]] = []
     for item in select_items:
         if item.expr is None:  # COUNT(*): rows per group
-            counts = [0] * num_groups
-            for gid in group_ids:
-                counts[gid] += 1
-            out_data.append(counts)
-            continue
-        if item.aggregate is None and item.column in group_keys:
-            values = key_columns[group_keys.index(item.column)]  # read once
-        else:
-            values = _item_values(result, item)
-        if item.aggregate is None:
+            out_data.append(list(counts.values()))
+        elif item.aggregate is None and item.column in group_keys:
+            if len(group_keys) == 1:
+                out_data.append(list(counts))
+            else:
+                position = group_keys.index(item.column)
+                out_data.append(list(map(itemgetter(position), counts)))
+        elif item.aggregate is None:
             # Depends only on group keys (binder rule): the group's first
-            # row represents it.
-            out_data.append([values[i] for i in first_row])
-            continue
-        out_data.append(
-            _fold_grouped(item.aggregate, group_ids, values, num_groups)
-        )
+            # row represents it.  Walking the rows backwards leaves each key
+            # mapped to its first row.
+            first_row = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+            values = _item_values(result, item)
+            out_data.append([values[first_row[key]] for key in counts])
+        else:
+            if group_ids is None:
+                index = dict(zip(counts, range(num_groups)))
+                group_ids = list(map(index.__getitem__, keys))
+            out_data.append(
+                _fold_grouped(
+                    item.aggregate, group_ids, _item_values(result, item), num_groups
+                )
+            )
     return ColumnBatch(output_columns(select_items), out_data, length=num_groups)
 
 
@@ -566,12 +569,11 @@ def sort_result(
 ) -> ColumnBatch:
     """Sort the batch on the given keys (multi-pass stable sort, zero-copy).
 
-    One stable pass per key, last key first, each pass keyed on
-    ``(is NULL, value)`` with ``reverse`` for descending — which realizes
-    NULLS LAST for ascending keys and NULLS FIRST for descending, ties in
-    input order.  The reference oracle reaches the same ordering through an
-    independent comparator-based sort; the differential suite pins the two
-    against each other.
+    One stable pass per key, last key first (:func:`_sort_pass`): NULLS LAST
+    for ascending keys and NULLS FIRST for descending, ties in input order.
+    The reference oracle reaches the same ordering through an independent
+    comparator-based sort; the differential suite pins the two against each
+    other.
 
     ``tie_break`` (expressions over the sort input) or ``tie_break_all``
     (every input column, positionally) appends a deterministic total order
@@ -590,19 +592,30 @@ def sort_result(
             for expr in tie_break
         ]
     for values in reversed(tie_columns):
-        order.sort(
-            key=lambda i, values=values: (
-                values[i] is None,
-                0 if values[i] is None else values[i],
-            )
-        )
+        order = _sort_pass(order, values, ascending=True)
     for key in reversed(keys):
         values = result.column_values(key.alias, key.column)
-        order.sort(
-            key=lambda i: (values[i] is None, 0 if values[i] is None else values[i]),
-            reverse=not key.ascending,
-        )
+        order = _sort_pass(order, values, key.ascending)
     return result.restrict(order)
+
+
+def _sort_pass(order: List[int], values: Sequence, ascending: bool) -> List[int]:
+    """Stably reorder the row positions ``order`` on ``values[position]``.
+
+    The sort key is ``values.__getitem__``, so no Python code runs per row.
+    A column holding a NULL is split first: the non-NULL rows are sorted,
+    the NULL rows keep their input order and go last ascending, first
+    descending.  ``reverse`` keeps ties in input order, so rows whose values
+    compare equal (``0.0``/``-0.0``, ``1``/``True``) stay as they came.
+    """
+    if None not in values:
+        order.sort(key=values.__getitem__, reverse=not ascending)
+        return order
+    null = list(map(is_, map(values.__getitem__, order), repeat(None)))
+    nulls = list(compress(order, null))
+    order = list(compress(order, map(not_, null)))
+    order.sort(key=values.__getitem__, reverse=not ascending)
+    return order + nulls if ascending else nulls + order
 
 
 def limit_result(result: ColumnBatch, limit: int, offset: int = 0) -> ColumnBatch:

@@ -31,6 +31,7 @@ from repro.engine.plancache import PlanCache
 from repro.errors import AdmissionError, ServerError
 from repro.server.admission import AdmissionQueue, ServerConfig
 from repro.server.session import ServerSession, StatementResult
+from repro.stats.percentile import nearest_rank
 
 __all__ = ["Server", "ServerStats"]
 
@@ -85,15 +86,12 @@ class ServerStats:
     def percentile(self, q: float) -> float:
         """The ``q``-th latency percentile in seconds (0 when unused).
 
-        Exact over the window :meth:`latencies` returns — the last
+        Nearest-rank (:func:`~repro.stats.percentile.nearest_rank`), exact
+        over the window :meth:`latencies` returns — the last
         :data:`LATENCY_WINDOW` statements — not over the server's lifetime.
         """
         with self._lock:
-            if not self._latencies:
-                return 0.0
-            ordered = sorted(self._latencies)
-            rank = max(0, min(len(ordered) - 1, round(q / 100.0 * len(ordered)) - 1))
-            return ordered[rank]
+            return nearest_rank(self._latencies, q)
 
     @property
     def p50_seconds(self) -> float:
