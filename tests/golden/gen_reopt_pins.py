@@ -1,10 +1,11 @@
-"""Generate ``reopt_pins.json``: what the rewrite loop did and charged, step by step.
+"""Generate ``reopt_pins.json``: what the re-optimization loop did and charged, step by step.
 
-Runs the 113 JOB statements through the paper's materialize-and-rewrite loop
-over a small synthetic IMDB database, once per trigger policy in
-:data:`POLICIES` (the default, the ``trigger_site="highest"`` ablation and a
-``min_query_seconds`` cutoff that skips some of the statements the default
-re-optimizes), and records every re-optimization step — trigger, estimate,
+Runs the 113 JOB statements through the re-optimization loop over a small
+synthetic IMDB database, once per entry of :data:`POLICIES` (the paper's
+materialize-and-rewrite loop under the default policy, the
+``trigger_site="highest"`` ablation and a ``min_query_seconds`` cutoff that
+skips some of the statements the default re-optimizes, plus the default
+policy with the in-memory adaptive handover), and records every re-optimization step — trigger, estimate,
 actual, Q-error, temp-table rows, charged and materialization work, the
 ``CREATE TEMP TABLE`` text — plus the statement's total charged execution and
 planning work and its final rows.
@@ -36,10 +37,13 @@ from repro.workloads import (
 PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reopt_pins.json")
 IMDB = ImdbConfig(scale=0.15, seed=42)
 JOB = JobWorkloadConfig(seed=7)
+#: ``label -> (policy knobs, adaptive)``; ``adaptive`` picks the handover the
+#: interceptor runs (in-memory pseudo-table instead of a temp table).
 POLICIES = {
-    "default": {},
-    "highest": {"trigger_site": "highest"},
-    "min_query_seconds": {"min_query_seconds": 0.15},
+    "default": ({}, False),
+    "highest": ({"trigger_site": "highest"}, False),
+    "min_query_seconds": ({"min_query_seconds": 0.15}, False),
+    "adaptive": ({}, True),
 }
 
 
@@ -50,12 +54,12 @@ def _sha1(text: str) -> str:
 def record_reoptimizations() -> Dict[str, Dict[str, dict]]:
     """Every statement's report under every policy: ``pins[policy][statement]``."""
     pins: Dict[str, Dict[str, dict]] = {}
-    for label, knobs in POLICIES.items():
+    for label, (knobs, adaptive) in POLICIES.items():
         # A fresh database per policy, so temp-table names (part of the
         # pinned CREATE text) do not depend on which policies ran before.
         db, dataset = build_imdb_database(IMDB)
         pipeline = QueryPipeline(
-            db, [ReoptimizationInterceptor(ReoptimizationPolicy(**knobs), adaptive=False)]
+            db, [ReoptimizationInterceptor(ReoptimizationPolicy(**knobs), adaptive=adaptive)]
         )
         pins[label] = {}
         for query in generate_job_workload(dataset.vocabulary, JOB):

@@ -1,10 +1,12 @@
-"""Re-optimization pin: what the rewrite loop did and charged, step by step.
+"""Re-optimization pin: what the re-optimization loop did and charged, step by step.
 
 ``tests/golden/reopt_pins.json`` was generated by
 ``tests/golden/gen_reopt_pins.py`` at the commit before a rewrite-loop round
 became one staged run (stop at the trigger, hand its rows to the temp table),
 when every round still executed the whole plan and the trigger sub-join a
-second time.  The 113 JOB statements run under three trigger policies; every
+second time.  The 113 JOB statements run under three trigger policies of the
+rewrite loop, and under the default policy with the in-memory (adaptive)
+handover, pinned since the commit before the two loops became one; every
 step's trigger, estimate, actual, Q-error, temp-table rows, charged and
 materialization work and ``CREATE TEMP TABLE`` text, and every statement's
 total charged work and final rows, must stay what that commit produced —
@@ -51,3 +53,10 @@ def test_job_reoptimization_steps_and_charged_work_match_the_golden_file():
     assert reoptimized["default"]
     assert golden["highest"] != golden["default"]
     assert reoptimized["min_query_seconds"] < reoptimized["default"]
+    # The in-memory handover re-plans too, and never charges a write-out.
+    assert reoptimized["adaptive"]
+    assert all(
+        step["materialize_work"] == 0.0
+        for pin in golden["adaptive"].values()
+        for step in pin["steps"]
+    )
