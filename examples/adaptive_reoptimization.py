@@ -1,8 +1,9 @@
 """Walk through operator-level adaptive execution on a mis-estimated query.
 
 The paper simulates re-optimization by materializing sub-joins into temporary
-tables and rewriting SQL.  The adaptive executor is the real-system design
-the paper names (Kabra & DeWitt-style mid-query re-optimization): the plan
+tables and rewriting SQL.  Adaptive execution is the real-system design the
+paper names (Kabra & DeWitt-style mid-query re-optimization), and here it is
+the same re-optimization loop with an in-memory handover: the plan
 executes stage-wise, pausing at pipeline breakers; when the observed
 cardinality at a breaker is off by more than the Q-error threshold, the
 remainder is re-planned with the observed true cardinalities injected and the

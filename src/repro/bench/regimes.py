@@ -6,8 +6,8 @@ A *regime* is a way of planning and executing one query:
 * ``perfect-(n)`` — true cardinalities injected for joins of at most ``n``
   tables (perfect-(17) is "Perfect");
 * ``reoptimized`` — the paper's materialize-and-re-plan scheme, optionally on
-  top of perfect-(n) estimates (Figure 8), or the adaptive executor's
-  in-memory loop (ablation).
+  top of perfect-(n) estimates (Figure 8), or the same loop with the
+  in-memory (adaptive) handover (ablation).
 
 Regimes produce :class:`QueryOutcome` records with simulated planning and
 execution times, which the experiments aggregate into the paper's artifacts.
@@ -126,8 +126,8 @@ class ReoptimizedRegime(Regime):
 
     ``adaptive`` is handed to the
     :class:`~repro.core.interceptor.ReoptimizationInterceptor`: ``True``
-    runs the adaptive executor's in-memory loop instead of the paper's
-    materialize-and-rewrite loop.
+    hands rounds over in memory (adaptive execution) instead of through the
+    paper's temporary tables.
     """
 
     def __init__(

@@ -52,8 +52,8 @@ class Catalog:
     plans simply miss instead of needing explicit invalidation hooks.
 
     Every mutation (registration, drop, epoch bump, statistics/index
-    attachment — including the transient pseudo-table handover of the
-    adaptive executor) runs under :attr:`lock`, a reentrant lock that the
+    attachment — including the transient tables of the re-optimization
+    loop's handover) runs under :attr:`lock`, a reentrant lock that the
     :class:`~repro.engine.database.Database` write paths also hold across
     their compound operations.  Readers of individual entries stay lock-free
     (single dict probes are atomic); multi-entry readers that need a
@@ -117,8 +117,8 @@ class Catalog:
 
         A re-optimization loop hands an already-computed sub-join to the
         re-planned remainder of its query by registering it here
-        mid-execution — the adaptive executor's in-memory intermediate, the
-        rewrite loop's temporary table.  The registration is not DDL: no
+        mid-execution — an in-memory pseudo-table or a temporary table the
+        loop drops again.  The registration is not DDL: no
         other statement can name the table (its name is generated and it is
         dropped before the query returns), so cached plans for other
         statements stay valid and the catalog epoch — which keys the plan

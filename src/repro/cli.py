@@ -291,7 +291,8 @@ def _print_statement(
     if show_explain and context.planned is not None:
         from repro.executor.explain import explain_plan
 
-        emit(explain_plan(context.planned.plan, context.execution))
+        steps = context.report.steps if context.report is not None else ()
+        emit(explain_plan(context.planned.plan, context.execution, steps))
 
 
 def run_sql(args, stdin: Optional[TextIO] = None) -> int:

@@ -21,11 +21,11 @@ from repro.sql.binder import BoundQuery
 
 @dataclass
 class ReoptimizationStep:
-    """One re-plan round of either loop.
+    """One re-plan round of the loop, under either handover.
 
-    The rewrite loop's ``temp_table`` is a materialized, ANALYZEd temporary
-    table; the adaptive loop's is the in-memory pseudo-table it handed over,
-    with ``materialize_work`` 0.0.
+    The temp-table handover's ``temp_table`` is a materialized, ANALYZEd
+    temporary table; the in-memory handover's is the pseudo-table it handed
+    over, with ``materialize_work`` 0.0.
     """
 
     index: int

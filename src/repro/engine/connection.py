@@ -87,9 +87,9 @@ def connect(
             re-optimization interceptor.
         reoptimize: disable to serve statements without the
             materialize-and-re-plan loop.
-        adaptive: ``True`` serves statements with operator-level adaptive
-            execution (stage-wise executor, in-memory intermediate handover),
-            ``False`` with the paper's materialize-and-rewrite loop;
+        adaptive: ``True`` runs the re-optimization loop with the in-memory
+            handover of operator-level adaptive execution, ``False`` with the
+            paper's temporary tables;
             default follows the engine's ``adaptive`` setting.
         plan_cache_size: LRU capacity for *this connection's* plan cache
             (defaults to the engine settings; 0 disables caching).

@@ -318,26 +318,29 @@ class Database:
         result: ResultSet,
         columns: Sequence[Tuple[Tuple[str, str], str]],
         alias_tables: Optional[Dict[str, str]] = None,
-        analyze: Optional[bool] = None,
+        analyze: bool = True,
         transient: bool = False,
         analyze_only: Optional[Collection[str]] = None,
     ) -> Table:
-        """Materialize selected columns of a result set into a new table.
+        """Hand selected columns of a result set over to a new table.
 
         Args:
             name: catalog name of the temporary table.
-            result: the result set to materialize.
+            result: the result set to hand over.
             columns: sequence of ``((source_alias, source_column), new_name)``
                 describing which result columns to keep and what to call them.
             alias_tables: optional mapping from result alias to the catalog
                 table it came from; used to carry column types over exactly.
-            analyze: whether to ANALYZE the new table (defaults to the
-                engine-wide ``analyze_temp_tables`` setting).
-            transient: register the table (and attach its statistics) without
-                bumping the catalog epoch, like an adaptive intermediate.
-                For tables only the creating statement can name and that it
-                drops with :meth:`drop_intermediate` before it returns, so
-                plans cached for other statements stay valid.
+            analyze: whether to ANALYZE the new table.
+            transient: a re-optimization handover, not DDL.  The table adopts
+                the result's column lists (:meth:`Table.adopt`: executor
+                output already has the declared types, so nothing is copied
+                or checked) and is registered without bumping the catalog
+                epoch.  Only the creating statement can name it, and it
+                drops it with :meth:`drop_intermediate` before it returns, so
+                plans cached for other statements stay valid.  A table that
+                is not transient outlives the statement: its columns are
+                copied and checked like any load.
             analyze_only: new-table column names ANALYZE is limited to
                 (``None``: all) — the ones the creating statement's remainder
                 can ask statistics about.
@@ -348,17 +351,15 @@ class Database:
         if name in self.catalog:
             raise TempTableExists(f"temporary table {name!r} already exists")
         schema, column_data = self._result_columns(name, result, columns, alias_tables)
-        table = Table(schema)
         with self.catalog.lock:
             if transient:
+                table = Table.adopt(schema, column_data)
                 entry = self.catalog.register_transient(schema, table)
             else:
+                table = Table(schema)
                 entry = self.catalog.register(schema, table)
-            table.load_columns(column_data)
-            do_analyze = (
-                self.settings.analyze_temp_tables if analyze is None else analyze
-            )
-            if do_analyze:
+                table.load_columns(column_data)
+            if analyze:
                 stats = analyze_table(
                     table,
                     self.settings.statistics_target,
@@ -395,30 +396,6 @@ class Database:
             column_defs.append(ColumnDef(new_name, col_type))
             column_data.append(values)
         return TableSchema(name=name, columns=tuple(column_defs)), column_data
-
-    # -- in-memory intermediates (adaptive execution support) ---------------------
-
-    def register_intermediate_result(
-        self,
-        name: str,
-        result: ResultSet,
-        columns: Sequence[Tuple[Tuple[str, str], str]],
-        alias_tables: Optional[Dict[str, str]] = None,
-    ) -> Table:
-        """Register an in-memory result as a transient one-shard table.
-
-        This is the adaptive executor's handover path: unlike
-        :meth:`create_temp_table_from_result` it issues no DDL — the result's
-        column value lists back the table directly (:meth:`Table.adopt`), the catalog epoch
-        is *not* bumped (cached plans for other statements stay valid), and
-        no statistics are gathered (the caller injects the exact cardinality
-        when re-planning).  The caller must drop the table with
-        :meth:`drop_intermediate` before the statement returns.
-        """
-        schema, column_data = self._result_columns(name, result, columns, alias_tables)
-        table = Table.adopt(schema, column_data)
-        self.catalog.register_transient(schema, table)
-        return table
 
     def drop_intermediate(self, name: str) -> None:
         """Drop a transient table (no epoch bump)."""

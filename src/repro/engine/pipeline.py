@@ -8,7 +8,7 @@ cross-cutting behaviors that used to be parallel code paths are expressed:
 
 * plan caching (:class:`PlanCacheInterceptor`) short-circuits the plan stage;
 * re-optimization (:class:`repro.core.interceptor.ReoptimizationInterceptor`)
-  wraps the execute stage with the paper's materialize-and-re-plan loop;
+  wraps the execute stage with the paper's re-optimization loop;
 * EXPLAIN capture (:class:`ExplainCaptureInterceptor`) and timing/metrics
   (:class:`MetricsInterceptor`) observe the finished lifecycle.
 
@@ -47,9 +47,9 @@ class QueryContext:
     The pipeline fills the ``parsed``/``bound``/``planned``/``execution``
     slots stage by stage; interceptors may read or replace them.  When the
     re-optimization interceptor ran, ``report`` carries the full
-    materialize-and-re-plan accounting and the ``planned``/``execution``
-    slots hold the *final* round.  ``bound`` always remains the original
-    statement (before any temp-table rewrite).
+    re-optimization accounting, ``planned`` holds the *final* plan and
+    ``execution`` its round (every round, under the in-memory handover).
+    ``bound`` always remains the original statement (before any rewrite).
     """
 
     database: "Database"
@@ -326,7 +326,8 @@ class ExplainCaptureInterceptor(QueryInterceptor):
     def around_execute(self, ctx: QueryContext, proceed: Proceed) -> QueryContext:
         ctx = proceed(ctx)
         if ctx.planned is not None:
-            ctx.explain_text = explain_plan(ctx.planned.plan, ctx.execution)
+            steps = ctx.report.steps if ctx.report is not None else ()
+            ctx.explain_text = explain_plan(ctx.planned.plan, ctx.execution, steps)
         return ctx
 
 

@@ -51,20 +51,21 @@ class EngineSettings:
         auto_foreign_key_indexes: build hash indexes on primary and foreign
             keys at load time (the paper adds foreign-key indexes to make
             access-path selection harder).
-        analyze_temp_tables: whether temporary tables created by the
-            re-optimizer are ANALYZEd before re-planning (ablation knob).
         engine: operator implementation used to execute plans — the
             vectorized columnar engine (default) or the row-at-a-time
             reference oracle.  Charged work is engine-invariant; only
             wall-clock changes.  Accepts the enum or its string name.
         plan_cache_size: default LRU capacity of a connection's plan cache
             (0 disables caching; per-connection override on ``connect()``).
-        adaptive: run re-optimization as operator-level adaptive execution
-            (stage-wise execution with in-memory intermediate handover, see
-            :mod:`repro.executor.adaptive`) instead of the paper's
-            materialize-and-rewrite simulation.  Off by default so the
-            paper-figure benchmarks keep reproducing the published accounting;
-            per-connection override on ``connect()``.
+        adaptive: hand re-optimization rounds over in memory, as
+            operator-level adaptive execution does (a pseudo-table without
+            statistics, re-planned with the observed cardinalities, see
+            :class:`~repro.core.interceptor.InMemoryHandover`), instead of
+            through the paper's ANALYZEd temporary tables.  Off by default so
+            the paper-figure benchmarks keep reproducing the published
+            accounting; per-connection override on ``connect()``.  Whether
+            temporary tables are ANALYZEd is the re-optimization policy's
+            ``analyze_temp_tables``.
         estimator: active cardinality-estimation strategy — one of
             :data:`ESTIMATOR_NAMES` (see :mod:`repro.optimizer.estimators`).
             The default ``"stats"`` reproduces the paper's PostgreSQL-style
@@ -82,7 +83,6 @@ class EngineSettings:
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     cost: CostParameters = field(default_factory=CostParameters)
     auto_foreign_key_indexes: bool = True
-    analyze_temp_tables: bool = True
     engine: ExecutionEngine = ExecutionEngine.VECTORIZED
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
     adaptive: bool = False

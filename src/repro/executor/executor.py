@@ -242,7 +242,7 @@ class Executor:
     ) -> StagedExecution:
         """Run ``plan``'s joins bottom-up, pausing where ``violates`` fires.
 
-        This is the one round both re-optimization loops drive.  Every join —
+        This is the one round the re-optimization loop drives.  Every join —
         the only pipeline breaker below other joins — runs once, in
         :meth:`PlanNode.join_nodes` order, and ``violates(join, actual_rows)``
         is asked after each.  At the first join it accepts the round stops

@@ -5,35 +5,42 @@ indented by depth, showing the optimizer's estimates and — after execution —
 the actual row counts, batch counts and work.  The re-optimization examples
 and the deep-dive example scripts print these trees.
 
-When the execution result came from the adaptive executor
-(:class:`~repro.executor.adaptive.AdaptiveExecutionResult`), the rendering
-additionally marks scans of in-memory intermediates handed over by a
-mid-query re-plan and appends one line per re-plan point: where execution
-paused, the estimated-vs-actual mismatch that triggered it, and the
-pseudo-table the intermediate was handed over as.
+Given the steps of a re-optimized statement (``ReoptimizationReport.steps``,
+either handover), the rendering additionally marks scans of the tables the
+rounds handed over and appends one line per re-plan point: where execution
+paused, the estimated-vs-actual mismatch that triggered it, and the table the
+rows were handed over as.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, AbstractSet, List, Optional, Sequence
 
 from repro.executor.executor import ExecutionResult
 from repro.optimizer.plan import JoinNode, OneTimeFilterNode, PlanNode, ScanNode
 from repro.sql.ast import render_conjunct
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.reoptimizer import ReoptimizationStep
 
-def explain_plan(plan: PlanNode, analyze: Optional[ExecutionResult] = None) -> str:
+
+def explain_plan(
+    plan: PlanNode,
+    analyze: Optional[ExecutionResult] = None,
+    steps: Sequence["ReoptimizationStep"] = (),
+) -> str:
     """Render ``plan`` as an indented text tree.
 
     Args:
         plan: the plan root.
         analyze: execution result; when given, actual row counts and work are
-            appended to every node line (EXPLAIN ANALYZE style), and adaptive
-            executions also render their re-plan points.
+            appended to every node line (EXPLAIN ANALYZE style).
+        steps: the re-optimization steps that led to ``plan``; scans of
+            their tables are marked ``[handed over]`` and one line per
+            re-plan point follows the tree.
     """
     lines: List[str] = []
-    _render(plan, 0, lines, analyze)
-    steps = getattr(analyze, "steps", None)
+    _render(plan, 0, lines, analyze, {step.temp_table for step in steps})
     if steps:
         lines.append("Re-plan points:")
         for step in steps:
@@ -41,22 +48,24 @@ def explain_plan(plan: PlanNode, analyze: Optional[ExecutionResult] = None) -> s
                 f"  #{step.index + 1} at {step.trigger_label}: "
                 f"est_rows={step.estimated_rows:.0f} "
                 f"actual_rows={step.actual_rows} "
-                f"q_error={step.q_error:.1f} -> remainder re-planned, "
-                f"{step.temp_rows} rows handed over in memory "
-                f"as {step.temp_table}"
+                f"q_error={step.q_error:.1f} -> remainder re-planned over "
+                f"{step.temp_table} ({step.temp_rows} rows)"
             )
     return "\n".join(lines)
 
 
 def _render(
-    node: PlanNode, depth: int, lines: List[str], analyze: Optional[ExecutionResult]
+    node: PlanNode,
+    depth: int,
+    lines: List[str],
+    analyze: Optional[ExecutionResult],
+    handed_over: AbstractSet[str],
 ) -> None:
     indent = "  " * depth
     arrow = "-> " if depth else ""
     label = node.label()
-    pseudo_tables = getattr(analyze, "pseudo_tables", ())
-    if isinstance(node, ScanNode) and node.table in pseudo_tables:
-        label += " [in-memory intermediate]"
+    if isinstance(node, ScanNode) and node.table in handed_over:
+        label += " [handed over]"
     text = (
         f"{indent}{arrow}{label}  "
         f"(est_rows={node.estimated_rows:.0f} est_cost={node.estimated_cost:.1f}"
@@ -113,7 +122,7 @@ def _render(
         rendered = " AND ".join(render_conjunct(f) for f in node.conditions)
         lines.append(f"{detail_indent}One-Time Filter: {rendered}")
     for child in node.children():
-        _render(child, depth + 1, lines, analyze)
+        _render(child, depth + 1, lines, analyze, handed_over)
 
 
 def estimation_errors(plan: PlanNode) -> List[str]:

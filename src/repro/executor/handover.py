@@ -1,13 +1,14 @@
 """Collapsing an executed sub-join into a table the rest of the query reads.
 
-Both re-optimization loops end a round that paused at a trigger join the same
-way: the join's rows become a table (an in-memory intermediate for the
-adaptive loop, a temporary table for the paper's rewrite loop), and the query
-is rewritten to read that table instead of the collapsed aliases.
-:class:`Handover` is the part of that the two loops share — which columns the
-table must expose, what the rewritten query is called, and where each column
-of the *original* output lives after every collapse, so the final result can
-be handed back under the original names in the original order.
+The re-optimization loop (:mod:`repro.core.interceptor`) ends a round that
+paused at a trigger join the same way under either handover: the join's rows
+become a table (an ANALYZEd temporary table, or an in-memory pseudo-table
+under adaptive execution), and the query is rewritten to read that table
+instead of the collapsed aliases.  :class:`Handover` is the part of that
+which does not depend on the kind of table — which columns the table must
+expose, what the rewritten query is called, and where each column of the
+*original* output lives after every collapse, so the final result can be
+handed back under the original names in the original order.
 """
 
 from __future__ import annotations

@@ -150,7 +150,7 @@ class SelectivityEstimator:
         For partitioned tables the zone maps supply a *hard* upper bound: a
         scan can never return more rows than the unpruned partitions hold,
         so the statistical estimate is clamped to that bound (tightening the
-        Q-error the adaptive executor's re-optimization triggers fire on).
+        Q-error the re-optimization triggers fire on).
         """
         rows = self.table_rows(table) * self.conjunction_selectivity(table, predicates)
         bound = scan_upper_bound(self._catalog, table, predicates)

@@ -19,7 +19,7 @@ them keyed on the *alias subsets* a plan node covers (its provenance):
   has already measured them.
 
 :func:`plan_output_columns` computes the client-visible output shape of a
-plan without executing it; the adaptive executor uses it to restore the
+plan without executing it; the re-optimization loop uses it to restore the
 original column naming and order after the final (re-planned) round, keeping
 re-optimization invisible to the client.
 """

@@ -2,9 +2,9 @@
 
 The scenario is a deliberately mis-estimated self-join: ``records.val`` is
 heavily skewed (90 of 100 rows share one value), so the optimizer's
-uniformity assumption underestimates the join output by ~9x and the adaptive
-executor pauses at the hash-join pipeline breaker to re-plan the remainder
-with the observed true cardinality.
+uniformity assumption underestimates the join output by ~9x and the
+re-optimization loop, with the in-memory handover, pauses at the hash-join
+pipeline breaker to re-plan the remainder with the observed true cardinality.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import pytest
 
 import repro
 from repro.catalog import ColumnType, make_schema
+from repro.core import ReoptimizationInterceptor
 from repro.core.triggers import ReoptimizationPolicy
-from repro.engine import Database, EngineSettings, ExecutionEngine
-from repro.executor.adaptive import AdaptiveExecutor
+from repro.engine import Database, EngineSettings, ExecutionEngine, QueryPipeline
 
 
 SELF_JOIN_COUNT = (
@@ -61,74 +61,81 @@ def adaptive_policy(threshold: float = 4.0) -> ReoptimizationPolicy:
     return ReoptimizationPolicy(threshold=threshold)
 
 
-class TestAdaptiveExecutor:
+def run_adaptively(db: Database, sql: str, policy: ReoptimizationPolicy):
+    """One statement through the loop with the in-memory handover."""
+    interceptor = ReoptimizationInterceptor(policy, adaptive=True)
+    return QueryPipeline(db, [interceptor]).run(sql)
+
+
+class TestInMemoryHandover:
     def test_replans_once_and_matches_plain_rows(self):
         db = build_skew_database()
         plain = db.run(SELF_JOIN_COUNT).rows
 
-        db2 = build_skew_database()
-        planned = db2.plan(SELF_JOIN_COUNT)
-        execution = AdaptiveExecutor(db2, adaptive_policy()).execute(planned)
-        assert execution.replanned
-        assert len(execution.steps) == 1
-        assert execution.result.rows == plain
-        step = execution.steps[0]
+        ctx = run_adaptively(build_skew_database(), SELF_JOIN_COUNT, adaptive_policy())
+        assert ctx.reoptimized
+        assert len(ctx.report.steps) == 1
+        assert ctx.execution.result.rows == plain
+        step = ctx.report.steps[0]
         assert step.q_error > 4.0
         assert step.actual_rows == step.temp_rows
+
+    def test_execution_covers_every_round(self):
+        ctx = run_adaptively(build_skew_database(), SELF_JOIN_COUNT, adaptive_policy())
+        assert ctx.reoptimized
+        execution, report = ctx.execution, ctx.report
+        assert execution.total_work == report.total_execution_work
+        assert execution.wall_seconds == report.wall_seconds
+        assert execution.rows_processed == report.rows_processed
+        # The first round's nodes are there beside the final plan's.
+        final_nodes = {node.node_id for node in ctx.planned.plan.walk()}
+        assert final_nodes < set(execution.node_metrics)
 
     def test_no_replan_below_threshold(self):
         db = build_skew_database()
         plain = db.run(SELF_JOIN_COUNT).rows
-        planned = db.plan(SELF_JOIN_COUNT)
-        execution = AdaptiveExecutor(
-            db, adaptive_policy(threshold=1000.0)
-        ).execute(planned)
-        assert not execution.replanned
-        assert execution.result.rows == plain
+        ctx = run_adaptively(db, SELF_JOIN_COUNT, adaptive_policy(threshold=1000.0))
+        assert not ctx.reoptimized
+        assert ctx.execution.result.rows == plain
 
     def test_star_query_output_shape_restored(self):
         db = build_skew_database()
         plain = db.run(SELF_JOIN_STAR)
 
-        db2 = build_skew_database()
-        planned = db2.plan(SELF_JOIN_STAR)
-        execution = AdaptiveExecutor(db2, adaptive_policy()).execute(planned)
-        assert execution.replanned
+        ctx = run_adaptively(build_skew_database(), SELF_JOIN_STAR, adaptive_policy())
+        assert ctx.reoptimized
         # Re-planning is invisible to the client: original qualified column
         # names in the original order, and the same row multiset.
-        assert tuple(execution.result.columns) == tuple(plain.execution.result.columns)
-        assert Counter(execution.result.rows) == Counter(plain.rows)
+        result = ctx.execution.result
+        assert tuple(result.columns) == tuple(plain.execution.result.columns)
+        assert Counter(result.rows) == Counter(plain.rows)
 
     def test_grouped_query_matches_plain_rows(self):
         db = build_skew_database()
         plain = db.run(SELF_JOIN_GROUPED).rows
-        db2 = build_skew_database()
-        planned = db2.plan(SELF_JOIN_GROUPED)
-        execution = AdaptiveExecutor(db2, adaptive_policy()).execute(planned)
-        assert execution.replanned
-        assert execution.result.rows == plain
+        ctx = run_adaptively(build_skew_database(), SELF_JOIN_GROUPED, adaptive_policy())
+        assert ctx.reoptimized
+        assert ctx.execution.result.rows == plain
 
     def test_reference_engine_runs_adaptively(self):
         settings = EngineSettings(engine=ExecutionEngine.REFERENCE)
         db = build_skew_database(settings)
         plain = db.run(SELF_JOIN_COUNT).rows
-        planned = db.plan(SELF_JOIN_COUNT)
-        execution = AdaptiveExecutor(db, adaptive_policy()).execute(planned)
-        assert execution.replanned
-        assert execution.engine is ExecutionEngine.REFERENCE
-        assert execution.result.rows == plain
+        ctx = run_adaptively(db, SELF_JOIN_COUNT, adaptive_policy())
+        assert ctx.reoptimized
+        assert ctx.execution.engine is ExecutionEngine.REFERENCE
+        assert ctx.execution.result.rows == plain
 
     def test_replanned_remainder_uses_observed_cardinality(self):
         db = build_skew_database()
-        planned = db.plan(SELF_JOIN_COUNT)
-        execution = AdaptiveExecutor(db, adaptive_policy()).execute(planned)
-        assert execution.replanned
-        step = execution.steps[0]
+        ctx = run_adaptively(db, SELF_JOIN_COUNT, adaptive_policy())
+        assert ctx.reoptimized
+        step = ctx.report.steps[0]
         # The remainder's scan of the pseudo-table is planned with the exact
         # observed cardinality, not a statistical estimate.
         scans = [
             node
-            for node in execution.final_planned.plan.walk()
+            for node in ctx.report.final_planned.plan.walk()
             if node.label().startswith("Seq Scan on " + step.temp_table)
         ]
         assert scans and scans[0].estimated_rows == step.actual_rows
@@ -136,9 +143,8 @@ class TestAdaptiveExecutor:
     def test_pseudo_tables_dropped_and_epoch_stable(self):
         db = build_skew_database()
         epoch_before = db.catalog.epoch
-        planned = db.plan(SELF_JOIN_COUNT)
-        execution = AdaptiveExecutor(db, adaptive_policy()).execute(planned)
-        assert execution.replanned
+        ctx = run_adaptively(db, SELF_JOIN_COUNT, adaptive_policy())
+        assert ctx.reoptimized
         assert db.catalog.table_names() == ["records"]
         assert db.catalog.epoch == epoch_before
 
@@ -158,18 +164,16 @@ class TestAdaptiveExecutor:
 
     def test_max_iterations_respected(self):
         db = build_skew_database()
-        planned = db.plan(SELF_JOIN_COUNT)
         policy = ReoptimizationPolicy(threshold=4.0, max_iterations=1)
-        execution = AdaptiveExecutor(db, policy).execute(planned)
-        assert len(execution.steps) <= 1
-        assert execution.result.rows == build_skew_database().run(SELF_JOIN_COUNT).rows
+        ctx = run_adaptively(db, SELF_JOIN_COUNT, policy)
+        assert len(ctx.report.steps) <= 1
+        assert ctx.execution.result.rows == build_skew_database().run(SELF_JOIN_COUNT).rows
 
     def test_short_query_cutoff_disables_adaptivity(self):
         db = build_skew_database()
-        planned = db.plan(SELF_JOIN_COUNT)
         policy = ReoptimizationPolicy(threshold=4.0, min_query_seconds=1e9)
-        execution = AdaptiveExecutor(db, policy).execute(planned)
-        assert not execution.replanned
+        ctx = run_adaptively(db, SELF_JOIN_COUNT, policy)
+        assert not ctx.reoptimized
 
 
 class TestAdaptiveConnection:
@@ -187,8 +191,23 @@ class TestAdaptiveConnection:
         assert "in memory" in step.create_sql
         text = cursor.explain_text
         assert "Re-plan points:" in text
-        assert "[in-memory intermediate]" in text
+        assert f"Seq Scan on {step.temp_table} {step.temp_table} [handed over]" in text
+        assert f"re-planned over {step.temp_table} ({step.temp_rows} rows)" in text
         assert "q_error=" in text
+        assert "batches=" in text
+
+    def test_rewrite_loop_explain_names_its_re_plans(self):
+        db = build_skew_database()
+        conn = repro.connect(
+            db, policy=adaptive_policy(), adaptive=False, capture_explain=True
+        )
+        cursor = conn.execute(SELF_JOIN_COUNT)
+        step = cursor.context.report.steps[0]
+        assert step.create_sql.startswith(f"CREATE TEMP TABLE {step.temp_table}")
+        text = cursor.explain_text
+        assert "Re-plan points:" in text
+        assert f"Seq Scan on {step.temp_table} {step.temp_table} [handed over]" in text
+        assert f"re-planned over {step.temp_table} ({step.temp_rows} rows)" in text
         assert "batches=" in text
 
     def test_settings_flag_enables_adaptive(self):
@@ -206,6 +225,35 @@ class TestAdaptiveConnection:
         assert conn.metrics.statements == 1
         assert conn.metrics.reoptimized_statements == 1
         assert conn.metrics.execution_seconds > 0.0
+
+
+class _RoundFault(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("adaptive", [True, False], ids=["in-memory", "temp-table"])
+def test_a_failing_round_leaves_no_table_and_no_poisoned_connection(adaptive, monkeypatch):
+    db = build_skew_database()
+    conn = repro.connect(db, policy=adaptive_policy(), adaptive=adaptive)
+    tables, epoch = set(db.catalog), db.catalog.epoch
+    execute_staged = db.executor.execute_staged
+    rounds = []
+
+    def failing_second_round(plan, *args, **kwargs):
+        rounds.append(plan)
+        if len(rounds) == 2:
+            raise _RoundFault("the second round fails")
+        return execute_staged(plan, *args, **kwargs)
+
+    monkeypatch.setattr(db.executor, "execute_staged", failing_second_round)
+    with pytest.raises(_RoundFault):
+        conn.execute(SELF_JOIN_COUNT)
+    # The first round handed its rows over; the failure dropped that table.
+    assert set(db.catalog) == tables
+    assert db.catalog.epoch == epoch
+    cursor = conn.execute(SELF_JOIN_COUNT)
+    assert cursor.context.reoptimized
+    assert cursor.fetchall() == build_skew_database().run(SELF_JOIN_COUNT).rows
 
 
 class TestPlanCacheEpochInteraction:

@@ -368,14 +368,14 @@ def test_the_adaptive_intermediate_holds_the_expanded_rows(stock_db_factory, mon
     for engine in ("vectorized", "reference"):
         db = stock_db_factory()
         db.executor = db.executor_for(engine)
-        register = db.register_intermediate_result
+        create = db.create_temp_table_from_result
 
-        def recording(name, result, columns, alias_tables=None, register=register, engine=engine):
-            table = register(name, result, columns, alias_tables=alias_tables)
+        def recording(name, result, columns, create=create, engine=engine, **kwargs):
+            table = create(name, result, columns, **kwargs)
             handed[engine] = (table.schema.column_names, list(table.iter_rows()))
             return table
 
-        db.register_intermediate_result = recording
+        db.create_temp_table_from_result = recording
         with repro.connect(db, policy=ReoptimizationPolicy(threshold=4), adaptive=True) as conn:
             cursor = conn.execute(TRIGGER_SQL)
             assert cursor.context.reoptimized

@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro.core import ReoptimizationInterceptor, ReoptimizationPolicy
-from repro.engine import EngineSettings, PlanCache, QueryPipeline
+from repro.engine import PlanCache, QueryPipeline
 from repro.engine.pipeline import FeedbackHarvestInterceptor, PlanCacheInterceptor
 from repro.executor.explain import explain_plan
 from repro.optimizer.plan import JoinNode, ScanNode
@@ -299,14 +299,13 @@ def test_a_kept_temp_table_is_real_ddl_and_its_drop_invalidates_plans(stock_db):
 
 
 def test_transient_temp_tables_are_analyzed_like_kept_ones(stock_db_factory):
-    settings = EngineSettings()
     kept_db, loop_db = stock_db_factory(), stock_db_factory()
     policy = ReoptimizationPolicy(threshold=4)
     kept = QueryPipeline(
         kept_db, [ReoptimizationInterceptor(policy, keep_temp_tables=True, adaptive=False)]
     ).run(SKEWED_SQL).report
     dropped = rewrite_loop(loop_db, SKEWED_SQL, policy).report
-    assert settings.analyze_temp_tables
+    assert policy.analyze_temp_tables
     assert kept_db.catalog.stats(kept.steps[0].temp_table) is not None
     assert kept.total_execution_work == dropped.total_execution_work
     assert kept.total_planning_work == dropped.total_planning_work
