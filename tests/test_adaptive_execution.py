@@ -67,7 +67,9 @@ def run_adaptively(db: Database, sql: str, policy: ReoptimizationPolicy):
     return QueryPipeline(db, [interceptor]).run(sql)
 
 
-class TestInMemoryHandover:
+class TestAdaptiveExecutor:
+    """The re-optimization loop with the in-memory handover."""
+
     def test_replans_once_and_matches_plain_rows(self):
         db = build_skew_database()
         plain = db.run(SELF_JOIN_COUNT).rows
