@@ -11,7 +11,8 @@
 #                  derandomized, 220+ generated queries, each also run
 #                  adaptive=True vs adaptive=False vs the reference oracle)
 #   make fuzz-nightly - the randomized nightly profile (10x examples); pass
-#                  SEED=... to reproduce a nightly CI failure
+#                  SEED=... to reproduce a nightly CI failure, and
+#                  PARTITIONS=4 for the nightly's partitioned-storage step
 #   make fuzz-partitioned - the CI fuzz stream against partitioned +
 #                  compressed storage (4 shards per table, zone-map and
 #                  routing pruning live); partitioned scans run their shard
@@ -60,6 +61,7 @@
 
 PYTHON ?= python
 SEED ?= 0
+PARTITIONS ?= 0
 PINS_COMMIT ?= HEAD
 WORKLOAD ?= job_hot
 PARENT ?= HEAD~1
@@ -93,7 +95,7 @@ fuzz:
 	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -x -q tests/property/test_sql_fuzz_differential.py
 
 fuzz-nightly:
-	HYPOTHESIS_PROFILE=nightly $(PYTHON) -m pytest -x -q tests/property/test_sql_fuzz_differential.py --hypothesis-seed=$(SEED)
+	HYPOTHESIS_PROFILE=nightly REPRO_FUZZ_PARTITIONS=$(PARTITIONS) $(PYTHON) -m pytest -x -q tests/property/test_sql_fuzz_differential.py --hypothesis-seed=$(SEED)
 
 fuzz-partitioned:
 	HYPOTHESIS_PROFILE=ci REPRO_FUZZ_PARTITIONS=4 $(PYTHON) -m pytest -x -q tests/property/test_sql_fuzz_differential.py

@@ -2,16 +2,22 @@
 
 Every sequential scan goes through :func:`scan_shards`, which walks the
 table's unpruned :class:`~repro.storage.partition.Partition` shards (an
-unpartitioned table has one, and nothing pruned) and runs a three-stage
+unpartitioned table has one, and nothing pruned) and runs a staged
 pipeline per shard — filter first, decode last:
 
-1. **Segment skipping** — each filter conjunct (in negation normal form) is
-   tested against per-:data:`~repro.storage.compression.BLOCK_ROWS`-block
-   min/max/null-count synopses sealed into the segments at compress time,
-   reusing :func:`repro.optimizer.pruning.may_match`'s three-valued
-   refutation.  Provably dead blocks never enter the candidate set, so no
-   kernel and no decode ever touches them.  A conjunct participates only
-   when *every* column it references has sealed block statistics.
+1. **Decide each conjunct per shard** — refuted → shard pruned or blocks
+   skipped, proven → dropped.  A whole shard refuted by its zone map was
+   pruned at plan time; a conjunct the shard's zone map proves TRUE on every
+   row (:func:`repro.optimizer.pruning.must_match`) is dropped for that
+   shard before any later stage.  The rest are tested against
+   per-:data:`~repro.storage.compression.BLOCK_ROWS`-block
+   min/max/null-count synopses sealed into the segments at compress time
+   (in negation normal form, reusing
+   :func:`repro.optimizer.pruning.may_match`'s three-valued refutation).
+   Provably dead blocks never enter the candidate set, so no kernel and no
+   decode ever touches them.  A conjunct participates only when *every*
+   column it references has sealed block statistics.  Tables without a
+   zone map (every unpartitioned one) prove nothing.
 2. **Compressed-domain kernels** — a conjunct referencing exactly one
    sealed column evaluates on the encoded form: once per dictionary entry
    on a :class:`~repro.storage.compression.DictionarySegment` (a code-level
@@ -28,7 +34,8 @@ pipeline per shard — filter first, decode last:
    threaded through it.
 
 Nothing is compiled or normalized for a stage that has no sealed column to
-work on, so a scan of open storage pays for the residual compiler only.
+work on, and stage 1's proofs need a zone map, so a scan of an unpartitioned
+open table pays for the residual compiler only.
 
 A scan of one shard whose projected columns are all open (every scan of an
 unpartitioned table) stays zero-copy: the batch wraps the shard's backing
@@ -42,8 +49,11 @@ ids it holds (:meth:`~repro.executor.batch.ColumnBatch.row_ids`), so an
 index nested-loop join above it can tell which fetched rows the scan kept.  The
 two counters reported through ``observed`` —
 ``segments_skipped`` (refuted blocks) and ``columns_decoded`` (distinct
-columns materialized) — are derived from row counts and sealed statistics
-only, hence engine-invariant, like all work accounting.
+columns the projection and the decode-path residual read, a dropped proven
+conjunct counting the columns its residual would read) — are derived from
+row counts and sealed statistics only, hence engine-invariant, like all
+work accounting.  A proof drops nothing a block could refute: every row of
+the shard passes the conjunct, so no block of it is dead.
 """
 
 from __future__ import annotations
@@ -55,7 +65,7 @@ from repro.executor.expressions import (
     compile_batch_conjunction,
     compile_value_predicate,
 )
-from repro.optimizer.pruning import may_match
+from repro.optimizer.pruning import may_match, must_match
 from repro.optimizer.rewrite import push_not_down
 from repro.sql.ast import Expr
 from repro.storage.compression import (
@@ -116,6 +126,16 @@ class _CompiledFilters:
             self._normalized = [push_not_down(conjunct) for conjunct in self.filters]
         return self._normalized[index]
 
+    def proven(self, zone_map: Optional[ZoneMap]) -> Set[int]:
+        """Conjuncts ``zone_map`` proves TRUE on every row of its shard."""
+        if zone_map is None:
+            return set()
+        return {
+            index
+            for index, conjunct in enumerate(self.filters)
+            if must_match(conjunct, zone_map)
+        }
+
     def value_predicate(self, index: int) -> Optional[Callable[[object], bool]]:
         """Per-value form of single-column conjunct ``index`` (``None``: none)."""
         if index not in self._value_predicates:
@@ -128,13 +148,14 @@ class _CompiledFilters:
 def _block_zone_maps(
     partition: Partition,
     compiled: _CompiledFilters,
+    proven: Set[int],
 ) -> Tuple[List[Tuple[int, int]], int]:
     """Candidate row ranges after segment skipping, plus the skipped count.
 
-    Only conjuncts whose referenced columns all carry sealed block
-    statistics participate; a block survives unless some participating
-    conjunct is provably never TRUE over it (the same 3VL refutation as
-    partition pruning, one block at a time).
+    Only unproven conjuncts whose referenced columns all carry sealed block
+    statistics participate; a block survives unless some
+    participating conjunct is provably never TRUE over it (the same 3VL
+    refutation as partition pruning, one block at a time).
     """
     row_count = partition.row_count
     stats_for: Dict[str, Optional[list]] = {}
@@ -144,7 +165,9 @@ def _block_zone_maps(
     usable = [
         (compiled.normalized(index), names)
         for index, names in enumerate(compiled.ref_names)
-        if names and all(stats_for[name] is not None for name in names)
+        if index not in proven
+        and names
+        and all(stats_for[name] is not None for name in names)
     ]
     ranges: List[Tuple[int, int]] = []
     skipped = 0
@@ -246,10 +269,26 @@ def _ranges_to_indices(ranges: List[Tuple[int, int]]) -> List[int]:
     return out
 
 
+def _kernel(
+    partition: Partition, compiled: _CompiledFilters, index: int
+) -> Optional[Tuple[object, Callable[[object], bool]]]:
+    """``(segment, value predicate)`` when conjunct ``index`` can run on the
+    encoded form of a dictionary or RLE segment, else ``None`` (residual)."""
+    names = compiled.ref_names[index]
+    if len(names) != 1:
+        return None
+    segment = partition.segment_at(compiled.positions[names[0]])
+    if not isinstance(segment, (DictionarySegment, RLESegment)):
+        return None
+    predicate = compiled.value_predicate(index)
+    return None if predicate is None else (segment, predicate)
+
+
 def _shard_candidates(
     partition: Partition, compiled: _CompiledFilters
 ) -> Tuple[Optional[List[int]], int, Set[str]]:
-    """Run the skip -> compressed-domain -> residual filter over one shard.
+    """Run the decide -> skip -> compressed-domain -> residual filter over
+    one shard.
 
     Returns ``(survivors, blocks skipped, columns the residual decoded)``;
     survivors are ascending local row ids, ``None`` when every row passes.
@@ -259,38 +298,44 @@ def _shard_candidates(
     if row_count == 0:
         return [], 0, decoded
 
-    ranges, skipped = _block_zone_maps(partition, compiled)
+    proven = compiled.proven(partition.zone_map)
+    ranges, skipped = _block_zone_maps(partition, compiled, proven)
     candidates: Optional[List[int]]
     candidates = None if not skipped else _ranges_to_indices(ranges)
 
     residual_positions: List[int] = []
-    for index, names in enumerate(compiled.ref_names):
+    for index in range(len(compiled.filters)):
         if candidates is not None and not candidates:
             return candidates, skipped, decoded
-        segment = None
-        if len(names) == 1:
-            segment = partition.segment_at(compiled.positions[names[0]])
-        predicate = None
-        if isinstance(segment, (DictionarySegment, RLESegment)):
-            predicate = compiled.value_predicate(index)
-        if predicate is None:
+        if index in proven:
+            continue
+        kernel = _kernel(partition, compiled, index)
+        if kernel is None:
             residual_positions.append(index)
-        elif isinstance(segment, DictionarySegment):
+            continue
+        segment, predicate = kernel
+        if isinstance(segment, DictionarySegment):
             candidates = _dictionary_filter(
                 segment, predicate, candidates, row_count
             )
         else:
             candidates = _rle_filter(segment, predicate, candidates)
+    if candidates is not None and not candidates:
+        return candidates, skipped, decoded
 
-    if residual_positions and not (candidates is not None and not candidates):
+    # A proven conjunct still counts the columns its residual would read:
+    # ``columns_decoded`` depends on the plan and sealed statistics only.
+    counted = residual_positions + [
+        index for index in proven if _kernel(partition, compiled, index) is None
+    ]
+    for index in counted:
+        decoded.update(compiled.ref_names[index])
+    if residual_positions:
         residual = [compiled.filters[i] for i in residual_positions]
-        needed: Set[str] = set()
-        for i in residual_positions:
-            needed.update(compiled.ref_names[i])
+        needed = {name for i in residual_positions for name in compiled.ref_names[i]}
         residual_names = [
             name for name in compiled.schema.column_names if name in needed
         ]
-        decoded.update(residual_names)
         batch = ColumnBatch(
             [(compiled.alias, name) for name in residual_names],
             [partition.column_at(compiled.positions[name]) for name in residual_names],

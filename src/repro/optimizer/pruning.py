@@ -20,6 +20,16 @@ justify pruning).  Anything the analysis cannot prove — unknown expression
 shapes, mixed-type comparisons raising ``TypeError`` — conservatively keeps
 the partition.  The differential fuzzer pins this: a wrongly pruned shard
 shows up as missing rows against the reference oracle.
+
+The same synopsis proves as well as refutes: :func:`must_match` is ``True``
+only when a conjunct is TRUE on *every* row of a zone, and the scan stops
+evaluating such a conjunct on that shard.  It adds no per-shape rule: a
+conjunct whose columns hold no NULL and whose literals are neither NULL nor
+NaN is never UNKNOWN wherever :func:`may_match` can refute anything, so a
+refuted ``NOT conjunct`` proves it.  A NaN makes a zone undecidable — it
+orders with nothing, so the extremes bound nothing — and both functions then
+reason about that column's NULL count only (``IS [NOT] NULL``, all-NULL
+refutations).
 """
 
 from __future__ import annotations
@@ -42,11 +52,12 @@ from repro.sql.ast import (
     Like,
     Literal,
     Negate,
+    Not,
 )
 from repro.storage.partition import ZoneMap
 from repro.storage.table import Table
 
-__all__ = ["may_match", "prune_partitions"]
+__all__ = ["may_match", "must_match", "prune_partitions"]
 
 
 def prune_partitions(
@@ -152,6 +163,27 @@ def may_match(expr: Expr, zone_map: ZoneMap) -> bool:
     "all NULL" and would wrongly refute.
     """
     return _may_match(expr, zone_map)
+
+
+def must_match(expr: Expr, zone_map: ZoneMap) -> bool:
+    """Whether ``expr`` evaluates TRUE on every row of a zone.
+
+    ``True`` is a proof; ``False`` merely means the synopsis cannot give
+    one.  ``expr`` may be in any form.  Every column it references needs a
+    tracked zone with no NULL and no NaN, and no literal in it may be NULL or
+    NaN; then each refutation :func:`may_match` makes rests on a leaf that is
+    TRUE or FALSE on every row, never UNKNOWN, so ``NOT expr`` refuted means
+    ``expr`` is TRUE throughout.
+    """
+    for node in expr.walk():
+        if isinstance(node, Literal):
+            if node.value is None or node.value != node.value:
+                return False
+        elif isinstance(node, Column):
+            zone = zone_map.columns.get(node.column)
+            if zone is None or zone.null_count or zone.has_nan:
+                return False
+    return not _may_match(push_not_down(Not(expr)), zone_map)
 
 
 def _may_match(expr: Expr, zone_map: ZoneMap) -> bool:
@@ -261,6 +293,8 @@ def _may_match_comparison(expr: Comparison, zone_map: ZoneMap) -> bool:
     lo, hi = zone.minimum, zone.maximum
     if lo is None or hi is None:
         return False
+    if zone.has_nan:
+        return True
     try:
         if op is ComparisonOp.EQ:
             return lo <= comparand <= hi
@@ -298,6 +332,8 @@ def _may_match_in_list(expr: InList, zone_map: ZoneMap) -> bool:
     lo, hi = zone.minimum, zone.maximum
     if lo is None or hi is None:
         return False
+    if zone.has_nan:
+        return True
     try:
         if not expr.negated:
             return any(v is not None and lo <= v <= hi for v in items)
@@ -326,6 +362,8 @@ def _may_match_between(expr: Between, zone_map: ZoneMap) -> bool:
     lo, hi = zone.minimum, zone.maximum
     if lo is None or hi is None:
         return False
+    if zone.has_nan:
+        return True
     try:
         if not expr.negated:
             if low_v is None or high_v is None:
@@ -338,6 +376,8 @@ def _may_match_between(expr: Between, zone_map: ZoneMap) -> bool:
         # bound is NULL-vs-violated on the other side.
         if low_v is None and high_v is None:
             return False
+        if low_v != low_v or high_v != high_v:
+            return True  # a NaN bound: BETWEEN is FALSE, NOT BETWEEN TRUE
         if low_v is None:
             return hi > high_v
         if high_v is None:

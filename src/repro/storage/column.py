@@ -15,6 +15,7 @@ actually seen (``bool`` or a numeric string into INT, ``int`` into FLOAT,
 from __future__ import annotations
 
 from itertools import chain
+from operator import ne
 from typing import Iterable, Sequence, Tuple
 
 from repro.catalog.schema import ColumnDef
@@ -74,6 +75,18 @@ def value_range(
     nulls = values.count(None)
     present = [v for v in values if v is not None] if nulls else values
     return (*_extremes(present, low, high), nulls)
+
+
+def holds_nan(values: Sequence[object], low: object, high: object) -> bool:
+    """Whether ``values``, whose extremes are ``low``/``high``, hold a NaN.
+
+    A NaN orders with nothing, so extremes taken over it bound nothing.  Only
+    a FLOAT column stores floats, and then its extremes are floats too (NaN
+    or not): INT and TEXT values are never scanned.
+    """
+    if not (isinstance(low, float) or isinstance(high, float)):
+        return False
+    return any(map(ne, values, values))
 
 
 def _extremes(values: Sequence[object], low: object, high: object) -> Tuple[object, object]:

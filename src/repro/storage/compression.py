@@ -36,7 +36,7 @@ from math import copysign
 from operator import eq, ne, sub
 from typing import List, Optional, Sequence, Tuple
 
-from repro.storage.column import value_range
+from repro.storage.column import holds_nan, value_range
 
 __all__ = [
     "BLOCK_ROWS",
@@ -56,7 +56,8 @@ BLOCK_ROWS = 1024
 #: Per-block synopsis: ``(minimum, maximum, null_count)`` over the block's
 #: rows, with ``minimum``/``maximum`` ``None`` when the block holds no
 #: non-NULL value.  A block whose values are mutually incomparable (mixed
-#: types) stores ``None`` instead of a tuple — "no statistics, never skip".
+#: types) or hold a NaN stores ``None`` instead of a tuple — "no statistics,
+#: never skip".
 BlockStats = Optional[Tuple[Optional[object], Optional[object], int]]
 
 
@@ -70,11 +71,14 @@ def compute_block_stats(values: Sequence[object]) -> List[BlockStats]:
 
 def _block_stats(block: List[object]) -> BlockStats:
     try:
-        return value_range(block)
+        low, high, nulls = value_range(block)
     except TypeError:
         # Incomparable mix of types: record "no stats" for the block so the
         # skipping logic conservatively keeps it.
         return None
+    if holds_nan(block, low, high):
+        return None  # a NaN orders with nothing: no bounds either
+    return low, high, nulls
 
 
 class Segment:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
-from repro.storage.column import value_range
+from repro.storage.column import holds_nan, value_range
 from repro.storage.compression import Segment, encode_segment
 
 __all__ = [
@@ -54,18 +54,24 @@ class ColumnZone:
     """Zone-map entry for one column of one partition.
 
     ``minimum``/``maximum`` cover the non-NULL values only and are ``None``
-    when the partition holds no non-NULL value for the column.
+    when the partition holds no non-NULL value for the column.  ``has_nan``
+    records a NaN among them: a NaN orders with nothing, so the extremes of
+    such a zone bound nothing and only its ``null_count`` may be reasoned
+    with.
     """
 
     minimum: Optional[object] = None
     maximum: Optional[object] = None
     null_count: int = 0
+    has_nan: bool = False
 
     def note(self, value: object) -> None:
         """Fold one appended value into the zone."""
         if value is None:
             self.null_count += 1
             return
+        if isinstance(value, float) and value != value:
+            self.has_nan = True
         if self.minimum is None or value < self.minimum:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
@@ -81,6 +87,8 @@ class ColumnZone:
             values, self.minimum, self.maximum
         )
         self.null_count += nulls
+        if not self.has_nan:
+            self.has_nan = holds_nan(values, self.minimum, self.maximum)
 
 
 @dataclass

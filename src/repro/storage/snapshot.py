@@ -52,7 +52,7 @@ def _copy_zone_map(zone_map: ZoneMap, row_count: int) -> ZoneMap:
     return ZoneMap(
         row_count=row_count,
         columns={
-            name: ColumnZone(zone.minimum, zone.maximum, zone.null_count)
+            name: ColumnZone(zone.minimum, zone.maximum, zone.null_count, zone.has_nan)
             for name, zone in zone_map.columns.items()
         },
     )

@@ -17,7 +17,8 @@ import pytest
 from repro.catalog.schema import ColumnType, PartitionSpec, make_schema
 from repro.engine import Database, ExecutionEngine
 from repro.engine.settings import EngineSettings
-from repro.executor.scan import _dictionary_filter, _rle_filter
+from repro.executor import scan as scan_module
+from repro.executor.scan import _CompiledFilters, _dictionary_filter, _rle_filter
 from repro.optimizer.plan import ScanNode
 from repro.storage.compression import (
     BLOCK_ROWS,
@@ -273,6 +274,10 @@ def test_block_stats_sealed_and_type_safe():
     # Mixed-type blocks are uncomparable: no synopsis, never refuted.
     mixed = compute_block_stats([1, "x", 2])
     assert mixed == [None]
+    # So are blocks holding a NaN, wherever it sits.
+    floats = [1.0] * BLOCK_ROWS + [2.0, float("nan"), None] + [float("nan"), 3.0]
+    assert compute_block_stats(floats) == [(1.0, 1.0, 0), None]
+    assert compute_block_stats([float("nan"), 3.0]) == [None]
     segment = encode_segment(values)
     assert segment.block_stats() == stats
 
@@ -301,3 +306,155 @@ def test_select_star_stays_full_width(engine):
     assert scan.columns is None
     rows = compressed.executor_for(engine).execute(planned.plan).result.rows
     assert rows == plain.run("SELECT * FROM events AS e WHERE e.id < 1200").rows
+
+
+def test_a_nan_in_a_block_skips_nothing():
+    db = Database(EngineSettings())
+    db.create_table(make_schema("f", [("i", ColumnType.INT), ("x", ColumnType.FLOAT)]))
+    db.load_rows("f", [(i, float("nan") if i == 0 else float(i % 7)) for i in range(3000)])
+    db.finalize_load()
+    db.catalog.table("f").compress()
+    for predicate, expected in (("f.x = 5.0", 428), ("f.x <> 5.0", 2572)):
+        planned = db.plan(f"SELECT count(*) AS n FROM f AS f WHERE {predicate}")
+        for engine in ENGINES:
+            rows = db.executor_for(engine).execute(planned.plan).result.rows
+            assert rows == [(expected,)], (predicate, engine)
+
+
+# -- proven conjuncts are dropped per shard ------------------------------------
+
+
+def scan_of(planned) -> ScanNode:
+    return next(node for node in planned.plan.walk() if isinstance(node, ScanNode))
+
+
+def proven_by_shard(db: Database, sql: str):
+    """Per shard, the scan conjuncts (as SQL) its zone map proves TRUE."""
+    scan = scan_of(db.plan(sql))
+    table = db.catalog.table(scan.table)
+    compiled = _CompiledFilters(scan.alias, scan.filters, table.schema)
+    return [
+        sorted(compiled.filters[i].to_sql() for i in compiled.proven(shard.zone_map))
+        for shard in table.partitions()
+    ]
+
+
+def scan_outcome(db: Database, sql: str):
+    """The vectorized scan's rows and counters."""
+    planned = db.plan(sql)
+    execution = db.executor_for(ExecutionEngine.VECTORIZED).execute(planned.plan)
+    metrics = execution.node_metrics[scan_of(planned).node_id]
+    return execution.result.rows, metrics.segments_skipped, metrics.columns_decoded
+
+
+def assert_drop_agrees(monkeypatch, compressed, plain, sql, proven):
+    """Rows and order equal the oracle's; each shard proves ``proven``; rows
+    and scan counters are the same with every proof switched off."""
+    assert_engines_agree(compressed, plain, sql)
+    assert proven_by_shard(compressed, sql) == proven
+    with_proofs = scan_outcome(compressed, sql)
+    with monkeypatch.context() as patch:
+        patch.setattr(scan_module, "must_match", lambda expr, zone_map: False)
+        assert scan_outcome(compressed, sql) == with_proofs
+
+
+def test_a_range_proven_on_whole_shards_and_ending_mid_shard(monkeypatch):
+    compressed, plain = build_pair()
+    assert_drop_agrees(
+        monkeypatch,
+        compressed,
+        plain,
+        "SELECT e.id AS id, e.cat AS cat FROM events AS e "
+        "WHERE e.id < 3000 AND e.cat = 'needle'",
+        [["e.id < 3000"], [], []],
+    )
+    # Covers shard 1 whole, ends inside shards 0 and 2.
+    assert_drop_agrees(
+        monkeypatch,
+        compressed,
+        plain,
+        "SELECT e.id AS id, e.val AS val FROM events AS e "
+        "WHERE e.id BETWEEN 2000 AND 6000",
+        [[], ["e.id BETWEEN 2000 AND 6000"], []],
+    )
+
+
+def test_a_conjunct_proven_in_one_shard_not_its_neighbour(monkeypatch):
+    compressed, plain = build_pair()
+    table = compressed.catalog.table("events")
+    phase = table.schema.column_index("phase")
+    assert isinstance(table.partitions()[0].segment_at(phase), RLESegment)
+    # Shard 0 holds phase0/phase1 only; shards 1 and 2 hold phase3 rows.
+    assert_drop_agrees(
+        monkeypatch,
+        compressed,
+        plain,
+        "SELECT e.id AS id, e.phase AS phase FROM events AS e "
+        "WHERE e.phase <> 'phase3' AND e.val < 5000",
+        [["e.phase <> 'phase3'"], [], []],
+    )
+
+
+def test_proven_conjuncts_over_dictionary_and_rle_segments(monkeypatch):
+    compressed, plain = build_pair()
+    table = compressed.catalog.table("events")
+    cat = table.schema.column_index("cat")
+    assert all(
+        isinstance(shard.segment_at(cat), DictionarySegment) for shard in table.partitions()
+    )
+    conjuncts = ["e.cat >= 'cat0'", "e.phase BETWEEN 'phase0' AND 'phase3'"]
+    assert_drop_agrees(
+        monkeypatch,
+        compressed,
+        plain,
+        "SELECT e.id AS id, e.note AS note FROM events AS e WHERE "
+        + " AND ".join(conjuncts)
+        + " AND e.note IS NULL",
+        [sorted(conjuncts)] * NUM_SHARDS,
+    )
+
+
+def test_a_load_after_a_scan_widens_the_proven_zone(monkeypatch):
+    compressed, plain = build_pair()
+    sql = "SELECT e.id AS id, e.val AS val FROM events AS e WHERE e.val < 10000"
+    proven_everywhere = [["e.val < 10000"]] * NUM_SHARDS
+    before = assert_engines_agree(compressed, plain, sql)
+    assert proven_by_shard(compressed, sql) == proven_everywhere
+    pinned = compressed.snapshot()
+    # id -1 routes to shard 0 and lies outside its proof.
+    for db in (compressed, plain):
+        db.load_rows("events", [(-1, "cat1", "phase0", 10_005, None)])
+    assert_drop_agrees(
+        monkeypatch, compressed, plain, sql, [[]] + proven_everywhere[1:]
+    )
+    assert (-1, 10_005) not in compressed.run(sql).rows
+    # The snapshot pinned before the load keeps its rows and its proofs.
+    assert pinned.run(sql).rows == before
+    assert proven_by_shard(pinned, sql) == proven_everywhere
+    planned = pinned.plan(sql)
+    for engine in ENGINES:
+        assert pinned.executor_for(engine).execute(planned.plan).result.rows == before
+
+
+def test_a_null_in_the_column_blocks_the_proof(monkeypatch):
+    rows = event_rows()
+    rows[5] = rows[5][:3] + (None,) + rows[5][4:]
+    compressed, plain = build_pair(rows)
+    assert_drop_agrees(
+        monkeypatch,
+        compressed,
+        plain,
+        "SELECT e.id AS id FROM events AS e WHERE e.val < 10000",
+        [[], ["e.val < 10000"], ["e.val < 10000"]],
+    )
+
+
+def test_a_comparison_with_null_is_never_proven(monkeypatch):
+    compressed, plain = build_pair()
+    assert_drop_agrees(
+        monkeypatch,
+        compressed,
+        plain,
+        "SELECT e.id AS id FROM events AS e WHERE e.val <> NULL",
+        [[], [], []],
+    )

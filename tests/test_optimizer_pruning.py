@@ -6,9 +6,13 @@ from repro.catalog.schema import ColumnType, PartitionSpec, make_schema
 from repro.engine import Database
 from repro.engine.settings import EngineSettings
 from repro.executor.executor import ExecutionEngine
-from repro.optimizer.pruning import prune_partitions
+from repro.optimizer.pruning import may_match, must_match, prune_partitions
+from repro.sql.ast import Between, Comparison, ComparisonOp, Literal, column
 from repro.sql.parser import parse_expression
+from repro.storage.partition import ColumnZone, ZoneMap
 from repro.storage.table import Table
+
+NAN = float("nan")
 
 
 def make_range_table() -> Table:
@@ -225,3 +229,115 @@ def test_stale_plan_reprunes_at_execution_time():
     db.load_rows("events", [(i, "y") for i in range(100, 400)])
     execution = db.executor.execute(planned.plan)
     assert execution.result.rows == [(400,)]
+
+
+# -- NaN: a zone whose extremes bound nothing ---------------------------------
+
+
+def nan_table(partitioned: bool) -> Database:
+    """``(0, NaN), (1, 5.0), (2, 5.0), (3, NaN)``, range shards at id 2.
+
+    Shard 0 *starts* with a NaN (its zone once read ``(nan, nan)``), shard 1
+    *ends* with one (once hidden from its ``(5.0, 5.0)`` zone).
+    """
+    db = Database()
+    spec = PartitionSpec(method="range", column="id", bounds=(2,)) if partitioned else None
+    db.create_table(
+        make_schema(
+            "t", [("id", ColumnType.INT), ("x", ColumnType.FLOAT)], partition_by=spec
+        )
+    )
+    db.load_rows("t", [(0, NAN), (1, 5.0), (2, 5.0), (3, NAN)])
+    db.finalize_load()
+    return db
+
+
+def test_a_nan_in_a_shard_refutes_nothing():
+    partitioned, plain = nan_table(True), nan_table(False)
+    for predicate, expected in (
+        ("t.x = 5.0", [(1,), (2,)]),
+        ("t.x <> 5.0", [(0,), (3,)]),
+        ("t.x > 4.0", [(1,), (2,)]),
+        ("t.x NOT IN (5.0)", [(0,), (3,)]),
+        ("t.x NOT BETWEEN 5.0 AND 5.0", [(0,), (3,)]),
+    ):
+        sql = f"SELECT t.id AS id FROM t AS t WHERE {predicate} ORDER BY id"
+        assert plain.run(sql).rows == expected, predicate
+        planned = partitioned.plan(sql)
+        for engine in (ExecutionEngine.VECTORIZED, ExecutionEngine.REFERENCE):
+            rows = partitioned.executor_for(engine).execute(planned.plan).result.rows
+            assert rows == expected, (predicate, engine)
+    zones = [shard.zone_map.columns["x"] for shard in partitioned.catalog.table("t").partitions()]
+    assert [zone.has_nan for zone in zones] == [True, True]
+
+
+def test_a_nan_zone_decides_only_null_tests():
+    zone_map = ZoneMap(row_count=3, columns={"x": ColumnZone(1.0, 2.0, 0, has_nan=True)})
+    for predicate in ("t.x = 1.5", "t.x <> 1.5", "t.x > 9.0", "t.x IN (7.0)", "t.x BETWEEN 5.0 AND 6.0"):
+        assert may_match(parse_expression(predicate), zone_map), predicate
+        assert not must_match(parse_expression(predicate), zone_map), predicate
+    assert not may_match(parse_expression("t.x IS NULL"), zone_map)
+    # NOT (x IS NULL) is the proof; NaN zones still know their NULL count.
+    assert may_match(parse_expression("t.x IS NOT NULL"), zone_map)
+
+
+# -- must_match: proofs from the same synopsis --------------------------------
+
+
+def shard_zone(row_count=10, **columns) -> ZoneMap:
+    return ZoneMap(
+        row_count=row_count,
+        columns={name: ColumnZone(*entry) for name, entry in columns.items()},
+    )
+
+
+def test_must_match_proves_ranges_that_cover_the_zone():
+    zone_map = shard_zone(id=(10, 19, 0), tag=("a", "c", 0))
+    for predicate in (
+        "t.id < 20",
+        "t.id >= 10",
+        "30 > t.id",
+        "t.id BETWEEN 10 AND 19",
+        "t.id NOT BETWEEN 20 AND 30",
+        "t.id <> 9",
+        "t.id NOT IN (1, 2, 99)",
+        "t.id IS NOT NULL",
+        "NOT (t.id >= 20)",
+        "t.id < 5 OR t.tag <= 'c'",
+        "t.tag BETWEEN 'a' AND 'd'",
+    ):
+        assert must_match(parse_expression(predicate), zone_map), predicate
+    for predicate in (
+        "t.id < 19",
+        "t.id BETWEEN 11 AND 19",
+        "t.id IN (10, 19)",
+        "t.id IS NULL",
+        "t.tag LIKE '%'",
+        "t.id % 2 = 0 OR t.id % 2 = 1",
+        "t.id < 20 AND t.id > 10",
+        "t.id < 15 OR t.id >= 15",  # a tautology no single bound shows
+        "t.score > 0",  # untracked column
+    ):
+        assert not must_match(parse_expression(predicate), zone_map), predicate
+
+
+def test_must_match_needs_a_column_without_nulls():
+    zone_map = shard_zone(id=(10, 19, 1))
+    assert may_match(parse_expression("t.id < 20"), zone_map)
+    assert not must_match(parse_expression("t.id < 20"), zone_map)
+    assert not must_match(parse_expression("t.id IS NOT NULL"), zone_map)
+
+
+def test_must_match_never_proves_a_null_or_nan_literal():
+    zone_map = shard_zone(id=(10, 19, 0), x=(1.0, 2.0, 0))
+    assert not must_match(parse_expression("t.id <> NULL"), zone_map)
+    assert not must_match(parse_expression("t.id NOT IN (5, NULL)"), zone_map)
+    x, nan = column("t", "x"), Literal(NAN)
+    # x >= NaN is FALSE on every row, though its negation x < NaN is too.
+    ge_nan = Comparison(ComparisonOp.GE, x, nan)
+    assert not must_match(ge_nan, zone_map)
+    assert not may_match(ge_nan, zone_map)
+    # x NOT BETWEEN NaN AND 0.5 is TRUE on every non-NULL row.
+    not_between = Between(x, nan, Literal(0.5), negated=True)
+    assert may_match(not_between, zone_map)
+    assert not must_match(not_between, zone_map)
