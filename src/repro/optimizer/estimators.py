@@ -115,7 +115,9 @@ class UpperBoundEstimator(CardinalityStrategy):
         self, query: BoundQuery, subset: FrozenSet[str]
     ) -> Optional[float]:
         rows = 1.0
-        for alias in subset:
+        # Sorted: a float product's rounding depends on its order, and a
+        # frozenset's iteration order changes with the string hash seed.
+        for alias in sorted(subset):
             table = query.table_for(alias)
             bound = scan_upper_bound(
                 self.catalog, table, query.filters_for(alias)

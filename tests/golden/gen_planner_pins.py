@@ -2,15 +2,17 @@
 
 Runs the 113 JOB statements through a default ``repro.connect()`` session
 (the paper's materialize-and-rewrite loop) over a small synthetic IMDB
-database and records every ``Optimizer.plan`` call — the first-round plan of
-each statement and every re-plan of its rewrite loop — as the SHA-1 of its
-EXPLAIN text plus the three planning counters the simulated planning time is
-charged from.
+database, once per cardinality estimator (``EngineSettings.estimator``, each
+on a freshly built database so the feedback store starts cold), and records
+every ``Optimizer.plan`` call — the first-round plan of each statement and
+every re-plan of its rewrite loop — as the SHA-1 of its EXPLAIN text plus the
+three planning counters the simulated planning time is charged from.  The
+file maps estimator name → statement name → calls.
 
-``tests/test_optimizer_plan_pins.py`` replays :func:`record_plans` and
-compares with the checked-in file, so a change to the enumerator, the
-estimator or ANALYZE that moves a single plan or counter fails there.
-Regenerate only on a commit whose plans are *meant* to differ::
+``tests/test_optimizer_plan_pins.py`` replays :func:`record_plans` per
+estimator and compares with the checked-in file, so a change to the
+enumerator, an estimator or ANALYZE that moves a single plan or counter fails
+there.  Regenerate only on a commit whose plans are *meant* to differ::
 
     PYTHONPATH=src python tests/golden/gen_planner_pins.py
 """
@@ -23,6 +25,7 @@ import os
 from typing import Dict, List
 
 import repro
+from repro.engine.settings import ESTIMATOR_NAMES, EngineSettings
 from repro.executor.explain import explain_plan
 from repro.workloads import (
     ImdbConfig,
@@ -36,9 +39,10 @@ IMDB = ImdbConfig(scale=0.15, seed=42)
 JOB = JobWorkloadConfig(seed=7)
 
 
-def record_plans() -> Dict[str, List[dict]]:
-    """Every planner call of the workload, keyed by statement name, in call order."""
-    db, dataset = build_imdb_database(IMDB)
+def record_plans(estimator: str) -> Dict[str, List[dict]]:
+    """Every planner call of the workload under ``estimator``, keyed by
+    statement name, in call order."""
+    db, dataset = build_imdb_database(IMDB, settings=EngineSettings(estimator=estimator))
     calls: List[dict] = []
     plan = db.optimizer.plan
 
@@ -71,9 +75,11 @@ def record_plans() -> Dict[str, List[dict]]:
 
 
 if __name__ == "__main__":
-    recorded = record_plans()
+    recorded = {name: record_plans(name) for name in ESTIMATOR_NAMES}
     with open(PINS_PATH, "w", encoding="utf-8") as handle:
         json.dump(recorded, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    replans = sum(len(calls) - 1 for calls in recorded.values())
-    print(f"{len(recorded)} statements, {replans} re-plans -> {PINS_PATH}")
+    for name, pins in recorded.items():
+        calls = sum(len(statement) for statement in pins.values())
+        print(f"{name}: {len(pins)} statements, {calls} planner calls")
+    print(f"-> {PINS_PATH}")

@@ -1,13 +1,15 @@
 """Planner pin: the optimizer's decisions and charged work, plan by plan.
 
-``tests/golden/planner_pins.json`` was generated by
-``tests/golden/gen_planner_pins.py`` at the commit before the enumerator
-started costing candidates as floats (one ``JoinNode`` per kept subset, DP-table
-connectivity, index-drawn ANALYZE samples, one-sort column statistics).  The
-113 JOB statements run through the default rewrite loop; the first-round plan
-and every re-plan must keep its EXPLAIN text and its ``candidates_considered``
-/ ``estimate_calls`` / ``planning_work`` — the latter are charged as simulated
-planning time inside the gated paper figures.
+``tests/golden/planner_pins.json`` is generated by
+``tests/golden/gen_planner_pins.py``: per cardinality estimator, the 113 JOB
+statements run through the default rewrite loop, and the first-round plan
+and every re-plan must keep its EXPLAIN text and its
+``candidates_considered`` / ``estimate_calls`` / ``planning_work`` — the
+latter are charged as simulated planning time inside the gated paper
+figures.  The ``"stats"`` entry dates from the commit before the enumerator
+started costing candidates as floats; the other three were added before the
+estimators became cardinality injectors, to prove that refactor moved no
+plan.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+
+import pytest
+
+from repro.engine.settings import ESTIMATOR_NAMES
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -28,14 +34,26 @@ def _load_generator():
     return module
 
 
-def test_job_plans_and_planning_counters_match_the_golden_file():
-    generator = _load_generator()
-    with open(generator.PINS_PATH, encoding="utf-8") as handle:
-        golden = json.load(handle)
-    recorded = generator.record_plans()
+GENERATOR = _load_generator()
 
-    assert len(golden) == 113
-    assert sorted(recorded) == sorted(golden)
-    assert sum(len(calls) - 1 for calls in golden.values()) > 0, "no re-plan pinned"
-    for name, expected in golden.items():
-        assert recorded[name] == expected, f"planner decisions moved for {name}"
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GENERATOR.PINS_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_every_estimator_is_pinned(golden):
+    assert sorted(golden) == sorted(ESTIMATOR_NAMES)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
+def test_job_plans_and_planning_counters_match_the_golden_file(golden, estimator):
+    expected_calls = golden[estimator]
+    recorded = GENERATOR.record_plans(estimator)
+
+    assert len(expected_calls) == 113
+    assert sorted(recorded) == sorted(expected_calls)
+    assert sum(len(calls) - 1 for calls in expected_calls.values()) > 0, "no re-plan pinned"
+    for name, expected in expected_calls.items():
+        assert recorded[name] == expected, f"{estimator}: planner decisions moved for {name}"
