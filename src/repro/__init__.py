@@ -43,13 +43,11 @@ from repro.engine import (
     threadsafety,
 )
 from repro.errors import ConfigError, ReproError
-from repro.optimizer.estimators import CardinalityStrategy, strategy_names
 from repro.optimizer.feedback import FeedbackStore
 
 __version__ = "1.2.0"
 
 __all__ = [
-    "CardinalityStrategy",
     "ConfigError",
     "Connection",
     "Cursor",
@@ -73,6 +71,5 @@ __all__ = [
     "connect",
     "paramstyle",
     "q_error",
-    "strategy_names",
     "threadsafety",
 ]

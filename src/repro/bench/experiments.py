@@ -29,6 +29,7 @@ from repro.core.feedback import FeedbackLoop
 from repro.core.interceptor import ReoptimizationInterceptor
 from repro.core.triggers import ReoptimizationPolicy, q_error
 from repro.engine.pipeline import FeedbackHarvestInterceptor, QueryPipeline
+from repro.engine.settings import ESTIMATOR_NAMES
 from repro.core.oracle import TrueCardinalityOracle
 from repro.optimizer.optimizer import Optimizer
 from repro.stats.percentile import nearest_rank
@@ -608,7 +609,6 @@ def estimator_matrix(
     """
     db = context.database
     names = [q.name for q in context.job_queries if q.num_tables >= 4][:queries]
-    from repro.optimizer.estimators import strategy_names
 
     result = ExperimentResult(
         experiment_id="estimators",
@@ -622,7 +622,7 @@ def estimator_matrix(
 
     saved_estimator = db.settings.estimator
     try:
-        for estimator in strategy_names():
+        for estimator in ESTIMATOR_NAMES:
             db.set_estimator(estimator)
             db.feedback.clear()
             reopt_pipeline = QueryPipeline(

@@ -143,12 +143,7 @@ class Connection:
             self.database = database
             if settings is not None or supplied:
                 base = settings if settings is not None else database.settings
-                resolved = EngineSettings.resolve(base, **overrides)
-                database.settings = resolved
-                database.executor = database.executor_for(resolved.engine)
-                database.optimizer.strategy = database._build_strategy(
-                    resolved.estimator
-                )
+                database.apply_settings(EngineSettings.resolve(base, **overrides))
         if plan_cache_size is None:
             plan_cache_size = self.database.settings.plan_cache_size
         self.metrics = ConnectionMetrics()

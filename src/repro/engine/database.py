@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import iadd
-from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import ColumnDef, ColumnType, TableSchema
@@ -25,6 +25,7 @@ from repro.executor.executor import ExecutionEngine, ExecutionResult, Executor
 from repro.executor.explain import explain_plan
 from repro.executor.operators import ResultSet
 from repro.optimizer.cost import CostModel
+from repro.optimizer.estimators import create_source
 from repro.optimizer.feedback import FeedbackStore
 from repro.optimizer.injection import CardinalityInjector
 from repro.optimizer.optimizer import Optimizer, PlannedQuery
@@ -33,9 +34,6 @@ from repro.sql.parser import parse_create_table, parse_select
 from repro.stats.analyze import analyze_table
 from repro.storage.index import HashIndex, build_foreign_key_indexes
 from repro.storage.table import Table
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.optimizer.estimators import CardinalityStrategy
 
 #: Rows :meth:`Database.load_rows` transposes at a time: enough to spread the
 #: per-chunk calls thin, few enough that the flat chunk stays small.
@@ -90,7 +88,7 @@ class Database:
         catalog: Optional[Catalog] = None,
         feedback: Optional[FeedbackStore] = None,
     ) -> None:
-        self.settings = settings or EngineSettings()
+        settings = settings or EngineSettings()
         self.catalog = catalog if catalog is not None else Catalog()
         # One feedback store per database, shared by every connection, server
         # session and snapshot (snapshots pass their base's store in), so
@@ -98,46 +96,42 @@ class Database:
         if feedback is not None:
             self.feedback = feedback
         else:
-            self.feedback = FeedbackStore(self.settings.feedback_capacity)
-            if self.settings.feedback_path is not None:
-                self.feedback.load(self.settings.feedback_path)
-        self.optimizer = Optimizer(
-            self.catalog,
-            cost_params=self.settings.cost,
-            planner_config=self.settings.planner,
-            strategy=self._build_strategy(self.settings.estimator),
-        )
-        self.cost_model = CostModel(self.catalog, self.settings.cost)
-        self.executor = Executor(
-            self.catalog, self.cost_model, engine=self.settings.engine
-        )
+            self.feedback = FeedbackStore(settings.feedback_capacity)
+            if settings.feedback_path is not None:
+                self.feedback.load(settings.feedback_path)
+        self.apply_settings(settings)
         self.binder = Binder(self.catalog)
         # itertools.count.__next__ is atomic in CPython, so concurrent
         # sessions never mint the same temporary-table name.
         self._temp_ids = itertools.count(1)
 
-    def _build_strategy(self, name: str) -> "CardinalityStrategy":
-        from repro.optimizer.estimators import create_strategy
+    def apply_settings(self, settings: EngineSettings) -> None:
+        """Install ``settings`` and rebuild everything derived from them.
 
-        return create_strategy(name, self.catalog, feedback=self.feedback)
-
-    @property
-    def estimator_strategy(self) -> "CardinalityStrategy":
-        """The active cardinality-estimation strategy."""
-        return self.optimizer.strategy
-
-    def set_estimator(self, name: str) -> "CardinalityStrategy":
-        """Switch the active estimation strategy (``"stats"``, ``"feedback"``...).
-
-        Rebuilds the strategy over this database's catalog and feedback
-        store and installs it on the optimizer; subsequently planned
-        statements use it.  Updates ``settings.estimator`` so snapshots and
-        derived connections inherit the choice.
+        The optimizer (cost constants, planner limits, estimator source), the
+        cost model and the executor follow ``settings``; the catalog, its
+        data and the feedback store stay.  Statements planned from now on use
+        the new settings.
         """
-        strategy = self._build_strategy(name)
-        self.settings.estimator = name
-        self.optimizer.strategy = strategy
-        return strategy
+        self.settings = settings
+        self.optimizer = Optimizer(
+            self.catalog,
+            cost_params=settings.cost,
+            planner_config=settings.planner,
+            source=create_source(settings.estimator, self.catalog, self.feedback),
+        )
+        self.cost_model = CostModel(self.catalog, settings.cost)
+        self.executor = Executor(self.catalog, self.cost_model, engine=settings.engine)
+
+    def set_estimator(self, name: str) -> None:
+        """Switch the cardinality estimator (``"stats"``, ``"feedback"``...).
+
+        Installs a validated copy of the settings with ``estimator=name``
+        (an unknown name is a :class:`~repro.errors.ConfigError`); a settings
+        object shared with other databases is left untouched.  Snapshots
+        and derived connections inherit the choice.
+        """
+        self.apply_settings(self.settings.replace(estimator=name))
 
     def executor_for(self, engine: ExecutionEngine) -> Executor:
         """A second executor over the same catalog using ``engine``.

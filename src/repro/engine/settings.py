@@ -2,7 +2,7 @@
 
 Collects the knobs the paper's experimental setup mentions (statistics
 target, planner limits, cost constants) — plus the engine's own knobs
-(execution engine, plan cache, estimator strategy, feedback persistence) —
+(execution engine, plan cache, cardinality estimator, feedback persistence) —
 into one object so benchmarks, tests, ``connect()``, the threaded server and
 the CLI all configure engines the same way.
 
@@ -30,12 +30,11 @@ from repro.errors import ConfigError
 from repro.executor.executor import ExecutionEngine
 from repro.optimizer.cost import CostParameters
 from repro.optimizer.enumeration import PlannerConfig
+from repro.optimizer.estimators import ESTIMATORS
 from repro.optimizer.feedback import DEFAULT_FEEDBACK_CAPACITY
 
-#: Estimator strategy names accepted by ``EngineSettings.estimator``; kept in
-#: sync with :data:`repro.optimizer.estimators.STRATEGIES` (asserted by tests)
-#: but spelled out here so validating settings never imports the optimizer.
-ESTIMATOR_NAMES = ("feedback", "sampling", "stats", "upper-bound")
+#: Names accepted by ``EngineSettings.estimator``, sorted.
+ESTIMATOR_NAMES = tuple(sorted(ESTIMATORS))
 
 
 @dataclass
@@ -66,10 +65,9 @@ class EngineSettings:
             accounting; per-connection override on ``connect()``.  Whether
             temporary tables are ANALYZEd is the re-optimization policy's
             ``analyze_temp_tables``.
-        estimator: active cardinality-estimation strategy — one of
+        estimator: active cardinality estimator — one of
             :data:`ESTIMATOR_NAMES` (see :mod:`repro.optimizer.estimators`).
-            The default ``"stats"`` reproduces the paper's PostgreSQL-style
-            model bit-for-bit.
+            The default ``"stats"`` is the paper's PostgreSQL-style model.
         feedback_capacity: LRU capacity of the database's persistent
             cardinality-feedback store (:mod:`repro.optimizer.feedback`).
         feedback_path: JSON file to warm the feedback store from at startup

@@ -366,9 +366,8 @@ def compile_batch_predicate(
     elif isinstance(predicate, Between) and position is not None:
         low_literal, low = _literal_value(predicate.low)
         high_literal, high = _literal_value(predicate.high)
-        if low_literal and high_literal:
-            if low is None or high is None:
-                return lambda batch, candidates: []
+        # A NULL bound goes to the generic path below (three-valued halves).
+        if low_literal and high_literal and low is not None and high is not None:
             want = not predicate.negated
             return lambda b, c: [
                 i for i, v in pairs(b, position, c) if v is not None and (low <= v <= high) is want

@@ -7,7 +7,6 @@ from repro.optimizer.injection import (
     CardinalityInjector,
     ChainInjection,
     DictInjection,
-    NoInjection,
     PerfectInjection,
 )
 from repro.optimizer.joingraph import JoinGraph
@@ -49,7 +48,6 @@ __all__ = [
     "JoinNode",
     "LimitNode",
     "MaterializeNode",
-    "NoInjection",
     "Optimizer",
     "PerfectInjection",
     "PlanNode",

@@ -21,11 +21,11 @@ join size, which reproduces Table I of the paper.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.errors import CardinalityError
-from repro.optimizer.injection import CardinalityInjector, NoInjection
+from repro.optimizer.injection import CardinalityInjector
 from repro.optimizer.joingraph import JoinGraph
 from repro.optimizer.pruning import prune_partitions
 from repro.sql.ast import (
@@ -45,9 +45,6 @@ from repro.sql.ast import (
 from repro.sql.binder import BoundJoin, BoundQuery
 from repro.sql.values import is_truthy
 from repro.stats.column_stats import ColumnStats, TableStats
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.optimizer.estimators import CardinalityStrategy
 
 # Default selectivities used when statistics cannot answer a question,
 # mirroring PostgreSQL's DEFAULT_EQ_SEL / DEFAULT_INEQ_SEL / pattern defaults.
@@ -365,14 +362,15 @@ class CardinalityEstimator:
 
     The estimator memoizes one estimate per subset, mirrors PostgreSQL's
     behaviour of estimating a join relation's size once regardless of how the
-    dynamic program later splits it, and consults a
+    dynamic program later splits it, and consults one
     :class:`~repro.optimizer.injection.CardinalityInjector` before falling
-    back to the statistical model.  Perfect-(n) and LEO-style feedback are
-    both implemented as injectors.
+    back to the statistical model.  Perfect-(n), LEO-style feedback and the
+    selectable estimators are all injectors; the optimizer chains them into
+    the one it passes here.
 
     Subsets are keyed by their :class:`JoinGraph` mask (:meth:`cardinality`);
-    :meth:`subset_cardinality` is the ``frozenset`` wrapper, and injectors and
-    strategies are handed ``frozenset`` names.
+    :meth:`subset_cardinality` is the ``frozenset`` wrapper, and the injector
+    is handed ``frozenset`` names.
     """
 
     def __init__(
@@ -381,21 +379,15 @@ class CardinalityEstimator:
         query: BoundQuery,
         graph: Optional[JoinGraph] = None,
         injector: Optional[CardinalityInjector] = None,
-        strategy: Optional["CardinalityStrategy"] = None,
     ) -> None:
         self._catalog = catalog
         self.query = query
         self.graph = graph if graph is not None else JoinGraph(query)
-        # "injector or ..." would discard an *empty* DictInjection (len() == 0
-        # makes it falsy), so compare against None explicitly.
-        self.injector = injector if injector is not None else NoInjection()
-        self.strategy = strategy
+        self.injector = injector
         self.selectivity = SelectivityEstimator(catalog)
         self._memo: Dict[int, float] = {}
         self.estimates_by_size: Counter = Counter()
         self.estimate_calls = 0
-        if strategy is not None:
-            strategy.setup_for_query(query)
 
     # -- public API --------------------------------------------------------
 
@@ -423,23 +415,15 @@ class CardinalityEstimator:
         subset = self.graph.aliases_of(mask)
         self.estimate_calls += 1
         self.estimates_by_size[len(subset)] += 1
-        injected = self.injector.lookup(self.query, subset)
+        # Compared against None: an *empty* DictInjection is falsy.
+        injector = self.injector
+        injected = None if injector is None else injector.lookup(self.query, subset)
         if injected is not None:
-            rows: Optional[float] = max(MIN_ROWS, float(injected))
+            rows = max(MIN_ROWS, float(injected))
+        elif len(subset) == 1:
+            rows = self._estimate_scan(next(iter(subset)))
         else:
-            # The active strategy is consulted after injectors (perfect-(n)
-            # and runtime re-optimization feedback stay authoritative) and
-            # may decline with ``None``, deferring to the built-in model.
-            rows = None
-            if self.strategy is not None:
-                answer = self.strategy.estimate_subset(self.query, subset)
-                if answer is not None:
-                    rows = max(MIN_ROWS, float(answer))
-            if rows is None:
-                if len(subset) == 1:
-                    rows = self._estimate_scan(next(iter(subset)))
-                else:
-                    rows = self._estimate_join(mask)
+            rows = self._estimate_join(mask)
         self._memo[mask] = rows
         return rows
 

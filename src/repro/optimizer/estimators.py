@@ -1,32 +1,30 @@
-"""Pluggable cardinality-estimation strategies.
+"""Cardinality estimators: the sources ``EngineSettings.estimator`` selects.
 
-The optimizer's :class:`~repro.optimizer.cardinality.CardinalityEstimator`
-historically hard-wired one model: PostgreSQL-style statistics under
-independence assumptions.  This module generalizes it behind a PostBOUND-style
-strategy interface — a :class:`CardinalityStrategy` is set up once per query
-and then asked for subset estimates; returning ``None`` defers to the built-in
-statistical model, so strategies only override where they know better.
+The paper replaces the optimizer's cardinality estimates "with arbitrary
+values" through one hook; here that hook is the
+:class:`~repro.optimizer.injection.CardinalityInjector`, and every estimator
+in this module is one.  The optimizer asks a single chain per alias subset:
+the caller's injector (perfect-(n), re-optimization feedback), then the
+database's estimator source, then the built-in PostgreSQL-style model of
+:mod:`repro.optimizer.cardinality`.  A source answers ``None`` to pass the
+subset on down the chain, so it only overrides where it knows better.
 
-Four strategies ship:
+Four estimator names are registered in :data:`ESTIMATORS`:
 
-* :class:`StatsEstimator` — the default; delegates single-table estimates to
-  :class:`~repro.optimizer.cardinality.SelectivityEstimator` and leaves join
-  estimates to the built-in recursive model.  Plans are bit-identical to the
-  pre-strategy engine.
+* ``"stats"`` — the default, and no source at all: the built-in model is
+  the statistics estimator the paper's figures run under.
 * :class:`UpperBoundEstimator` — pessimistic hard bounds only: zone-map scan
   bounds per table, multiplied across joins.  Never underestimates an inner
   join, at the cost of gross overestimates.
 * :class:`SamplingEstimator` — evaluates single-table predicates over the
   row sample ANALYZE keeps, scaling the match fraction to the table
-  cardinality; joins defer to the model.
+  cardinality; joins fall through to the model.
 * :class:`FeedbackEstimator` — consults the persistent
   :class:`~repro.optimizer.feedback.FeedbackStore` of runtime-observed
-  subtree cardinalities before falling back to statistics, so repeated
-  workloads are planned from truth.
+  subtree cardinalities, so repeated workloads are planned from truth.
 
-A strategy instance is shared by every connection and server session of a
-database, so implementations must be thread-safe; all four built-ins are
-stateless between ``setup_for_query`` calls.
+A source is shared by every connection and server session of a database, so
+implementations must be thread-safe; the built-ins keep no per-query state.
 """
 
 from __future__ import annotations
@@ -39,67 +37,12 @@ from repro.optimizer.cardinality import (
     SelectivityEstimator,
     scan_upper_bound,
 )
-from repro.optimizer.feedback import DEFAULT_FEEDBACK_CAPACITY, FeedbackStore
+from repro.optimizer.feedback import FeedbackStore
+from repro.optimizer.injection import CardinalityInjector
 from repro.sql.binder import BoundQuery
 
 
-class CardinalityStrategy:
-    """Interface every estimation strategy implements.
-
-    Lifecycle (per planned query): the optimizer calls
-    :meth:`setup_for_query` once, then :meth:`estimate_subset` for every
-    connected alias subset the join enumerator probes.  ``estimate_subset``
-    returns estimated rows, or ``None`` to defer to the built-in statistical
-    model for that subset.  Cardinality injectors (perfect-(n), runtime
-    feedback within one re-optimization) still take precedence over the
-    strategy.
-    """
-
-    #: Registry name; also what ``EngineSettings.estimator`` selects.
-    name = "abstract"
-
-    def __init__(self, catalog: Catalog) -> None:
-        self.catalog = catalog
-        self.selectivity = SelectivityEstimator(catalog)
-
-    def setup_for_query(self, query: BoundQuery) -> None:
-        """Hook invoked once before a query's subsets are estimated."""
-
-    def estimate_subset(
-        self, query: BoundQuery, subset: FrozenSet[str]
-    ) -> Optional[float]:
-        """Estimated rows for ``subset``, or ``None`` to use the built-in model."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """Human-readable description for EXPLAIN and experiment reports."""
-        return self.name
-
-
-class StatsEstimator(CardinalityStrategy):
-    """PostgreSQL-style statistics (the engine's historical behaviour).
-
-    Single-table subsets go through
-    :meth:`~repro.optimizer.cardinality.SelectivityEstimator.scan_rows`
-    exactly as before the strategy interface existed; join subsets defer to
-    the built-in recursive decomposition (which uses the same statistics), so
-    the produced plans — and the paper-figure numbers — are unchanged.
-    """
-
-    name = "stats"
-
-    def estimate_subset(
-        self, query: BoundQuery, subset: FrozenSet[str]
-    ) -> Optional[float]:
-        if len(subset) != 1:
-            return None
-        alias = next(iter(subset))
-        return self.selectivity.scan_rows(
-            query.table_for(alias), query.filters_for(alias)
-        )
-
-
-class UpperBoundEstimator(CardinalityStrategy):
+class UpperBoundEstimator(CardinalityInjector):
     """Hard upper bounds: zone-map scan bounds, multiplied across joins.
 
     An inner join can never produce more rows than the Cartesian product of
@@ -109,11 +52,11 @@ class UpperBoundEstimator(CardinalityStrategy):
     but ranks join orders only by bound tightness.
     """
 
-    name = "upper-bound"
+    def __init__(self, catalog: Catalog) -> None:
+        self.catalog = catalog
+        self.selectivity = SelectivityEstimator(catalog)
 
-    def estimate_subset(
-        self, query: BoundQuery, subset: FrozenSet[str]
-    ) -> Optional[float]:
+    def lookup(self, query: BoundQuery, subset: FrozenSet[str]) -> Optional[float]:
         rows = 1.0
         # Sorted: a float product's rounding depends on its order, and a
         # frozenset's iteration order changes with the string hash seed.
@@ -128,21 +71,21 @@ class UpperBoundEstimator(CardinalityStrategy):
         return max(MIN_ROWS, rows)
 
 
-class SamplingEstimator(CardinalityStrategy):
+class SamplingEstimator(CardinalityInjector):
     """Predicate evaluation over ANALYZE-maintained row samples.
 
     For a single-table subset, the filter conjunction is compiled to a row
     predicate and evaluated against the table's row sample; the match
     fraction scales to the table cardinality.  Correlated predicates — the
     independence model's blind spot — are estimated correctly as long as the
-    sample sees them.  Joins and tables without a sample defer to the model.
+    sample sees them.  Joins and tables without a sample fall through.
     """
 
-    name = "sampling"
+    def __init__(self, catalog: Catalog) -> None:
+        self.catalog = catalog
+        self.selectivity = SelectivityEstimator(catalog)
 
-    def estimate_subset(
-        self, query: BoundQuery, subset: FrozenSet[str]
-    ) -> Optional[float]:
+    def lookup(self, query: BoundQuery, subset: FrozenSet[str]) -> Optional[float]:
         if len(subset) != 1:
             return None
         alias = next(iter(subset))
@@ -198,72 +141,46 @@ class _SampleResolver:
         return alias == self._alias and column in self._positions
 
 
-class FeedbackEstimator(CardinalityStrategy):
+class FeedbackEstimator(CardinalityInjector):
     """Runtime-observed cardinalities from the persistent feedback store.
 
     Subtrees the engine has executed before — in any session, under any alias
     spelling, parameterized or not — are estimated from their observed row
-    counts; everything else defers to the statistical model.  Because the
-    re-optimization trigger fires on Q-error between estimate and
+    counts; everything else falls through to the statistical model.  Because
+    the re-optimization trigger fires on Q-error between estimate and
     observation, feedback-seeded plans re-plan measurably less on repeated
     workloads.
     """
 
-    name = "feedback"
+    def __init__(self, store: FeedbackStore) -> None:
+        self.store = store
 
-    def __init__(self, catalog: Catalog, store: Optional[FeedbackStore] = None) -> None:
-        super().__init__(catalog)
-        self.store = store if store is not None else FeedbackStore()
-
-    def estimate_subset(
-        self, query: BoundQuery, subset: FrozenSet[str]
-    ) -> Optional[float]:
-        observed = self.store.lookup(query, subset)
-        if observed is not None:
-            return max(MIN_ROWS, observed)
-        if len(subset) == 1:
-            alias = next(iter(subset))
-            return self.selectivity.scan_rows(
-                query.table_for(alias), query.filters_for(alias)
-            )
-        return None
+    def lookup(self, query: BoundQuery, subset: FrozenSet[str]) -> Optional[float]:
+        return self.store.lookup(query, subset)
 
     def describe(self) -> str:
-        return f"{self.name}[{self.store.describe()}]"
+        return f"feedback[{self.store.describe()}]"
 
 
-#: Registry of selectable strategies (``EngineSettings.estimator`` values).
-STRATEGIES = {
-    StatsEstimator.name: StatsEstimator,
-    UpperBoundEstimator.name: UpperBoundEstimator,
-    SamplingEstimator.name: SamplingEstimator,
-    FeedbackEstimator.name: FeedbackEstimator,
+#: ``EngineSettings.estimator`` values and the source class each selects;
+#: ``"stats"`` selects none, because the built-in model already is it.
+ESTIMATORS = {
+    "feedback": FeedbackEstimator,
+    "sampling": SamplingEstimator,
+    "stats": None,
+    "upper-bound": UpperBoundEstimator,
 }
 
 
-def strategy_names() -> List[str]:
-    """The selectable strategy names, sorted."""
-    return sorted(STRATEGIES)
+def create_source(
+    name: str, catalog: Catalog, feedback: FeedbackStore
+) -> Optional[CardinalityInjector]:
+    """The estimator source registered under ``name``, over ``catalog``.
 
-
-def create_strategy(
-    name: str,
-    catalog: Catalog,
-    feedback: Optional[FeedbackStore] = None,
-    feedback_capacity: int = DEFAULT_FEEDBACK_CAPACITY,
-) -> CardinalityStrategy:
-    """Instantiate the strategy registered under ``name``.
-
-    ``feedback`` supplies the (usually database-shared) store consulted by
-    :class:`FeedbackEstimator`; other strategies ignore it.
+    ``feedback`` is the (database-shared) store the feedback estimator reads.
+    Names are validated by ``EngineSettings``; ``"stats"`` returns ``None``.
     """
-    try:
-        cls = STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown estimator {name!r}; choose one of {strategy_names()}"
-        ) from None
+    cls = ESTIMATORS[name]
     if cls is FeedbackEstimator:
-        store = feedback if feedback is not None else FeedbackStore(feedback_capacity)
-        return FeedbackEstimator(catalog, store)
-    return cls(catalog)
+        return FeedbackEstimator(feedback)
+    return None if cls is None else cls(catalog)

@@ -4,15 +4,18 @@ The paper modifies PostgreSQL "to allow us to replace the PostgreSQL
 cardinality estimates with arbitrary values".  This module is the equivalent
 hook in our engine: a :class:`CardinalityInjector` is consulted by the
 :class:`~repro.optimizer.cardinality.CardinalityEstimator` for every alias
-subset before the statistical model is used.
+subset before the statistical model is used.  No injector (``None``) is plain
+optimizer behaviour, the "PostgreSQL" regime; the estimators of
+:mod:`repro.optimizer.estimators` are injectors too.
 
 Three injectors cover the paper's experiments:
 
-* :class:`NoInjection` — plain optimizer behaviour (the "PostgreSQL" regime).
 * :class:`DictInjection` — explicit per-subset values; used by the LEO-style
   feedback loop (Section IV-E) and by unit tests.
 * :class:`PerfectInjection` — wraps a true-cardinality oracle and answers for
   every subset of at most ``max_tables`` aliases; this is perfect-(n).
+* :class:`ChainInjection` — asks several injectors in order; the optimizer
+  chains a caller's injector ahead of the database's estimator this way.
 """
 
 from __future__ import annotations
@@ -32,16 +35,6 @@ class CardinalityInjector:
     def describe(self) -> str:
         """Short description used in benchmark reports."""
         return type(self).__name__
-
-
-class NoInjection(CardinalityInjector):
-    """Never injects: the optimizer uses only its statistical model."""
-
-    def lookup(self, query: BoundQuery, subset: FrozenSet[str]) -> Optional[float]:
-        return None
-
-    def describe(self) -> str:
-        return "default-estimates"
 
 
 class DictInjection(CardinalityInjector):

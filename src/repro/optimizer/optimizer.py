@@ -1,8 +1,8 @@
 """Optimizer facade.
 
 :class:`Optimizer` glues the pieces together: it builds a
-:class:`~repro.optimizer.cardinality.CardinalityEstimator` (with an optional
-cardinality injector), runs the :class:`~repro.optimizer.enumeration.JoinEnumerator`
+:class:`~repro.optimizer.cardinality.CardinalityEstimator` (with the caller's
+cardinality injector chained ahead of the database's estimator source), runs the :class:`~repro.optimizer.enumeration.JoinEnumerator`
 and returns a :class:`PlannedQuery` bundling the physical plan with the
 planning statistics the benchmarks need (number of estimates, candidate plans
 considered, simulated planning time).
@@ -11,18 +11,15 @@ considered, simulated planning time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 from repro.catalog.catalog import Catalog
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParameters
 from repro.optimizer.enumeration import JoinEnumerator, PlannerConfig
-from repro.optimizer.injection import CardinalityInjector
+from repro.optimizer.injection import CardinalityInjector, ChainInjection
 from repro.optimizer.plan import PlanNode
 from repro.sql.binder import BoundQuery
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.optimizer.estimators import CardinalityStrategy
 
 # Planning effort is converted into "simulated planning seconds" so that the
 # benchmark reports have the same units as the paper's figures.  The constant
@@ -72,14 +69,14 @@ class Optimizer:
         catalog: Catalog,
         cost_params: Optional[CostParameters] = None,
         planner_config: Optional[PlannerConfig] = None,
-        strategy: Optional["CardinalityStrategy"] = None,
+        source: Optional[CardinalityInjector] = None,
     ) -> None:
         self._catalog = catalog
         self.cost_model = CostModel(catalog, cost_params)
         self.config = planner_config or PlannerConfig()
-        #: Active estimation strategy (``None`` = built-in statistics only);
-        #: reassigned by ``Database.set_estimator``.
-        self.strategy = strategy
+        #: The database's estimator (:mod:`repro.optimizer.estimators`), asked
+        #: after the caller's injector; ``None`` = the built-in model alone.
+        self.source = source
 
     def plan(
         self,
@@ -91,11 +88,14 @@ class Optimizer:
         Args:
             query: a bound query.
             injector: optional cardinality injection hook (perfect-(n),
-                feedback corrections, temp-table cardinalities...).
+                feedback corrections, temp-table cardinalities...); it
+                answers before the estimator source.
         """
-        estimator = CardinalityEstimator(
-            self._catalog, query, injector=injector, strategy=self.strategy
-        )
+        if injector is None:
+            injector = self.source
+        elif self.source is not None:
+            injector = ChainInjection([injector, self.source])
+        estimator = CardinalityEstimator(self._catalog, query, injector=injector)
         enumerator = JoinEnumerator(
             self._catalog, query, estimator, self.cost_model, self.config
         )

@@ -112,10 +112,18 @@ def in_list(value: object, items: List[object]) -> Optional[bool]:
 
 
 def between(value: object, low: object, high: object) -> Optional[bool]:
-    """``value BETWEEN low AND high`` (inclusive), three-valued."""
-    if value is None or low is None or high is None:
+    """``value BETWEEN low AND high``: ``low <= value AND value <= high``, three-valued.
+
+    A NULL bound leaves its half unknown, but the other half can still make
+    the whole FALSE (``10 BETWEEN NULL AND 5``).
+    """
+    if value is None:
         return None
-    return low <= value <= high
+    if low is not None and high is not None:
+        return low <= value <= high
+    if (low is not None and value < low) or (high is not None and value > high):
+        return False
+    return None
 
 
 @lru_cache(maxsize=4096)

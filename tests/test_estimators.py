@@ -1,20 +1,19 @@
-"""Unit tests for the cardinality-strategy interface and engine configuration."""
+"""Unit tests for the cardinality estimators and engine configuration."""
 
 import pytest
 
 from repro.engine import Database, EngineSettings, connect
-from repro.engine.settings import ESTIMATOR_NAMES
 from repro.errors import ConfigError
+from repro.optimizer import DictInjection
 from repro.optimizer.cardinality import MIN_ROWS, scan_upper_bound
+from repro.optimizer.cost import CostParameters
 from repro.optimizer.estimators import (
-    STRATEGIES,
     FeedbackEstimator,
     SamplingEstimator,
-    StatsEstimator,
     UpperBoundEstimator,
-    create_strategy,
-    strategy_names,
+    create_source,
 )
+from repro.optimizer.plan import ScanNode
 from repro.server import Server, ServerConfig
 
 SKEWED_SQL = (
@@ -27,82 +26,85 @@ def _subset(query, *aliases):
     return frozenset(aliases)
 
 
-class TestStrategyRegistry:
-    def test_settings_names_match_registry(self):
-        """ESTIMATOR_NAMES is spelled out in settings.py; keep it in sync."""
-        assert sorted(ESTIMATOR_NAMES) == strategy_names()
-        assert set(STRATEGIES) == set(ESTIMATOR_NAMES)
-
-    def test_create_strategy_unknown_name(self, stock_db):
-        with pytest.raises(ValueError, match="unknown estimator"):
-            create_strategy("exact", stock_db.catalog)
-
-    def test_feedback_strategy_shares_store(self, stock_db):
-        strategy = create_strategy(
-            "feedback", stock_db.catalog, feedback=stock_db.feedback
-        )
-        assert strategy.store is stock_db.feedback
+def _scan_rows(plan):
+    return {
+        node.alias: node.estimated_rows
+        for node in plan.walk()
+        if isinstance(node, ScanNode)
+    }
 
 
-class TestStatsEstimator:
-    def test_matches_selectivity_scan_rows(self, stock_db):
-        query = stock_db.parse(SKEWED_SQL, name="stats")
-        strategy = StatsEstimator(stock_db.catalog)
-        strategy.setup_for_query(query)
-        expected = strategy.selectivity.scan_rows(
-            query.table_for("c"), query.filters_for("c")
-        )
-        assert strategy.estimate_subset(query, _subset(query, "c")) == expected
-        # Joins defer to the built-in model.
-        assert strategy.estimate_subset(query, _subset(query, "c", "t")) is None
+class TestEstimatorRegistry:
+    def test_stats_is_the_built_in_model(self, stock_db):
+        assert stock_db.optimizer.source is None
+        assert create_source("stats", stock_db.catalog, stock_db.feedback) is None
 
-    def test_default_strategy_plans_identically(self, stock_db):
-        """The default strategy must not change any plan (paper-figure gate)."""
-        query = stock_db.parse(SKEWED_SQL, name="identical")
-        with_strategy = stock_db.plan(query)
-        stock_db.optimizer.strategy = None
+    def test_feedback_source_shares_store(self, stock_db):
+        source = create_source("feedback", stock_db.catalog, stock_db.feedback)
+        assert source.store is stock_db.feedback
+
+    def test_set_estimator_unknown_name_is_a_config_error(self, stock_db):
+        with pytest.raises(ConfigError, match="unknown estimator"):
+            stock_db.set_estimator("exact")
+        with pytest.raises(ConfigError, match="unknown estimator"):
+            connect(stock_db, estimator="exact")
+        assert stock_db.settings.estimator == "stats"
+
+    def test_set_estimator_leaves_shared_settings_alone(self):
+        shared = EngineSettings()
+        db = Database(shared)
+        db.set_estimator("sampling")
+        assert db.settings.estimator == "sampling"
+        assert isinstance(db.optimizer.source, SamplingEstimator)
+        assert shared.estimator == "stats"
+        assert Database(shared).optimizer.source is None
+
+
+class TestOneChain:
+    def test_callers_injector_answers_before_the_source(self, stock_db):
+        query = stock_db.parse(SKEWED_SQL, name="chain")
+        stock_db.set_estimator("upper-bound")
         try:
-            without_strategy = stock_db.plan(query)
+            injected = stock_db.plan(query, injector=DictInjection({frozenset({"c"}): 3}))
+            bounded = stock_db.plan(query)
         finally:
-            stock_db.optimizer.strategy = stock_db._build_strategy("stats")
-        assert with_strategy.plan.label() == without_strategy.plan.label()
-        assert with_strategy.stats.planning_work == without_strategy.stats.planning_work
-        for a, b in zip(
-            with_strategy.plan.walk(), without_strategy.plan.walk()
-        ):
-            assert a.label() == b.label()
-            assert a.estimated_rows == b.estimated_rows
+            stock_db.set_estimator("stats")
+        scans = _scan_rows(injected.plan)
+        bounds = _scan_rows(bounded.plan)
+        assert scans["c"] == 3.0  # the caller's injector
+        assert scans["t"] == bounds["t"]  # the source, asked next
+        assert bounds["c"] != 3.0
 
 
 class TestUpperBoundEstimator:
     def test_bounds_are_products_of_table_bounds(self, stock_db):
         query = stock_db.parse(SKEWED_SQL, name="bounds")
-        strategy = UpperBoundEstimator(stock_db.catalog)
-        single = strategy.estimate_subset(query, _subset(query, "t"))
-        trades_rows = strategy.selectivity.table_rows("trades")
+        source = UpperBoundEstimator(stock_db.catalog)
+        single = source.lookup(query, _subset(query, "t"))
+        trades_rows = source.selectivity.table_rows("trades")
         bound = scan_upper_bound(stock_db.catalog, "trades", query.filters_for("t"))
         assert single == max(MIN_ROWS, bound if bound is not None else trades_rows)
-        joint = strategy.estimate_subset(query, _subset(query, "c", "t"))
-        company = strategy.estimate_subset(query, _subset(query, "c"))
+        joint = source.lookup(query, _subset(query, "c", "t"))
+        company = source.lookup(query, _subset(query, "c"))
         assert joint == pytest.approx(single * company)
 
     def test_never_underestimates_scans(self, stock_db):
         query = stock_db.parse(SKEWED_SQL, name="sound")
-        strategy = UpperBoundEstimator(stock_db.catalog)
+        source = UpperBoundEstimator(stock_db.catalog)
         actual = sum(
             1
             for row in stock_db.catalog.table("company").iter_rows()
             if row[1] == "SYM1"
         )
-        assert strategy.estimate_subset(query, _subset(query, "c")) >= actual
+        assert source.lookup(query, _subset(query, "c")) >= actual
 
 
 class TestSamplingEstimator:
     def test_estimates_from_reservoir_sample(self, stock_db):
         stock_db.analyze()
         query = stock_db.parse(SKEWED_SQL, name="sampled")
-        strategy = SamplingEstimator(stock_db.catalog)
-        estimate = strategy.estimate_subset(query, _subset(query, "c"))
+        source = SamplingEstimator(stock_db.catalog)
+        estimate = source.lookup(query, _subset(query, "c"))
         sample = stock_db.catalog.stats("company").sample
         assert sample, "ANALYZE must maintain a reservoir sample"
         assert estimate is not None and estimate >= MIN_ROWS
@@ -111,14 +113,14 @@ class TestSamplingEstimator:
 
     def test_defers_without_filters_or_sample(self, stock_db):
         query = stock_db.parse(SKEWED_SQL, name="defer")
-        strategy = SamplingEstimator(stock_db.catalog)
+        source = SamplingEstimator(stock_db.catalog)
         # No filters on the trades alias -> defer.
-        assert strategy.estimate_subset(query, _subset(query, "t")) is None
+        assert source.lookup(query, _subset(query, "t")) is None
         # Joins always defer.
-        assert strategy.estimate_subset(query, _subset(query, "c", "t")) is None
+        assert source.lookup(query, _subset(query, "c", "t")) is None
         # Empty the sample -> defer.
         stock_db.catalog.stats("company").sample = []
-        assert strategy.estimate_subset(query, _subset(query, "c")) is None
+        assert source.lookup(query, _subset(query, "c")) is None
 
     def test_sample_disabled_by_settings(self):
         db = Database(EngineSettings(sample_rows=0))
@@ -133,12 +135,14 @@ class TestSamplingEstimator:
 class TestFeedbackEstimator:
     def test_prefers_observed_cardinalities(self, stock_db):
         query = stock_db.parse(SKEWED_SQL, name="observed")
-        strategy = FeedbackEstimator(stock_db.catalog, stock_db.feedback)
+        source = FeedbackEstimator(stock_db.feedback)
         subset = _subset(query, "c", "t")
-        assert strategy.estimate_subset(query, subset) is None  # cold: defer
+        assert source.lookup(query, subset) is None  # cold: defer
+        # A single table it has not seen falls through to the model too.
+        assert source.lookup(query, _subset(query, "c")) is None
         stock_db.feedback.record(query, subset, 1234.0)
-        assert strategy.estimate_subset(query, subset) == 1234.0
-        assert "feedback" in strategy.describe()
+        assert source.lookup(query, subset) == 1234.0
+        assert "feedback" in source.describe()
 
     def test_reduces_replans_on_repeated_workload(self, stock_db):
         """Run 2 of the same statement re-plans less than run 1 (satellite)."""
@@ -200,8 +204,36 @@ class TestEngineSettingsResolution:
     def test_connect_applies_overrides_to_existing_database(self, stock_db):
         conn = connect(stock_db, estimator="upper-bound")
         assert stock_db.settings.estimator == "upper-bound"
-        assert stock_db.estimator_strategy.name == "upper-bound"
+        assert isinstance(stock_db.optimizer.source, UpperBoundEstimator)
         conn.close()
+
+    def test_connect_applies_cost_and_planner_to_existing_database(self, stock_db):
+        """Every settings-derived part follows ``connect(db, cost=...)``:
+        the plan costs what a fresh database with those settings charges."""
+        scaled = CostParameters(
+            seq_page_cost=10.0,
+            random_page_cost=20.0,
+            cpu_tuple_cost=0.1,
+            cpu_index_tuple_cost=0.05,
+            cpu_operator_cost=0.025,
+        )
+        settings = EngineSettings(cost=scaled)
+        fresh = Database(settings)
+        for name in ("company", "trades"):
+            fresh.create_table(stock_db.catalog.table(name).schema)
+            fresh.load_rows(name, stock_db.catalog.table(name).iter_rows())
+        fresh.finalize_load()
+        query = "SELECT count(t.id) AS n FROM company AS c, trades AS t WHERE c.id = t.company_id"
+        default_cost = stock_db.plan(stock_db.parse(query)).estimated_cost
+        conn = connect(stock_db, cost=scaled)
+        try:
+            assert stock_db.cost_model.params is scaled
+            assert stock_db.executor.cost_model is stock_db.cost_model
+            planned = stock_db.plan(stock_db.parse(query)).estimated_cost
+            assert planned == fresh.plan(fresh.parse(query)).estimated_cost
+            assert planned != default_cost
+        finally:
+            conn.close()
 
     def test_connect_rejects_unknown_keyword(self, stock_db):
         with pytest.raises(ConfigError, match="did you mean 'estimator'"):

@@ -14,6 +14,7 @@ with the candidates segment skipping left) to the plain table.
 from __future__ import annotations
 
 import random
+import sqlite3
 from collections import Counter
 from typing import Optional
 
@@ -278,3 +279,48 @@ def test_shard_residual_keeps_every_row_under_division_and_modulo_by_zero():
     assert len(got) == 120
     assert Counter(got) == Counter(build_db().run(sql).rows)
 
+
+
+#: ``value BETWEEN low AND high`` operands; sqlite3 evaluates the form as
+#: ``low <= value AND value <= high`` in three-valued logic, so a NULL bound
+#: still yields FALSE when the other bound is violated.
+BETWEEN_OPERANDS = [
+    (10, None, 5), (3, None, 5), (3, 5, None), (10, 5, None), (0, 5, None),
+    (3, None, None), (None, 1, 5), (3, 1, 5), (0, 1, 5), (3, 5, 1),
+]
+
+
+def _sql_literal(value) -> str:
+    return "NULL" if value is None else repr(value)
+
+
+@pytest.mark.parametrize("negated", [False, True], ids=["between", "not-between"])
+@pytest.mark.parametrize("value,low,high", BETWEEN_OPERANDS)
+def test_between_with_null_bounds_matches_sqlite(value, low, high, negated):
+    """Kept exactly when sqlite3 says TRUE; the two negations together tell
+    FALSE (one keeps) from NULL (neither keeps)."""
+    form = f"{_sql_literal(value)} {'NOT ' if negated else ''}BETWEEN " \
+        f"{_sql_literal(low)} AND {_sql_literal(high)}"
+    with sqlite3.connect(":memory:") as oracle:
+        expected = oracle.execute(f"SELECT {form}").fetchone()[0] == 1
+    predicate = Between(N, Literal(low), Literal(high), negated=negated)
+    resolver = ColumnResolver(COLUMNS)
+    assert compile_predicate(predicate, resolver)((value, None)) is expected, form
+    batch = ColumnBatch(COLUMNS, [[value], [None]])
+    assert compile_batch_predicate(predicate, resolver)(batch, None) == (
+        [0] if expected else []
+    ), form
+
+
+@pytest.mark.parametrize("partition_by", [None, PartitionSpec(method="range", column="id", bounds=(5,))])
+@pytest.mark.parametrize("engine", ["vectorized", "reference"])
+def test_not_between_a_null_bound_keeps_rows_past_the_other_bound(engine, partition_by):
+    db = Database()
+    db.create_table(
+        make_schema("t", [("id", ColumnType.INT)], primary_key="id", partition_by=partition_by)
+    )
+    db.load_rows("t", [(10,), (3,)])
+    db.finalize_load()
+    db.executor = db.executor_for(engine)
+    assert db.run("SELECT t.id FROM t WHERE t.id NOT BETWEEN NULL AND 5").rows == [(10,)]
+    assert db.run("SELECT t.id FROM t WHERE t.id BETWEEN NULL AND 5").rows == []

@@ -7,11 +7,12 @@ they replaced (every subset of ``combinations(aliases, size)`` probed against
 the DP table, string-set BFS connectivity), kept as the oracle.  Over seeded
 random join graphs — chain, star, cycle, clique and random shapes, self-joins,
 2- and 3-alias residual filters, 1 to 17 tables — in the bushy, linear and
-greedy regimes, under each estimation source,
-both must produce the same EXPLAIN text, ``candidates_considered``,
-``estimate_calls`` and ``estimates_by_size``, and ask injectors and
-strategies about the same subsets *in the same order* (``FeedbackStore.lookup``
-moves hits to the LRU end, so the order is behaviour).
+greedy regimes, under each estimation source (a caller's injector or the
+optimizer's estimator source), both must produce the same EXPLAIN text,
+``candidates_considered``, ``estimate_calls`` and ``estimates_by_size``, and
+ask the injector about the same subsets *in the same order*
+(``FeedbackStore.lookup`` moves hits to the LRU end, so the order is
+behaviour).
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from repro.optimizer import (
     CardinalityInjector,
     DictInjection,
     JoinEnumerator,
-    NoInjection,
     Optimizer,
     PlannerConfig,
 )
 from repro.optimizer.cardinality import MIN_ROWS
-from repro.optimizer.estimators import CardinalityStrategy, create_strategy
+from repro.optimizer.estimators import FeedbackEstimator, SamplingEstimator
 from repro.optimizer.feedback import FeedbackStore
 from repro.optimizer.plan import JoinAlgorithm, PlanNode, ScanNode
 from repro.sql import QueryBuilder
@@ -103,10 +103,8 @@ class _ReferenceGraph:
 class ReferenceEstimator(CardinalityEstimator):
     """The ``frozenset``-keyed estimator (recursion through string sets)."""
 
-    def __init__(self, catalog, query, injector=None, strategy=None) -> None:
-        super().__init__(
-            catalog, query, graph=_ReferenceGraph(query), injector=injector, strategy=strategy
-        )
+    def __init__(self, catalog, query, injector=None) -> None:
+        super().__init__(catalog, query, graph=_ReferenceGraph(query), injector=injector)
 
     def subset_cardinality(self, subset) -> float:
         if not subset:
@@ -116,20 +114,13 @@ class ReferenceEstimator(CardinalityEstimator):
             return self._memo[subset]
         self.estimate_calls += 1
         self.estimates_by_size[len(subset)] += 1
-        injected = self.injector.lookup(self.query, subset)
+        injected = None if self.injector is None else self.injector.lookup(self.query, subset)
         if injected is not None:
-            rows: Optional[float] = max(MIN_ROWS, float(injected))
+            rows = max(MIN_ROWS, float(injected))
+        elif len(subset) == 1:
+            rows = self._estimate_scan(next(iter(subset)))
         else:
-            rows = None
-            if self.strategy is not None:
-                answer = self.strategy.estimate_subset(self.query, subset)
-                if answer is not None:
-                    rows = max(MIN_ROWS, float(answer))
-            if rows is None:
-                if len(subset) == 1:
-                    rows = self._estimate_scan(next(iter(subset)))
-                else:
-                    rows = self._estimate_join(subset)
+            rows = self._estimate_join(subset)
         self._memo[subset] = rows
         return rows
 
@@ -365,18 +356,8 @@ class RecordingInjector(CardinalityInjector):
         return self.inner.lookup(query, subset)
 
 
-class RecordingStrategy(CardinalityStrategy):
-    def __init__(self, inner: CardinalityStrategy, calls: List) -> None:
-        self.inner = inner
-        self.calls = calls
-
-    def setup_for_query(self, query) -> None:
-        self.calls.append(("setup", None))
-        self.inner.setup_for_query(query)
-
-    def estimate_subset(self, query, subset):
-        self.calls.append(("strategy", frozenset(subset)))
-        return self.inner.estimate_subset(query, subset)
+def _recording(inner: Optional[CardinalityInjector], calls: List):
+    return None if inner is None else RecordingInjector(inner, calls)
 
 
 # -- random join graphs --------------------------------------------------------
@@ -473,8 +454,9 @@ def _config(regime: str, n: int) -> PlannerConfig:
 
 
 def _estimation(kind: str, db: Database, query, seed: int):
-    """``(injector, strategy factory)`` for one estimation source; each side
-    gets its own strategy so a feedback store's LRU state starts equal."""
+    """``(caller's injector, estimator source factory)`` for one estimation
+    source; each side gets its own source so a feedback store's LRU state
+    starts equal."""
     rng = random.Random(seed)
     if kind == "dict":
         values = {}
@@ -486,7 +468,7 @@ def _estimation(kind: str, db: Database, query, seed: int):
     if kind == "perfect":
         return TrueCardinalityOracle(db).perfect_injection(2), lambda: None
     if kind == "sampling":
-        return NoInjection(), lambda: create_strategy("sampling", db.catalog)
+        return None, lambda: SamplingEstimator(db.catalog)
     if kind == "feedback":
         learned = [
             (frozenset(combo), rng.choice((3.0, 50.0, 700.0)))
@@ -495,28 +477,30 @@ def _estimation(kind: str, db: Database, query, seed: int):
             if rng.random() < 0.3
         ]
 
-        def strategy():
+        def source():
             store = FeedbackStore(capacity=max(1, len(learned) // 2))
             for subset, rows in learned:
                 store.record(query, subset, rows)
-            return create_strategy("feedback", db.catalog, feedback=store)
+            return FeedbackEstimator(store)
 
-        return NoInjection(), strategy
-    return NoInjection(), lambda: None
+        return None, source
+    return None, lambda: None
 
 
-def _plan_both(db, query, config, injector, make_strategy):
+def _plan_both(db, query, config, injector, make_source):
+    """The reference is handed whichever of ``injector`` and the source is
+    set (never both); the optimizer gets the injector per call and the
+    source at construction, and chains them itself."""
     reference_calls: List = []
     new_calls: List = []
-    reference_strategy = make_strategy()
-    new_strategy = make_strategy()
+    reference_source = make_source()
+    new_source = make_source()
     estimator = ReferenceEstimator(
         db.catalog,
         query,
-        injector=RecordingInjector(injector, reference_calls),
-        strategy=None
-        if reference_strategy is None
-        else RecordingStrategy(reference_strategy, reference_calls),
+        injector=_recording(
+            injector if injector is not None else reference_source, reference_calls
+        ),
     )
     enumerator = ReferenceEnumerator(db.catalog, query, estimator, db.optimizer.cost_model, config)
     reference = (
@@ -527,11 +511,9 @@ def _plan_both(db, query, config, injector, make_strategy):
         reference_calls,
     )
     optimizer = Optimizer(
-        db.catalog,
-        planner_config=config,
-        strategy=None if new_strategy is None else RecordingStrategy(new_strategy, new_calls),
+        db.catalog, planner_config=config, source=_recording(new_source, new_calls)
     )
-    planned = optimizer.plan(query, injector=RecordingInjector(injector, new_calls))
+    planned = optimizer.plan(query, injector=_recording(injector, new_calls))
     new = (
         explain_plan(planned.plan),
         planned.stats.candidates_considered,
@@ -568,11 +550,11 @@ def _cases():
 )
 def test_masks_plan_like_frozensets(db, shape, regime, n, estimation, seed):
     query = random_query(shape, n, seed)
-    injector, make_strategy = _estimation(estimation, db, query, seed)
-    reference, new = _plan_both(db, query, _config(regime, n), injector, make_strategy)
+    injector, make_source = _estimation(estimation, db, query, seed)
+    reference, new = _plan_both(db, query, _config(regime, n), injector, make_source)
     assert new[0] == reference[0]  # EXPLAIN text
     assert new[1:4] == reference[1:4]  # candidates, estimate calls, by size
-    assert new[4] == reference[4]  # injector / strategy calls, in order
+    assert new[4] == reference[4]  # injector calls, in order
 
 
 def test_every_case_dimension_is_covered():
@@ -600,7 +582,7 @@ def test_greedy_charges_reused_pairs_as_recomputed(db, monkeypatch):
     monkeypatch.setattr(JoinEnumerator, "_cheapest_join", spy)
     planned = Optimizer(db.catalog, planner_config=config).plan(query)
     monkeypatch.undo()
-    reference, _ = _plan_both(db, query, config, NoInjection(), lambda: None)
+    reference, _ = _plan_both(db, query, config, None, lambda: None)
     assert costed and len(costed) == len(set(costed))
     assert planned.stats.candidates_considered == reference[1]
 

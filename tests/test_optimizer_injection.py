@@ -1,18 +1,11 @@
 """Unit tests for cardinality injection hooks."""
 
-from repro.optimizer import ChainInjection, DictInjection, NoInjection, PerfectInjection
+from repro.optimizer import ChainInjection, DictInjection, PerfectInjection
 
 
 class FakeQuery:
     aliases = ["a", "b", "c"]
     name = "fake"
-
-
-class TestNoInjection:
-    def test_always_none(self):
-        injector = NoInjection()
-        assert injector.lookup(FakeQuery(), frozenset({"a"})) is None
-        assert injector.describe() == "default-estimates"
 
 
 class TestDictInjection:
