@@ -1,4 +1,4 @@
-"""Ablations of the re-optimization design choices called out in DESIGN.md.
+"""Ablations of the re-optimization design choices (README, "Re-optimization").
 
 * trigger site: materializing the lowest vs the highest violating join;
 * temp-table statistics: re-planning with vs without ANALYZE on the

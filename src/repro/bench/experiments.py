@@ -505,7 +505,8 @@ def table45(config: Optional[StocksConfig] = None) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Ablations (design choices called out in DESIGN.md)
+# Ablations (design choices called out in README, "Re-optimization: a round
+# runs nothing twice")
 # ---------------------------------------------------------------------------
 
 

@@ -26,8 +26,8 @@ index nested-loop join runs through the inner table's index
 charged for; its inner scan still runs, uncharged, so the actual rows the
 re-optimization loops observe do not depend on the algorithm.
 
-See DESIGN.md (Metrics) for why deterministic work units, not wall-clock,
-are the primary execution-time proxy.
+See README, "Why charged work is engine-invariant", for why deterministic
+work units, not wall-clock, are the primary execution-time proxy.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ tuple costs ``cpu_tuple_cost``.  The same formulas are used twice:
 
 * by the optimizer with *estimated* row counts, to pick a plan;
 * by the executor with *actual* row counts, to account deterministic "work
-  units" that stand in for execution time (see DESIGN.md, Metrics).
+  units" that stand in for execution time (see README, "Why charged work is
+  engine-invariant").
 
 This mirrors the paper's observation that cost models are adequate when their
 cardinality inputs are right: feeding the same formulas the true row counts

@@ -2,10 +2,11 @@
 
 :class:`Optimizer` glues the pieces together: it builds a
 :class:`~repro.optimizer.cardinality.CardinalityEstimator` (with the caller's
-cardinality injector chained ahead of the database's estimator source), runs the :class:`~repro.optimizer.enumeration.JoinEnumerator`
-and returns a :class:`PlannedQuery` bundling the physical plan with the
-planning statistics the benchmarks need (number of estimates, candidate plans
-considered, simulated planning time).
+cardinality injector chained ahead of the database's estimator source), runs
+the :class:`~repro.optimizer.enumeration.JoinEnumerator` and returns a
+:class:`PlannedQuery` bundling the physical plan with the planning statistics
+the benchmarks need (number of estimates, candidate plans considered,
+simulated planning time).
 """
 
 from __future__ import annotations
