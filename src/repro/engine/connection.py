@@ -76,7 +76,8 @@ def connect(
     and is lowered onto ``settings``.  Unknown keywords raise
     :class:`~repro.errors.ConfigError` naming the nearest valid field.  When
     ``database`` is an existing instance, the resolved settings are applied
-    to it (its executor and estimation strategy are rebuilt).
+    to it through :meth:`~repro.engine.database.Database.apply_settings`
+    (its optimizer, cost model, executor and estimator are rebuilt).
 
     Args:
         database: an existing engine instance; a fresh empty one is created

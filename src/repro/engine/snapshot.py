@@ -27,8 +27,8 @@ class SnapshotDatabase(Database):
     def __init__(self, base: Database) -> None:
         # Share the base's feedback store: observations harvested on one
         # session's snapshot must seed plans on every other session.  The
-        # estimation strategy itself is rebuilt over the *snapshot* catalog
-        # so statistics reads stay pinned to this statement's view.
+        # estimator source itself is rebuilt over the *snapshot* catalog so
+        # statistics reads stay pinned to this statement's view.
         super().__init__(
             base.settings, catalog=base.catalog.snapshot(), feedback=base.feedback
         )

@@ -19,8 +19,8 @@ graph precomputes each alias's neighbourhood mask, the equi-joins as
 residual, and answers :meth:`~JoinGraph.neighbours`,
 :meth:`~JoinGraph.joins_between`, :meth:`~JoinGraph.is_connected` and
 :meth:`~JoinGraph.pick_removable` on ints.  Alias sets become ``frozenset``
-names (:meth:`~JoinGraph.aliases_of`) only where an injector, an estimation
-strategy or a plan node needs them.
+names (:meth:`~JoinGraph.aliases_of`) only where an injector (estimators
+included) or a plan node needs them.
 
 **Connected subsets.**  :meth:`JoinGraph.connected_levels` grows the
 connected subsets level by level — each subset of size ``k + 1`` is a
