@@ -168,7 +168,7 @@ def table1(context: WorkloadContext) -> ExperimentResult:
     counts: Dict[int, int] = {}
     optimizer = Optimizer(
         context.database.catalog,
-        cost_params=context.database.settings.cost,
+        cost_model=context.database.cost_model,
         planner_config=context.database.settings.planner,
     )
     for name in context.query_names():

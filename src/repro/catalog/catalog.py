@@ -46,10 +46,12 @@ class Catalog:
     """Registry of tables known to a :class:`~repro.engine.database.Database`.
 
     The catalog carries a monotonically increasing *epoch* that is bumped by
-    every event that can invalidate a cached plan: table DDL, ANALYZE
-    refreshing statistics, and index creation.  (The re-optimization loops'
-    statement-local tables are not DDL: see :meth:`register_transient`.)  The plan cache keys entries on the epoch, so stale
-    plans simply miss instead of needing explicit invalidation hooks.
+    every event that can invalidate a cached plan: table DDL, an ANALYZE
+    whose statistics or zone maps differ from the ones it replaces, and
+    index creation.  (The re-optimization loops' statement-local tables are
+    not DDL: see :meth:`register_transient`.)  The plan cache keys entries on
+    the epoch, so stale plans simply miss instead of needing explicit
+    invalidation hooks.
 
     Every mutation (registration, drop, epoch bump, statistics/index
     attachment — including the transient tables of the re-optimization
@@ -183,11 +185,20 @@ class Catalog:
         """Return ANALYZE statistics for ``name`` (``None`` before ANALYZE)."""
         return self.entry(name).stats
 
-    def set_stats(self, name: str, stats: "TableStats") -> None:
-        """Attach ANALYZE statistics to table ``name`` (bumps the epoch)."""
+    def set_stats(self, name: str, stats: "TableStats") -> bool:
+        """Attach ANALYZE statistics to table ``name``.
+
+        Bumps the epoch, and returns True, only when ``stats`` differ from
+        the statistics they replace: plans made with equal statistics stay
+        valid.
+        """
         with self.lock:
-            self.entry(name).stats = stats
-            self.bump_epoch()
+            entry = self.entry(name)
+            changed = entry.stats != stats
+            entry.stats = stats
+            if changed:
+                self.bump_epoch()
+            return changed
 
     def add_index(self, table_name: str, index: "Index") -> None:
         """Register a secondary index on ``table_name`` keyed by its column.

@@ -13,8 +13,8 @@ The snapshot is **session-local and writable**: the re-optimizer registers
 its transient intermediates and temporary tables right here, invisible to
 every other session and to the shared base catalog.  Local DDL bumps only
 the snapshot's private epoch; those locally bumped epochs never reach the
-shared plan cache because the cache is probed (and populated) once per
-statement, at plan time, before any mid-execution registration can happen.
+shared plan cache because the cache is probed (and populated) only before
+and at plan time, before any mid-execution registration can happen.
 
 Transient pseudo-tables of the *base* catalog are excluded from snapshots:
 they belong to whatever statement is mid-flight on another session and are

@@ -2,7 +2,7 @@
 
 A :class:`Connection` wraps a :class:`~repro.engine.database.Database` in a
 :class:`~repro.engine.pipeline.QueryPipeline` whose interceptor chain is, in
-order: timing/metrics collection, the LRU plan cache, optional EXPLAIN
+order: timing/metrics collection, the plan cache, optional EXPLAIN
 capture, any user-supplied interceptors, and the re-optimization loop
 innermost around the execute stage.  :class:`Cursor` follows the DB-API
 fetch protocol; :meth:`Connection.prepare` returns a
@@ -92,7 +92,7 @@ def connect(
             handover of operator-level adaptive execution, ``False`` with the
             paper's temporary tables;
             default follows the engine's ``adaptive`` setting.
-        plan_cache_size: LRU capacity for *this connection's* plan cache
+        plan_cache_size: capacity of *this connection's* plan cache
             (defaults to the engine settings; 0 disables caching).
         interceptors: extra middleware, run between the bundled interceptors
             and the re-optimization loop.
@@ -246,7 +246,12 @@ class Connection:
     # -- DDL / maintenance (epoch-bumping operations) -----------------------
 
     def analyze(self, tables: Optional[Sequence[str]] = None) -> None:
-        """Run ANALYZE; cached plans are invalidated via the catalog epoch."""
+        """Run ANALYZE.
+
+        Cached plans are invalidated through the catalog epoch when the
+        statistics or zone maps of a table come out different; an ANALYZE
+        over unchanged data keeps them.
+        """
         self._check_open()
         self.database.analyze(tables)
 

@@ -108,19 +108,21 @@ class Database:
     def apply_settings(self, settings: EngineSettings) -> None:
         """Install ``settings`` and rebuild everything derived from them.
 
-        The optimizer (cost constants, planner limits, estimator source), the
-        cost model and the executor follow ``settings``; the catalog, its
-        data and the feedback store stay.  Statements planned from now on use
-        the new settings.
+        The cost model (one, shared by the optimizer and the executor), the
+        optimizer (planner limits, estimator source) and the executor follow
+        ``settings``; the catalog, its data and the feedback store stay.
+        Statements planned from now on use the new settings.
         """
         self.settings = settings
+        # One cost model: what the planner estimates with is what the
+        # executor charges.
+        self.cost_model = CostModel(self.catalog, settings.cost)
         self.optimizer = Optimizer(
             self.catalog,
-            cost_params=settings.cost,
+            cost_model=self.cost_model,
             planner_config=settings.planner,
             source=create_source(settings.estimator, self.catalog, self.feedback),
         )
-        self.cost_model = CostModel(self.catalog, settings.cost)
         self.executor = Executor(self.catalog, self.cost_model, engine=settings.engine)
 
     def set_estimator(self, name: str) -> None:
@@ -226,7 +228,11 @@ class Database:
         """Run ANALYZE over ``tables`` (default: all tables).
 
         Partitioned tables additionally refresh their per-shard zone maps,
-        re-deriving min/max/null-count exactly from storage.
+        re-deriving min/max/null-count exactly from storage.  The catalog
+        epoch moves only when a table's statistics or one of its zone maps
+        (which plan-time pruning and the scan upper bound read) come out
+        different, so an ANALYZE over unchanged data keeps every cached
+        plan.  The table's feedback observations are dropped either way.
         """
         with self.catalog.lock:
             names = (
@@ -234,8 +240,8 @@ class Database:
             )
             for name in names:
                 entry = self.catalog.entry(name)
-                entry.table.refresh_zone_maps()
-                self.catalog.set_stats(
+                zones_changed = entry.table.refresh_zone_maps()
+                stats_changed = self.catalog.set_stats(
                     name,
                     analyze_table(
                         entry.table,
@@ -243,6 +249,8 @@ class Database:
                         sample_target=self.settings.sample_rows,
                     ),
                 )
+                if zones_changed and not stats_changed:
+                    self.catalog.bump_epoch()
                 self.feedback.invalidate_table(name)
 
     def finalize_load(self) -> None:

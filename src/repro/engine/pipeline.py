@@ -6,7 +6,8 @@ lifecycle stages and threads a :class:`QueryContext` through them; ordered
 :class:`QueryInterceptor` middleware wraps each stage, which is how the
 cross-cutting behaviors that used to be parallel code paths are expressed:
 
-* plan caching (:class:`PlanCacheInterceptor`) short-circuits the plan stage;
+* plan caching (:class:`PlanCacheInterceptor`) short-circuits the parse,
+  bind and plan stages;
 * re-optimization (:class:`repro.core.interceptor.ReoptimizationInterceptor`)
   wraps the execute stage with the paper's re-optimization loop;
 * EXPLAIN capture (:class:`ExplainCaptureInterceptor`) and timing/metrics
@@ -245,7 +246,15 @@ def _chain(hook, nxt: Proceed) -> Proceed:
 
 
 class PlanCacheInterceptor(QueryInterceptor):
-    """Serves the plan stage from an LRU cache keyed on SQL + catalog epoch.
+    """Serves parse, bind and plan from a cache keyed on SQL + catalog epoch.
+
+    A statement given as text is first looked up by its text alias (text,
+    name, the ``repr`` of each parameter, epoch) before the parse stage: a hit
+    installs the cached bound statement and plan, and the bind and plan
+    stages pass it through.  Otherwise the plan stage probes the entry keyed
+    on the bound statement's canonical SQL — shared by prepared and ad-hoc
+    statements — and files the text under it.  Either way a statement is one
+    probe.
 
     Statements planned with a cardinality injector bypass the cache: the
     injector changes the chosen plan but is not part of the key.
@@ -256,18 +265,48 @@ class PlanCacheInterceptor(QueryInterceptor):
     def __init__(self, cache) -> None:
         self.cache = cache
 
+    def _bypassed(self, ctx: QueryContext) -> bool:
+        return not self.cache.enabled or ctx.injector is not None
+
+    @staticmethod
+    def _alias_key(ctx: QueryContext, epoch: int) -> tuple:
+        return (ctx.sql, ctx.name, tuple(map(repr, ctx.params or ())), epoch)
+
+    def around_parse(self, ctx: QueryContext, proceed: Proceed) -> QueryContext:
+        if ctx.bound is not None or self._bypassed(ctx):
+            return proceed(ctx)
+        epoch = ctx.database.catalog.epoch
+        hit = self.cache.get_alias(self._alias_key(ctx, epoch), epoch=epoch)
+        if hit is None:
+            return proceed(ctx)
+        ctx.bound, ctx.planned = hit
+        ctx.plan_cached = True
+        return ctx
+
+    def around_bind(self, ctx: QueryContext, proceed: Proceed) -> QueryContext:
+        return ctx if ctx.plan_cached else proceed(ctx)
+
     def around_plan(self, ctx: QueryContext, proceed: Proceed) -> QueryContext:
-        if not self.cache.enabled or ctx.injector is not None:
+        if ctx.plan_cached:
+            return ctx
+        if self._bypassed(ctx):
             return proceed(ctx)
         epoch = ctx.database.catalog.epoch
         key = (ctx.bound.to_sql(), epoch)
-        planned = self.cache.get(key, epoch=epoch)
+        # Only a statement parsed from its text may be found by that text.
+        alias = None
+        if ctx.parsed is not None:
+            alias = (self._alias_key(ctx, epoch), ctx.bound)
+        planned = self.cache.get(key, epoch=epoch, alias=alias)
         if planned is not None:
             ctx.planned = planned
             ctx.plan_cached = True
             return ctx
         ctx = proceed(ctx)
-        self.cache.put(key, ctx.planned, epoch=epoch)
+        self.cache.put(
+            key, ctx.planned, epoch=epoch,
+            cost=ctx.planned.stats.planning_seconds, alias=alias,
+        )
         return ctx
 
 

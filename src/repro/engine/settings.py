@@ -54,7 +54,7 @@ class EngineSettings:
             vectorized columnar engine (default) or the row-at-a-time
             reference oracle.  Charged work is engine-invariant; only
             wall-clock changes.  Accepts the enum or its string name.
-        plan_cache_size: default LRU capacity of a connection's plan cache
+        plan_cache_size: default capacity of a connection's plan cache
             (0 disables caching; per-connection override on ``connect()``).
         adaptive: hand re-optimization rounds over in memory, as
             operator-level adaptive execution does (a pseudo-table without

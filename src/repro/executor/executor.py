@@ -377,14 +377,17 @@ class Executor:
             for child in node.children()
             if child.node_id in metrics
         )
-        node.actual_work = max(0.0, own_work)
+        own_work = max(0.0, own_work)
+        # The node may be a cached plan's, shared with other sessions whose
+        # rounds reset it at any time: the metrics take the local value.
+        node.actual_work = own_work
         metrics[node.node_id] = NodeMetrics(
             node_id=node.node_id,
             label=node.label(),
             estimated_rows=node.estimated_rows,
             actual_rows=len(result),
             work=work,
-            own_work=node.actual_work,
+            own_work=own_work,
             batches=batch_count(len(result)),
             build_rows=build_rows,
             probe_rows=probe_rows,

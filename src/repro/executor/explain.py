@@ -88,7 +88,10 @@ def _render(
             text += f" segments_skipped={metrics.segments_skipped}"
         if metrics.columns_decoded is not None:
             text += f" columns_decoded={metrics.columns_decoded}"
-    elif node.actual_rows is not None:
+    elif analyze is None and node.actual_rows is not None:
+        # Plain EXPLAIN of an executed plan: the node's last actuals.  Given
+        # an execution, only its metrics count — a cached plan's nodes are
+        # shared, and their actuals may be another session's.
         text += f" actual_rows={node.actual_rows}"
     text += ")"
     lines.append(text)
@@ -125,21 +128,22 @@ def _render(
         _render(child, depth + 1, lines, analyze, handed_over)
 
 
-def estimation_errors(plan: PlanNode) -> List[str]:
-    """Summarize estimated-vs-actual discrepancies of all joins in a plan.
+def estimation_errors(plan: PlanNode, execution: ExecutionResult) -> List[str]:
+    """Summarize estimated-vs-actual discrepancies of the joins ``execution`` ran.
 
-    Only meaningful after the plan has been executed.  Used by examples and
-    by tests asserting that the instrumentation is populated.
+    The actual rows come from the execution's metrics, not from the plan
+    nodes, which a cached plan shares with concurrent executions.
     """
     from repro.core.triggers import q_error
 
     lines: List[str] = []
     for join in plan.join_nodes():
-        if join.actual_rows is None:
+        metrics = execution.node_metrics.get(join.node_id)
+        if metrics is None:
             continue
-        error = q_error(join.estimated_rows, join.actual_rows)
+        error = q_error(join.estimated_rows, metrics.actual_rows)
         lines.append(
             f"{join.label()}: est={join.estimated_rows:.0f} "
-            f"actual={join.actual_rows} q_error={error:.1f}"
+            f"actual={metrics.actual_rows} q_error={error:.1f}"
         )
     return lines

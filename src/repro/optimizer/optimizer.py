@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 from repro.catalog.catalog import Catalog
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import CostModel, CostParameters
+from repro.optimizer.cost import CostModel
 from repro.optimizer.enumeration import JoinEnumerator, PlannerConfig
 from repro.optimizer.injection import CardinalityInjector, ChainInjection
 from repro.optimizer.plan import PlanNode
@@ -68,12 +68,12 @@ class Optimizer:
     def __init__(
         self,
         catalog: Catalog,
-        cost_params: Optional[CostParameters] = None,
+        cost_model: Optional[CostModel] = None,
         planner_config: Optional[PlannerConfig] = None,
         source: Optional[CardinalityInjector] = None,
     ) -> None:
         self._catalog = catalog
-        self.cost_model = CostModel(catalog, cost_params)
+        self.cost_model = cost_model or CostModel(catalog)
         self.config = planner_config or PlannerConfig()
         #: The database's estimator (:mod:`repro.optimizer.estimators`), asked
         #: after the caller's injector; ``None`` = the built-in model alone.

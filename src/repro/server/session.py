@@ -8,8 +8,9 @@ statement it serves:
    never torn by, concurrent ANALYZE/DDL/loads;
 2. runs the ordinary interceptor pipeline over that snapshot — per-session
    metrics, the **process-wide shared plan cache** (keyed on normalized SQL
-   plus the pinned epoch, so sessions at the same epoch share plans), and
-   the re-optimization loop innermost;
+   plus the pinned epoch, so sessions at the same epoch share plans; a
+   statement text served before skips parse and bind too), and the
+   re-optimization loop innermost;
 3. returns an immutable :class:`StatementResult` carrying the rows, PEP 249
    description, the pinned epoch and latency accounting.
 
@@ -164,10 +165,15 @@ class ServerSession:
             session_id=self.session_id,
         )
 
-    # -- writes (shared database, epoch-bumping) ----------------------------
+    # -- writes (shared database, may bump the epoch) -----------------------
 
     def analyze(self, tables: Optional[Sequence[str]] = None) -> None:
-        """ANALYZE on the shared database; pins after this see new stats."""
+        """ANALYZE on the shared database; pins after this see new stats.
+
+        Only statistics or zone maps that come out different bump the epoch
+        and so drop the shared cache's plans; an ANALYZE over unchanged data
+        keeps them.
+        """
         self._check_open()
         self.server.database.analyze(tables)
 

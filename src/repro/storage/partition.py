@@ -230,13 +230,17 @@ class Partition:
                 )
                 self._plain[position] = None
 
-    def refresh_zone_map(self) -> Optional[ZoneMap]:
-        """Recompute the zone map exactly from the stored values (ANALYZE)."""
+    def refresh_zone_map(self) -> bool:
+        """Recompute the zone map exactly from the stored values (ANALYZE).
+
+        Returns whether the new zone map differs from the one it replaced.
+        """
         if self.zone_map is None:
-            return None
+            return False
         zone_map = ZoneMap(row_count=self._row_count)
         for col, values in zip(self.schema.columns, self.column_data()):
             zone = zone_map.columns[col.name] = ColumnZone()
             zone.note_many(values)
+        changed = zone_map != self.zone_map
         self.zone_map = zone_map
-        return zone_map
+        return changed

@@ -109,10 +109,11 @@ class PartitionSnapshot(Partition):
     def compress(self, codec: str = "auto") -> None:
         raise _read_only(self.schema.name)
 
-    def refresh_zone_map(self) -> None:
+    def refresh_zone_map(self) -> bool:
         # Nothing to refresh without a zone map; a pinned one is read-only.
         if self.zone_map is not None:
             raise _read_only(self.schema.name)
+        return False
 
 
 class SnapshotTable(Table):

@@ -357,7 +357,10 @@ class Table:
         # the gather caches so they rebuild from the segments.
         self._invalidate()
 
-    def refresh_zone_maps(self) -> None:
-        """Recompute every shard's zone map exactly (ANALYZE; none when unpartitioned)."""
-        for partition in self._partitions:
-            partition.refresh_zone_map()
+    def refresh_zone_maps(self) -> bool:
+        """Recompute every shard's zone map exactly (ANALYZE; none when unpartitioned).
+
+        Returns whether any shard's zone map changed.
+        """
+        changed = [partition.refresh_zone_map() for partition in self._partitions]
+        return any(changed)

@@ -289,6 +289,8 @@ class TestPlanCacheEpochInteraction:
         conn = repro.connect(db, policy=adaptive_policy(), adaptive=True)
         conn.execute(SELF_JOIN_COUNT)
         epoch_before = db.catalog.epoch
+        # A new row changes the statistics, so ANALYZE moves the epoch.
+        db.load_rows("records", [(101, 3, 1, "x")])
         conn.analyze()
         assert db.catalog.epoch > epoch_before
         conn.execute(SELF_JOIN_COUNT)

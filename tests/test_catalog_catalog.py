@@ -62,6 +62,21 @@ class TestCatalog:
         catalog.set_stats("t", stats)
         assert catalog.stats("t").row_count == 2
 
+    def test_only_different_statistics_bump_the_epoch(self):
+        catalog = Catalog()
+        schema = _schema()
+        table = Table(schema)
+        table.insert_rows([(1, "a"), (2, "b")])
+        catalog.register(schema, table)
+        assert catalog.set_stats("t", analyze_table(table))
+        epoch = catalog.epoch
+        assert not catalog.set_stats("t", analyze_table(table))
+        assert catalog.epoch == epoch
+        table.insert_rows([(3, "c")])
+        assert catalog.set_stats("t", analyze_table(table))
+        assert catalog.epoch == epoch + 1
+        assert catalog.stats("t").row_count == 3
+
     def test_index_registration(self):
         catalog = Catalog()
         schema = _schema()

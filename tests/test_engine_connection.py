@@ -224,6 +224,8 @@ class TestPreparedStatements:
         statement.execute(("tech",))
         statement.execute(("tech",))
         assert conn.cache_stats.hits == 1
+        # A new row changes the statistics, so ANALYZE moves the epoch.
+        conn.database.load_rows("company", [(1000, "SYM1000", "retail")])
         conn.analyze(["company"])
         refreshed = statement.execute(("tech",))
         assert not refreshed.context.plan_cached

@@ -143,6 +143,14 @@ class TestLoadAfterIndexBuild:
 
 
 class TestDatabaseQuerying:
+    def test_planner_and_executor_share_one_cost_model(self, stock_db):
+        for db in (stock_db, stock_db.snapshot()):
+            assert db.optimizer.cost_model is db.cost_model
+            assert db.executor.cost_model is db.cost_model
+        stock_db.set_estimator("feedback")
+        assert stock_db.optimizer.cost_model is stock_db.cost_model
+        assert stock_db.executor.cost_model is stock_db.cost_model
+
     def test_run_sql_end_to_end(self, stock_db):
         run = stock_db.run(
             "SELECT count(t.id) AS n FROM trades AS t WHERE t.venue = 'NASDAQ'"

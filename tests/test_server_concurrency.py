@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -183,11 +184,53 @@ class TestServerLifecycle:
             second = server.session()
             assert not first.execute(COUNT_SQL).plan_cached
             assert second.execute(COUNT_SQL).plan_cached
-            # Epoch bump (ANALYZE) invalidates; the next statement replans.
+            # Epoch bump (ANALYZE over new rows) invalidates; the next
+            # statement replans.
+            first.load_rows("events", _batch(1))
             first.analyze(["events"])
             assert not second.execute(COUNT_SQL).plan_cached
             assert first.execute(COUNT_SQL).plan_cached
             assert server.plan_cache.stats.hits >= 2
+
+
+class TestSharedCachedPlan:
+    #: Re-optimized by the default policy: the skewed symbol is
+    #: under-estimated ~50x on both trades sub-joins.
+    SQL = (
+        "SELECT count(t.id) AS n FROM company AS c, trades AS t, trades AS u "
+        "WHERE c.symbol = 'SYM1' AND c.id = t.company_id AND c.id = u.company_id "
+        "AND u.shares < 40"
+    )
+
+    def test_sessions_running_one_cached_adaptive_plan(self, stock_db):
+        # Both sessions execute the same cached plan object, whose nodes
+        # each round resets and annotates; a tiny switch interval makes the
+        # threads interleave inside those rounds.
+        expected = stock_db.run(self.SQL).rows
+        results, errors = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Server(stock_db, ServerConfig(workers=2, adaptive=True)) as server:
+                barrier = threading.Barrier(2)
+
+                def client() -> None:
+                    session = server.session()
+                    try:
+                        barrier.wait()
+                        for _ in range(40):
+                            results.append(session.execute(self.SQL))
+                    except BaseException as exc:  # pragma: no cover - fails the test
+                        errors.append(exc)
+
+                _run_threads([threading.Thread(target=client) for _ in range(2)], errors)
+                assert server.stats.errors == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 80
+        assert all(list(result.rows) == expected for result in results)
+        assert all(result.reoptimized for result in results)
+        assert sum(result.plan_cached for result in results) >= 78
 
 
 class _BlockingSession:

@@ -254,6 +254,38 @@ def test_a_round_cut_short_leaves_no_stale_actuals_on_a_cached_plan(stock_db_fac
     assert db.feedback.lookup(bound, trigger_aliases) == cut.report.steps[0].actual_rows
 
 
+def _reset_by_another_session(cls):
+    """``cls`` whose ``actual_work`` another session resets right after each write.
+
+    A cached plan's nodes are shared: a concurrent round's
+    ``execute_staged`` sets every node's ``actual_work`` back to ``None``
+    when it starts, which can land between this round's write of the field
+    and its next read.
+    """
+
+    def __setattr__(self, name, value):
+        cls.__setattr__(self, name, value)
+        if name == "actual_work" and value is not None:
+            cls.__setattr__(self, name, None)
+
+    return type(f"Shared{cls.__name__}", (cls,), {"__setattr__": __setattr__})
+
+
+def test_a_concurrent_reset_of_a_shared_plan_node_leaves_the_round_intact(stock_db):
+    from repro.core.interceptor import InMemoryHandover
+
+    planned = stock_db.plan(THREE_WAY_SQL)
+    expected = stock_db.executor.execute_staged(planned.plan, lambda join, rows: False)
+    for node in planned.plan.walk():
+        node.__class__ = _reset_by_another_session(type(node))
+    staged = stock_db.executor.execute_staged(planned.plan, lambda join, rows: False)
+    assert all(node.actual_work is None for node in planned.plan.walk())
+    assert [m.own_work for m in staged.node_metrics.values()] == [
+        m.own_work for m in expected.node_metrics.values()
+    ]
+    assert InMemoryHandover.round_work(planned, staged) == pytest.approx(staged.total_work)
+
+
 # -- temp tables and the catalog epoch ---------------------------------------
 
 
