@@ -286,6 +286,28 @@ def test_a_concurrent_reset_of_a_shared_plan_node_leaves_the_round_intact(stock_
     assert InMemoryHandover.round_work(planned, staged) == pytest.approx(staged.total_work)
 
 
+def test_explain_of_a_round_reads_its_metrics_not_the_shared_nodes(stock_db):
+    from repro.executor.explain import estimation_errors
+
+    planned = stock_db.plan(THREE_WAY_SQL)
+    executor = stock_db.executor
+    cut = executor.execute_staged(planned.plan, lambda join, rows: True)
+    # Another session then runs the same cached plan to the end, over more
+    # rows (a load moves no epoch, so the plan stays cached).
+    stock_db.load_rows("trades", [(5000 + i, 1, 10, "NYSE") for i in range(5)])
+    full = executor.execute_staged(planned.plan, lambda join, rows: False)
+    assert all(node.actual_rows is not None for node in planned.plan.walk())
+    lines = explain_plan(planned.plan, cut).split("\n")
+    ran = [line for line in lines if "actual_rows=" in line]
+    assert len(ran) == len(cut.node_metrics) < len(full.node_metrics)
+    # The cut round ran its first join only; the node holds full's rows.
+    first = planned.plan.join_nodes()[0]
+    assert cut.node_metrics[first.node_id].actual_rows != first.actual_rows
+    (error,) = estimation_errors(planned.plan, cut)
+    assert f"actual={cut.node_metrics[first.node_id].actual_rows} " in error
+    assert len(estimation_errors(planned.plan, full)) == len(planned.plan.join_nodes())
+
+
 # -- temp tables and the catalog epoch ---------------------------------------
 
 
