@@ -55,6 +55,10 @@
 #                  LAYERS=a,b adds a traced run per side and the same table
 #                  for those per-layer metrics; METRIC= picks the metric the
 #                  per-pair progress line shows (default pass_wall_s).
+#                  A set-up gain is read from the setup_s column, e.g.
+#                  `make ab WORKLOAD=wide_scan PARENT=HEAD~1 PAIRS=10
+#                  SEED=300 METRIC=setup_s
+#                  LAYERS=stats.analyze_s,storage.compress_s`.
 #                  Not part of `ci`
 #   make lint    - ruff check (same invocation as the CI lint job)
 #   make all     - everything

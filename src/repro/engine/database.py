@@ -227,8 +227,9 @@ class Database:
     def analyze(self, tables: Optional[Iterable[str]] = None) -> None:
         """Run ANALYZE over ``tables`` (default: all tables).
 
-        Partitioned tables additionally refresh their per-shard zone maps,
-        re-deriving min/max/null-count exactly from storage.  The catalog
+        Each shard's columns are counted once; partitioned tables refresh
+        their per-shard zone maps (min/max/null-count, exact) from those
+        counts before the statistics consume them.  The catalog
         epoch moves only when a table's statistics or one of its zone maps
         (which plan-time pruning and the scan upper bound read) come out
         different, so an ANALYZE over unchanged data keeps every cached
@@ -239,14 +240,16 @@ class Database:
                 list(tables) if tables is not None else self.catalog.table_names()
             )
             for name in names:
-                entry = self.catalog.entry(name)
-                zones_changed = entry.table.refresh_zone_maps()
+                table = self.catalog.table(name)
+                counts = table.column_counts(range(len(table.schema.columns)))
+                zones_changed = table.refresh_zone_maps(counts)
                 stats_changed = self.catalog.set_stats(
                     name,
                     analyze_table(
-                        entry.table,
+                        table,
                         self.settings.statistics_target,
                         sample_target=self.settings.sample_rows,
+                        counts=counts,
                     ),
                 )
                 if zones_changed and not stats_changed:

@@ -227,9 +227,15 @@ class Literal(Expr):
 
 @dataclass(frozen=True)
 class Param(Expr):
-    """A ``?`` placeholder as an expression leaf."""
+    """A ``?`` placeholder as an expression leaf.
+
+    ``accepts`` holds the Python types a non-NULL value must have to meet
+    the operand the ``?`` is ordered against or computed with, as the
+    binder finds it; ``None`` accepts any value (as under ``=``).
+    """
 
     parameter: Parameter
+    accepts: Optional[Tuple[type, ...]] = None
 
     @property
     def index(self) -> int:

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import ColumnType
-from repro.errors import BindError
+from repro.errors import BindError, ParameterError
 from repro.sql import values
 from repro.sql.ast import (
     AggregateFunc,
@@ -150,6 +150,23 @@ def _comparable(left: ExprType, right: ExprType) -> bool:
     if left.is_numeric() and right.is_numeric():
         return True
     return left is right
+
+
+_NUMBERS = (int, float)  # a bool is an int
+
+#: Python value types a ``?`` ordered against an operand of each type accepts.
+_ORDERED_WITH = {ExprType.INT: _NUMBERS, ExprType.FLOAT: _NUMBERS, ExprType.TEXT: (str,)}
+
+
+def _accepting(expr: Expr, accepts: Optional[Tuple[type, ...]]) -> Expr:
+    """``expr`` accepting only values of ``accepts`` types, if it is a ``?``.
+
+    :func:`repro.sql.params.bind_parameters` checks them, so a value that
+    cannot meet its operand fails there, not as a ``TypeError`` mid-query.
+    """
+    if isinstance(expr, Param) and accepts is not None:
+        return Param(expr.parameter, accepts)
+    return expr
 
 
 def _common_type(left: ExprType, right: ExprType, context: str) -> ExprType:
@@ -583,7 +600,7 @@ class Binder:
                     f"unary minus needs a numeric operand, got "
                     f"{operand_type.value} in {expr.to_sql()!r}"
                 )
-            return Negate(operand), operand_type
+            return Negate(_accepting(operand, _NUMBERS)), operand_type
         if isinstance(expr, Arithmetic):
             left, left_type = self._bind_expr(expr.left, bound)
             right, right_type = self._bind_expr(expr.right, bound)
@@ -593,7 +610,9 @@ class Binder:
                     f"{left_type.value} and {right_type.value} in "
                     f"{expr.to_sql()!r}"
                 )
-            return Arithmetic(expr.op, left, right), _widen(left_type, right_type)
+            return Arithmetic(
+                expr.op, _accepting(left, _NUMBERS), _accepting(right, _NUMBERS)
+            ), _widen(left_type, right_type)
         if isinstance(expr, Comparison):
             left, left_type = self._bind_expr(expr.left, bound)
             right, right_type = self._bind_expr(expr.right, bound)
@@ -602,6 +621,10 @@ class Binder:
                     f"cannot compare {left_type.value} with {right_type.value} "
                     f"in {expr.to_sql()!r}"
                 )
+            if expr.op not in (ComparisonOp.EQ, ComparisonOp.NE):
+                # Equality of mismatched values is false; ordering raises.
+                left = _accepting(left, _ORDERED_WITH.get(right_type))
+                right = _accepting(right, _ORDERED_WITH.get(left_type))
             return Comparison(expr.op, left, right), ExprType.BOOL
         if isinstance(expr, IsNull):
             operand, _ = self._bind_expr(expr.operand, bound)
@@ -642,8 +665,15 @@ class Binder:
                     f"BETWEEN bounds must be comparable with the operand in "
                     f"{expr.to_sql()!r}"
                 )
+            bounds_accept = _ORDERED_WITH.get(operand_type)
+            operand_accepts = _ORDERED_WITH.get(low_type) or _ORDERED_WITH.get(high_type)
             return (
-                Between(operand, low, high, negated=expr.negated),
+                Between(
+                    _accepting(operand, operand_accepts),
+                    _accepting(low, bounds_accept),
+                    _accepting(high, bounds_accept),
+                    negated=expr.negated,
+                ),
                 ExprType.BOOL,
             )
         if isinstance(expr, Not):
@@ -715,6 +745,11 @@ class Binder:
                 aggregate=item.aggregate,
                 output_name=item.output_name,
                 result_type=ColumnType.INT,
+            )
+        if any(isinstance(node, Param) for node in item.expr.walk()):
+            raise ParameterError(
+                f"a ? parameter may appear only in WHERE, not in the select "
+                f"item {item.expr.to_sql()!r}"
             )
         expr, expr_type = self._bind_expr(item.expr, bound)
         expr = fold_constants(expr)

@@ -7,9 +7,13 @@ literal of the filter and residual expressions out into a parameter list,
 which is how the test suite checks that the prepared path returns exactly the
 rows of the literal SQL for every workload query.
 
-Parameters appear anywhere an expression does inside WHERE predicates; join
-predicates are column-to-column and constant filters fold away their
-literals at bind time, so neither carries parameters.
+Parameters appear anywhere an expression does inside WHERE predicates, and
+nowhere else: the binder rejects one in the select list.  Join predicates
+are column-to-column and constant filters fold away their literals at bind
+time, so neither carries parameters.  A value must be able to meet the
+operand its ``?`` is ordered against or computed with (the binder records
+the types it accepts); ``=``, ``<>`` and ``IN`` take any value, and a
+mismatched one simply matches nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ def bind_parameters(query: BoundQuery, params: Sequence[object]) -> BoundQuery:
 
     Raises:
         ParameterError: if the number of values does not match the number of
-            placeholders, or a LIKE pattern is bound to a non-string.
+            placeholders, a LIKE pattern is bound to a non-string, or a
+            value cannot meet the operand its ``?`` is ordered against or
+            computed with (``Param.accepts``).
     """
     values = tuple(params)
     if len(values) != query.param_count:
@@ -50,7 +56,16 @@ def bind_parameters(query: BoundQuery, params: Sequence[object]) -> BoundQuery:
 
     def substitute(node: Expr) -> Expr:
         if isinstance(node, Param):
-            return Literal(values[node.index])
+            value = values[node.index]
+            if not (
+                node.accepts is None or value is None or isinstance(value, node.accepts)
+            ):
+                raise ParameterError(
+                    f"parameter {node.index + 1} is {value!r}, which cannot "
+                    f"meet its operand (expected "
+                    f"{' or '.join(t.__name__ for t in node.accepts)})"
+                )
+            return Literal(value)
         if isinstance(node, Like):
             pattern = node.pattern
             if isinstance(pattern, Literal) and not isinstance(

@@ -10,11 +10,16 @@ same philosophy, and split what ANALYZE produces in two:
   histogram bounds, minimum, maximum and average width are computed over
   every stored value of the column — from one occurrence count and one sort
   of its distinct values — so every estimation error produced by
-  :mod:`repro.optimizer.cardinality` is a model error.
+  :mod:`repro.optimizer.cardinality` is a model error.  Each shard's
+  column is counted once (:meth:`~repro.storage.table.Table.column_counts`;
+  :meth:`~repro.engine.database.Database.analyze` refreshes the shard's zone
+  map from the same count) and the shards' counts are merged in shard
+  order, which is the count of the gathered column: same first-appearance
+  order, same first key objects.  No column is gathered across shards.
 * **The row sample is sampled.**  ``TableStats.sample`` holds up to
   ``sample_target`` whole rows for the ``sampling`` estimation strategy,
   which evaluates predicates on them directly.  The rows are drawn by
-  position (a uniform draw without replacement, O(sample) regardless of
+  global row id (a uniform draw without replacement, O(sample) regardless of
   table size) from a generator seeded with the table's name and row count:
   re-running ANALYZE over unchanged data yields the identical sample.
 """
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Collection, List, Optional, Sequence
+from typing import Collection, Dict, Iterable, List, Optional, Sequence
 
 from repro.catalog.schema import ColumnType
 from repro.stats.column_stats import ColumnStats, TableStats
@@ -37,6 +42,7 @@ def analyze_table(
     statistics_target: int = 100,
     sample_target: int = 100,
     only: Optional[Collection[str]] = None,
+    counts: Optional[Sequence[Dict[int, Counter]]] = None,
 ) -> TableStats:
     """Build :class:`~repro.stats.column_stats.TableStats` for one table.
 
@@ -49,52 +55,83 @@ def analyze_table(
         only: analyze just these columns (``None``: all).  For a table whose
             only reader is known, e.g. a re-optimization round's temporary
             table; the row count and the row sample are whole either way.
+        counts: ``table.column_counts`` of (at least) the analyzed columns,
+            when the caller already took them (they are merged into and
+            consumed); counted here when ``None``.
     """
     stats = TableStats(table=table.name, row_count=table.row_count)
-    columns = table.column_data()
-    for col_def, values in zip(table.schema.columns, columns):
-        if only is None or col_def.name in only:
-            stats.columns[col_def.name] = _analyze_column(
-                col_def.name, col_def.col_type, values, statistics_target
-            )
-    if sample_target > 0:
-        stats.sample = _sample_rows(
-            table.name, columns, table.row_count, sample_target
+    wanted = [
+        (position, col_def)
+        for position, col_def in enumerate(table.schema.columns)
+        if only is None or col_def.name in only
+    ]
+    if counts is None:
+        counts = table.column_counts(position for position, _ in wanted)
+    for position, col_def in wanted:
+        stats.columns[col_def.name] = _analyze_column(
+            col_def.name,
+            col_def.col_type,
+            table.row_count,
+            _merged(shard[position] for shard in counts),
+            statistics_target,
         )
+    if sample_target > 0:
+        stats.sample = _sample_rows(table, sample_target)
         stats.sample_rows = table.row_count
     return stats
 
 
-def _sample_rows(
-    table_name: str,
-    columns: Sequence[Sequence[object]],
-    row_count: int,
-    target: int,
-) -> List[tuple]:
-    """Up to ``target`` whole rows, drawn uniformly by position.
+def _merged(shard_counts: Iterable[Counter]) -> Counter:
+    """The shards' counts of one column merged in shard order.
+
+    Equal to the count of the gathered column, first-appearance order and
+    first key objects included: ``dict.update`` appends keys no earlier
+    shard holds in their order, ``Counter.update`` also adds to a key an
+    earlier shard holds, keeping that shard's key object.  The first
+    shard's Counter is merged into, not copied.
+    """
+    shards = iter(shard_counts)
+    merged = next(shards)
+    for counts in shards:
+        if merged.keys().isdisjoint(counts.keys()):
+            dict.update(merged, counts)
+        else:
+            merged.update(counts)
+    return merged
+
+
+def _sample_rows(table: Table, target: int) -> List[tuple]:
+    """Up to ``target`` whole rows, drawn uniformly by global row id.
 
     Deterministically seeded from the table name and size so repeated
     ANALYZE runs over unchanged data produce identical samples (and hence
     identical sampling-estimator plans).  A table no larger than the target
     is kept whole, in storage order.
     """
+    row_count = table.row_count
     if row_count <= target:
         row_ids: Sequence[int] = range(row_count)
     else:
-        rng = random.Random(repr((table_name, row_count)))
+        rng = random.Random(repr((table.name, row_count)))
         row_ids = rng.sample(range(row_count), target)
+    if table.num_partitions > 1:
+        return [table.row(row_id) for row_id in row_ids]
+    columns = table.column_data()
     return [tuple(values[row_id] for values in columns) for row_id in row_ids]
 
 
 def _analyze_column(
     name: str,
     col_type: ColumnType,
-    values: Sequence[object],
+    row_count: int,
+    counts: Counter,
     statistics_target: int,
 ) -> ColumnStats:
-    row_count = len(values)
-    # Counted in storage order: the MCV list breaks frequency ties by it.
-    counts = Counter(values)
+    """One column's statistics from its values' count (consumes ``counts``).
+
+    ``counts`` must be counted in storage order: the MCV list breaks
+    frequency ties by it.
+    """
     non_null = row_count - counts.pop(None, 0)
     ordered = sorted(counts)
     if col_type is ColumnType.TEXT and non_null:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Dict, Optional, Sequence, Tuple
 
 
@@ -53,13 +54,16 @@ class MostCommonValues:
         if not counts:
             return None
         total = sum(counts.values())
-        common = counts.most_common(max_entries)
+        top = max(counts.values())
+        if len(counts) > max_entries and top * len(counts) == total:
+            # Every count is equal: the stable top-k is the first k keys.
+            common = list(zip(islice(counts, max_entries), repeat(top)))
+        else:
+            common = counts.most_common(max_entries)
         if len(counts) > max_entries:
             # Only keep values noticeably more frequent than the average.
             average = total / len(counts)
-            common = [(v, c) for v, c in common if c > 1.25 * average]
-        if not common:
-            common = counts.most_common(min(max_entries, len(counts)))
+            common = [(v, c) for v, c in common if c > 1.25 * average] or common
         mcv_values = tuple(v for v, _ in common)
         mcv_freqs = tuple(c / total for _, c in common)
         return cls(values=mcv_values, frequencies=mcv_freqs)

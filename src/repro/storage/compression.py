@@ -20,9 +20,10 @@ Three codecs:
 :func:`encode_segment` picks the codec from the data (``codec="auto"``) or
 honours an explicit choice.  Auto costs both codecs from counts — the
 dictionary size from one ``dict.fromkeys`` pass, the run count from one
-pairwise ``!=`` pass, skipped once runs cannot win — and builds only the
-winner, in C-level passes that allocate nothing per row.  Encoding is exact:
-``segment.values()`` round-trips the input element-for-element, NULLs
+pairwise ``!=`` pass, skipped when the distinct count alone rules RLE out and
+stopped at the first run break past the count at which runs can still win —
+and builds only the winner, in C-level passes that allocate nothing per row.
+Encoding is exact: ``segment.values()`` round-trips the input element-for-element, NULLs
 included, equal by type and by the sign of zero; a column where equal values
 differ (``True``/``1``/``1.0``, ``0.0``/``-0.0``) is keyed by type, value and
 sign instead of by value.  The differential fuzzer relies on this when it
@@ -31,10 +32,10 @@ serves the whole query stream from a compressed database.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from math import copysign
 from operator import eq, ne, sub
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.storage.column import holds_nan, value_range
 
@@ -256,8 +257,7 @@ def encode_segment(values: Sequence[object], codec: str = "auto") -> Segment:
         dictionary = list(distinct) if keys is values else [key[1] for key in distinct]
         segment = DictionarySegment(dictionary, list(map(code_of.__getitem__, keys)))
     elif codec == "rle":
-        breaks = compress(range(1, len(values)), map(ne, keys, keys[1:]))
-        starts = [0, *breaks] if values else []
+        starts = [0, *_run_breaks(keys)] if values else []
         ends = [*starts[1:], len(values)]
         # A run's values are equal by type and sign of zero: keep its first.
         runs = list(zip(map(values.__getitem__, starts), map(sub, ends, starts)))
@@ -277,10 +277,17 @@ def _cheapest_codec(keys: Sequence[object], distinct: int) -> str:
     # A column has at least as many runs as distinct values, so RLE (two
     # cells a run) can only win while 2 * distinct <= the dictionary's cells.
     if 2 * distinct <= cells:
-        run_cells = 2 * (1 + sum(map(ne, keys, keys[1:])))
-        if run_cells <= cells:
-            codec, cells = "rle", run_cells
+        # RLE wins with up to ``most`` run breaks: count one more at most.
+        most = cells // 2 - 1
+        breaks = len(list(islice(_run_breaks(keys), most + 1)))
+        if breaks <= most:
+            codec, cells = "rle", 2 * (1 + breaks)
     return codec if cells < rows else "plain"
+
+
+def _run_breaks(keys: Sequence[object]) -> Iterator[int]:
+    """Positions whose key differs from the one before: where runs start."""
+    return compress(range(1, len(keys)), map(ne, keys, islice(keys, 1, None)))
 
 
 def _codec_keys(values: List[object]) -> Sequence[object]:

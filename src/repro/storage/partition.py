@@ -6,8 +6,9 @@ sealed compressed :class:`~repro.storage.compression.Segment` — per column.
 A shard of a table whose schema carries a
 :class:`~repro.catalog.schema.PartitionSpec` also keeps a :class:`ZoneMap`
 (per-column min/max/null-count plus the shard row count), maintained
-incrementally on every append and recomputed by ANALYZE; the one shard of an
-unpartitioned table keeps none, since nothing routes to it or prunes it.
+incrementally on every append and recomputed by ANALYZE from the occurrence
+counts it takes of the shard's columns; the one shard of an unpartitioned
+table keeps none, since nothing routes to it or prunes it.
 
 Routing is deterministic across processes: :func:`stable_hash` avoids
 Python's per-process string-hash randomization, and NULL partition keys
@@ -17,8 +18,9 @@ always route to partition 0.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.storage.column import holds_nan, value_range
@@ -90,12 +92,26 @@ class ColumnZone:
         if not self.has_nan:
             self.has_nan = holds_nan(values, self.minimum, self.maximum)
 
+    @classmethod
+    def from_counts(cls, counts: Mapping[object, int]) -> "ColumnZone":
+        """The zone of the values ``counts`` counted in storage order.
+
+        Equal to :meth:`note_many` over those values: the distinct keys, in
+        first-appearance order and as first-appearing objects, fold to the
+        same extremes, since a repeat of an earlier value never moves a
+        running minimum or maximum (NaN or not).
+        """
+        keys = list(counts)
+        low, high, _ = value_range(keys)
+        return cls(low, high, counts.get(None, 0), holds_nan(keys, low, high))
+
 
 @dataclass
 class ZoneMap:
     """Per-partition synopsis: row count plus one :class:`ColumnZone` each.
 
-    Maintained incrementally on load and recomputed on ANALYZE; the planner
+    Maintained incrementally on load and recomputed by ANALYZE from the
+    shard's column counts (:meth:`ColumnZone.from_counts`); the planner
     prunes partitions whose zones contradict pushed-down filters, and the
     selectivity estimator uses the surviving row counts as a hard upper
     bound on scan cardinality.
@@ -230,17 +246,32 @@ class Partition:
                 )
                 self._plain[position] = None
 
-    def refresh_zone_map(self) -> bool:
-        """Recompute the zone map exactly from the stored values (ANALYZE).
+    def column_counts(self, positions: Iterable[int]) -> Dict[int, Counter]:
+        """One occurrence :class:`Counter` per column at ``positions``.
 
-        Returns whether the new zone map differs from the one it replaced.
+        Counted in storage order, so each keeps its values' first-appearance
+        order and first-appearing key objects; NULLs count under ``None``.
+        """
+        return {position: Counter(self.column_at(position)) for position in positions}
+
+    def refresh_zone_map(self, counts: Optional[Mapping[int, Counter]] = None) -> bool:
+        """Recompute the zone map exactly from the column counts (ANALYZE).
+
+        ``counts`` are :meth:`column_counts` over every column, taken here
+        when ``None``.  Returns whether the new zone map differs from the one
+        it replaced.
         """
         if self.zone_map is None:
             return False
-        zone_map = ZoneMap(row_count=self._row_count)
-        for col, values in zip(self.schema.columns, self.column_data()):
-            zone = zone_map.columns[col.name] = ColumnZone()
-            zone.note_many(values)
+        if counts is None:
+            counts = self.column_counts(range(len(self.schema.columns)))
+        zone_map = ZoneMap(
+            row_count=self._row_count,
+            columns={
+                col.name: ColumnZone.from_counts(counts[position])
+                for position, col in enumerate(self.schema.columns)
+            },
+        )
         changed = zone_map != self.zone_map
         self.zone_map = zone_map
         return changed

@@ -357,10 +357,24 @@ class Table:
         # the gather caches so they rebuild from the segments.
         self._invalidate()
 
-    def refresh_zone_maps(self) -> bool:
+    def column_counts(self, positions: Iterable[int]) -> List[Dict[int, Counter]]:
+        """Each shard's :meth:`~repro.storage.partition.Partition.column_counts`
+        of the columns at ``positions``, in shard order (what ANALYZE counts)."""
+        positions = list(positions)
+        return [partition.column_counts(positions) for partition in self._partitions]
+
+    def refresh_zone_maps(
+        self, counts: Optional[Sequence[Dict[int, Counter]]] = None
+    ) -> bool:
         """Recompute every shard's zone map exactly (ANALYZE; none when unpartitioned).
 
-        Returns whether any shard's zone map changed.
+        ``counts`` are :meth:`column_counts` over every column, taken shard
+        by shard when ``None``.  Returns whether any shard's zone map changed.
         """
-        changed = [partition.refresh_zone_map() for partition in self._partitions]
+        if counts is None:
+            counts = [None] * len(self._partitions)
+        changed = [
+            partition.refresh_zone_map(shard_counts)
+            for partition, shard_counts in zip(self._partitions, counts)
+        ]
         return any(changed)

@@ -127,6 +127,47 @@ class TestBindParameters:
         assert stock_db.run(concrete).rows == literal.rows
 
 
+class TestParameterTypes:
+    def test_select_list_parameter_rejected_at_bind(self, stock_db):
+        with pytest.raises(ParameterError, match="only in WHERE"):
+            stock_db.parse("SELECT t.shares / ? AS q FROM trades AS t WHERE t.id = 7")
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "t.shares > ?",
+            "t.shares / ? > 2500",
+            "t.shares BETWEEN ? AND 5000",
+            "? <= t.shares",
+            "-? < t.shares",
+        ],
+    )
+    def test_value_that_cannot_meet_its_operand_rejected_at_bind(self, stock_db, where):
+        bound = stock_db.parse(f"SELECT count(t.id) AS n FROM trades AS t WHERE {where}")
+        with pytest.raises(ParameterError, match="cannot meet its operand"):
+            bind_parameters(bound, ("1",))
+        for value in (2, 2.5, True, None):
+            assert bind_parameters(bound, (value,)).param_count == 0
+
+    def test_text_column_orders_only_against_strings(self, stock_db):
+        bound = stock_db.parse("SELECT c.id FROM company AS c WHERE c.symbol < ?")
+        with pytest.raises(ParameterError):
+            bind_parameters(bound, (1,))
+        assert bind_parameters(bound, ("SYM5",)).param_count == 0
+
+    @pytest.mark.parametrize(
+        "where, same_as",
+        [("t.id = ?", "t.id < 0"), ("t.id <> ?", "t.id >= 0"), ("t.id IN (?, 2)", "t.id = 2")],
+    )
+    def test_equality_takes_any_value_and_a_mismatch_matches_nothing(
+        self, stock_db, where, same_as
+    ):
+        sql = "SELECT count(t.id) AS n FROM trades AS t WHERE {}"
+        bound = stock_db.parse(sql.format(where))
+        expected = stock_db.run(sql.format(same_as)).rows
+        assert stock_db.run(bind_parameters(bound, ("1",))).rows == expected
+
+
 class TestParameterize:
     def test_roundtrip_through_sql_text(self, stock_db):
         sql = (

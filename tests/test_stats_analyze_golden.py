@@ -14,11 +14,13 @@ from collections import Counter
 
 import pytest
 
+from repro import Database
 from repro.catalog.schema import ColumnType, PartitionSpec, make_schema
 from repro.stats.analyze import _analyze_column, analyze_table
-from repro.stats.column_stats import ColumnStats
+from repro.stats.column_stats import ColumnStats, TableStats
 from repro.stats.histogram import EquiDepthHistogram
 from repro.stats.mcv import MostCommonValues
+from repro.storage.partition import ColumnZone, ZoneMap
 from repro.storage.snapshot import SnapshotTable
 from repro.storage.table import Table
 
@@ -144,7 +146,9 @@ COLUMNS = _columns()
 def test_column_statistics_equal_the_frozen_implementation(name, statistics_target):
     col_type, values = COLUMNS[name]
     expected = _frozen_analyze_column(name, col_type, values, statistics_target)
-    actual = _analyze_column(name, col_type, list(values), statistics_target)
+    actual = _analyze_column(
+        name, col_type, len(values), Counter(values), statistics_target
+    )
     assert actual == expected
     # Dataclass equality treats 1 == 1.0; the statistics' float fields must
     # also be the same floats, bit for bit.
@@ -265,3 +269,150 @@ def test_layouts_agree_on_column_statistics():
                 expected.max_value,
             )
             assert actual.avg_width == expected.avg_width
+
+
+# -- sharded ANALYZE -------------------------------------------------------------
+#
+# ANALYZE counts each shard's columns once and merges the counts; the
+# reference gathers every column in global row-id order first, as ANALYZE
+# did before, and derives everything from the gathered lists.
+
+
+def _frozen_gathered_stats(table, statistics_target, sample_target):
+    columns = table.column_data()
+    stats = TableStats(table=table.name, row_count=table.row_count)
+    for col_def, values in zip(table.schema.columns, columns):
+        if col_def.col_type is ColumnType.FLOAT:
+            # A NaN orders with nothing, so the multi-pass reference's sorts of
+            # a set differ from the sort of the counted keys: the gathered
+            # column's own count is the reference here.
+            column = _analyze_column(
+                col_def.name, col_def.col_type, len(values), Counter(values),
+                statistics_target,
+            )
+        else:
+            column = _frozen_analyze_column(
+                col_def.name, col_def.col_type, values, statistics_target
+            )
+        stats.columns[col_def.name] = column
+    if sample_target > 0:
+        if table.row_count <= sample_target:
+            row_ids = range(table.row_count)
+        else:
+            rng = random.Random(repr((table.name, table.row_count)))
+            row_ids = rng.sample(range(table.row_count), sample_target)
+        stats.sample = [tuple(values[i] for values in columns) for i in row_ids]
+        stats.sample_rows = table.row_count
+    return stats
+
+
+def _sharded_schema():
+    # Shard 2 (ids 200..299) stays empty.
+    return make_schema(
+        "sharded",
+        [
+            ("id", ColumnType.INT),
+            ("grp", ColumnType.INT),
+            ("score", ColumnType.FLOAT),
+            ("name", ColumnType.TEXT),
+            ("tag", ColumnType.TEXT),
+        ],
+        primary_key="id",
+        partition_by=PartitionSpec(method="range", column="id", bounds=(100, 200, 300)),
+    )
+
+
+def _sharded_rows():
+    rng = random.Random(1938)
+    shared_nan = float("nan")
+    ids = [*range(0, 100), *range(300, 400), *range(100, 200)]
+    rows = []
+    for i in ids:
+        shard = 0 if i < 100 else (1 if i < 200 else 3)
+        # ``grp`` repeats across shards (overlapping keys), ``tag`` never does.
+        grp = None if i % 11 == 0 else rng.randrange(6)
+        score = rng.choice((0.5, 1.5, 2.5, None))
+        if i % 37 == 5 or i == 300:  # shard 3 starts with a NaN
+            score = shared_nan
+        elif i % 53 == 7:
+            score = float("nan")
+        elif i % 13 == 3:
+            # Equal zeros of either sign, the first of them differing per shard.
+            score = (-0.0, 0.0)[(i + shard) % 2]
+        name = None if shard == 1 and i % 3 else f"n{rng.randrange(4)}"
+        tag = f"s{shard}-{i % (3 + shard)}"
+        rows.append((i, grp, score, name, tag))
+    return rows
+
+
+def _sharded_db(rows=None):
+    db = Database()
+    db.create_table(_sharded_schema())
+    db.load_rows("sharded", rows or _sharded_rows())
+    return db, db.catalog.table("sharded")
+
+
+def _recomputed_zone_map(partition):
+    zone_map = ZoneMap(row_count=partition.row_count)
+    for col, values in zip(partition.schema.columns, partition.column_data()):
+        zone = zone_map.columns[col.name] = ColumnZone()
+        zone.note_many(values)
+    return zone_map
+
+
+def test_the_sharded_table_has_what_the_merge_must_keep():
+    _, table = _sharded_db()
+    shards = table.partitions()
+    assert [p.row_count for p in shards] == [100, 100, 0, 100]
+    scores = [shard.column_values("score") for shard in shards]
+    assert all(any(v != v for v in column) for column in scores if column)
+    # The first zero has a different sign in shards 0 and 1.
+    firsts = [repr(next(v for v in column if v == 0.0)) for column in scores if column]
+    assert len(set(firsts)) == 2
+    grp = [set(shard.column_values("grp")) - {None} for shard in shards]
+    tag = [set(shard.column_values("tag")) for shard in shards]
+    assert grp[0] & grp[1] and not tag[0] & tag[1]
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize("sample_target", [0, 7, 1000])
+@pytest.mark.parametrize("statistics_target", [3, 100])
+def test_sharded_statistics_equal_the_gathered_reference(
+    statistics_target, sample_target, compressed
+):
+    # The reference gathers, so it reads a second table of the same values.
+    rows = _sharded_rows()
+    table, gathered = (_sharded_db(rows)[1] for _ in range(2))
+    if compressed:
+        table.compress()
+    expected = _frozen_gathered_stats(gathered, statistics_target, sample_target)
+    for analyzed in (table, SnapshotTable(table)):
+        actual = analyze_table(analyzed, statistics_target, sample_target)
+        assert actual == expected
+        # Float fields, MCV order, first key objects (0.0 or -0.0) and the
+        # sample, bit for bit.
+        assert repr(actual) == repr(expected)
+        # Counted shard by shard: no column was gathered.
+        assert analyzed._gathered is None and not analyzed._gathered_cols
+
+
+def test_database_analyze_refreshes_every_zone_map_from_its_counts():
+    db, table = _sharded_db()
+    recomputed = [_recomputed_zone_map(p) for p in table.partitions()]
+    for partition in table.partitions():
+        partition.zone_map = ZoneMap(
+            row_count=-1,
+            columns={col.name: ColumnZone(-9, 9, 1, True) for col in table.schema.columns},
+        )
+    epoch = db.catalog.epoch
+    db.analyze()
+    assert db.catalog.epoch > epoch
+    assert [p.zone_map for p in table.partitions()] == recomputed
+    assert [repr(p.zone_map) for p in table.partitions()] == [repr(z) for z in recomputed]
+    settings = db.settings
+    assert repr(db.catalog.stats("sharded")) == repr(
+        _frozen_gathered_stats(table, settings.statistics_target, settings.sample_rows)
+    )
+    # Refreshing through the table itself gives the same zone maps.
+    assert not table.refresh_zone_maps()
+    assert [repr(p.zone_map) for p in table.partitions()] == [repr(z) for z in recomputed]
