@@ -227,9 +227,10 @@ class Database:
     def analyze(self, tables: Optional[Iterable[str]] = None) -> None:
         """Run ANALYZE over ``tables`` (default: all tables).
 
-        Each shard's columns are counted once; partitioned tables refresh
-        their per-shard zone maps (min/max/null-count, exact) from those
-        counts before the statistics consume them.  The catalog
+        Each shard's columns are counted once, one column at a time;
+        partitioned tables refresh their per-shard zone maps
+        (min/max/null-count, exact) from the zones ANALYZE records off those
+        counts.  The catalog
         epoch moves only when a table's statistics or one of its zone maps
         (which plan-time pruning and the scan upper bound read) come out
         different, so an ANALYZE over unchanged data keeps every cached
@@ -241,17 +242,15 @@ class Database:
             )
             for name in names:
                 table = self.catalog.table(name)
-                counts = table.column_counts(range(len(table.schema.columns)))
-                zones_changed = table.refresh_zone_maps(counts)
-                stats_changed = self.catalog.set_stats(
-                    name,
-                    analyze_table(
-                        table,
-                        self.settings.statistics_target,
-                        sample_target=self.settings.sample_rows,
-                        counts=counts,
-                    ),
+                zones = [{} for _ in table.partitions()]
+                stats = analyze_table(
+                    table,
+                    self.settings.statistics_target,
+                    sample_target=self.settings.sample_rows,
+                    zones=zones,
                 )
+                zones_changed = table.refresh_zone_maps(zones)
+                stats_changed = self.catalog.set_stats(name, stats)
                 if zones_changed and not stats_changed:
                     self.catalog.bump_epoch()
                 self.feedback.invalidate_table(name)

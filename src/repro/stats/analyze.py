@@ -10,12 +10,14 @@ same philosophy, and split what ANALYZE produces in two:
   histogram bounds, minimum, maximum and average width are computed over
   every stored value of the column — from one occurrence count and one sort
   of its distinct values — so every estimation error produced by
-  :mod:`repro.optimizer.cardinality` is a model error.  Each shard's
-  column is counted once (:meth:`~repro.storage.table.Table.column_counts`;
-  :meth:`~repro.engine.database.Database.analyze` refreshes the shard's zone
-  map from the same count) and the shards' counts are merged in shard
-  order, which is the count of the gathered column: same first-appearance
-  order, same first key objects.  No column is gathered across shards.
+  :mod:`repro.optimizer.cardinality` is a model error.  One column at a
+  time, each shard's values are counted once
+  (:meth:`~repro.storage.table.Table.column_counts`; a shard's zone of the
+  column comes from the same count, for
+  :meth:`~repro.engine.database.Database.analyze` to refresh its zone map)
+  and the shards' counts are merged in shard order, which is the count of
+  the gathered column: same first-appearance order, same first key
+  objects.  No column is gathered across shards.
 * **The row sample is sampled.**  ``TableStats.sample`` holds up to
   ``sample_target`` whole rows for the ``sampling`` estimation strategy,
   which evaluates predicates on them directly.  The rows are drawn by
@@ -34,6 +36,7 @@ from repro.catalog.schema import ColumnType
 from repro.stats.column_stats import ColumnStats, TableStats
 from repro.stats.histogram import EquiDepthHistogram
 from repro.stats.mcv import MostCommonValues
+from repro.storage.partition import ColumnZone
 from repro.storage.table import Table
 
 
@@ -42,7 +45,7 @@ def analyze_table(
     statistics_target: int = 100,
     sample_target: int = 100,
     only: Optional[Collection[str]] = None,
-    counts: Optional[Sequence[Dict[int, Counter]]] = None,
+    zones: Optional[Sequence[Dict[str, ColumnZone]]] = None,
 ) -> TableStats:
     """Build :class:`~repro.stats.column_stats.TableStats` for one table.
 
@@ -55,26 +58,21 @@ def analyze_table(
         only: analyze just these columns (``None``: all).  For a table whose
             only reader is known, e.g. a re-optimization round's temporary
             table; the row count and the row sample are whole either way.
-        counts: ``table.column_counts`` of (at least) the analyzed columns,
-            when the caller already took them (they are merged into and
-            consumed); counted here when ``None``.
+        zones: one dict per shard, filled with the zone of each analyzed
+            column of each shard that keeps a zone map, taken from the same
+            count (what :meth:`~repro.storage.table.Table.refresh_zone_maps`
+            installs).
     """
     stats = TableStats(table=table.name, row_count=table.row_count)
-    wanted = [
-        (position, col_def)
-        for position, col_def in enumerate(table.schema.columns)
-        if only is None or col_def.name in only
-    ]
-    if counts is None:
-        counts = table.column_counts(position for position, _ in wanted)
-    for position, col_def in wanted:
-        stats.columns[col_def.name] = _analyze_column(
-            col_def.name,
-            col_def.col_type,
-            table.row_count,
-            _merged(shard[position] for shard in counts),
-            statistics_target,
-        )
+    for position, col_def in enumerate(table.schema.columns):
+        if only is None or col_def.name in only:
+            stats.columns[col_def.name] = _analyze_column(
+                col_def.name,
+                col_def.col_type,
+                table.row_count,
+                _merged(table.column_counts(position, zones)),
+                statistics_target,
+            )
     if sample_target > 0:
         stats.sample = _sample_rows(table, sample_target)
         stats.sample_rows = table.row_count
@@ -114,10 +112,7 @@ def _sample_rows(table: Table, target: int) -> List[tuple]:
     else:
         rng = random.Random(repr((table.name, row_count)))
         row_ids = rng.sample(range(row_count), target)
-    if table.num_partitions > 1:
-        return [table.row(row_id) for row_id in row_ids]
-    columns = table.column_data()
-    return [tuple(values[row_id] for values in columns) for row_id in row_ids]
+    return [table.row(row_id) for row_id in row_ids]
 
 
 def _analyze_column(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
 from typing import Dict, Optional, Sequence, Tuple
 
 
@@ -54,12 +53,7 @@ class MostCommonValues:
         if not counts:
             return None
         total = sum(counts.values())
-        top = max(counts.values())
-        if len(counts) > max_entries and top * len(counts) == total:
-            # Every count is equal: the stable top-k is the first k keys.
-            common = list(zip(islice(counts, max_entries), repeat(top)))
-        else:
-            common = counts.most_common(max_entries)
+        common = counts.most_common(max_entries)
         if len(counts) > max_entries:
             # Only keep values noticeably more frequent than the average.
             average = total / len(counts)

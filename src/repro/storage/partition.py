@@ -20,7 +20,7 @@ from __future__ import annotations
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.storage.column import holds_nan, value_range
@@ -246,32 +246,37 @@ class Partition:
                 )
                 self._plain[position] = None
 
-    def column_counts(self, positions: Iterable[int]) -> Dict[int, Counter]:
-        """One occurrence :class:`Counter` per column at ``positions``.
+    def column_counts(
+        self, position: int, zones: Optional[Dict[str, ColumnZone]] = None
+    ) -> Counter:
+        """The occurrence :class:`Counter` of the column at ``position``.
 
-        Counted in storage order, so each keeps its values' first-appearance
+        Counted in storage order, so it keeps the values' first-appearance
         order and first-appearing key objects; NULLs count under ``None``.
+        A shard with a zone map also records the column's
+        :meth:`ColumnZone.from_counts` in ``zones`` (by column name) when
+        given, for :meth:`refresh_zone_map`.
         """
-        return {position: Counter(self.column_at(position)) for position in positions}
+        counts = Counter(self.column_at(position))
+        if zones is not None and self.zone_map is not None:
+            zones[self.schema.columns[position].name] = ColumnZone.from_counts(counts)
+        return counts
 
-    def refresh_zone_map(self, counts: Optional[Mapping[int, Counter]] = None) -> bool:
+    def refresh_zone_map(self, zones: Optional[Dict[str, ColumnZone]] = None) -> bool:
         """Recompute the zone map exactly from the column counts (ANALYZE).
 
-        ``counts`` are :meth:`column_counts` over every column, taken here
-        when ``None``.  Returns whether the new zone map differs from the one
-        it replaced.
+        ``zones`` holds every column's zone as :meth:`column_counts` records
+        them, in schema order; counted here, one column at a time, when
+        ``None``.  Returns whether the new zone map differs from the one it
+        replaced.
         """
         if self.zone_map is None:
             return False
-        if counts is None:
-            counts = self.column_counts(range(len(self.schema.columns)))
-        zone_map = ZoneMap(
-            row_count=self._row_count,
-            columns={
-                col.name: ColumnZone.from_counts(counts[position])
-                for position, col in enumerate(self.schema.columns)
-            },
-        )
+        if zones is None:
+            zones = {}
+            for position in range(len(self.schema.columns)):
+                self.column_counts(position, zones)
+        zone_map = ZoneMap(row_count=self._row_count, columns=zones)
         changed = zone_map != self.zone_map
         self.zone_map = zone_map
         return changed

@@ -109,7 +109,7 @@ class PartitionSnapshot(Partition):
     def compress(self, codec: str = "auto") -> None:
         raise _read_only(self.schema.name)
 
-    def refresh_zone_map(self, counts=None) -> bool:
+    def refresh_zone_map(self, zones=None) -> bool:
         # Nothing to refresh without a zone map; a pinned one is read-only.
         if self.zone_map is not None:
             raise _read_only(self.schema.name)

@@ -20,12 +20,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from functools import partial
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
 from repro.storage.column import checked_value, checked_values
-from repro.storage.partition import Partition, ZoneMap, stable_hash
+from repro.storage.partition import ColumnZone, Partition, ZoneMap, stable_hash
 
 __all__ = ["Table"]
 
@@ -357,24 +358,36 @@ class Table:
         # the gather caches so they rebuild from the segments.
         self._invalidate()
 
-    def column_counts(self, positions: Iterable[int]) -> List[Dict[int, Counter]]:
-        """Each shard's :meth:`~repro.storage.partition.Partition.column_counts`
-        of the columns at ``positions``, in shard order (what ANALYZE counts)."""
-        positions = list(positions)
-        return [partition.column_counts(positions) for partition in self._partitions]
+    def column_counts(
+        self, position: int, zones: Optional[Sequence[Dict[str, ColumnZone]]] = None
+    ) -> List[Counter]:
+        """Each shard's occurrence :class:`Counter` of the column at
+        ``position``, in shard order (what ANALYZE counts).
+
+        With ``zones`` (one dict per shard), each shard that keeps a zone map
+        records the column's zone from the same count
+        (:meth:`~repro.storage.partition.Partition.column_counts`).
+        """
+        return [
+            partition.column_counts(position, shard_zones)
+            for partition, shard_zones in zip(
+                self._partitions, repeat(None) if zones is None else zones
+            )
+        ]
 
     def refresh_zone_maps(
-        self, counts: Optional[Sequence[Dict[int, Counter]]] = None
+        self, zones: Optional[Sequence[Dict[str, ColumnZone]]] = None
     ) -> bool:
         """Recompute every shard's zone map exactly (ANALYZE; none when unpartitioned).
 
-        ``counts`` are :meth:`column_counts` over every column, taken shard
-        by shard when ``None``.  Returns whether any shard's zone map changed.
+        ``zones`` are every column's zones as :meth:`column_counts` records
+        them, counted shard by shard when ``None``.  Returns whether any
+        shard's zone map changed.
         """
-        if counts is None:
-            counts = [None] * len(self._partitions)
         changed = [
-            partition.refresh_zone_map(shard_counts)
-            for partition, shard_counts in zip(self._partitions, counts)
+            partition.refresh_zone_map(shard_zones)
+            for partition, shard_zones in zip(
+                self._partitions, repeat(None) if zones is None else zones
+            )
         ]
         return any(changed)

@@ -10,6 +10,7 @@ the production code must stay field-for-field equal to it.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -20,7 +21,7 @@ from repro.stats.analyze import _analyze_column, analyze_table
 from repro.stats.column_stats import ColumnStats, TableStats
 from repro.stats.histogram import EquiDepthHistogram
 from repro.stats.mcv import MostCommonValues
-from repro.storage.partition import ColumnZone, ZoneMap
+from repro.storage.partition import ColumnZone, Partition, ZoneMap
 from repro.storage.snapshot import SnapshotTable
 from repro.storage.table import Table
 
@@ -416,3 +417,27 @@ def test_database_analyze_refreshes_every_zone_map_from_its_counts():
     # Refreshing through the table itself gives the same zone maps.
     assert not table.refresh_zone_maps()
     assert [repr(p.zone_map) for p in table.partitions()] == [repr(z) for z in recomputed]
+
+
+@pytest.mark.parametrize("partitioned", [True, False])
+def test_analyze_holds_one_column_of_counts_at_a_time(monkeypatch, partitioned):
+    if partitioned:
+        db, _ = _sharded_db()
+    else:
+        db = Database()
+        db.create_table(make_schema("plain", [("a", ColumnType.INT), ("b", ColumnType.TEXT)]))
+        db.load_rows("plain", [(i % 7, f"v{i % 5}") for i in range(200)])
+    taken = []
+    count = Partition.column_counts
+
+    def recording(self, position, zones=None):
+        # Every count of an earlier column is gone once the next is taken.
+        assert all(ref() is None for at, ref in taken if at != position)
+        counts = count(self, position, zones)
+        taken.append((position, weakref.ref(counts)))
+        return counts
+
+    monkeypatch.setattr(Partition, "column_counts", recording)
+    db.analyze()
+    assert len({at for at, _ in taken}) == (5 if partitioned else 2)
+    assert all(ref() is None for _, ref in taken)
