@@ -34,7 +34,6 @@ from repro.engine.plancache import PlanCache, PlanCacheStats
 from repro.engine.settings import EngineSettings
 from repro.errors import InterfaceError
 from repro.optimizer.injection import CardinalityInjector
-from repro.sql.ast import AggregateFunc, ColumnRef
 from repro.sql.binder import BoundQuery
 from repro.sql.params import bind_parameters
 from repro.sql.parser import parse_select
@@ -450,16 +449,14 @@ def _describe(ctx: QueryContext) -> List[ColumnDescription]:
     catalog = ctx.database.catalog
     columns: List[Tuple[str, Optional[ColumnType]]] = []
 
-    def base_type(ref) -> Optional[ColumnType]:
-        if ref is None or ref.alias is None:
-            return None
-        table = bound.alias_tables.get(ref.alias) if bound is not None else None
+    def base_type(alias: str, column: str) -> Optional[ColumnType]:
+        table = bound.alias_tables.get(alias) if bound is not None else None
         if table is None or table not in catalog:
             return None
         schema = catalog.schema(table)
-        if not schema.has_column(ref.column):
+        if not schema.has_column(column):
             return None
-        return schema.column(ref.column).col_type
+        return schema.column(column).col_type
 
     if bound is not None and bound.select_items:
         for item in bound.select_items:
@@ -470,23 +467,13 @@ def _describe(ctx: QueryContext) -> List[ColumnDescription]:
                 name = f"{item.aggregate.value}({target})"
             else:
                 name = str(item.expr)
-            if isinstance(item.result_type, ColumnType):
-                # The binder inferred the output type (numeric widening for
-                # arithmetic, common branch type for CASE, COUNT -> INT,
-                # AVG -> FLOAT).
-                col_type: Optional[ColumnType] = item.result_type
-            elif item.aggregate is AggregateFunc.COUNT:
-                col_type = ColumnType.INT
-            elif item.aggregate is AggregateFunc.AVG:
-                col_type = ColumnType.FLOAT
-            else:  # hand-built unbound items fall back to the catalog type
-                col_type = base_type(item.column)
-            columns.append((name, col_type))
+            # The binder inferred the output type (numeric widening for
+            # arithmetic, common branch type for CASE, COUNT -> INT, AVG ->
+            # FLOAT); a bare NULL has none.
+            columns.append((name, item.result_type))
     elif ctx.execution is not None:
         for alias, column in ctx.execution.result.columns:
-            columns.append(
-                (f"{alias}.{column}", base_type(ColumnRef(alias=alias, column=column)))
-            )
+            columns.append((f"{alias}.{column}", base_type(alias, column)))
     return [
         (name, col_type, None, None, None, None, None) for name, col_type in columns
     ]

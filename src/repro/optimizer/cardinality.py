@@ -44,7 +44,7 @@ from repro.sql.ast import (
 )
 from repro.sql.binder import BoundJoin, BoundQuery
 from repro.sql.values import is_truthy
-from repro.stats.column_stats import ColumnStats, TableStats
+from repro.stats.column_stats import ColumnStats
 
 # Default selectivities used when statistics cannot answer a question,
 # mirroring PostgreSQL's DEFAULT_EQ_SEL / DEFAULT_INEQ_SEL / pattern defaults.
@@ -87,10 +87,6 @@ class SelectivityEstimator:
         self._catalog = catalog
 
     # -- public API --------------------------------------------------------
-
-    def table_stats(self, table: str) -> Optional[TableStats]:
-        """ANALYZE statistics for ``table`` (``None`` before ANALYZE)."""
-        return self._catalog.stats(table)
 
     def table_rows(self, table: str) -> float:
         """Row count of ``table`` (from statistics, falling back to storage)."""

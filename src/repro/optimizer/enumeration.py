@@ -29,6 +29,15 @@ only for the cheapest join of each alias subset the search keeps.
 ``candidates_considered`` is charged as simulated planning time, so work
 the search skips by reuse — the greedy ordering's pairs re-costed in every
 round — is still charged as if recomputed: only the recomputation goes.
+
+The enumerator plans only :class:`~repro.sql.binder.BoundQuery` objects the
+binder made (:meth:`repro.engine.Database.parse`) or shape-preserving
+rewrites of them (:func:`~repro.sql.builder.collapse_aliases`,
+:func:`~repro.sql.params.bind_parameters`).  Every shape rule — aggregate
+argument types, ORDER BY key forms, OFFSET without LIMIT — is checked once,
+by the parser or the binder, and not again here.  The binder does not check
+that the join graph is connected; a disconnected one is a
+:class:`~repro.errors.PlanningError` from :meth:`JoinEnumerator.plan`.
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.catalog.catalog import Catalog
-from repro.catalog.schema import ColumnType
 from repro.errors import PlanningError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
@@ -57,7 +65,6 @@ from repro.optimizer.plan import (
 )
 from repro.optimizer.pruning import prune_partitions
 from repro.sql.ast import (
-    AggregateFunc,
     Column,
     ColumnRef,
     Comparison,
@@ -465,69 +472,10 @@ class JoinEnumerator:
     def _finalize(self, best: PlanNode) -> PlanNode:
         query = self.query
         num_outputs = max(1, len(query.select_items))
-        # The binder rejects SUM/AVG over text for SQL statements; repeat the
-        # check here so hand-built queries cannot reach the executors, where
-        # the engines would diverge (concatenation vs TypeError).
-        for item in query.select_items:
-            if item.aggregate not in (AggregateFunc.SUM, AggregateFunc.AVG):
-                continue
-            if item.expr is None:  # only COUNT may take '*'
-                raise PlanningError(
-                    f"{item.aggregate.value.upper()}(*) is not defined"
-                )
-            if item.column is None:
-                # Computed expressions were type-checked by the binder; a
-                # hand-built text-typed expression would still be rejected
-                # below by its bare column references, if any.
-                continue
-            table = query.table_for(item.column.alias)
-            schema = self._catalog.schema(table)
-            if schema.has_column(item.column.column):
-                col_type = schema.column(item.column.column).col_type
-                if col_type is ColumnType.TEXT:
-                    raise PlanningError(
-                        f"{item.aggregate.value.upper()}({item.column}) is not "
-                        f"defined for text column {table}.{item.column.column}"
-                    )
-        # Sort keys referencing base-table columns (alias set) sort the join
-        # result *below* the projection, so non-projected columns are still
-        # available; output-column keys (alias "") sort above it.  The binder
-        # always emits homogeneous keys; hand-built queries mixing the two
-        # forms have no single valid sort position, so reject them here
-        # instead of failing inside an executor column lookup.
+        # Base-table sort keys (alias set) sort the join result *below* the
+        # projection, so non-projected columns are still available; output
+        # keys (alias "") sort above it.  The binder never mixes the two.
         has_base_keys = any(key.alias for key in query.order_by)
-        has_output_keys = any(not key.alias for key in query.order_by)
-        if has_base_keys and has_output_keys:
-            raise PlanningError(
-                "ORDER BY keys must either all reference output columns or "
-                f"all reference base-table columns, query {query.name!r} mixes both"
-            )
-        if has_output_keys and not query.select_items:
-            raise PlanningError(
-                "ORDER BY output-column keys require an explicit select list, "
-                f"query {query.name!r} selects *"
-            )
-        if has_base_keys and query.group_by:
-            raise PlanningError(
-                "grouped queries can only ORDER BY output columns, query "
-                f"{query.name!r} sorts on base-table columns"
-            )
-        if query.distinct and has_base_keys and query.select_items:
-            raise PlanningError(
-                "SELECT DISTINCT can only ORDER BY projected columns, query "
-                f"{query.name!r} sorts on non-projected base-table columns"
-            )
-        if has_base_keys and self._has_aggregate():
-            raise PlanningError(
-                "aggregate queries can only ORDER BY output columns, query "
-                f"{query.name!r} sorts on base-table columns"
-            )
-        if query.limit is None and query.offset:
-            # The grammar ties OFFSET to LIMIT; a hand-built query with only
-            # an offset would otherwise be silently ignored.
-            raise PlanningError(
-                f"OFFSET requires a LIMIT, query {query.name!r} has none"
-            )
         if query.constant_filters:
             # Bind-time folded constant predicates: EXPLAIN shows them as a
             # one-time filter; a false one prunes the whole subtree (the

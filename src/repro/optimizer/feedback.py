@@ -84,11 +84,11 @@ class SubsetKeys:
         if known is None:
             filters = self.query.filters_for(alias)
             texts = tuple(sorted(f.to_sql() for f in filters))
-            # Substituting the slot is exact only when each filter mentions
-            # this alias alone and no text holds the slot character already.
-            exact = all(f.referenced_aliases() == (alias,) for f in filters)
+            # A filter mentions its own alias alone (the binder files one
+            # over two aliases as a residual); substituting the slot is exact
+            # unless a text holds the slot character already.
             slotted = None
-            if exact and not any(_SLOT in text for text in texts):
+            if not any(_SLOT in text for text in texts):
                 slotted = [_rename_aliases(f, {alias: _SLOT}).to_sql() for f in filters]
             known = self._aliases[alias] = ((self.query.table_for(alias), texts), slotted)
         return known

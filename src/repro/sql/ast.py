@@ -633,18 +633,6 @@ class SelectItem:
         return text
 
 
-def select_column(
-    alias: Optional[str],
-    name: str,
-    aggregate: Optional[AggregateFunc] = None,
-    output_name: Optional[str] = None,
-) -> SelectItem:
-    """Shorthand for a plain (or aggregated) column select item."""
-    return SelectItem(
-        expr=column(alias, name), aggregate=aggregate, output_name=output_name
-    )
-
-
 @dataclass(frozen=True)
 class OrderItem:
     """One ``ORDER BY`` key: a column (or select-list output name) plus direction."""
@@ -675,10 +663,6 @@ class SelectQuery:
     order_by: List[OrderItem] = field(default_factory=list)
     limit: Optional[int] = None
     offset: Optional[int] = None
-
-    def table_aliases(self) -> List[str]:
-        """Aliases of all FROM-clause tables, in declaration order."""
-        return [t.alias for t in self.tables]
 
     def to_sql(self) -> str:
         """Render the query back to SQL text."""

@@ -32,6 +32,15 @@ follows numeric widening (INT op INT -> INT, anything FLOAT -> FLOAT),
 comparisons and boolean trees are BOOL (surfaced as INT, SQLite-style),
 ``CASE`` takes the common type of its branches, ``COUNT`` is INT and ``AVG``
 FLOAT.  ``Cursor.description`` reads these type codes directly.
+
+The binder is the one front door for queries: :meth:`repro.engine.Database.plan`
+takes SQL text or a :class:`BoundQuery` from :meth:`repro.engine.Database.parse`,
+and the planner plans only bound queries made here or shape-preserving
+rewrites of them (:func:`repro.sql.builder.collapse_aliases`,
+:func:`repro.sql.params.bind_parameters`).  So each rule is checked once: the
+grammar's own (``*`` only inside ``COUNT``, ``OFFSET`` only after ``LIMIT``,
+bare columns beside ungrouped aggregates) by the parser, every other one
+here; nothing downstream checks them again.
 """
 
 from __future__ import annotations
@@ -159,13 +168,24 @@ _ORDERED_WITH = {ExprType.INT: _NUMBERS, ExprType.FLOAT: _NUMBERS, ExprType.TEXT
 
 
 def _accepting(expr: Expr, accepts: Optional[Tuple[type, ...]]) -> Expr:
-    """``expr`` accepting only values of ``accepts`` types, if it is a ``?``.
+    """``expr`` accepting only values of ``accepts`` types, if it is a ``?``
+    or a ``CASE`` that may yield one (each THEN/ELSE result, recursively).
 
     :func:`repro.sql.params.bind_parameters` checks them, so a value that
     cannot meet its operand fails there, not as a ``TypeError`` mid-query.
     """
-    if isinstance(expr, Param) and accepts is not None:
+    if accepts is None:
+        return expr
+    if isinstance(expr, Param):
         return Param(expr.parameter, accepts)
+    if isinstance(expr, Case):
+        return Case(
+            whens=tuple(
+                (condition, _accepting(result, accepts))
+                for condition, result in expr.whens
+            ),
+            default=None if expr.default is None else _accepting(expr.default, accepts),
+        )
     return expr
 
 
@@ -789,32 +809,24 @@ class Binder:
         return operand.column_type()
 
     def _check_grouping_rules(self, bound: BoundQuery) -> None:
-        """Enforce the standard grouped-select rules on the bound select list."""
-        has_aggregate = any(
-            item.aggregate is not None for item in bound.select_items
-        )
-        if bound.group_by:
-            if not bound.select_items:
-                raise BindError("SELECT * cannot be combined with GROUP BY")
-            keys = {(ref.alias, ref.column) for ref in bound.group_by}
-            for item in bound.select_items:
-                if item.aggregate is not None or item.expr is None:
-                    continue
-                for ref in item.expr.referenced_columns():
-                    if (ref.alias, ref.column) not in keys:
-                        raise BindError(
-                            f"column {ref} must appear in the GROUP BY "
-                            "clause or be used in an aggregate function"
-                        )
-        elif has_aggregate:
-            # The parser enforces the same rule with token positions for SQL
-            # text (_check_bare_columns); this branch covers queries bound
-            # from hand-built SelectQuery ASTs.
-            for item in bound.select_items:
-                if item.aggregate is None:
+        """Enforce the grouped-select rules on the bound select list.
+
+        Ungrouped aggregates beside bare columns are the parser's rule
+        (it reports the offending token).
+        """
+        if not bound.group_by:
+            return
+        if not bound.select_items:
+            raise BindError("SELECT * cannot be combined with GROUP BY")
+        keys = {(ref.alias, ref.column) for ref in bound.group_by}
+        for item in bound.select_items:
+            if item.aggregate is not None or item.expr is None:
+                continue
+            for ref in item.expr.referenced_columns():
+                if (ref.alias, ref.column) not in keys:
                     raise BindError(
-                        f"bare column {item.expr} cannot be mixed with "
-                        "aggregates without GROUP BY"
+                        f"column {ref} must appear in the GROUP BY "
+                        "clause or be used in an aggregate function"
                     )
 
     # -- ORDER BY ----------------------------------------------------------

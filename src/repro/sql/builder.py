@@ -1,13 +1,15 @@
-"""Programmatic construction and rewriting of bound queries.
+"""Shape-preserving rewrites of bound queries, and the columns they touch.
 
-Two users of this module:
+Every :class:`~repro.sql.binder.BoundQuery` starts at the binder
+(:meth:`repro.engine.Database.parse`); this module only derives queries from
+bound ones and reads them:
 
-* Workload generators build queries directly without going through SQL text
-  (although :mod:`repro.workloads.job` emits SQL text so that the parser is
-  exercised end to end).
-* The re-optimization driver (:mod:`repro.core.reoptimizer`) rewrites a bound
-  query by *collapsing* a set of aliases into a materialized temporary table,
-  exactly as the paper's Figure 6 rewrite does.
+* :func:`collapse_aliases` is the paper's re-optimization rewrite (Figure 6):
+  a set of aliases becomes one materialized temporary table
+  (:mod:`repro.executor.handover`).
+* :func:`referenced_columns`, :func:`scan_referenced_columns` and
+  :func:`estimated_columns` list the columns of an alias that the handover,
+  the scans (late materialization) and the estimators need.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import BindError
 from repro.sql.ast import (
-    AggregateFunc,
     Column,
     ColumnRef,
     Expr,
@@ -24,162 +25,6 @@ from repro.sql.ast import (
     transform_expr,
 )
 from repro.sql.binder import BoundJoin, BoundQuery, BoundSortKey
-
-
-class QueryBuilder:
-    """Fluent builder for :class:`~repro.sql.binder.BoundQuery` objects.
-
-    The builder performs only structural checks (duplicate aliases, joins
-    over unknown aliases); full catalog validation still belongs to the
-    binder.  It is nonetheless convenient for tests and for programmatic
-    query rewriting where the catalog is known to contain the tables.
-    """
-
-    def __init__(self, name: Optional[str] = None) -> None:
-        self._name = name
-        self._aliases: List[str] = []
-        self._alias_tables: Dict[str, str] = {}
-        self._select_items: List[SelectItem] = []
-        self._filters: Dict[str, List[Expr]] = {}
-        self._joins: List[BoundJoin] = []
-        self._residuals: List[Expr] = []
-        self._distinct = False
-        self._group_by: List[ColumnRef] = []
-        self._order_by: List[BoundSortKey] = []
-        self._limit: Optional[int] = None
-        self._offset: Optional[int] = None
-
-    def add_table(self, table: str, alias: Optional[str] = None) -> "QueryBuilder":
-        """Add a FROM-clause table with an optional alias."""
-        alias = alias or table
-        if alias in self._alias_tables:
-            raise BindError(f"duplicate alias {alias!r}")
-        self._aliases.append(alias)
-        self._alias_tables[alias] = table
-        return self
-
-    def add_select(
-        self,
-        alias: str,
-        column: str,
-        aggregate: Optional[AggregateFunc] = None,
-        output_name: Optional[str] = None,
-    ) -> "QueryBuilder":
-        """Add an output column (optionally aggregated)."""
-        self._require_alias(alias)
-        self._select_items.append(
-            SelectItem(
-                expr=Column(ColumnRef(alias=alias, column=column)),
-                aggregate=aggregate,
-                output_name=output_name,
-            )
-        )
-        return self
-
-    def add_select_expr(
-        self,
-        expr: Expr,
-        aggregate: Optional[AggregateFunc] = None,
-        output_name: Optional[str] = None,
-    ) -> "QueryBuilder":
-        """Add a computed output column (optionally aggregated)."""
-        for ref in expr.referenced_columns():
-            if ref.alias is not None:
-                self._require_alias(ref.alias)
-        self._select_items.append(
-            SelectItem(expr=expr, aggregate=aggregate, output_name=output_name)
-        )
-        return self
-
-    def add_count_star(self, output_name: Optional[str] = None) -> "QueryBuilder":
-        """Add a ``COUNT(*)`` output column."""
-        self._select_items.append(
-            SelectItem(
-                expr=None, aggregate=AggregateFunc.COUNT, output_name=output_name
-            )
-        )
-        return self
-
-    def add_filter(self, alias: str, predicate: Expr) -> "QueryBuilder":
-        """Attach a single-table filter expression to ``alias``."""
-        self._require_alias(alias)
-        self._filters.setdefault(alias, []).append(predicate)
-        return self
-
-    def add_residual(self, predicate: Expr) -> "QueryBuilder":
-        """Attach a multi-table residual join filter."""
-        for ref in predicate.referenced_columns():
-            if ref.alias is not None:
-                self._require_alias(ref.alias)
-        self._residuals.append(predicate)
-        return self
-
-    def add_join(
-        self, left_alias: str, left_column: str, right_alias: str, right_column: str
-    ) -> "QueryBuilder":
-        """Add an equi-join predicate between two aliases."""
-        self._require_alias(left_alias)
-        self._require_alias(right_alias)
-        if left_alias == right_alias:
-            raise BindError("a join must connect two different aliases")
-        self._joins.append(
-            BoundJoin(
-                left_alias=left_alias,
-                left_column=left_column,
-                right_alias=right_alias,
-                right_column=right_column,
-            )
-        )
-        return self
-
-    def set_distinct(self, distinct: bool = True) -> "QueryBuilder":
-        """Toggle DISTINCT on the output."""
-        self._distinct = distinct
-        return self
-
-    def add_group_by(self, alias: str, column: str) -> "QueryBuilder":
-        """Add a GROUP BY key."""
-        self._require_alias(alias)
-        self._group_by.append(ColumnRef(alias=alias, column=column))
-        return self
-
-    def add_order_by(
-        self, alias: str, column: str, ascending: bool = True
-    ) -> "QueryBuilder":
-        """Add an ORDER BY key (``alias=""`` sorts on an output column name)."""
-        if alias:
-            self._require_alias(alias)
-        self._order_by.append(
-            BoundSortKey(alias=alias, column=column, ascending=ascending)
-        )
-        return self
-
-    def set_limit(self, limit: int, offset: Optional[int] = None) -> "QueryBuilder":
-        """Set LIMIT (and optionally OFFSET) on the output."""
-        self._limit = limit
-        self._offset = offset
-        return self
-
-    def build(self) -> BoundQuery:
-        """Produce the bound query."""
-        return BoundQuery(
-            name=self._name,
-            aliases=list(self._aliases),
-            alias_tables=dict(self._alias_tables),
-            select_items=list(self._select_items),
-            filters={alias: list(preds) for alias, preds in self._filters.items()},
-            joins=list(self._joins),
-            residuals=list(self._residuals),
-            distinct=self._distinct,
-            group_by=list(self._group_by),
-            order_by=list(self._order_by),
-            limit=self._limit,
-            offset=self._offset,
-        )
-
-    def _require_alias(self, alias: str) -> None:
-        if alias not in self._alias_tables:
-            raise BindError(f"unknown alias {alias!r}; call add_table first")
 
 
 def collapse_aliases(

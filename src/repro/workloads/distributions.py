@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 
 class ZipfSampler:
@@ -86,38 +86,3 @@ def skewed_year(rng: random.Random, popularity: float, low: int = 1930, high: in
     if rng.random() < 0.25 + 0.65 * popularity:
         return rng.randint(recent_low, high)
     return rng.randint(low, high)
-
-
-def correlated_choice(
-    rng: random.Random,
-    primary: Sequence,
-    secondary: Sequence,
-    correlation: float,
-    anchor: int,
-) -> object:
-    """Choose from ``primary`` near ``anchor`` with probability ``correlation``.
-
-    With probability ``correlation`` the value is drawn from a narrow window
-    of ``primary`` centred on ``anchor`` (introducing a functional-ish
-    dependency on the anchor); otherwise it is drawn uniformly from
-    ``secondary``.
-    """
-    if primary and rng.random() < correlation:
-        window = max(1, len(primary) // 10)
-        start = max(0, min(len(primary) - window, anchor - window // 2))
-        return primary[start + rng.randrange(window)]
-    return secondary[rng.randrange(len(secondary))]
-
-
-def pick_distinct(
-    rng: random.Random, values: Sequence, count: int, required: Optional[Sequence] = None
-) -> List:
-    """Pick ``count`` distinct values, optionally forcing some to be included."""
-    chosen: List = list(required or [])
-    pool = [v for v in values if v not in chosen]
-    rng.shuffle(pool)
-    for value in pool:
-        if len(chosen) >= count:
-            break
-        chosen.append(value)
-    return chosen[:count]

@@ -13,8 +13,7 @@ from repro.optimizer.feedback import (
     subset_key,
     subset_tables,
 )
-from repro.sql import QueryBuilder, parameterize
-from repro.sql.ast import Comparison, ComparisonOp, Literal, column
+from repro.sql import parameterize
 from repro.sql.params import bind_parameters
 
 SKEWED_SQL = (
@@ -166,19 +165,15 @@ class TestSubsetKeysMatchFrozenFormat:
             assert keys.key(subset) == expected, sorted(subset)
             assert subset_key(query, subset) == expected
 
-
-    def test_filters_rendered_per_key_when_a_slot_would_not_be_exact(self):
-        """A filter mentioning another alias, or text already holding the
-        slot character, is renamed per key like before."""
-        builder = QueryBuilder(name="odd")
-        for alias in ("a", "b", "c"):
-            builder.add_table("company", alias)
-        builder.add_join("a", "id", "b", "id")
-        builder.add_join("b", "id", "c", "id")
-        builder.add_filter("a", Comparison(ComparisonOp.LT, column("a", "id"), column("c", "id")))
-        builder.add_filter("b", Comparison(ComparisonOp.EQ, column("b", "symbol"), Literal("\x00.")))
-        builder.add_filter("c", Comparison(ComparisonOp.EQ, column("c", "symbol"), Literal("x")))
-        query = builder.build()
+    def test_filters_rendered_per_key_when_text_holds_the_slot(self, stock_db):
+        """A filter text already holding the slot character is renamed per
+        key like before."""
+        query = stock_db.parse(
+            "SELECT * FROM company AS a, company AS b, company AS c "
+            "WHERE a.id = b.id AND b.id = c.id AND b.symbol = '\x00.' AND c.symbol = 'x'",
+            name="odd",
+        )
+        assert "\x00" in query.filters_for("b")[0].to_sql()
         keys = SubsetKeys(query)
         for subset in _all_subsets(query):
             assert keys.key(subset) == _frozen_subset_key(query, subset), sorted(subset)

@@ -40,15 +40,6 @@ from repro.optimizer.cardinality import MIN_ROWS
 from repro.optimizer.estimators import FeedbackEstimator, SamplingEstimator
 from repro.optimizer.feedback import FeedbackStore
 from repro.optimizer.plan import JoinAlgorithm, PlanNode, ScanNode
-from repro.sql import QueryBuilder
-from repro.sql.ast import (
-    Arithmetic,
-    ArithOp,
-    Comparison,
-    ComparisonOp,
-    Literal,
-    column,
-)
 
 TABLES = ("r0", "r1", "r2", "r3")
 COLUMNS = ("id", "a", "b")
@@ -404,45 +395,39 @@ def _edges(shape: str, n: int, rng: random.Random) -> List[Tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)]  # chain, self_join
 
 
-def random_query(shape: str, n: int, seed: int):
+def random_query(db: Database, shape: str, n: int, seed: int):
     rng = random.Random(seed)
     aliases = [f"{chr(ord('a') + rng.randrange(26))}{i}" for i in range(n)]
     rng.shuffle(aliases)  # FROM order differs from sorted order
-    builder = QueryBuilder(name=f"{shape}{n}s{seed}")
+    tables = []
+    filters = []
     for alias in aliases:
         table = "r2" if shape == "self_join" else rng.choice(TABLES)
-        builder.add_table(table, alias)
+        tables.append(f"{table} AS {alias}")
         if rng.random() < 0.4:
-            builder.add_filter(
-                alias,
-                Comparison(
-                    rng.choice((ComparisonOp.LT, ComparisonOp.EQ)),
-                    column(alias, rng.choice(COLUMNS)),
-                    Literal(rng.randint(0, 10)),
-                ),
-            )
+            op = rng.choice(("<", "="))
+            filters.append(f"{alias}.{rng.choice(COLUMNS)} {op} {rng.randint(0, 10)}")
     edges = _edges(shape, n, rng)
+    residuals = []
     if shape == "residuals" and len(edges) > 1:
         # One edge becomes a residual-only link (a filtered cross product).
         i, j = edges.pop(rng.randrange(1, len(edges)))
-        builder.add_residual(
-            Comparison(ComparisonOp.LT, column(aliases[i], "a"), column(aliases[j], "b"))
-        )
+        residuals.append(f"{aliases[i]}.a < {aliases[j]}.b")
+    joins = []
     for i, j in edges:
-        builder.add_join(aliases[i], rng.choice(COLUMNS), aliases[j], rng.choice(COLUMNS))
+        joins.append(
+            f"{aliases[i]}.{rng.choice(COLUMNS)} = {aliases[j]}.{rng.choice(COLUMNS)}"
+        )
         if rng.random() < 0.15:
-            builder.add_join(aliases[i], "b", aliases[j], "a")
+            joins.append(f"{aliases[i]}.b = {aliases[j]}.a")
     if shape == "residuals" and n >= 3:
         x, y, z = rng.sample(aliases, 3)
-        builder.add_residual(
-            Comparison(
-                ComparisonOp.LT,
-                Arithmetic(ArithOp.ADD, column(x, "a"), column(y, "b")),
-                column(z, "id"),
-            )
-        )
-    builder.add_count_star()
-    return builder.build()
+        residuals.append(f"{x}.a + {y}.b < {z}.id")
+    sql = "SELECT count(*) FROM " + ", ".join(tables)
+    predicates = filters + joins + residuals
+    if predicates:
+        sql += " WHERE " + " AND ".join(predicates)
+    return db.parse(sql, name=f"{shape}{n}s{seed}")
 
 
 def _config(regime: str, n: int) -> PlannerConfig:
@@ -549,7 +534,7 @@ def _cases():
     ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in _cases()],
 )
 def test_masks_plan_like_frozensets(db, shape, regime, n, estimation, seed):
-    query = random_query(shape, n, seed)
+    query = random_query(db, shape, n, seed)
     injector, make_source = _estimation(estimation, db, query, seed)
     reference, new = _plan_both(db, query, _config(regime, n), injector, make_source)
     assert new[0] == reference[0]  # EXPLAIN text
@@ -570,7 +555,7 @@ def test_every_case_dimension_is_covered():
 def test_greedy_charges_reused_pairs_as_recomputed(db, monkeypatch):
     """The greedy ordering costs each pair once across its rounds but charges
     its candidates every round, like the ordering that recomputed them."""
-    query = random_query("clique", 12, 7)
+    query = random_query(db, "clique", 12, 7)
     config = PlannerConfig(bushy_limit=1, dp_limit=1)
     costed = []
     cheapest_join = JoinEnumerator._cheapest_join
@@ -588,11 +573,7 @@ def test_greedy_charges_reused_pairs_as_recomputed(db, monkeypatch):
 
 
 def test_disconnected_graph_is_rejected_by_both(db):
-    builder = QueryBuilder(name="apart")
-    for alias in ("x", "y", "z"):
-        builder.add_table("r0", alias)
-    builder.add_join("x", "id", "y", "a")
-    query = builder.build()
+    query = db.parse("SELECT * FROM r0 AS x, r0 AS y, r0 AS z WHERE x.id = y.a", name="apart")
     estimator = ReferenceEstimator(db.catalog, query)
     with pytest.raises(PlanningError):
         ReferenceEnumerator(

@@ -2,34 +2,35 @@
 
 from itertools import combinations
 
+import pytest
+
 from repro.optimizer import JoinGraph
-from repro.sql import QueryBuilder
-from repro.sql.ast import Comparison, ComparisonOp, column
 
 
-def chain_query(n=4):
-    """t1 - t2 - t3 - ... chain query over the stocks schema-ish tables."""
-    builder = QueryBuilder(name="chain")
-    for i in range(n):
-        builder.add_table("company", f"t{i}")
-    for i in range(n - 1):
-        builder.add_join(f"t{i}", "id", f"t{i+1}", "id")
-    return builder.build()
+def chain_query(db, n):
+    """t0 - t1 - t2 - ... chain of ``company`` aliases joined on ``id``."""
+    tables = ", ".join(f"company AS t{i}" for i in range(n))
+    joins = " AND ".join(f"t{i}.id = t{i + 1}.id" for i in range(n - 1))
+    return db.parse(f"SELECT * FROM {tables} WHERE {joins}", name="chain")
 
 
-def star_query():
+def star_query(db):
     """Star around ``t`` with three satellites."""
-    builder = QueryBuilder(name="star")
-    builder.add_table("title", "t")
-    for alias in ("a", "b", "c"):
-        builder.add_table("movie_keyword", alias)
-        builder.add_join("t", "id", alias, "movie_id")
-    return builder.build()
+    return db.parse(
+        "SELECT * FROM company AS t, trades AS a, trades AS b, trades AS c "
+        "WHERE t.id = a.company_id AND t.id = b.company_id AND t.id = c.company_id",
+        name="star",
+    )
+
+
+@pytest.fixture
+def star(shared_stock_db):
+    return JoinGraph(star_query(shared_stock_db))
 
 
 class TestJoinGraph:
-    def test_neighbors_and_degree(self):
-        graph = JoinGraph(star_query())
+    def test_neighbors_and_degree(self, star):
+        graph = star
         # Bits follow sorted alias order: a, b, c, t.
         assert graph.names == ("a", "b", "c", "t")
         assert graph.bits["a"] == 1 and graph.bits["t"] == 8
@@ -37,39 +38,39 @@ class TestJoinGraph:
         assert graph.neighbours(graph.mask("at")) == graph.mask("bc")
         assert graph.aliases_of(graph.neighbours(graph.bits["a"])) == {"t"}
 
-    def test_edges(self):
-        graph = JoinGraph(chain_query(3))
+    def test_edges(self, shared_stock_db):
+        graph = JoinGraph(chain_query(shared_stock_db, 3))
         assert graph.edges() == [("t0", "t1"), ("t1", "t2")]
 
-    def test_is_connected(self):
-        graph = JoinGraph(star_query())
+    def test_is_connected(self, star):
+        graph = star
         assert graph.is_connected(graph.mask("ta"))
         assert graph.is_connected(graph.mask("tabc"))
         assert not graph.is_connected(graph.mask("ab"))
         assert not graph.is_connected(0)
         assert graph.is_connected(graph.mask("a"))
 
-    def test_connects(self):
-        graph = JoinGraph(star_query())
+    def test_connects(self, star):
+        graph = star
         assert graph.neighbours(graph.mask("t")) & graph.mask("a")
         assert not graph.neighbours(graph.mask("a")) & graph.mask("b")
 
-    def test_pick_removable_keeps_the_rest_connected(self):
-        graph = JoinGraph(star_query())
+    def test_pick_removable_keeps_the_rest_connected(self, star):
+        graph = star
         # The hub t is the highest alias but would disconnect a, b, c.
         assert graph.pick_removable(graph.mask("tabc")) == graph.bits["c"]
         assert graph.pick_removable(graph.mask("ta")) == graph.bits["t"]
         # Disconnected: the highest alias is peeled off.
         assert graph.pick_removable(graph.mask("ab")) == graph.bits["b"]
 
-    def test_connected_components(self):
-        graph = JoinGraph(chain_query(4))
+    def test_connected_components(self, shared_stock_db):
+        graph = JoinGraph(chain_query(shared_stock_db, 4))
         components = graph.connected_components()
         assert len(components) == 1
         assert components[0] == {"t0", "t1", "t2", "t3"}
 
-    def test_connected_subsets_of_size(self):
-        graph = JoinGraph(chain_query(4))
+    def test_connected_subsets_of_size(self, shared_stock_db):
+        graph = JoinGraph(chain_query(shared_stock_db, 4))
         pairs = graph.connected_subsets_of_size(2)
         assert len(pairs) == 3  # chain of 4 has 3 adjacent pairs
         triples = graph.connected_subsets_of_size(3)
@@ -77,28 +78,25 @@ class TestJoinGraph:
         assert graph.connected_subsets_of_size(0) == []
         assert graph.connected_subsets_of_size(9) == []
 
-    def test_connected_subsets_star(self):
-        graph = JoinGraph(star_query())
+    def test_connected_subsets_star(self, star):
+        graph = star
         # Star with 3 satellites: pairs = 3 (each satellite with hub).
         assert len(graph.connected_subsets_of_size(2)) == 3
         # Triples: hub + any 2 satellites = C(3,2) = 3.
         assert len(graph.connected_subsets_of_size(3)) == 3
         assert len(graph.connected_subsets_up_to(2)) == 4 + 3
 
-    def test_connected_levels_list_combinations_order(self):
+    def test_connected_levels_list_combinations_order(self, shared_stock_db):
         """Each level is exactly the connected subsets, in the order
         ``combinations(query.aliases, k)`` lists them."""
-        builder = QueryBuilder(name="mixed")
-        for alias in ("t", "mk", "k", "ci", "n", "a"):
-            builder.add_table("title", alias)
-        builder.add_join("t", "id", "mk", "id")
-        builder.add_join("mk", "id", "k", "id")
-        builder.add_join("t", "id", "ci", "id")
-        builder.add_join("ci", "id", "n", "id")
-        builder.add_residual(
-            Comparison(ComparisonOp.LT, column("n", "id"), column("a", "id"))
+        aliases = ("t", "mk", "k", "ci", "n", "a")
+        query = shared_stock_db.parse(
+            "SELECT * FROM " + ", ".join(f"company AS {a}" for a in aliases)
+            + " WHERE t.id = mk.id AND mk.id = k.id AND t.id = ci.id AND ci.id = n.id"
+            " AND n.id < a.id",
+            name="mixed",
         )
-        query = builder.build()
+        assert len(query.residuals) == 1
         graph = JoinGraph(query)
         levels = list(graph.connected_levels())
         assert len(levels) == len(query.aliases)
@@ -110,13 +108,13 @@ class TestJoinGraph:
             ]
             assert level == expected
 
-    def test_joins_between_sets(self):
-        graph = JoinGraph(star_query())
+    def test_joins_between_sets(self, star):
+        graph = star
         joins = graph.joins_between(graph.mask("ta"), graph.mask("b"))
         assert len(joins) == 1
 
-    def test_to_dot_and_text(self):
-        graph = JoinGraph(star_query())
+    def test_to_dot_and_text(self, star):
+        graph = star
         dot = graph.to_dot()
         assert "graph star" in dot
         assert "t -- " in dot or "a -- " in dot

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import BindError
+from repro.errors import BindError, ParseError, SQLError
 from repro.optimizer import JoinGraph
 from repro.sql import parse_select
 
@@ -45,6 +45,10 @@ class TestBinder:
     def test_unknown_column(self, stock_db):
         with pytest.raises(BindError):
             stock_db.parse("SELECT c.nope FROM company AS c")
+
+    def test_unknown_alias_rejected(self, stock_db):
+        with pytest.raises(BindError, match="unknown alias 'x'"):
+            stock_db.parse("SELECT x.id FROM company AS c")
 
     def test_duplicate_alias_rejected(self, stock_db):
         with pytest.raises(BindError):
@@ -259,3 +263,111 @@ class TestOrderByResolution:
         rebound = stock_db.parse(bound.to_sql())
         assert rebound.to_sql() == bound.to_sql()
         assert rebound.distinct and rebound.limit == 4 and rebound.offset == 2
+
+
+#: Every shape rule that the planner (or the binder, for a parser rule) once
+#: repeated for queries that skipped the binder, the SQL that breaks it, and
+#: where the rule now lives: the parser (``ParseError``) or the binder
+#: (``BindError``), with the message it gives.
+REJECTED_SHAPES = [
+    (
+        "sum over text",
+        "SELECT sum(c.symbol) AS s FROM company AS c",
+        BindError,
+        r"SUM\(c\.symbol\) is not defined for text column company\.symbol",
+    ),
+    (
+        "avg over text",
+        "SELECT avg(c.symbol) AS s FROM company AS c",
+        BindError,
+        r"AVG\(c\.symbol\) is not defined for text column company\.symbol",
+    ),
+    (
+        "sum of star",
+        "SELECT sum(*) AS s FROM company AS c",
+        ParseError,
+        r"'\*' is only allowed inside COUNT, not SUM",
+    ),
+    (
+        "grouped, ordered by an unprojected base column",
+        "SELECT c.sector, count(c.id) AS n FROM company AS c GROUP BY c.sector "
+        "ORDER BY c.id",
+        BindError,
+        r"ORDER BY column c\.id must appear in the select list",
+    ),
+    (
+        "distinct, ordered by an unprojected base column",
+        "SELECT DISTINCT c.sector FROM company AS c ORDER BY c.id",
+        BindError,
+        r"for SELECT DISTINCT, ORDER BY column c\.id must appear in the select list",
+    ),
+    (
+        "aggregate, ordered by a base column",
+        "SELECT sum(c.id) AS s FROM company AS c ORDER BY c.id",
+        BindError,
+        r"ORDER BY column c\.id must appear in the select list",
+    ),
+    (
+        "offset without limit",
+        "SELECT c.id FROM company AS c OFFSET 5",
+        ParseError,
+        "OFFSET is only valid directly after LIMIT",
+    ),
+    (
+        "bare column beside an ungrouped aggregate",
+        "SELECT c.symbol, count(c.id) AS n FROM company AS c",
+        ParseError,
+        r"bare column c\.symbol cannot be mixed with aggregates without GROUP BY",
+    ),
+]
+
+#: Shapes SQL cannot express — output and base ORDER BY keys mixed, output
+#: keys under SELECT * — and the keys the binder emits instead, as
+#: ``(alias, column)``; alias "" is an output column.
+EMITTED_KEYS = [
+    (
+        "output key beside an unprojected column: all base keys",
+        "SELECT c.symbol AS x FROM company AS c ORDER BY x, c.id",
+        [("c", "symbol"), ("c", "id")],
+    ),
+    (
+        "output key beside a projected column: all output keys",
+        "SELECT c.symbol AS x FROM company AS c ORDER BY x, c.symbol",
+        [("", "x"), ("", "x")],
+    ),
+    (
+        "select star: base keys",
+        "SELECT * FROM company AS c ORDER BY id, c.sector",
+        [("c", "id"), ("c", "sector")],
+    ),
+    (
+        "select distinct star: base keys",
+        "SELECT DISTINCT * FROM company AS c ORDER BY sector",
+        [("c", "sector")],
+    ),
+]
+
+
+class TestWhereShapeRulesLive:
+    """Each shape rule is checked once, at parse or bind: a shape SQL can
+    express is rejected there, and one it cannot is never emitted."""
+
+    @pytest.mark.parametrize(
+        "sql, error, message",
+        [case[1:] for case in REJECTED_SHAPES],
+        ids=[case[0] for case in REJECTED_SHAPES],
+    )
+    def test_rejected_at_parse_or_bind(self, shared_stock_db, sql, error, message):
+        with pytest.raises(SQLError, match=message) as raised:
+            shared_stock_db.parse(sql)
+        assert raised.type is error
+
+    @pytest.mark.parametrize(
+        "sql, keys",
+        [case[1:] for case in EMITTED_KEYS],
+        ids=[case[0] for case in EMITTED_KEYS],
+    )
+    def test_binder_emits_one_kind_of_sort_key(self, shared_stock_db, sql, keys):
+        bound = shared_stock_db.parse(sql)
+        assert [(key.alias, key.column) for key in bound.order_by] == keys
+        shared_stock_db.run(bound)

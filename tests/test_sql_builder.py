@@ -1,69 +1,37 @@
-"""Unit tests for the programmatic query builder and the collapse rewrite."""
+"""Unit tests for the collapse rewrite and the referenced-column lists of
+:mod:`repro.sql.builder`, over queries bound from SQL text."""
 
 import pytest
 
 from repro.errors import BindError
-from repro.sql import (
-    AggregateFunc,
-    Comparison,
-    ComparisonOp,
-    Literal,
-    QueryBuilder,
-    collapse_aliases,
-    column,
-    referenced_columns,
+from repro.sql import collapse_aliases, referenced_columns
+
+THREE_TABLE_SQL = (
+    "SELECT min(t.title) AS movie_title "
+    "FROM keyword AS k, movie_keyword AS mk, title AS t "
+    "WHERE k.keyword = 'superhero' AND k.id = mk.keyword_id AND mk.movie_id = t.id"
 )
 
 
-def build_three_table_query():
-    builder = QueryBuilder(name="demo")
-    builder.add_table("keyword", "k").add_table("movie_keyword", "mk").add_table("title", "t")
-    builder.add_select("t", "title", aggregate=AggregateFunc.MIN, output_name="movie_title")
-    builder.add_filter(
-        "k", Comparison(ComparisonOp.EQ, column("k", "keyword"), Literal("superhero"))
-    )
-    builder.add_join("k", "id", "mk", "keyword_id")
-    builder.add_join("mk", "movie_id", "t", "id")
-    return builder.build()
+@pytest.fixture
+def three_table_query(imdb_db):
+    return imdb_db.parse(THREE_TABLE_SQL, name="demo")
 
 
-class TestQueryBuilder:
-    def test_builds_bound_query(self):
-        query = build_three_table_query()
+class TestBoundQueryShape:
+    def test_binds_aliases_joins_and_filters(self, three_table_query):
+        query = three_table_query
+        assert query.name == "demo"
         assert query.aliases == ["k", "mk", "t"]
         assert query.table_for("mk") == "movie_keyword"
         assert len(query.joins) == 2
         assert len(query.filters_for("k")) == 1
 
-    def test_duplicate_alias_rejected(self):
-        builder = QueryBuilder()
-        builder.add_table("title", "t")
-        with pytest.raises(BindError):
-            builder.add_table("name", "t")
-
-    def test_unknown_alias_rejected(self):
-        builder = QueryBuilder()
-        builder.add_table("title", "t")
-        with pytest.raises(BindError):
-            builder.add_select("x", "title")
-        with pytest.raises(BindError):
-            builder.add_join("t", "id", "x", "movie_id")
-
-    def test_self_join_rejected(self):
-        builder = QueryBuilder()
-        builder.add_table("title", "t")
-        with pytest.raises(BindError):
-            builder.add_join("t", "id", "t", "id")
-
-    def test_shaping_clauses_carried_into_bound_query(self):
-        query = (
-            QueryBuilder(name="shaped")
-            .add_table("company", "c")
-            .add_select("c", "sector", output_name="s")
-            .set_distinct()
-            .add_order_by("", "s", ascending=False)
-            .set_limit(3, offset=1)
-            .build()
+    def test_shaping_clauses_carried_into_bound_query(self, stock_db):
+        query = stock_db.parse(
+            "SELECT DISTINCT c.sector AS s FROM company AS c "
+            "ORDER BY s DESC LIMIT 3 OFFSET 1",
+            name="shaped",
         )
         assert query.distinct
         assert [(k.alias, k.column, k.ascending) for k in query.order_by] == [
@@ -71,127 +39,24 @@ class TestQueryBuilder:
         ]
         assert (query.limit, query.offset) == (3, 1)
 
-    def test_mixed_order_by_keys_rejected_at_planning(self, stock_db):
-        # SQL text can never produce mixed output/base sort keys (the binder
-        # normalizes them), but the builder accepts both forms; the planner
-        # must reject the mix instead of crashing inside the executor.
-        from repro.errors import PlanningError
-
-        query = (
-            QueryBuilder(name="mixed")
-            .add_table("company", "c")
-            .add_select("c", "symbol", output_name="x")
-            .add_order_by("", "x")
-            .add_order_by("c", "id")
-            .build()
-        )
-        with pytest.raises(PlanningError, match="mixes both"):
-            stock_db.plan(query)
-
-    def test_grouped_query_with_base_sort_keys_rejected_at_planning(self, stock_db):
-        from repro.errors import PlanningError
-        from repro.sql import AggregateFunc
-
-        query = (
-            QueryBuilder(name="grouped-base-sort")
-            .add_table("company", "c")
-            .add_select("c", "sector")
-            .add_select("c", "id", aggregate=AggregateFunc.COUNT, output_name="n")
-            .add_group_by("c", "sector")
-            .add_order_by("c", "id")
-            .build()
-        )
-        with pytest.raises(PlanningError, match="only ORDER BY output columns"):
-            stock_db.plan(query)
-
-    def test_builder_sum_over_text_rejected_at_planning(self, stock_db):
-        # The binder's type check only covers SQL text; the planner must stop
-        # hand-built queries before the engines diverge on text arithmetic.
-        from repro.errors import PlanningError
-        from repro.sql import AggregateFunc
-
-        query = (
-            QueryBuilder(name="sum-text")
-            .add_table("company", "c")
-            .add_select("c", "symbol", aggregate=AggregateFunc.SUM, output_name="s")
-            .build()
-        )
-        with pytest.raises(PlanningError, match="not defined for text column"):
-            stock_db.plan(query)
-
-    def test_sum_star_rejected_at_planning(self, stock_db):
-        from repro.errors import PlanningError
-        from repro.sql import AggregateFunc, SelectItem
-
-        query = QueryBuilder(name="sum-star").add_table("company", "c").build()
-        query.select_items.append(
-            SelectItem(expr=None, aggregate=AggregateFunc.SUM, output_name="s")
-        )
-        with pytest.raises(PlanningError, match=r"SUM\(\*\) is not defined"):
-            stock_db.plan(query)
-
-    def test_ungrouped_aggregate_with_base_sort_keys_rejected(self, stock_db):
-        from repro.errors import PlanningError
-        from repro.sql import AggregateFunc
-
-        query = (
-            QueryBuilder(name="agg-base-sort")
-            .add_table("company", "c")
-            .add_select("c", "id", aggregate=AggregateFunc.SUM, output_name="s")
-            .add_order_by("c", "id")
-            .build()
-        )
-        with pytest.raises(PlanningError, match="aggregate queries can only"):
-            stock_db.plan(query)
-
-    def test_distinct_with_base_sort_keys_rejected_at_planning(self, stock_db):
-        from repro.errors import PlanningError
-
-        query = (
-            QueryBuilder(name="distinct-base-sort")
-            .add_table("company", "c")
-            .add_select("c", "sector")
-            .set_distinct()
-            .add_order_by("c", "id")
-            .build()
-        )
-        with pytest.raises(PlanningError, match="SELECT DISTINCT can only"):
-            stock_db.plan(query)
-
-    def test_offset_without_limit_rejected_at_planning(self, stock_db):
-        from repro.errors import PlanningError
-
-        query = (
-            QueryBuilder(name="offset-only")
-            .add_table("company", "c")
-            .add_select("c", "id")
-            .build()
-        )
-        query.offset = 5
-        with pytest.raises(PlanningError, match="OFFSET requires a LIMIT"):
-            stock_db.plan(query)
-
 
 class TestReferencedColumns:
-    def test_select_and_boundary_joins(self):
-        query = build_three_table_query()
-        needed = referenced_columns(query, ["k", "mk"])
+    def test_select_and_boundary_joins(self, three_table_query):
+        needed = referenced_columns(three_table_query, ["k", "mk"])
         # mk.movie_id joins to t outside the group; the select list does not
         # reference k or mk, so only the boundary join column is needed.
         assert needed == [("mk", "movie_id")]
 
-    def test_select_columns_included(self):
-        query = build_three_table_query()
-        needed = referenced_columns(query, ["t"])
+    def test_select_columns_included(self, three_table_query):
+        needed = referenced_columns(three_table_query, ["t"])
         assert ("t", "title") in needed
         assert ("t", "id") in needed
 
 
 class TestCollapseAliases:
-    def test_collapse_two_aliases(self):
-        query = build_three_table_query()
+    def test_collapse_two_aliases(self, three_table_query):
         rewritten = collapse_aliases(
-            query,
+            three_table_query,
             ["k", "mk"],
             temp_table="temp1",
             temp_alias="temp1",
@@ -206,24 +71,23 @@ class TestCollapseAliases:
         # Filters on collapsed aliases disappear (they are baked into the temp table).
         assert rewritten.filters == {}
 
-    def test_missing_mapping_rejected(self):
-        query = build_three_table_query()
+    def test_missing_mapping_rejected(self, three_table_query):
         with pytest.raises(BindError):
-            collapse_aliases(query, ["k", "mk"], "temp1", "temp1", column_mapping={})
+            collapse_aliases(
+                three_table_query, ["k", "mk"], "temp1", "temp1", column_mapping={}
+            )
 
-    def test_unknown_alias_rejected(self):
-        query = build_three_table_query()
+    def test_unknown_alias_rejected(self, three_table_query):
         with pytest.raises(BindError):
-            collapse_aliases(query, ["zz"], "temp1", "temp1", column_mapping={})
+            collapse_aliases(three_table_query, ["zz"], "temp1", "temp1", column_mapping={})
 
-    def test_original_query_untouched(self):
-        query = build_three_table_query()
+    def test_original_query_untouched(self, three_table_query):
         collapse_aliases(
-            query,
+            three_table_query,
             ["k", "mk"],
             temp_table="temp1",
             temp_alias="temp1",
             column_mapping={("mk", "movie_id"): "mk_movie_id"},
         )
-        assert query.aliases == ["k", "mk", "t"]
-        assert len(query.joins) == 2
+        assert three_table_query.aliases == ["k", "mk", "t"]
+        assert len(three_table_query.joins) == 2

@@ -140,6 +140,11 @@ class TestParameterTypes:
             "t.shares BETWEEN ? AND 5000",
             "? <= t.shares",
             "-? < t.shares",
+            # A ? that a CASE branch yields meets what the CASE meets.
+            "t.shares > CASE WHEN t.id = 1 THEN ? ELSE 2 END",
+            "t.shares + CASE WHEN t.id = 1 THEN 1 ELSE ? END > 2500",
+            "t.shares BETWEEN CASE WHEN t.id = 1 THEN ? ELSE 0 END AND 5000",
+            "CASE WHEN t.id = 1 THEN CASE WHEN t.id = 2 THEN ? END ELSE 2 END <= t.shares",
         ],
     )
     def test_value_that_cannot_meet_its_operand_rejected_at_bind(self, stock_db, where):
@@ -154,6 +159,28 @@ class TestParameterTypes:
         with pytest.raises(ParameterError):
             bind_parameters(bound, (1,))
         assert bind_parameters(bound, ("SYM5",)).param_count == 0
+
+    def test_case_branch_ordered_against_text_takes_strings(self, stock_db):
+        bound = stock_db.parse(
+            "SELECT c.id FROM company AS c "
+            "WHERE c.symbol < CASE WHEN c.id = 1 THEN 'SYM5' ELSE ? END"
+        )
+        with pytest.raises(ParameterError, match="cannot meet its operand"):
+            bind_parameters(bound, (1,))
+        assert bind_parameters(bound, ("SYM5",)).param_count == 0
+
+    def test_case_branch_mismatch_is_a_parameter_error_when_executed(self, stock_db):
+        from repro.engine import connect
+
+        cursor = connect(stock_db).cursor()
+        sql = (
+            "SELECT count(t.id) AS n FROM trades AS t "
+            "WHERE t.shares > CASE WHEN t.id = 1 THEN ? ELSE 2 END"
+        )
+        with pytest.raises(ParameterError):
+            cursor.execute(sql, ("a",))
+        cursor.execute(sql, (4000,))
+        assert cursor.fetchall() == stock_db.run(sql.replace("?", "4000")).rows
 
     @pytest.mark.parametrize(
         "where, same_as",

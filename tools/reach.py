@@ -2,29 +2,35 @@
 
 Runs, in this one process, the five wall-clock ledger workloads at smoke
 size with tracing on (``benchmarks/perf/run.py --smoke --trace 1`` per
-workload), the fig1/fig5 paper-figure benchmark modules and the two CI
-streams of the differential SQL fuzzer (``HYPOTHESIS_PROFILE=ci``, once over
-plain tables and once with ``REPRO_FUZZ_PARTITIONS=4``), the last two
-through ``pytest.main``, with a ``sys.setprofile``/``threading.setprofile``
-hook recording every function call into ``src/repro``.  Then prints, per
-module, how many of the functions it defines were called at least once,
-lowest share first::
+workload), every paper-figure benchmark module (``benchmarks/test_fig*.py``,
+``benchmarks/test_table*.py``, ``benchmarks/test_ablation_reoptimization.py``),
+every ``examples/*.py`` script (as ``__main__``, output discarded) and the
+two CI streams of the differential SQL fuzzer (``HYPOTHESIS_PROFILE=ci``,
+once over plain tables and once with ``REPRO_FUZZ_PARTITIONS=4``), the
+benchmarks and the fuzzer through ``pytest.main``, with a
+``sys.setprofile``/``threading.setprofile`` hook recording every function
+call into ``src/repro``.  Then prints, per module, how many of the functions
+it defines were called at least once, lowest share first, and below that
+table every function no run called, one ``module:line name`` a line::
 
     python tools/reach.py
 
 A function is a code object compiled from the module's source: ``def``s and
 methods, nested ones included; class bodies, lambdas and comprehensions are
-not counted.  A module at 0 is code no workload, figure or fuzz stream
-reaches.  Takes a few minutes; the profile hook slows every Python call.
+not counted.  A module at 0 is code no workload, figure, example or fuzz
+stream reaches.  Takes several minutes; the profile hook slows every Python
+call.
 """
 
 from __future__ import annotations
 
 import contextlib
+import glob
 import importlib.util
 import inspect
 import io
 import os
+import runpy
 import sys
 import threading
 from typing import Dict, Iterator, List, Set, Tuple
@@ -34,7 +40,12 @@ SRC = os.path.join(REPO, "src")
 PACKAGE = os.path.join(SRC, "repro")
 PERF_DIR = os.path.join(REPO, "benchmarks", "perf")
 WORKLOADS = ("job_cold", "job_hot", "stocks_agg", "wide_scan", "server_churn")
-FIGURES = ("test_fig1_top20.py", "test_fig5_feedback_loop.py")
+FIGURES = sorted(
+    glob.glob(os.path.join(REPO, "benchmarks", "test_fig*.py"))
+    + glob.glob(os.path.join(REPO, "benchmarks", "test_table*.py"))
+    + [os.path.join(REPO, "benchmarks", "test_ablation_reoptimization.py")]
+)
+EXAMPLES = sorted(glob.glob(os.path.join(REPO, "examples", "*.py")))
 FUZZ = os.path.join(REPO, "tests", "property", "test_sql_fuzz_differential.py")
 #: ``REPRO_FUZZ_PARTITIONS`` of the fuzz streams: plain tables, four shards.
 FUZZ_PARTITIONS = ("0", "4")
@@ -124,8 +135,19 @@ def run_pytest(paths: List[str], label: str) -> int:
 
 
 def run_figures() -> int:
-    paths = [os.path.join(REPO, "benchmarks", name) for name in FIGURES]
-    return run_pytest(paths, ", ".join(FIGURES))
+    return run_pytest(FIGURES, f"{len(FIGURES)} paper-figure modules")
+
+
+def run_examples() -> None:
+    argv = sys.argv
+    for path in EXAMPLES:
+        sys.argv = [path]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                runpy.run_path(path, run_name="__main__")
+        finally:
+            sys.argv = argv
+        print(f"ran {os.path.relpath(path, REPO)}", file=sys.stderr, flush=True)
 
 
 def run_fuzz() -> int:
@@ -154,6 +176,11 @@ def report(modules: Dict[str, Set[FunctionKey]], reached: Set[FunctionKey]) -> L
     hit = sum(row[2] for row in rows)
     total = sum(row[3] for row in rows)
     lines.append(f"{'total':{width}s}  {hit:>7d}/{total:<7d}  {hit / total:6.1%}")
+    lines.append("")
+    lines.append("unreached functions:")
+    for _, module, _, _ in rows:
+        for _, line, name in sorted(modules[module] - reached):
+            lines.append(f"{module}:{line} {name}")
     return lines
 
 
@@ -165,9 +192,13 @@ def main() -> int:
     recorder = CallRecorder()
     with recorder.installed():
         run_workloads()
-        status = max(run_figures(), run_fuzz())
+        status = run_figures()
+        run_examples()
+        status = max(status, run_fuzz())
     print(
-        f"reach census: {', '.join(WORKLOADS)} (smoke, traced) + {', '.join(FIGURES)}"
+        f"reach census: {', '.join(WORKLOADS)} (smoke, traced)"
+        f" + {', '.join(os.path.basename(path) for path in FIGURES)}"
+        f" + {', '.join(os.path.basename(path) for path in EXAMPLES)}"
         f" + fuzz (ci profile, REPRO_FUZZ_PARTITIONS {' and '.join(FUZZ_PARTITIONS)})"
     )
     print("\n".join(report(modules, recorder.reached())))
