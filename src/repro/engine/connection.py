@@ -98,7 +98,7 @@ def connect(
         capture_explain: record EXPLAIN ANALYZE text of every statement on
             its cursor (``Cursor.explain_text``).
         **overrides: :class:`EngineSettings` fields — ``engine``,
-            ``estimator``, ``sample_rows``, ... — applied at the highest
+            ``estimator``, ``statistics_target``, ... — applied at the highest
             precedence.
     """
     return Connection(

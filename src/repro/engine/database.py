@@ -246,7 +246,6 @@ class Database:
                 stats = analyze_table(
                     table,
                     self.settings.statistics_target,
-                    sample_target=self.settings.sample_rows,
                     zones=zones,
                 )
                 zones_changed = table.refresh_zone_maps(zones)
@@ -367,7 +366,6 @@ class Database:
                 stats = analyze_table(
                     table,
                     self.settings.statistics_target,
-                    sample_target=self.settings.sample_rows,
                     only=analyze_only,
                 )
                 if transient:

@@ -73,8 +73,6 @@ class EngineSettings:
         feedback_path: JSON file to warm the feedback store from at startup
             (``None`` = start cold; saving is explicit via
             ``FeedbackStore.save``).
-        sample_rows: sampled rows ANALYZE keeps per table for the
-            sampling estimator (0 disables sampling).
     """
 
     statistics_target: int = 100
@@ -87,14 +85,12 @@ class EngineSettings:
     estimator: str = "stats"
     feedback_capacity: int = DEFAULT_FEEDBACK_CAPACITY
     feedback_path: Optional[str] = None
-    sample_rows: int = 100
 
     def __post_init__(self) -> None:
         self.engine = ExecutionEngine.from_name(self.engine)
         _require(self.statistics_target >= 1, "statistics_target must be >= 1")
         _require(self.plan_cache_size >= 0, "plan_cache_size must be >= 0")
         _require(self.feedback_capacity >= 1, "feedback_capacity must be >= 1")
-        _require(self.sample_rows >= 0, "sample_rows must be >= 0")
         if self.estimator not in ESTIMATOR_NAMES:
             raise ConfigError(
                 f"unknown estimator {self.estimator!r}; "

@@ -49,7 +49,6 @@ from repro.optimizer.plan import (
     JoinAlgorithm,
     JoinNode,
     LimitNode,
-    MaterializeNode,
     OneTimeFilterNode,
     PlanNode,
     ScanNode,
@@ -360,12 +359,6 @@ class Executor:
                 columns = plan_output_columns(node.child, self._catalog)
                 result = self._ops.empty_result(columns)
                 work = 0.0
-        elif isinstance(node, MaterializeNode):
-            child_result, child_work = self._execute_node(node.child, metrics, memo=memo)
-            result = child_result
-            work = child_work + self.cost_model.materialize_cost(
-                len(child_result), len(child_result.columns)
-            )
         else:
             raise ExecutionError(f"unsupported plan node {type(node).__name__}")
 

@@ -19,7 +19,6 @@ from repro.optimizer.plan import (
     JoinAlgorithm,
     JoinNode,
     LimitNode,
-    MaterializeNode,
     PlanNode,
     ScanNode,
     SortNode,
@@ -47,7 +46,6 @@ __all__ = [
     "JoinGraph",
     "JoinNode",
     "LimitNode",
-    "MaterializeNode",
     "Optimizer",
     "PerfectInjection",
     "PlanNode",

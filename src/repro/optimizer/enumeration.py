@@ -137,8 +137,6 @@ class JoinEnumerator:
         ``Limit`` nodes — in that order, so ``LIMIT`` applies to the sorted,
         de-duplicated output.
         """
-        if not self.query.aliases:
-            raise PlanningError("query has no FROM-clause tables")
         components = self.graph.connected_components()
         if len(components) > 1:
             raise PlanningError(

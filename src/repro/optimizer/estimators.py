@@ -16,20 +16,23 @@ Four estimator names are registered in :data:`ESTIMATORS`:
 * :class:`UpperBoundEstimator` — pessimistic hard bounds only: zone-map scan
   bounds per table, multiplied across joins.  Never underestimates an inner
   join, at the cost of gross overestimates.
-* :class:`SamplingEstimator` — evaluates single-table predicates over the
-  row sample ANALYZE keeps, scaling the match fraction to the table
-  cardinality; joins fall through to the model.
+* :class:`SamplingEstimator` — evaluates single-table predicates over a
+  whole-row sample it draws itself (:func:`table_sample`), scaling the
+  match fraction to the table cardinality; joins fall through to the model.
 * :class:`FeedbackEstimator` — consults the persistent
   :class:`~repro.optimizer.feedback.FeedbackStore` of runtime-observed
   subtree cardinalities, so repeated workloads are planned from truth.
 
 A source is shared by every connection and server session of a database, so
-implementations must be thread-safe; the built-ins keep no per-query state.
+implementations must be thread-safe; the built-ins keep no per-query state
+(the sampling estimator's samples are cached on the statistics they were
+drawn for, and a draw is deterministic, so racing first draws agree).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+import random
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.optimizer.cardinality import (
@@ -40,6 +43,11 @@ from repro.optimizer.cardinality import (
 from repro.optimizer.feedback import FeedbackStore
 from repro.optimizer.injection import CardinalityInjector
 from repro.sql.binder import BoundQuery
+from repro.stats.column_stats import TableStats
+from repro.storage.table import Table
+
+#: Whole rows the sampling estimator draws per table.
+SAMPLE_ROWS = 100
 
 
 class UpperBoundEstimator(CardinalityInjector):
@@ -71,14 +79,41 @@ class UpperBoundEstimator(CardinalityInjector):
         return max(MIN_ROWS, rows)
 
 
+def table_sample(table: Table, stats: TableStats) -> List[tuple]:
+    """Up to :data:`SAMPLE_ROWS` whole rows of ``table``, drawn uniformly by
+    global row id and cached on ``stats`` (the first call draws).
+
+    Deterministically seeded from the table name and the analyzed row
+    count, so every draw for equal statistics over unchanged data is the
+    same sample (and the sampling estimator's plans repeat).  A table no
+    larger than the target is kept whole, in storage order.  Row ids are
+    drawn below the analyzed row count: a load since ANALYZE adds no rows
+    to the draw of an unpartitioned table, but can shift a partitioned
+    table's global row ids.  Concurrent first calls each draw that same
+    list; the last assignment wins.
+    """
+    sample = stats.sample
+    if sample is None:
+        row_count = stats.row_count
+        if row_count <= SAMPLE_ROWS:
+            row_ids: Sequence[int] = range(row_count)
+        else:
+            rng = random.Random(repr((table.name, row_count)))
+            row_ids = rng.sample(range(row_count), SAMPLE_ROWS)
+        sample = stats.sample = [table.row(row_id) for row_id in row_ids]
+    return sample
+
+
 class SamplingEstimator(CardinalityInjector):
-    """Predicate evaluation over ANALYZE-maintained row samples.
+    """Predicate evaluation over a uniform sample of whole rows.
 
     For a single-table subset, the filter conjunction is compiled to a row
-    predicate and evaluated against the table's row sample; the match
-    fraction scales to the table cardinality.  Correlated predicates — the
-    independence model's blind spot — are estimated correctly as long as the
-    sample sees them.  Joins and tables without a sample fall through.
+    predicate and evaluated against the table's row sample
+    (:func:`table_sample`, drawn the first time the table is estimated);
+    the match fraction scales to the table cardinality.  Correlated
+    predicates — the independence model's blind spot — are estimated
+    correctly as long as the sample sees them.  Joins and tables without
+    statistics or rows fall through.
     """
 
     def __init__(self, catalog: Catalog) -> None:
@@ -94,7 +129,9 @@ class SamplingEstimator(CardinalityInjector):
             return None
         table = query.table_for(alias)
         stats = self.catalog.stats(table)
-        sample = getattr(stats, "sample", None)
+        if stats is None:
+            return None
+        sample = table_sample(self.catalog.table(table), stats)
         if not sample:
             return None
         try:

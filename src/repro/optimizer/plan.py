@@ -321,28 +321,6 @@ class OneTimeFilterNode(PlanNode):
         return f"Result (One-Time Filter: {'true' if self.passes else 'false'})"
 
 
-@dataclass
-class MaterializeNode(PlanNode):
-    """Materialization of a subtree into a temporary table (re-optimization)."""
-
-    child: PlanNode
-    temp_table: str
-    output_columns: Tuple[Tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-
-    @property
-    def aliases(self) -> FrozenSet[str]:
-        return self.child.aliases
-
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def label(self) -> str:
-        return f"Materialize into {self.temp_table}"
-
-
 def plan_depth(node: PlanNode) -> int:
     """Height of the plan tree (scans have depth 1)."""
     children = node.children()

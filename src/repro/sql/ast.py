@@ -576,14 +576,6 @@ def transform_expr(expr: Expr, fn) -> Expr:
     return fn(rebuilt)
 
 
-def single_table_alias(expr: Expr) -> Optional[str]:
-    """Return the single alias an expression references, if exactly one."""
-    aliases = expr.referenced_aliases()
-    if len(aliases) == 1:
-        return aliases[0]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Select list and query
 # ---------------------------------------------------------------------------

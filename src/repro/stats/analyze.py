@@ -4,33 +4,27 @@ The paper sets PostgreSQL's ``default_statistics_target`` to its maximum so
 that the optimizer has the best statistics the standard mechanism can
 provide; estimation errors therefore stem from the *model* (independence and
 uniformity assumptions), not from stale or coarse statistics.  We follow the
-same philosophy, and split what ANALYZE produces in two:
+same philosophy: null fraction, distinct count, MCV list, histogram bounds,
+minimum and maximum are computed over every stored value of the column —
+from one occurrence count and one sort of its distinct values — so every
+estimation error produced by :mod:`repro.optimizer.cardinality` is a model
+error.
 
-* **Column statistics are exact.**  Null fraction, distinct count, MCV list,
-  histogram bounds, minimum, maximum and average width are computed over
-  every stored value of the column — from one occurrence count and one sort
-  of its distinct values — so every estimation error produced by
-  :mod:`repro.optimizer.cardinality` is a model error.  One column at a
-  time, each shard's values are counted once
-  (:meth:`~repro.storage.table.Table.column_counts`; a shard's zone of the
-  column comes from the same count, for
-  :meth:`~repro.engine.database.Database.analyze` to refresh its zone map)
-  and the shards' counts are merged in shard order, which is the count of
-  the gathered column: same first-appearance order, same first key
-  objects.  No column is gathered across shards.
-* **The row sample is sampled.**  ``TableStats.sample`` holds up to
-  ``sample_target`` whole rows for the ``sampling`` estimation strategy,
-  which evaluates predicates on them directly.  The rows are drawn by
-  global row id (a uniform draw without replacement, O(sample) regardless of
-  table size) from a generator seeded with the table's name and row count:
-  re-running ANALYZE over unchanged data yields the identical sample.
+One column at a time, each shard's values are counted once
+(:meth:`~repro.storage.table.Table.column_counts`; a shard's zone of the
+column comes from the same count, for
+:meth:`~repro.engine.database.Database.analyze` to refresh its zone map) and
+the shards' counts are merged in shard order, which is the count of the
+gathered column: same first-appearance order, same first key objects.  No
+column is gathered across shards, and no stored row is read: ANALYZE keeps
+no row sample (the ``sampling`` estimator draws its own, see
+:func:`repro.optimizer.estimators.table_sample`).
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
-from typing import Collection, Dict, Iterable, List, Optional, Sequence
+from typing import Collection, Dict, Iterable, Optional, Sequence
 
 from repro.catalog.schema import ColumnType
 from repro.stats.column_stats import ColumnStats, TableStats
@@ -43,7 +37,6 @@ from repro.storage.table import Table
 def analyze_table(
     table: Table,
     statistics_target: int = 100,
-    sample_target: int = 100,
     only: Optional[Collection[str]] = None,
     zones: Optional[Sequence[Dict[str, ColumnZone]]] = None,
 ) -> TableStats:
@@ -53,11 +46,9 @@ def analyze_table(
         table: the storage object to analyze (any layout, or a snapshot).
         statistics_target: maximum MCV entries and histogram buckets per
             column (named after PostgreSQL's ``default_statistics_target``).
-        sample_target: number of whole rows (schema column order) kept for
-            the sampling estimator; ``0`` disables sampling.
         only: analyze just these columns (``None``: all).  For a table whose
             only reader is known, e.g. a re-optimization round's temporary
-            table; the row count and the row sample are whole either way.
+            table; the row count is whole either way.
         zones: one dict per shard, filled with the zone of each analyzed
             column of each shard that keeps a zone map, taken from the same
             count (what :meth:`~repro.storage.table.Table.refresh_zone_maps`
@@ -73,9 +64,6 @@ def analyze_table(
                 _merged(table.column_counts(position, zones)),
                 statistics_target,
             )
-    if sample_target > 0:
-        stats.sample = _sample_rows(table, sample_target)
-        stats.sample_rows = table.row_count
     return stats
 
 
@@ -98,23 +86,6 @@ def _merged(shard_counts: Iterable[Counter]) -> Counter:
     return merged
 
 
-def _sample_rows(table: Table, target: int) -> List[tuple]:
-    """Up to ``target`` whole rows, drawn uniformly by global row id.
-
-    Deterministically seeded from the table name and size so repeated
-    ANALYZE runs over unchanged data produce identical samples (and hence
-    identical sampling-estimator plans).  A table no larger than the target
-    is kept whole, in storage order.
-    """
-    row_count = table.row_count
-    if row_count <= target:
-        row_ids: Sequence[int] = range(row_count)
-    else:
-        rng = random.Random(repr((table.name, row_count)))
-        row_ids = rng.sample(range(row_count), target)
-    return [table.row(row_id) for row_id in row_ids]
-
-
 def _analyze_column(
     name: str,
     col_type: ColumnType,
@@ -129,10 +100,6 @@ def _analyze_column(
     """
     non_null = row_count - counts.pop(None, 0)
     ordered = sorted(counts)
-    if col_type is ColumnType.TEXT and non_null:
-        avg_width = sum(len(v) * n for v, n in counts.items()) / non_null
-    else:
-        avg_width = 8.0
     return ColumnStats(
         column=name,
         col_type=col_type,
@@ -144,5 +111,4 @@ def _analyze_column(
         ),
         min_value=ordered[0] if ordered else None,
         max_value=ordered[-1] if ordered else None,
-        avg_width=avg_width,
     )

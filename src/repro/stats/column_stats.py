@@ -23,8 +23,6 @@ class ColumnStats:
         histogram: equi-depth histogram over non-MCV values (``None`` for
             low-cardinality or non-orderable columns).
         min_value / max_value: observed extremes over non-NULL values.
-        avg_width: average value width in bytes (used only by the cost model's
-            memory heuristics).
     """
 
     column: str
@@ -35,7 +33,6 @@ class ColumnStats:
     histogram: Optional[EquiDepthHistogram] = None
     min_value: Optional[object] = None
     max_value: Optional[object] = None
-    avg_width: float = 8.0
 
     @property
     def non_null_fraction(self) -> float:
@@ -45,28 +42,20 @@ class ColumnStats:
 
 @dataclass
 class TableStats:
-    """Statistics for one table.
+    """Statistics for one table: its row count and per-column statistics.
 
-    Besides the per-column statistics, ANALYZE keeps a small uniform sample
-    of whole rows (tuples in schema column order) so the sampling
-    estimator can evaluate arbitrary — including correlated — predicate
-    conjunctions directly.  ``sample_rows`` records how many rows the
-    sample was drawn from (the table size at ANALYZE time).
+    ``sample`` is not a statistic and ANALYZE never fills it: it caches the
+    whole-row sample the sampling estimator draws the first time it
+    estimates this table (:func:`repro.optimizer.estimators.table_sample`),
+    so the sample lives exactly as long as the statistics it was drawn for.
+    It takes no part in equality or ``repr``.
     """
 
     table: str
     row_count: int
     columns: Dict[str, ColumnStats] = field(default_factory=dict)
-    sample: List[tuple] = field(default_factory=list)
-    sample_rows: int = 0
+    sample: Optional[List[tuple]] = field(default=None, compare=False, repr=False)
 
     def column_stats(self, column: str) -> Optional[ColumnStats]:
         """Statistics for ``column`` (``None`` if the column was not analyzed)."""
         return self.columns.get(column)
-
-    def n_distinct(self, column: str, default: Optional[int] = None) -> Optional[int]:
-        """Distinct count of ``column`` or ``default`` if unknown."""
-        stats = self.columns.get(column)
-        if stats is None:
-            return default
-        return stats.n_distinct

@@ -1,20 +1,30 @@
 """Unit tests for the cardinality estimators and engine configuration."""
 
+import sys
+import threading
+from collections import Counter
+
 import pytest
 
+from repro.catalog import ColumnType, make_schema
 from repro.engine import Database, EngineSettings, connect
 from repro.errors import ConfigError
 from repro.optimizer import DictInjection
 from repro.optimizer.cardinality import MIN_ROWS, scan_upper_bound
 from repro.optimizer.cost import CostParameters
 from repro.optimizer.estimators import (
+    SAMPLE_ROWS,
     FeedbackEstimator,
     SamplingEstimator,
     UpperBoundEstimator,
     create_source,
+    table_sample,
 )
 from repro.optimizer.plan import ScanNode
 from repro.server import Server, ServerConfig
+from repro.stats.analyze import analyze_table
+from repro.storage.table import Table
+from test_stats_analyze_golden import LAYOUTS, _plain
 
 SKEWED_SQL = (
     "SELECT count(t.id) AS n FROM company AS c, trades AS t "
@@ -100,16 +110,18 @@ class TestUpperBoundEstimator:
 
 
 class TestSamplingEstimator:
-    def test_estimates_from_reservoir_sample(self, stock_db):
-        stock_db.analyze()
-        query = stock_db.parse(SKEWED_SQL, name="sampled")
+    def test_skewed_symbol_estimate_is_pinned(self, stock_db):
+        query = stock_db.parse(SKEWED_SQL, name="pinned")
         source = SamplingEstimator(stock_db.catalog)
-        estimate = source.lookup(query, _subset(query, "c"))
-        sample = stock_db.catalog.stats("company").sample
-        assert sample, "ANALYZE must maintain a reservoir sample"
-        assert estimate is not None and estimate >= MIN_ROWS
+        stats = stock_db.catalog.stats("company")
+        assert stats.sample is None  # ANALYZE draws no sample
+        # The value the estimator gave when ANALYZE drew the sample.
+        assert repr(source.lookup(query, _subset(query, "c"))) == "1.5"
+        assert len(stats.sample) == SAMPLE_ROWS  # drawn by the first estimate
         # The scaled match fraction can never exceed the table itself.
-        assert estimate <= stock_db.catalog.table("company").row_count
+        assert source.lookup(query, _subset(query, "c")) <= len(
+            stock_db.catalog.table("company")
+        )
 
     def test_defers_without_filters_or_sample(self, stock_db):
         query = stock_db.parse(SKEWED_SQL, name="defer")
@@ -122,14 +134,92 @@ class TestSamplingEstimator:
         stock_db.catalog.stats("company").sample = []
         assert source.lookup(query, _subset(query, "c")) is None
 
-    def test_sample_disabled_by_settings(self):
-        db = Database(EngineSettings(sample_rows=0))
-        from repro.catalog import ColumnType, make_schema
+    def test_sample_lives_as_long_as_its_statistics(self, stock_db):
+        query = stock_db.parse(SKEWED_SQL, name="cache")
+        source = SamplingEstimator(stock_db.catalog)
+        source.lookup(query, _subset(query, "c"))
+        drawn = stock_db.catalog.stats("company").sample
+        # A server snapshot holds the statistics, and so the sample, by
+        # reference.
+        snapshot = stock_db.snapshot()
+        assert snapshot.catalog.stats("company").sample is drawn
+        # Statistics equal to the old ones keep the epoch and compare equal
+        # although only the old ones carry a sample.
+        epoch = stock_db.catalog.epoch
+        stock_db.analyze(["company"])
+        assert stock_db.catalog.epoch == epoch
+        assert stock_db.catalog.stats("company").sample is None
+        source.lookup(query, _subset(query, "c"))
+        assert stock_db.catalog.stats("company").sample == drawn
 
-        db.create_table(make_schema("x", [("id", ColumnType.INT)]))
-        db.load_rows("x", [(i,) for i in range(50)])
-        db.finalize_load()
-        assert db.catalog.stats("x").sample == []
+    def test_concurrent_first_draws_agree(self, stock_db):
+        query = stock_db.parse(SKEWED_SQL, name="race")
+        source = SamplingEstimator(stock_db.catalog)
+        expected = source.lookup(query, _subset(query, "c"))
+        drawn = stock_db.catalog.stats("company").sample
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                stock_db.catalog.stats("company").sample = None
+                threads = [
+                    threading.Thread(
+                        target=lambda: results.append(
+                            source.lookup(query, _subset(query, "c"))
+                        )
+                    )
+                    for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert stock_db.catalog.stats("company").sample == drawn
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 40
+
+
+# -- the estimator's row sample, over every storage layout ------------------------
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("rows", [1000, SAMPLE_ROWS, 60, 0])
+def test_sample_is_a_deterministic_draw_of_stored_rows(layout, rows):
+    table = LAYOUTS[layout](rows)
+    stats = analyze_table(table)
+    sample = table_sample(table, stats)
+    assert stats.sample is sample  # cached on the statistics
+    stored = Counter(table.iter_rows())
+    assert len(sample) == min(SAMPLE_ROWS, rows)
+    assert all(isinstance(row, tuple) and len(row) == 3 for row in sample)
+    # Drawn without replacement from the stored rows (all distinct here).
+    assert not Counter(sample) - stored
+    assert len(set(sample)) == len(sample)
+    # Unchanged data, unchanged sample — also on a rebuilt copy of the table.
+    assert table_sample(table, analyze_table(table)) == sample
+    rebuilt = LAYOUTS[layout](rows)
+    assert table_sample(rebuilt, analyze_table(rebuilt)) == sample
+
+
+def test_small_tables_are_kept_whole_in_storage_order():
+    table = _plain(40)
+    assert table_sample(table, analyze_table(table)) == list(table.iter_rows())
+
+
+def test_sample_covers_the_table_uniformly():
+    # Every tenth of ten 10k-row tables gets its share of their 1000 sampled
+    # rows (expected 100 each; a uniform draw stays well within 60..140).
+    per_decile = Counter()
+    for name in range(10):
+        table = Table(make_schema(f"t{name}", [("id", ColumnType.INT)]))
+        table.load_columns([list(range(10_000))])
+        sample = table_sample(table, analyze_table(table))
+        per_decile.update(row[0] // 1000 for row in sample)
+    assert sorted(per_decile) == list(range(10))
+    assert all(60 <= count <= 140 for count in per_decile.values())
 
 
 class TestFeedbackEstimator:
@@ -167,21 +257,21 @@ class TestEngineSettingsResolution:
         resolved = EngineSettings.resolve(base, plan_cache_size=8)
         assert resolved.plan_cache_size == 8  # explicit kwarg wins
         assert resolved.estimator == "sampling"  # settings object second
-        assert resolved.sample_rows == EngineSettings().sample_rows  # default
+        assert resolved.statistics_target == EngineSettings().statistics_target  # default
 
     def test_none_overrides_mean_unspecified(self):
         base = EngineSettings(plan_cache_size=3)
         assert EngineSettings.resolve(base, plan_cache_size=None).plan_cache_size == 3
 
     def test_unknown_setting_names_nearest_field(self):
-        with pytest.raises(ConfigError, match="did you mean 'sample_rows'"):
-            EngineSettings().replace(sample_row=3)
+        with pytest.raises(ConfigError, match="did you mean 'statistics_target'"):
+            EngineSettings().replace(statistics_targt=3)
         with pytest.raises(ConfigError, match="unknown engine setting"):
             EngineSettings.resolve(None, plan_cash_size=7)
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError, match="sample_rows"):
-            EngineSettings(sample_rows=-1)
+        with pytest.raises(ConfigError, match="statistics_target"):
+            EngineSettings(statistics_target=0)
         with pytest.raises(ConfigError, match="unknown estimator"):
             EngineSettings(estimator="exact")
 
@@ -194,6 +284,8 @@ class TestEngineSettingsResolution:
             connect(stock_db, engine="parallel")
         with pytest.raises(ConfigError, match="unknown engine setting 'workers'"):
             connect(stock_db, workers=4)
+        with pytest.raises(ConfigError, match="unknown engine setting 'sample_rows'"):
+            connect(stock_db, sample_rows=50)
 
     def test_replace_returns_validated_copy(self):
         base = EngineSettings()

@@ -1,4 +1,4 @@
-"""ANALYZE golden tests: exact column statistics, index-drawn row sample.
+"""ANALYZE golden tests: exact column statistics, counted shard by shard.
 
 ``_frozen_analyze_column`` is the multi-pass implementation ANALYZE used
 before column statistics were derived from one occurrence count and one sort
@@ -15,8 +15,10 @@ from collections import Counter
 
 import pytest
 
-from repro import Database
+from repro import Database, connect
 from repro.catalog.schema import ColumnType, PartitionSpec, make_schema
+from repro.core import ReoptimizationPolicy
+from repro.engine import database as database_module
 from repro.stats.analyze import _analyze_column, analyze_table
 from repro.stats.column_stats import ColumnStats, TableStats
 from repro.stats.histogram import EquiDepthHistogram
@@ -74,12 +76,6 @@ def _frozen_analyze_column(name, col_type, values, statistics_target):
     histogram = _frozen_histogram(non_null, statistics_target)
     min_value = min(non_null) if non_null else None
     max_value = max(non_null) if non_null else None
-    if col_type is ColumnType.TEXT:
-        avg_width = (
-            sum(len(v) for v in non_null) / len(non_null) if non_null else 8.0
-        )
-    else:
-        avg_width = 8.0
     return ColumnStats(
         column=name,
         col_type=col_type,
@@ -89,7 +85,6 @@ def _frozen_analyze_column(name, col_type, values, statistics_target):
         histogram=histogram,
         min_value=min_value,
         max_value=max_value,
-        avg_width=avg_width,
     )
 
 
@@ -154,7 +149,6 @@ def test_column_statistics_equal_the_frozen_implementation(name, statistics_targ
     # Dataclass equality treats 1 == 1.0; the statistics' float fields must
     # also be the same floats, bit for bit.
     assert repr(actual.null_fraction) == repr(expected.null_fraction)
-    assert repr(actual.avg_width) == repr(expected.avg_width)
     if expected.mcv is not None:
         assert [repr(f) for f in actual.mcv.frequencies] == [
             repr(f) for f in expected.mcv.frequencies
@@ -172,7 +166,7 @@ def test_public_builders_equal_the_frozen_implementation():
             ), name
 
 
-# -- the row sample --------------------------------------------------------------
+# -- storage layouts -------------------------------------------------------------
 
 
 def _schema(partition_by=None):
@@ -213,45 +207,33 @@ LAYOUTS = {
 }
 
 
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-@pytest.mark.parametrize("rows, target", [(1000, 100), (1000, 7), (60, 100), (0, 100)])
-def test_sample_is_a_deterministic_draw_of_stored_rows(layout, rows, target):
-    table = LAYOUTS[layout](rows)
-    stats = analyze_table(table, sample_target=target)
-    stored = Counter(table.iter_rows())
-    assert len(stats.sample) == min(target, rows)
-    assert stats.sample_rows == rows
-    assert all(isinstance(row, tuple) and len(row) == 3 for row in stats.sample)
-    # Drawn without replacement from the stored rows (all distinct here).
-    assert not Counter(stats.sample) - stored
-    assert len(set(stats.sample)) == len(stats.sample)
-    # Unchanged data, unchanged sample — also on a rebuilt copy of the table.
-    assert analyze_table(table, sample_target=target).sample == stats.sample
-    assert analyze_table(LAYOUTS[layout](rows), sample_target=target).sample == stats.sample
+def _no_row_reads(self, row_id):
+    raise AssertionError(f"ANALYZE read stored row {row_id} of {self.name!r}")
 
 
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_sampling_can_be_switched_off(layout):
-    stats = analyze_table(LAYOUTS[layout](300), sample_target=0)
-    assert stats.sample == []
-    assert stats.sample_rows == 0
-    assert stats.row_count == 300
+def test_analyze_reads_no_stored_row(monkeypatch, stock_db):
+    analyzed = []
+    analyze = database_module.analyze_table
 
+    def recording(table, *args, **kwargs):
+        analyzed.append(table.name)
+        return analyze(table, *args, **kwargs)
 
-def test_small_tables_are_kept_whole_in_storage_order():
-    table = _plain(40)
-    assert analyze_table(table, sample_target=100).sample == list(table.iter_rows())
-
-
-def test_sample_covers_the_table_uniformly():
-    # Every tenth of a 10k-row table gets its share of a 1000-row sample
-    # (expected 100 each; a reservoir or index draw stays well within 60..140).
-    table = Table(make_schema("t", [("id", ColumnType.INT)]))
-    table.load_columns([list(range(10_000))])
-    sample = analyze_table(table, sample_target=1000).sample
-    per_decile = Counter(row[0] // 1000 for row in sample)
-    assert sorted(per_decile) == list(range(10))
-    assert all(60 <= count <= 140 for count in per_decile.values())
+    monkeypatch.setattr(Table, "row", _no_row_reads)
+    monkeypatch.setattr(database_module, "analyze_table", recording)
+    for layout in sorted(LAYOUTS):
+        for rows in (0, 60, 1000):
+            assert analyze_table(LAYOUTS[layout](rows)).row_count == rows
+    stock_db.analyze()
+    assert sorted(analyzed) == ["company", "trades"]
+    # One re-optimization round, whose temporary table is ANALYZEd.
+    conn = connect(stock_db, policy=ReoptimizationPolicy(threshold=4), plan_cache_size=0)
+    context = conn.execute(
+        "SELECT count(t.id) AS n FROM company AS c, trades AS t "
+        "WHERE c.symbol = 'SYM1' AND c.id = t.company_id"
+    ).context
+    assert context.reoptimized
+    assert len(analyzed) > 2 and "company" not in analyzed[2:]
 
 
 def test_layouts_agree_on_column_statistics():
@@ -269,7 +251,6 @@ def test_layouts_agree_on_column_statistics():
                 expected.min_value,
                 expected.max_value,
             )
-            assert actual.avg_width == expected.avg_width
 
 
 # -- sharded ANALYZE -------------------------------------------------------------
@@ -279,7 +260,7 @@ def test_layouts_agree_on_column_statistics():
 # did before, and derives everything from the gathered lists.
 
 
-def _frozen_gathered_stats(table, statistics_target, sample_target):
+def _frozen_gathered_stats(table, statistics_target):
     columns = table.column_data()
     stats = TableStats(table=table.name, row_count=table.row_count)
     for col_def, values in zip(table.schema.columns, columns):
@@ -296,14 +277,6 @@ def _frozen_gathered_stats(table, statistics_target, sample_target):
                 col_def.name, col_def.col_type, values, statistics_target
             )
         stats.columns[col_def.name] = column
-    if sample_target > 0:
-        if table.row_count <= sample_target:
-            row_ids = range(table.row_count)
-        else:
-            rng = random.Random(repr((table.name, table.row_count)))
-            row_ids = rng.sample(range(table.row_count), sample_target)
-        stats.sample = [tuple(values[i] for values in columns) for i in row_ids]
-        stats.sample_rows = table.row_count
     return stats
 
 
@@ -376,22 +349,19 @@ def test_the_sharded_table_has_what_the_merge_must_keep():
 
 
 @pytest.mark.parametrize("compressed", [False, True])
-@pytest.mark.parametrize("sample_target", [0, 7, 1000])
 @pytest.mark.parametrize("statistics_target", [3, 100])
-def test_sharded_statistics_equal_the_gathered_reference(
-    statistics_target, sample_target, compressed
-):
+def test_sharded_statistics_equal_the_gathered_reference(statistics_target, compressed):
     # The reference gathers, so it reads a second table of the same values.
     rows = _sharded_rows()
     table, gathered = (_sharded_db(rows)[1] for _ in range(2))
     if compressed:
         table.compress()
-    expected = _frozen_gathered_stats(gathered, statistics_target, sample_target)
+    expected = _frozen_gathered_stats(gathered, statistics_target)
     for analyzed in (table, SnapshotTable(table)):
-        actual = analyze_table(analyzed, statistics_target, sample_target)
+        actual = analyze_table(analyzed, statistics_target)
         assert actual == expected
-        # Float fields, MCV order, first key objects (0.0 or -0.0) and the
-        # sample, bit for bit.
+        # Float fields, MCV order and first key objects (0.0 or -0.0), bit
+        # for bit.
         assert repr(actual) == repr(expected)
         # Counted shard by shard: no column was gathered.
         assert analyzed._gathered is None and not analyzed._gathered_cols
@@ -410,9 +380,8 @@ def test_database_analyze_refreshes_every_zone_map_from_its_counts():
     assert db.catalog.epoch > epoch
     assert [p.zone_map for p in table.partitions()] == recomputed
     assert [repr(p.zone_map) for p in table.partitions()] == [repr(z) for z in recomputed]
-    settings = db.settings
     assert repr(db.catalog.stats("sharded")) == repr(
-        _frozen_gathered_stats(table, settings.statistics_target, settings.sample_rows)
+        _frozen_gathered_stats(table, db.settings.statistics_target)
     )
     # Refreshing through the table itself gives the same zone maps.
     assert not table.refresh_zone_maps()

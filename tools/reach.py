@@ -4,6 +4,8 @@ Runs, in this one process, the five wall-clock ledger workloads at smoke
 size with tracing on (``benchmarks/perf/run.py --smoke --trace 1`` per
 workload), every paper-figure benchmark module (``benchmarks/test_fig*.py``,
 ``benchmarks/test_table*.py``, ``benchmarks/test_ablation_reoptimization.py``),
+the estimator matrix of ``make experiments``
+(``benchmarks/test_estimator_matrix.py``, at ``REPRO_BENCH_SCALE=0.3``),
 every ``examples/*.py`` script (as ``__main__``, output discarded) and the
 two CI streams of the differential SQL fuzzer (``HYPOTHESIS_PROFILE=ci``,
 once over plain tables and once with ``REPRO_FUZZ_PARTITIONS=4``), the
@@ -46,6 +48,9 @@ FIGURES = sorted(
     + [os.path.join(REPO, "benchmarks", "test_ablation_reoptimization.py")]
 )
 EXAMPLES = sorted(glob.glob(os.path.join(REPO, "examples", "*.py")))
+MATRIX = os.path.join(REPO, "benchmarks", "test_estimator_matrix.py")
+#: ``REPRO_BENCH_SCALE`` of the estimator matrix run.
+MATRIX_SCALE = "0.3"
 FUZZ = os.path.join(REPO, "tests", "property", "test_sql_fuzz_differential.py")
 #: ``REPRO_FUZZ_PARTITIONS`` of the fuzz streams: plain tables, four shards.
 FUZZ_PARTITIONS = ("0", "4")
@@ -138,6 +143,19 @@ def run_figures() -> int:
     return run_pytest(FIGURES, f"{len(FIGURES)} paper-figure modules")
 
 
+def run_matrix() -> int:
+    """The estimator matrix at ``MATRIX_SCALE``; the scale is restored after."""
+    prior = os.environ.get("REPRO_BENCH_SCALE")
+    os.environ["REPRO_BENCH_SCALE"] = MATRIX_SCALE
+    try:
+        return run_pytest([MATRIX], f"estimator matrix, REPRO_BENCH_SCALE={MATRIX_SCALE}")
+    finally:
+        if prior is None:
+            del os.environ["REPRO_BENCH_SCALE"]
+        else:
+            os.environ["REPRO_BENCH_SCALE"] = prior
+
+
 def run_examples() -> None:
     argv = sys.argv
     for path in EXAMPLES:
@@ -192,12 +210,13 @@ def main() -> int:
     recorder = CallRecorder()
     with recorder.installed():
         run_workloads()
-        status = run_figures()
+        status = max(run_figures(), run_matrix())
         run_examples()
         status = max(status, run_fuzz())
     print(
         f"reach census: {', '.join(WORKLOADS)} (smoke, traced)"
         f" + {', '.join(os.path.basename(path) for path in FIGURES)}"
+        f" + {os.path.basename(MATRIX)} (REPRO_BENCH_SCALE={MATRIX_SCALE})"
         f" + {', '.join(os.path.basename(path) for path in EXAMPLES)}"
         f" + fuzz (ci profile, REPRO_FUZZ_PARTITIONS {' and '.join(FUZZ_PARTITIONS)})"
     )
