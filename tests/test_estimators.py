@@ -24,7 +24,7 @@ from repro.optimizer.plan import ScanNode
 from repro.server import Server, ServerConfig
 from repro.stats.analyze import analyze_table
 from repro.storage.table import Table
-from test_stats_analyze_golden import LAYOUTS, _plain
+from test_stats_analyze_golden import LAYOUTS
 
 SKEWED_SQL = (
     "SELECT count(t.id) AS n FROM company AS c, trades AS t "
@@ -110,6 +110,17 @@ class TestUpperBoundEstimator:
 
 
 class TestSamplingEstimator:
+    def test_estimates_from_reservoir_sample(self, stock_db):
+        stock_db.analyze()
+        query = stock_db.parse(SKEWED_SQL, name="sampled")
+        source = SamplingEstimator(stock_db.catalog)
+        estimate = source.lookup(query, _subset(query, "c"))
+        sample = stock_db.catalog.stats("company").sample
+        assert sample, "the first estimate must draw a row sample"
+        assert estimate is not None and estimate >= MIN_ROWS
+        # The scaled match fraction can never exceed the table itself.
+        assert estimate <= stock_db.catalog.table("company").row_count
+
     def test_skewed_symbol_estimate_is_pinned(self, stock_db):
         query = stock_db.parse(SKEWED_SQL, name="pinned")
         source = SamplingEstimator(stock_db.catalog)
@@ -204,8 +215,9 @@ def test_sample_is_a_deterministic_draw_of_stored_rows(layout, rows):
     assert table_sample(rebuilt, analyze_table(rebuilt)) == sample
 
 
-def test_small_tables_are_kept_whole_in_storage_order():
-    table = _plain(40)
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_small_tables_are_kept_whole_in_storage_order(layout):
+    table = LAYOUTS[layout](40)
     assert table_sample(table, analyze_table(table)) == list(table.iter_rows())
 
 

@@ -211,21 +211,38 @@ def _no_row_reads(self, row_id):
     raise AssertionError(f"ANALYZE read stored row {row_id} of {self.name!r}")
 
 
-def test_analyze_reads_no_stored_row(monkeypatch, stock_db):
-    analyzed = []
+@pytest.fixture
+def analyzed(monkeypatch):
+    """Make ``Table.row`` raise; returns the names ``Database`` ANALYZEs.
+
+    Building ``stock_db`` ANALYZEs its tables, so a test requests it first.
+    """
+    names = []
     analyze = database_module.analyze_table
 
     def recording(table, *args, **kwargs):
-        analyzed.append(table.name)
+        names.append(table.name)
         return analyze(table, *args, **kwargs)
 
     monkeypatch.setattr(Table, "row", _no_row_reads)
     monkeypatch.setattr(database_module, "analyze_table", recording)
-    for layout in sorted(LAYOUTS):
-        for rows in (0, 60, 1000):
-            assert analyze_table(LAYOUTS[layout](rows)).row_count == rows
+    return names
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("rows", [0, 60, 1000])
+def test_analyze_reads_no_stored_row(analyzed, layout, rows):
+    stats = analyze_table(LAYOUTS[layout](rows))
+    assert stats.row_count == rows
+    assert stats.sample is None  # drawn by the sampling estimator, not here
+
+
+def test_database_analyze_reads_no_stored_row(stock_db, analyzed):
     stock_db.analyze()
     assert sorted(analyzed) == ["company", "trades"]
+
+
+def test_reoptimization_round_reads_no_stored_row(stock_db, analyzed):
     # One re-optimization round, whose temporary table is ANALYZEd.
     conn = connect(stock_db, policy=ReoptimizationPolicy(threshold=4), plan_cache_size=0)
     context = conn.execute(
@@ -233,7 +250,7 @@ def test_analyze_reads_no_stored_row(monkeypatch, stock_db):
         "WHERE c.symbol = 'SYM1' AND c.id = t.company_id"
     ).context
     assert context.reoptimized
-    assert len(analyzed) > 2 and "company" not in analyzed[2:]
+    assert analyzed and "company" not in analyzed and "trades" not in analyzed
 
 
 def test_layouts_agree_on_column_statistics():
