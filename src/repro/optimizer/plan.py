@@ -319,16 +319,3 @@ class OneTimeFilterNode(PlanNode):
 
     def label(self) -> str:
         return f"Result (One-Time Filter: {'true' if self.passes else 'false'})"
-
-
-def plan_depth(node: PlanNode) -> int:
-    """Height of the plan tree (scans have depth 1)."""
-    children = node.children()
-    if not children:
-        return 1
-    return 1 + max(plan_depth(child) for child in children)
-
-
-def count_nodes(node: PlanNode) -> int:
-    """Total number of nodes in the plan tree."""
-    return sum(1 for _ in node.walk())

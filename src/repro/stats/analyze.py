@@ -13,9 +13,11 @@ error.
 One column at a time, each shard's values are counted once
 (:meth:`~repro.storage.table.Table.column_counts`; a shard's zone of the
 column comes from the same count, for
-:meth:`~repro.engine.database.Database.analyze` to refresh its zone map) and
-the shards' counts are merged in shard order, which is the count of the
-gathered column: same first-appearance order, same first key objects.  No
+:meth:`~repro.engine.database.Database.analyze` to install as its zone map)
+and the shards' counts are merged in shard order, which is the count of the
+gathered column: same first-appearance order, same first key objects.  A
+sealed column is counted through its segment — a dictionary's codes, an RLE
+segment's runs — so a re-ANALYZE of a compressed table decodes nothing.  No
 column is gathered across shards, and no stored row is read: ANALYZE keeps
 no row sample (the ``sampling`` estimator draws its own, see
 :func:`repro.optimizer.estimators.table_sample`).

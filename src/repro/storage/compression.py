@@ -28,14 +28,20 @@ included, equal by type and by the sign of zero; a column where equal values
 differ (``True``/``1``/``1.0``, ``0.0``/``-0.0``) is keyed by type, value and
 sign instead of by value.  The differential fuzzer relies on this when it
 serves the whole query stream from a compressed database.
+
+Each segment seals per-:data:`BLOCK_ROWS`-block min/max/null-count synopses
+at encode time — a dictionary keyed by the values themselves from each
+block's distinct codes, any other segment from the input values — and
+ANALYZE counts it by its codes or runs (:meth:`Segment.value_counts`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import compress, islice, repeat
 from math import copysign
 from operator import eq, ne, sub
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.storage.column import holds_nan, value_range
 
@@ -99,24 +105,18 @@ class Segment:
         values = self.values()
         return [values[i] for i in indices]
 
-    def encoded_cells(self) -> int:
-        """Number of stored cells after encoding (compression accounting)."""
-        raise NotImplementedError
+    def value_counts(self) -> Counter:
+        """``Counter(self.values())``: same key order, same first key objects.
+
+        The dictionary and RLE codecs count their codes or runs, and decode
+        nothing.
+        """
+        return Counter(self.values())
 
     def block_stats(self) -> List[BlockStats]:
-        """Per-:data:`BLOCK_ROWS`-block min/max/null-count synopses.
-
-        Sealed at encode time from the original values (no decode); segments
-        constructed directly compute them lazily on first use and cache.
-        """
-        stats = self._block_stats
-        if stats is None:
-            stats = self._block_stats = compute_block_stats(self.values())
-        return stats
-
-    def seal_block_stats(self, stats: List[BlockStats]) -> None:
-        """Attach precomputed block synopses (called by :func:`encode_segment`)."""
-        self._block_stats = stats
+        """Per-:data:`BLOCK_ROWS`-block min/max/null-count synopses, sealed
+        at encode time (no decode)."""
+        return self._block_stats
 
 
 class PlainSegment(Segment):
@@ -125,18 +125,15 @@ class PlainSegment(Segment):
     codec = "plain"
     __slots__ = ("_values", "_block_stats")
 
-    def __init__(self, values: Sequence[object]) -> None:
-        self._values = list(values)
-        self._block_stats: Optional[List[BlockStats]] = None
+    def __init__(self, values: List[object], block_stats: List[BlockStats]) -> None:
+        self._values = values
+        self._block_stats = block_stats
 
     def __len__(self) -> int:
         return len(self._values)
 
     def values(self) -> List[object]:
         return self._values
-
-    def encoded_cells(self) -> int:
-        return len(self._values)
 
 
 class DictionarySegment(Segment):
@@ -149,19 +146,16 @@ class DictionarySegment(Segment):
     codec = "dictionary"
     __slots__ = ("_dictionary", "_codes", "_decoded", "_block_stats")
 
-    def __init__(self, dictionary: List[object], codes: List[int]) -> None:
+    def __init__(
+        self, dictionary: List[object], codes: List[int], block_stats: List[BlockStats]
+    ) -> None:
         self._dictionary = dictionary
         self._codes = codes
         self._decoded: Optional[List[object]] = None
-        self._block_stats: Optional[List[BlockStats]] = None
+        self._block_stats = block_stats
 
     def __len__(self) -> int:
         return len(self._codes)
-
-    @property
-    def dictionary_size(self) -> int:
-        """Number of distinct values in the dictionary."""
-        return len(self._dictionary)
 
     @property
     def dictionary(self) -> List[object]:
@@ -189,10 +183,10 @@ class DictionarySegment(Segment):
         codes = self._codes
         return [dictionary[codes[i]] for i in indices]
 
-    def encoded_cells(self) -> int:
-        # Codes are narrow integers, not full values; count them as packed
-        # four to a cell so low-cardinality columns actually beat plain.
-        return len(self._dictionary) + (len(self._codes) + 3) // 4
+    def value_counts(self) -> Counter:
+        # Codes count in first-appearance order, as their values would.
+        per_code = Counter(self._codes)
+        return _merged_counts(zip(map(self._dictionary.__getitem__, per_code), per_code.values()))
 
 
 class RLESegment(Segment):
@@ -201,19 +195,16 @@ class RLESegment(Segment):
     codec = "rle"
     __slots__ = ("_runs", "_length", "_decoded", "_block_stats")
 
-    def __init__(self, runs: List[Tuple[object, int]], length: int) -> None:
+    def __init__(
+        self, runs: List[Tuple[object, int]], length: int, block_stats: List[BlockStats]
+    ) -> None:
         self._runs = runs
         self._length = length
         self._decoded: Optional[List[object]] = None
-        self._block_stats: Optional[List[BlockStats]] = None
+        self._block_stats = block_stats
 
     def __len__(self) -> int:
         return self._length
-
-    @property
-    def run_count(self) -> int:
-        """Number of stored runs."""
-        return len(self._runs)
 
     @property
     def runs(self) -> List[Tuple[object, int]]:
@@ -228,8 +219,21 @@ class RLESegment(Segment):
             self._decoded = decoded
         return self._decoded
 
-    def encoded_cells(self) -> int:
-        return 2 * len(self._runs)
+    def value_counts(self) -> Counter:
+        return _merged_counts(self._runs)
+
+
+def _merged_counts(pairs: Iterable[Tuple[object, int]]) -> Counter:
+    """The :class:`Counter` of ``(value, count)`` pairs in value order.
+
+    Values a codec keeps apart though they are equal (``0.0``/``-0.0``,
+    ``1``/``1.0``) merge under the first of them, as ``Counter(values)``
+    merges them.
+    """
+    counts = Counter()
+    for value, count in pairs:
+        counts[value] += count
+    return counts
 
 
 def encode_segment(values: Sequence[object], codec: str = "auto") -> Segment:
@@ -251,23 +255,43 @@ def encode_segment(values: Sequence[object], codec: str = "auto") -> Segment:
     distinct = dict.fromkeys(keys) if codec in ("auto", "dictionary") else {}
     if codec == "auto":
         codec = _cheapest_codec(keys, len(distinct))
-    segment: Segment
+    # Block synopses are sealed at encode time, from the codes or the
+    # still-plain input: segment-skipping never decodes a column to learn them.
     if codec == "dictionary":
         code_of = dict(zip(distinct, range(len(distinct))))
-        dictionary = list(distinct) if keys is values else [key[1] for key in distinct]
-        segment = DictionarySegment(dictionary, list(map(code_of.__getitem__, keys)))
-    elif codec == "rle":
+        codes = list(map(code_of.__getitem__, keys))
+        if keys is values:
+            dictionary = list(distinct)
+            return DictionarySegment(dictionary, codes, _coded_block_stats(dictionary, codes))
+        dictionary = [key[1] for key in distinct]
+        return DictionarySegment(dictionary, codes, compute_block_stats(values))
+    if codec == "rle":
         starts = [0, *_run_breaks(keys)] if values else []
         ends = [*starts[1:], len(values)]
         # A run's values are equal by type and sign of zero: keep its first.
         runs = list(zip(map(values.__getitem__, starts), map(sub, ends, starts)))
-        segment = RLESegment(runs, len(values))
-    else:
-        segment = PlainSegment(values)
-    # Sealed at encode time from the still-plain input: segment-skipping
-    # never has to decode a column just to learn its block min/max.
-    segment.seal_block_stats(compute_block_stats(values))
-    return segment
+        return RLESegment(runs, len(values), compute_block_stats(values))
+    return PlainSegment(values, compute_block_stats(values))
+
+
+def _coded_block_stats(dictionary: List[object], codes: List[int]) -> List[BlockStats]:
+    """:func:`compute_block_stats` of the decoded ``codes``, from the set of
+    each block's codes.
+
+    For a dictionary keyed by the values themselves: its entries are
+    pairwise unequal (but for NaNs, which void a block's synopsis anyway),
+    so a block's distinct entries have its extremes, by value and by type.
+    """
+    null = dictionary.index(None) if None in dictionary else -1
+    stats: List[BlockStats] = []
+    for start in range(0, len(codes), BLOCK_ROWS):
+        block = codes[start : start + BLOCK_ROWS]
+        present = set(block)
+        nulls = block.count(null) if null in present else 0
+        present.discard(null)
+        entry = _block_stats(list(map(dictionary.__getitem__, present)))
+        stats.append(None if entry is None else (entry[0], entry[1], nulls))
+    return stats
 
 
 def _cheapest_codec(keys: Sequence[object], distinct: int) -> str:

@@ -5,10 +5,13 @@ Every :class:`~repro.storage.table.Table` stores its rows in one or more
 sealed compressed :class:`~repro.storage.compression.Segment` — per column.
 A shard of a table whose schema carries a
 :class:`~repro.catalog.schema.PartitionSpec` also keeps a :class:`ZoneMap`
-(per-column min/max/null-count plus the shard row count), maintained
-incrementally on every append and recomputed by ANALYZE from the occurrence
-counts it takes of the shard's columns; the one shard of an unpartitioned
-table keeps none, since nothing routes to it or prunes it.
+(per-column min/max/null-count plus the shard row count).  ANALYZE installs
+it from the occurrence counts it takes of the shard's columns and a single
+row append folds into it; a bulk append leaves it behind the shard, and the
+first read then derives it from the stored columns — an open column's
+values, a sealed column's block synopses — so set-up takes each value's
+min/max once.  The one shard of an unpartitioned table keeps none, since
+nothing routes to it or prunes it.
 
 Routing is deterministic across processes: :func:`stable_hash` avoids
 Python's per-process string-hash randomization, and NULL partition keys
@@ -24,7 +27,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.storage.column import holds_nan, value_range
-from repro.storage.compression import Segment, encode_segment
+from repro.storage.compression import BLOCK_ROWS, Segment, encode_segment
 
 __all__ = [
     "ColumnZone",
@@ -67,23 +70,11 @@ class ColumnZone:
     null_count: int = 0
     has_nan: bool = False
 
-    def note(self, value: object) -> None:
-        """Fold one appended value into the zone."""
-        if value is None:
-            self.null_count += 1
-            return
-        if isinstance(value, float) and value != value:
-            self.has_nan = True
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-
     def note_many(self, values: List[object]) -> None:
         """Fold a run of appended values into the zone.
 
-        Same zone as :meth:`note` on each value in order: the running
-        extremes lead the comparison, so the first of equal values wins.
+        The running extremes lead the comparison, so the first of equal
+        values wins, and folding a column in parts equals folding it whole.
         """
         self.minimum, self.maximum, nulls = value_range(
             values, self.minimum, self.maximum
@@ -105,16 +96,38 @@ class ColumnZone:
         low, high, _ = value_range(keys)
         return cls(low, high, counts.get(None, 0), holds_nan(keys, low, high))
 
+    @classmethod
+    def from_segment(cls, segment: Segment) -> "ColumnZone":
+        """The zone of a sealed segment's values, from its block synopses.
+
+        Equal to :meth:`note_many` over the values: the blocks fold in block
+        order with the running extremes leading, so the first of equal
+        values wins.  Only a block without a synopsis (one holding a NaN) is
+        read, through the segment's selective gather.
+        """
+        zone = cls()
+        length = len(segment)
+        for start, stats in zip(range(0, length, BLOCK_ROWS), segment.block_stats()):
+            if stats is None:
+                zone.note_many(segment.gather(range(start, min(start + BLOCK_ROWS, length))))
+                continue
+            low, high, nulls = stats
+            if low is not None:
+                zone.note_many([low, high])
+            zone.null_count += nulls
+        return zone
+
 
 @dataclass
 class ZoneMap:
     """Per-partition synopsis: row count plus one :class:`ColumnZone` each.
 
-    Maintained incrementally on load and recomputed by ANALYZE from the
-    shard's column counts (:meth:`ColumnZone.from_counts`); the planner
-    prunes partitions whose zones contradict pushed-down filters, and the
-    selectivity estimator uses the surviving row counts as a hard upper
-    bound on scan cardinality.
+    Installed by ANALYZE from the shard's column counts
+    (:meth:`ColumnZone.from_counts`), and derived from the stored columns
+    when a bulk append left it behind (``row_count`` short of the shard's);
+    the planner prunes partitions whose zones contradict pushed-down
+    filters, and the selectivity estimator uses the surviving row counts as
+    a hard upper bound on scan cardinality.
     """
 
     row_count: int = 0
@@ -148,9 +161,9 @@ class Partition:
         self._plain: List[Optional[List[object]]] = [[] for _ in schema.columns]
         self._segments: List[Optional[Segment]] = [None] * len(schema.columns)
         self._row_count = 0
-        self.zone_map: Optional[ZoneMap] = None
+        self._zone_map: Optional[ZoneMap] = None
         if schema.partition_spec is not None:
-            self.zone_map = ZoneMap(
+            self._zone_map = ZoneMap(
                 columns={col.name: ColumnZone() for col in schema.columns}
             )
 
@@ -161,6 +174,29 @@ class Partition:
 
     def __len__(self) -> int:
         return self._row_count
+
+    @property
+    def zone_map(self) -> Optional[ZoneMap]:
+        """The shard's zone map (``None`` when unpartitioned), derived from
+        the stored columns on the first read after a bulk append."""
+        zone_map = self._zone_map
+        if zone_map is not None and zone_map.row_count != self._row_count:
+            zone_map = self._zone_map = ZoneMap(
+                row_count=self._row_count,
+                columns={
+                    col.name: self._derived_zone(position)
+                    for position, col in enumerate(self.schema.columns)
+                },
+            )
+        return zone_map
+
+    def _derived_zone(self, position: int) -> ColumnZone:
+        segment = self._segments[position]
+        if segment is not None:
+            return ColumnZone.from_segment(segment)
+        zone = ColumnZone()
+        zone.note_many(self.column_at(position))
+        return zone
 
     @property
     def compressed(self) -> bool:
@@ -180,21 +216,18 @@ class Partition:
         """Append one coerced row (values already validated by the table)."""
         for position, value in enumerate(values):
             self._writable(position).append(value)
-        self._row_count += 1
-        if self.zone_map is not None:
+        zone_map = self._zone_map
+        if zone_map is not None and zone_map.row_count == self._row_count:
             for col, value in zip(self.schema.columns, values):
-                self.zone_map.columns[col.name].note(value)
-            self.zone_map.row_count = self._row_count
+                zone_map.columns[col.name].note_many([value])
+            zone_map.row_count += 1
+        self._row_count += 1
 
     def append_columns(self, columns: Sequence[List[object]]) -> None:
         """Append coerced rows given column-wise (one list per schema column)."""
         for position, values in enumerate(columns):
             self._writable(position).extend(values)
         self._row_count += len(columns[0])
-        if self.zone_map is not None:
-            for col, values in zip(self.schema.columns, columns):
-                self.zone_map.columns[col.name].note_many(values)
-            self.zone_map.row_count = self._row_count
 
     def adopt(self, columns: Sequence[List[object]], row_count: int) -> None:
         """Make ``columns`` themselves this empty shard's storage (no copy)."""
@@ -231,6 +264,17 @@ class Partition:
         """Decoded values of one column (read-only view)."""
         return self.column_at(self.schema.column_index(name))
 
+    def row_at(self, local: int) -> Tuple[object, ...]:
+        """The row at local position ``local``, as a packed tuple.
+
+        A sealed column answers through its segment's selective gather, so
+        a point read never forces a whole-column decode.
+        """
+        return tuple(
+            self.column_at(position)[local] if segment is None else segment.gather((local,))[0]
+            for position, segment in enumerate(self._segments)
+        )
+
     def iter_rows(self) -> Iterator[Tuple[object, ...]]:
         """Iterate the shard's rows as packed tuples, in storage order."""
         data = self.column_data()
@@ -253,12 +297,18 @@ class Partition:
 
         Counted in storage order, so it keeps the values' first-appearance
         order and first-appearing key objects; NULLs count under ``None``.
-        A shard with a zone map also records the column's
+        A sealed column is counted through its segment
+        (:meth:`~repro.storage.compression.Segment.value_counts`), which
+        decodes nothing.  A shard with a zone map also records the column's
         :meth:`ColumnZone.from_counts` in ``zones`` (by column name) when
         given, for :meth:`refresh_zone_map`.
         """
-        counts = Counter(self.column_at(position))
-        if zones is not None and self.zone_map is not None:
+        segment = self._segments[position]
+        if segment is not None:
+            counts = segment.value_counts()
+        else:
+            counts = Counter(self.column_at(position))
+        if zones is not None and self._zone_map is not None:
             zones[self.schema.columns[position].name] = ColumnZone.from_counts(counts)
         return counts
 
@@ -268,15 +318,15 @@ class Partition:
         ``zones`` holds every column's zone as :meth:`column_counts` records
         them, in schema order; counted here, one column at a time, when
         ``None``.  Returns whether the new zone map differs from the one it
-        replaced.
+        replaced; one left behind by a bulk append counts as changed without
+        being derived, since no reader has seen it.
         """
-        if self.zone_map is None:
+        previous = self._zone_map
+        if previous is None:
             return False
         if zones is None:
             zones = {}
             for position in range(len(self.schema.columns)):
                 self.column_counts(position, zones)
-        zone_map = ZoneMap(row_count=self._row_count, columns=zones)
-        changed = zone_map != self.zone_map
-        self.zone_map = zone_map
-        return changed
+        zone_map = self._zone_map = ZoneMap(row_count=self._row_count, columns=zones)
+        return previous.row_count != self._row_count or zone_map != previous

@@ -8,7 +8,8 @@ under the catalog lock:
 
 * the **row count** at pin time,
 * references to the sealed segments and the open backing column lists, and
-* a private copy of the zone map, if the shard keeps one.
+* a private copy of the zone map, if the shard keeps one (derived first
+  when a bulk append left it behind the shard).
 
 Nothing is copied or decoded up front.  A sealed segment is immutable — an
 append after sealing replaces it with a reopened plain list, it never
@@ -75,9 +76,8 @@ class PartitionSnapshot(Partition):
         self._source = list(base._plain)
         self._segments = list(base._segments)
         self._plain = [None] * len(base.schema.columns)
-        self.zone_map = None
-        if base.zone_map is not None:
-            self.zone_map = _copy_zone_map(base.zone_map, self._row_count)
+        zone_map = base.zone_map
+        self._zone_map = None if zone_map is None else _copy_zone_map(zone_map, self._row_count)
 
     def column_at(self, position: int) -> List[object]:
         """One column's pinned values: the shared segment's decode, or an
@@ -111,7 +111,7 @@ class PartitionSnapshot(Partition):
 
     def refresh_zone_map(self, zones=None) -> bool:
         # Nothing to refresh without a zone map; a pinned one is read-only.
-        if self.zone_map is not None:
+        if self._zone_map is not None:
             raise _read_only(self.schema.name)
         return False
 

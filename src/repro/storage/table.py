@@ -319,19 +319,15 @@ class Table:
         return list(self.gathered_column(self.schema.column_index(name)))
 
     def row(self, row_id: int) -> Tuple[object, ...]:
-        """The packed tuple at a global (shard-gather order) row id."""
+        """The packed tuple at a global (shard-gather order) row id, read
+        one value per column (:meth:`~repro.storage.partition.Partition.row_at`)."""
         if not 0 <= row_id < self._row_count:
             raise StorageError(
                 f"row id {row_id} out of range for table {self.name!r}"
             )
         offsets = self._partition_offsets()
         index = bisect_right(offsets, row_id) - 1
-        local = row_id - offsets[index]
-        return tuple(column[local] for column in self._partitions[index].column_data())
-
-    def value(self, row_id: int, column: str) -> object:
-        """Return a single cell value at a global row id."""
-        return self.row(row_id)[self.schema.column_index(column)]
+        return self._partitions[index].row_at(row_id - offsets[index])
 
     def iter_rows(self) -> Iterator[Tuple[object, ...]]:
         """Iterate all rows as packed tuples, shard by shard."""

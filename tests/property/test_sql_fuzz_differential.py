@@ -135,6 +135,17 @@ def build_database(g_rows: List[tuple], r_rows: List[tuple]) -> Database:
         # shards (ANALYZE above saw the plain ones; values are identical).
         db.catalog.table("groups").compress()
         db.catalog.table("records").compress()
+        # A re-ANALYZE counts the sealed columns through their segments: the
+        # same statistics and zone maps (the epoch stays), and no decode.
+        epoch = db.catalog.epoch
+        db.analyze()
+        assert db.catalog.epoch == epoch
+        for name in ("groups", "records"):
+            table = db.catalog.table(name)
+            for shard in table.partitions():
+                for position in range(len(table.schema.columns)):
+                    segment = shard.segment_at(position)
+                    assert getattr(segment, "_decoded", None) is None, (name, position)
     return db
 
 

@@ -10,13 +10,24 @@ the row evaluator (:func:`~repro.executor.expressions.compile_predicate`)
 on random columns as a table stores them — one type per column: INT, FLOAT
 (NaN, signed zeros, infinities) or TEXT, each with NULLs — and random NNF
 conjuncts over that column.
+
+The same typed columns, stretched over several blocks, also pin how the
+synopses are taken: a shard's zone map derived from its stored columns
+(open values, or a sealed segment's block synopses) equals the fold of the
+values, a dictionary's block synopses taken from its codes equal those of
+the values, and a sealed column's ANALYZE count equals ``Counter(values)``
+down to key order and key objects — under every codec.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.catalog.schema import ColumnType, PartitionSpec, make_schema
 from repro.executor.expressions import ColumnResolver, compile_predicate
 from repro.optimizer.pruning import may_match, must_match
 from repro.sql.ast import (
@@ -31,8 +42,8 @@ from repro.sql.ast import (
     Literal,
     column,
 )
-from repro.storage.compression import compute_block_stats
-from repro.storage.partition import ColumnZone, ZoneMap
+from repro.storage.compression import BLOCK_ROWS, compute_block_stats, encode_segment
+from repro.storage.partition import ColumnZone, Partition, ZoneMap
 
 NAN = float("nan")
 X = column("t", "x")
@@ -137,3 +148,96 @@ def test_must_match_true_means_every_row_is_true(case):
         if must_match(expr, zone_map):
             assert all(verdicts(expr, values)), (values, expr.to_sql(), zone_map)
 
+
+# -- synopses taken once -------------------------------------------------------
+
+CODECS = ["plain", "dictionary", "rle", "auto"]
+COLUMN_TYPES = {"int": ColumnType.INT, "float": ColumnType.FLOAT, "text": ColumnType.TEXT}
+
+
+def _column(runs, stride):
+    """Runs of one value each, dealt ``stride`` ways (short runs, mixed blocks)."""
+    values = [value for value, length in runs for _ in range(length)]
+    return [value for start in range(stride) for value in values[start::stride]]
+
+
+#: ``(kind, column, split)``: a typed column over several blocks, and where a
+#: second append starts.
+LONG_COLUMNS = st.sampled_from(sorted(TYPED_VALUES)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind),
+        st.builds(
+            _column,
+            st.lists(
+                st.tuples(
+                    st.one_of(st.none(), TYPED_VALUES[kind]),
+                    st.integers(min_value=1, max_value=BLOCK_ROWS + BLOCK_ROWS // 2),
+                ),
+                max_size=6,
+            ),
+            st.integers(min_value=1, max_value=3),
+        ),
+        st.floats(min_value=0, max_value=1),
+    )
+)
+ZEROS_AND_NANS = ("float", [0.0] * 1500 + [-0.0, NAN, None] * 700 + [-0.0] * 900, 0.5)
+
+
+def _shard(kind):
+    schema = make_schema(
+        "t",
+        [("x", COLUMN_TYPES[kind])],
+        partition_by=PartitionSpec(method="hash", column="x", partitions=2),
+    )
+    return Partition(schema, 0)
+
+
+def _assert_zone_of(zone, values):
+    folded = ColumnZone()
+    folded.note_many(values)
+    assert repr(zone) == repr(folded), values[:8]
+    assert repr(zone) == repr(ColumnZone.from_counts(Counter(values)))
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@given(LONG_COLUMNS)
+@example(ZEROS_AND_NANS)
+def test_derived_zone_is_the_fold_of_the_values(codec, case):
+    kind, values, split = case
+    cut = int(len(values) * split)
+    shard = _shard(kind)
+    shard.append_columns([values[:cut]])
+    _assert_zone_of(shard.zone_map.columns["x"], values[:cut])
+    sealed = _shard(kind)
+    sealed.append_columns([values[:cut]])
+    sealed.compress(codec)
+    assert sealed.zone_map.row_count == cut
+    _assert_zone_of(sealed.zone_map.columns["x"], values[:cut])
+    sealed.append_columns([values[cut:]])
+    assert sealed.zone_map.row_count == len(values)
+    _assert_zone_of(sealed.zone_map.columns["x"], values)
+
+
+@given(LONG_COLUMNS)
+@example(ZEROS_AND_NANS)
+def test_dictionary_block_synopses_from_codes_are_those_of_the_values(case):
+    _, values, _ = case
+    segment = encode_segment(values, codec="dictionary")
+    assert repr(segment.block_stats()) == repr(compute_block_stats(values))
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@given(LONG_COLUMNS)
+@example(ZEROS_AND_NANS)
+def test_sealed_column_counts_are_the_counter_of_the_values(codec, case):
+    kind, values, _ = case
+    shard = _shard(kind)
+    shard.append_columns([list(values)])
+    shard.compress(codec)
+    zones = {}
+    counts = shard.column_counts(0, zones)
+    expected = Counter(values)
+    assert list(counts.items()) == list(expected.items())
+    assert all(a is b for a, b in zip(counts, expected))
+    assert repr(zones["x"]) == repr(ColumnZone.from_counts(expected))
+    assert getattr(shard.segment_at(0), "_decoded", None) is None

@@ -388,7 +388,7 @@ def test_database_analyze_refreshes_every_zone_map_from_its_counts():
     db, table = _sharded_db()
     recomputed = [_recomputed_zone_map(p) for p in table.partitions()]
     for partition in table.partitions():
-        partition.zone_map = ZoneMap(
+        partition._zone_map = ZoneMap(
             row_count=-1,
             columns={col.name: ColumnZone(-9, 9, 1, True) for col in table.schema.columns},
         )

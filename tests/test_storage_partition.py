@@ -13,6 +13,7 @@ from repro.storage.compression import (
     encode_segment,
 )
 from repro.storage.partition import stable_hash
+from repro.storage.snapshot import SnapshotTable
 from repro.storage.table import Table
 
 
@@ -113,7 +114,7 @@ def test_rows_gather_in_partition_order():
     assert gathered_ids == [5, 7, 15, 25]
     assert [table.row(i) for i in table.iter_row_ids()] == list(table.iter_rows())
     assert table.row(2) == (15, "b", 3.0)
-    assert table.value(3, "kind") == "c"
+    assert table.row(3)[1] == "c"
     assert table.row_count == len(table) == 4
     with pytest.raises(StorageError):
         table.row(4)
@@ -182,7 +183,7 @@ def test_encode_segment_picks_the_smaller_codec():
     low_cardinality = [f"s{i % 3}" for i in range(100)]
     seg = encode_segment(low_cardinality)
     assert isinstance(seg, DictionarySegment)
-    assert seg.dictionary_size == 3
+    assert len(seg.dictionary) == 3
     incompressible = list(range(100))
     assert isinstance(encode_segment(incompressible), PlainSegment)
     assert isinstance(encode_segment([]), PlainSegment)
@@ -222,6 +223,17 @@ def test_partition_compress_round_trip_and_reopen_on_write():
     assert table.column_values("id").count(9) == 2
 
 
+def test_point_reads_of_sealed_shards_decode_nothing():
+    table = Table(range_schema())
+    rows = [(i, f"k{i % 2}", float(i % 3)) for i in range(30)]
+    table.load_columns([list(column) for column in zip(*rows)])
+    table.compress()
+    assert [table.row(i) for i in table.iter_row_ids()] == rows
+    segments = [p.segment_at(i) for p in table.partitions() for i in range(3)]
+    assert {segment.codec for segment in segments} == {"plain", "dictionary"}
+    assert all(getattr(segment, "_decoded", None) is None for segment in segments)
+
+
 # -- zone maps ---------------------------------------------------------------
 
 
@@ -248,3 +260,39 @@ def test_zone_maps_track_min_max_and_nulls_incrementally():
     # Empty partitions stay empty.
     assert table.zone_map(2).row_count == 0
     assert table.zone_map(2).zone("id").minimum is None
+
+
+def test_a_bulk_append_leaves_the_zone_map_to_be_derived_on_read():
+    rows = [(i, None if i % 4 else "k", float(i % 3) - 1.0) for i in range(30)]
+    columns = [list(column) for column in zip(*rows)]
+    table = Table(range_schema())
+    table.load_columns(columns)
+    shard = table.partitions()[1]
+    assert shard._zone_map.row_count == 0  # left behind by the load
+    snapshot = SnapshotTable(table).partitions()[1]  # derives while it pins
+    derived = shard.zone_map
+    assert derived.row_count == shard.row_count == 10
+    assert repr(snapshot.zone_map) == repr(derived)
+    zone = derived.zone("score")
+    assert (zone.minimum, zone.maximum, zone.null_count) == (-1.0, 1.0, 0)
+    assert derived.zone("kind").null_count == 8
+    # ANALYZE installs the same zone maps; it reports a stale one as changed
+    # without deriving it first.
+    analyzed = Table(range_schema())
+    analyzed.load_columns(columns)
+    assert analyzed.refresh_zone_maps()
+    assert [repr(p.zone_map) for p in analyzed.partitions()] == [
+        repr(p.zone_map) for p in table.partitions()
+    ]
+    assert not analyzed.refresh_zone_maps()
+    # A sealed shard derives from its block synopses; a single-row append
+    # then folds into the current zone map.
+    sealed = Table(range_schema())
+    sealed.load_columns(columns)
+    sealed.compress()
+    assert [repr(p.zone_map) for p in sealed.partitions()] == [
+        repr(p.zone_map) for p in table.partitions()
+    ]
+    sealed.insert_row((12, "a", 7.5))
+    zone_map = sealed.partitions()[1]._zone_map
+    assert zone_map.row_count == 11 and zone_map.zone("score").maximum == 7.5

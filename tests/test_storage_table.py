@@ -66,7 +66,6 @@ class TestTable:
         assert row_id == 0
         assert table.row_count == 1
         assert table.row(0) == (1, "alice", 30)
-        assert table.value(0, "name") == "alice"
 
     def test_insert_wrong_width(self):
         table = _table()
