@@ -120,7 +120,11 @@ class Segment:
 
 
 class PlainSegment(Segment):
-    """Uncompressed segment: the value list verbatim."""
+    """Uncompressed segment: the value list verbatim.
+
+    Keeps ``values`` itself, not a copy: :func:`encode_segment` hands it
+    the copy it takes of its input, which no caller can reach.
+    """
 
     codec = "plain"
     __slots__ = ("_values", "_block_stats")
@@ -244,7 +248,8 @@ def encode_segment(values: Sequence[object], codec: str = "auto") -> Segment:
     a tie with the dictionary) and falls back to plain unless a codec
     actually shrinks the data, so pathological inputs (all-distinct,
     alternating) never pay decode cost for nothing.  It costs the codecs
-    from counts and builds only the one it picks.
+    from counts and builds only the one it picks.  It copies ``values``
+    once, so the segment shares no list with the caller.
     """
     values = list(values)
     if codec not in ("auto", "plain", "dictionary", "rle"):

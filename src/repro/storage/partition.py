@@ -8,10 +8,9 @@ A shard of a table whose schema carries a
 (per-column min/max/null-count plus the shard row count).  ANALYZE installs
 it from the occurrence counts it takes of the shard's columns and a single
 row append folds into it; a bulk append leaves it behind the shard, and the
-first read then derives it from the stored columns — an open column's
-values, a sealed column's block synopses — so set-up takes each value's
-min/max once.  The one shard of an unpartitioned table keeps none, since
-nothing routes to it or prunes it.
+first read then recomputes it from the column counts as ANALYZE does, so
+set-up takes each value's min/max once.  The one shard of an unpartitioned
+table keeps none, since nothing routes to it or prunes it.
 
 Routing is deterministic across processes: :func:`stable_hash` avoids
 Python's per-process string-hash randomization, and NULL partition keys
@@ -27,7 +26,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.storage.column import holds_nan, value_range
-from repro.storage.compression import BLOCK_ROWS, Segment, encode_segment
+from repro.storage.compression import Segment, encode_segment
 
 __all__ = [
     "ColumnZone",
@@ -96,38 +95,17 @@ class ColumnZone:
         low, high, _ = value_range(keys)
         return cls(low, high, counts.get(None, 0), holds_nan(keys, low, high))
 
-    @classmethod
-    def from_segment(cls, segment: Segment) -> "ColumnZone":
-        """The zone of a sealed segment's values, from its block synopses.
-
-        Equal to :meth:`note_many` over the values: the blocks fold in block
-        order with the running extremes leading, so the first of equal
-        values wins.  Only a block without a synopsis (one holding a NaN) is
-        read, through the segment's selective gather.
-        """
-        zone = cls()
-        length = len(segment)
-        for start, stats in zip(range(0, length, BLOCK_ROWS), segment.block_stats()):
-            if stats is None:
-                zone.note_many(segment.gather(range(start, min(start + BLOCK_ROWS, length))))
-                continue
-            low, high, nulls = stats
-            if low is not None:
-                zone.note_many([low, high])
-            zone.null_count += nulls
-        return zone
-
 
 @dataclass
 class ZoneMap:
     """Per-partition synopsis: row count plus one :class:`ColumnZone` each.
 
     Installed by ANALYZE from the shard's column counts
-    (:meth:`ColumnZone.from_counts`), and derived from the stored columns
-    when a bulk append left it behind (``row_count`` short of the shard's);
-    the planner prunes partitions whose zones contradict pushed-down
-    filters, and the selectivity estimator uses the surviving row counts as
-    a hard upper bound on scan cardinality.
+    (:meth:`ColumnZone.from_counts`), and recomputed the same way on the
+    first read after a bulk append left it behind (``row_count`` short of
+    the shard's); the planner prunes partitions whose zones contradict
+    pushed-down filters, and the selectivity estimator uses the surviving
+    row counts as a hard upper bound on scan cardinality.
     """
 
     row_count: int = 0
@@ -177,26 +155,13 @@ class Partition:
 
     @property
     def zone_map(self) -> Optional[ZoneMap]:
-        """The shard's zone map (``None`` when unpartitioned), derived from
-        the stored columns on the first read after a bulk append."""
+        """The shard's zone map (``None`` when unpartitioned), recomputed
+        from the column counts on the first read after a bulk append."""
         zone_map = self._zone_map
         if zone_map is not None and zone_map.row_count != self._row_count:
-            zone_map = self._zone_map = ZoneMap(
-                row_count=self._row_count,
-                columns={
-                    col.name: self._derived_zone(position)
-                    for position, col in enumerate(self.schema.columns)
-                },
-            )
+            self.refresh_zone_map()
+            zone_map = self._zone_map
         return zone_map
-
-    def _derived_zone(self, position: int) -> ColumnZone:
-        segment = self._segments[position]
-        if segment is not None:
-            return ColumnZone.from_segment(segment)
-        zone = ColumnZone()
-        zone.note_many(self.column_at(position))
-        return zone
 
     @property
     def compressed(self) -> bool:
@@ -319,7 +284,7 @@ class Partition:
         them, in schema order; counted here, one column at a time, when
         ``None``.  Returns whether the new zone map differs from the one it
         replaced; one left behind by a bulk append counts as changed without
-        being derived, since no reader has seen it.
+        being recomputed first, since no reader has seen it.
         """
         previous = self._zone_map
         if previous is None:

@@ -8,7 +8,7 @@ under the catalog lock:
 
 * the **row count** at pin time,
 * references to the sealed segments and the open backing column lists, and
-* a private copy of the zone map, if the shard keeps one (derived first
+* a private copy of the zone map, if the shard keeps one (recomputed first
   when a bulk append left it behind the shard).
 
 Nothing is copied or decoded up front.  A sealed segment is immutable — an

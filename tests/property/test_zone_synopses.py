@@ -12,8 +12,8 @@ on random columns as a table stores them — one type per column: INT, FLOAT
 conjuncts over that column.
 
 The same typed columns, stretched over several blocks, also pin how the
-synopses are taken: a shard's zone map derived from its stored columns
-(open values, or a sealed segment's block synopses) equals the fold of the
+synopses are taken: a shard's zone map recomputed on read after a bulk
+append (from its column counts, open or sealed) equals the fold of the
 values, a dictionary's block synopses taken from its codes equal those of
 the values, and a sealed column's ANALYZE count equals ``Counter(values)``
 down to key order and key objects — under every codec.

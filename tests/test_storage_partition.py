@@ -269,7 +269,7 @@ def test_a_bulk_append_leaves_the_zone_map_to_be_derived_on_read():
     table.load_columns(columns)
     shard = table.partitions()[1]
     assert shard._zone_map.row_count == 0  # left behind by the load
-    snapshot = SnapshotTable(table).partitions()[1]  # derives while it pins
+    snapshot = SnapshotTable(table).partitions()[1]  # recomputes while it pins
     derived = shard.zone_map
     assert derived.row_count == shard.row_count == 10
     assert repr(snapshot.zone_map) == repr(derived)
@@ -277,7 +277,7 @@ def test_a_bulk_append_leaves_the_zone_map_to_be_derived_on_read():
     assert (zone.minimum, zone.maximum, zone.null_count) == (-1.0, 1.0, 0)
     assert derived.zone("kind").null_count == 8
     # ANALYZE installs the same zone maps; it reports a stale one as changed
-    # without deriving it first.
+    # without recomputing it first.
     analyzed = Table(range_schema())
     analyzed.load_columns(columns)
     assert analyzed.refresh_zone_maps()
@@ -285,14 +285,19 @@ def test_a_bulk_append_leaves_the_zone_map_to_be_derived_on_read():
         repr(p.zone_map) for p in table.partitions()
     ]
     assert not analyzed.refresh_zone_maps()
-    # A sealed shard derives from its block synopses; a single-row append
-    # then folds into the current zone map.
+    # A sealed shard recomputes from its segments' counts, decoding none; a
+    # single-row append then folds into the current zone map.
     sealed = Table(range_schema())
     sealed.load_columns(columns)
     sealed.compress()
     assert [repr(p.zone_map) for p in sealed.partitions()] == [
         repr(p.zone_map) for p in table.partitions()
     ]
+    assert all(
+        getattr(p.segment_at(i), "_decoded", None) is None
+        for p in sealed.partitions()
+        for i in range(3)
+    )
     sealed.insert_row((12, "a", 7.5))
     zone_map = sealed.partitions()[1]._zone_map
     assert zone_map.row_count == 11 and zone_map.zone("score").maximum == 7.5
