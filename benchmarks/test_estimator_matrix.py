@@ -25,10 +25,10 @@ def test_estimator_matrix(benchmark, context, recorder):
     print_experiment(result)
 
     estimators = sorted(set(result.column("estimator")))
-    assert estimators == ["feedback", "sampling", "stats", "upper-bound"]
+    assert estimators == ["feedback", "stats", "upper-bound"]
 
     # Statistics-only strategies are deterministic across runs.
-    for estimator in ("stats", "sampling", "upper-bound"):
+    for estimator in ("stats", "upper-bound"):
         for column in ("replans", "qerr_p50", "qerr_p90", "qerr_max"):
             assert _cell(result, estimator, 1, column) == _cell(
                 result, estimator, 2, column
@@ -59,10 +59,5 @@ def test_estimator_matrix(benchmark, context, recorder):
     recorder.record(
         "estimators.upper_bound.run2_replans",
         _cell(result, "upper-bound", 2, "replans"),
-        direction="info",
-    )
-    recorder.record(
-        "estimators.sampling.run2_qerr_p90",
-        _cell(result, "sampling", 2, "qerr_p90"),
         direction="info",
     )

@@ -57,10 +57,6 @@ class FeedbackResult:
         """Number of executions performed."""
         return len(self.iterations)
 
-    def execution_seconds_series(self) -> List[float]:
-        """Per-iteration execution time (the y-axis of Figure 5)."""
-        return [iteration.execution_seconds for iteration in self.iterations]
-
 
 class FeedbackLoop:
     """Iteratively corrects cardinality estimates from observed executions."""

@@ -50,10 +50,6 @@ class DictInjection(CardinalityInjector):
         """Set (or overwrite) the injected value for ``subset``."""
         self._values[frozenset(subset)] = float(rows)
 
-    def remove(self, subset) -> None:
-        """Remove an injected value if present."""
-        self._values.pop(frozenset(subset), None)
-
     def __len__(self) -> int:
         return len(self._values)
 

@@ -19,8 +19,7 @@ gathered column: same first-appearance order, same first key objects.  A
 sealed column is counted through its segment — a dictionary's codes, an RLE
 segment's runs — so a re-ANALYZE of a compressed table decodes nothing.  No
 column is gathered across shards, and no stored row is read: ANALYZE keeps
-no row sample (the ``sampling`` estimator draws its own, see
-:func:`repro.optimizer.estimators.table_sample`).
+no row sample.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.catalog.schema import ColumnType
 from repro.stats.histogram import EquiDepthHistogram
@@ -42,19 +42,11 @@ class ColumnStats:
 
 @dataclass
 class TableStats:
-    """Statistics for one table: its row count and per-column statistics.
-
-    ``sample`` is not a statistic and ANALYZE never fills it: it caches the
-    whole-row sample the sampling estimator draws the first time it
-    estimates this table (:func:`repro.optimizer.estimators.table_sample`),
-    so the sample lives exactly as long as the statistics it was drawn for.
-    It takes no part in equality or ``repr``.
-    """
+    """Statistics for one table: its row count and per-column statistics."""
 
     table: str
     row_count: int
     columns: Dict[str, ColumnStats] = field(default_factory=dict)
-    sample: Optional[List[tuple]] = field(default=None, compare=False, repr=False)
 
     def column_stats(self, column: str) -> Optional[ColumnStats]:
         """Statistics for ``column`` (``None`` if the column was not analyzed)."""

@@ -42,10 +42,6 @@ class ZipfSampler:
         """Draw one index."""
         return bisect.bisect_left(self._cumulative, rng.random())
 
-    def sample_many(self, rng: random.Random, count: int) -> List[int]:
-        """Draw ``count`` independent indices."""
-        return [self.sample(rng) for _ in range(count)]
-
     def probability(self, index: int) -> float:
         """Probability mass of ``index``."""
         if index < 0 or index >= self.n:

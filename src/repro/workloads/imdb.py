@@ -246,10 +246,6 @@ class ImdbDataset:
         """Number of generated rows for ``table``."""
         return len(self.tables.get(table, []))
 
-    def total_rows(self) -> int:
-        """Total generated rows across all tables."""
-        return sum(len(rows) for rows in self.tables.values())
-
 
 # ---------------------------------------------------------------------------
 # Schema

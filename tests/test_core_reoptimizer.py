@@ -164,8 +164,7 @@ class TestFeedbackLoop:
         assert 1 <= result.num_iterations <= 10
         # The last iteration has no remaining violation.
         assert result.iterations[-1].corrected_subset is None or len(result.injection) > 0
-        series = result.execution_seconds_series()
-        assert all(value >= 0 for value in series)
+        assert all(iteration.execution_seconds >= 0 for iteration in result.iterations)
 
     def test_no_iterations_needed_for_good_estimates(self, stock_db):
         loop = FeedbackLoop(stock_db, threshold=1e9)

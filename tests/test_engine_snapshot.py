@@ -227,7 +227,7 @@ class TestDatabaseSnapshots:
         db = _plain_db(rows=100)
         snap = db.snapshot()
         pinned_stats = snap.catalog.stats("t")
-        assert pinned_stats is not None
+        assert pinned_stats is db.catalog.stats("t")  # shared, not copied
         db.load_rows("t", [(i, i) for i in range(100, 200)])
         db.analyze(["t"])
         assert snap.catalog.stats("t") is pinned_stats

@@ -1,30 +1,19 @@
 """Unit tests for the cardinality estimators and engine configuration."""
 
-import sys
-import threading
-from collections import Counter
-
 import pytest
 
-from repro.catalog import ColumnType, make_schema
 from repro.engine import Database, EngineSettings, connect
 from repro.errors import ConfigError
 from repro.optimizer import DictInjection
 from repro.optimizer.cardinality import MIN_ROWS, scan_upper_bound
 from repro.optimizer.cost import CostParameters
 from repro.optimizer.estimators import (
-    SAMPLE_ROWS,
     FeedbackEstimator,
-    SamplingEstimator,
     UpperBoundEstimator,
     create_source,
-    table_sample,
 )
 from repro.optimizer.plan import ScanNode
 from repro.server import Server, ServerConfig
-from repro.stats.analyze import analyze_table
-from repro.storage.table import Table
-from test_stats_analyze_golden import LAYOUTS
 
 SKEWED_SQL = (
     "SELECT count(t.id) AS n FROM company AS c, trades AS t "
@@ -63,9 +52,9 @@ class TestEstimatorRegistry:
     def test_set_estimator_leaves_shared_settings_alone(self):
         shared = EngineSettings()
         db = Database(shared)
-        db.set_estimator("sampling")
-        assert db.settings.estimator == "sampling"
-        assert isinstance(db.optimizer.source, SamplingEstimator)
+        db.set_estimator("upper-bound")
+        assert db.settings.estimator == "upper-bound"
+        assert isinstance(db.optimizer.source, UpperBoundEstimator)
         assert shared.estimator == "stats"
         assert Database(shared).optimizer.source is None
 
@@ -109,131 +98,6 @@ class TestUpperBoundEstimator:
         assert source.lookup(query, _subset(query, "c")) >= actual
 
 
-class TestSamplingEstimator:
-    def test_estimates_from_reservoir_sample(self, stock_db):
-        stock_db.analyze()
-        query = stock_db.parse(SKEWED_SQL, name="sampled")
-        source = SamplingEstimator(stock_db.catalog)
-        estimate = source.lookup(query, _subset(query, "c"))
-        sample = stock_db.catalog.stats("company").sample
-        assert sample, "the first estimate must draw a row sample"
-        assert estimate is not None and estimate >= MIN_ROWS
-        # The scaled match fraction can never exceed the table itself.
-        assert estimate <= stock_db.catalog.table("company").row_count
-
-    def test_skewed_symbol_estimate_is_pinned(self, stock_db):
-        query = stock_db.parse(SKEWED_SQL, name="pinned")
-        source = SamplingEstimator(stock_db.catalog)
-        stats = stock_db.catalog.stats("company")
-        assert stats.sample is None  # ANALYZE draws no sample
-        # The value the estimator gave when ANALYZE drew the sample.
-        assert repr(source.lookup(query, _subset(query, "c"))) == "1.5"
-        assert len(stats.sample) == SAMPLE_ROWS  # drawn by the first estimate
-        # The scaled match fraction can never exceed the table itself.
-        assert source.lookup(query, _subset(query, "c")) <= len(
-            stock_db.catalog.table("company")
-        )
-
-    def test_defers_without_filters_or_sample(self, stock_db):
-        query = stock_db.parse(SKEWED_SQL, name="defer")
-        source = SamplingEstimator(stock_db.catalog)
-        # No filters on the trades alias -> defer.
-        assert source.lookup(query, _subset(query, "t")) is None
-        # Joins always defer.
-        assert source.lookup(query, _subset(query, "c", "t")) is None
-        # Empty the sample -> defer.
-        stock_db.catalog.stats("company").sample = []
-        assert source.lookup(query, _subset(query, "c")) is None
-
-    def test_sample_lives_as_long_as_its_statistics(self, stock_db):
-        query = stock_db.parse(SKEWED_SQL, name="cache")
-        source = SamplingEstimator(stock_db.catalog)
-        source.lookup(query, _subset(query, "c"))
-        drawn = stock_db.catalog.stats("company").sample
-        # A server snapshot holds the statistics, and so the sample, by
-        # reference.
-        snapshot = stock_db.snapshot()
-        assert snapshot.catalog.stats("company").sample is drawn
-        # Statistics equal to the old ones keep the epoch and compare equal
-        # although only the old ones carry a sample.
-        epoch = stock_db.catalog.epoch
-        stock_db.analyze(["company"])
-        assert stock_db.catalog.epoch == epoch
-        assert stock_db.catalog.stats("company").sample is None
-        source.lookup(query, _subset(query, "c"))
-        assert stock_db.catalog.stats("company").sample == drawn
-
-    def test_concurrent_first_draws_agree(self, stock_db):
-        query = stock_db.parse(SKEWED_SQL, name="race")
-        source = SamplingEstimator(stock_db.catalog)
-        expected = source.lookup(query, _subset(query, "c"))
-        drawn = stock_db.catalog.stats("company").sample
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                stock_db.catalog.stats("company").sample = None
-                threads = [
-                    threading.Thread(
-                        target=lambda: results.append(
-                            source.lookup(query, _subset(query, "c"))
-                        )
-                    )
-                    for _ in range(8)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-                assert not any(thread.is_alive() for thread in threads)
-                assert stock_db.catalog.stats("company").sample == drawn
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [expected] * 40
-
-
-# -- the estimator's row sample, over every storage layout ------------------------
-
-
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-@pytest.mark.parametrize("rows", [1000, SAMPLE_ROWS, 60, 0])
-def test_sample_is_a_deterministic_draw_of_stored_rows(layout, rows):
-    table = LAYOUTS[layout](rows)
-    stats = analyze_table(table)
-    sample = table_sample(table, stats)
-    assert stats.sample is sample  # cached on the statistics
-    stored = Counter(table.iter_rows())
-    assert len(sample) == min(SAMPLE_ROWS, rows)
-    assert all(isinstance(row, tuple) and len(row) == 3 for row in sample)
-    # Drawn without replacement from the stored rows (all distinct here).
-    assert not Counter(sample) - stored
-    assert len(set(sample)) == len(sample)
-    # Unchanged data, unchanged sample — also on a rebuilt copy of the table.
-    assert table_sample(table, analyze_table(table)) == sample
-    rebuilt = LAYOUTS[layout](rows)
-    assert table_sample(rebuilt, analyze_table(rebuilt)) == sample
-
-
-@pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_small_tables_are_kept_whole_in_storage_order(layout):
-    table = LAYOUTS[layout](40)
-    assert table_sample(table, analyze_table(table)) == list(table.iter_rows())
-
-
-def test_sample_covers_the_table_uniformly():
-    # Every tenth of ten 10k-row tables gets its share of their 1000 sampled
-    # rows (expected 100 each; a uniform draw stays well within 60..140).
-    per_decile = Counter()
-    for name in range(10):
-        table = Table(make_schema(f"t{name}", [("id", ColumnType.INT)]))
-        table.load_columns([list(range(10_000))])
-        sample = table_sample(table, analyze_table(table))
-        per_decile.update(row[0] // 1000 for row in sample)
-    assert sorted(per_decile) == list(range(10))
-    assert all(60 <= count <= 140 for count in per_decile.values())
-
-
 class TestFeedbackEstimator:
     def test_prefers_observed_cardinalities(self, stock_db):
         query = stock_db.parse(SKEWED_SQL, name="observed")
@@ -265,10 +129,10 @@ class TestFeedbackEstimator:
 
 class TestEngineSettingsResolution:
     def test_precedence_kwarg_beats_settings_beats_default(self):
-        base = EngineSettings(plan_cache_size=2, estimator="sampling")
+        base = EngineSettings(plan_cache_size=2, estimator="upper-bound")
         resolved = EngineSettings.resolve(base, plan_cache_size=8)
         assert resolved.plan_cache_size == 8  # explicit kwarg wins
-        assert resolved.estimator == "sampling"  # settings object second
+        assert resolved.estimator == "upper-bound"  # settings object second
         assert resolved.statistics_target == EngineSettings().statistics_target  # default
 
     def test_none_overrides_mean_unspecified(self):
@@ -298,6 +162,8 @@ class TestEngineSettingsResolution:
             connect(stock_db, workers=4)
         with pytest.raises(ConfigError, match="unknown engine setting 'sample_rows'"):
             connect(stock_db, sample_rows=50)
+        with pytest.raises(ConfigError, match="unknown estimator 'sampling'"):
+            connect(stock_db, estimator="sampling")
 
     def test_replace_returns_validated_copy(self):
         base = EngineSettings()

@@ -37,7 +37,7 @@ from repro.optimizer import (
     PlannerConfig,
 )
 from repro.optimizer.cardinality import MIN_ROWS
-from repro.optimizer.estimators import FeedbackEstimator, SamplingEstimator
+from repro.optimizer.estimators import FeedbackEstimator, UpperBoundEstimator
 from repro.optimizer.feedback import FeedbackStore
 from repro.optimizer.plan import JoinAlgorithm, PlanNode, ScanNode
 
@@ -452,8 +452,8 @@ def _estimation(kind: str, db: Database, query, seed: int):
         return DictInjection(values), lambda: None
     if kind == "perfect":
         return TrueCardinalityOracle(db).perfect_injection(2), lambda: None
-    if kind == "sampling":
-        return None, lambda: SamplingEstimator(db.catalog)
+    if kind == "upper-bound":
+        return None, lambda: UpperBoundEstimator(db.catalog)
     if kind == "feedback":
         learned = [
             (frozenset(combo), rng.choice((3.0, 50.0, 700.0)))
@@ -509,7 +509,7 @@ def _plan_both(db, query, config, injector, make_source):
     return reference, new
 
 
-ESTIMATION = ("none", "dict", "perfect", "sampling", "feedback")
+ESTIMATION = ("none", "dict", "perfect", "upper-bound", "feedback")
 MAX_TABLES = {"bushy": 8, "linear": 11, "greedy": 17}
 
 

@@ -9,14 +9,12 @@ class FakeQuery:
 
 
 class TestDictInjection:
-    def test_set_get_remove(self):
+    def test_set_get(self):
         injector = DictInjection()
         injector.set({"a", "b"}, 42)
         assert injector.lookup(FakeQuery(), frozenset({"a", "b"})) == 42.0
         assert frozenset({"a", "b"}) in injector
         assert len(injector) == 1
-        injector.remove({"a", "b"})
-        assert injector.lookup(FakeQuery(), frozenset({"a", "b"})) is None
 
     def test_constructor_values(self):
         injector = DictInjection({frozenset({"a"}): 7})
