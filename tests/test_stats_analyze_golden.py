@@ -10,6 +10,8 @@ the production code must stay field-for-field equal to it.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 import weakref
 from collections import Counter
 
@@ -238,6 +240,51 @@ def test_analyze_reads_no_stored_row(analyzed, monkeypatch, layout, rows):
     # order (the reference engine's index path reads them).
     monkeypatch.undo()
     assert [table.row(i) for i in range(len(table))] == list(table.iter_rows())
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("rows", [0, 60, 100, 1000])
+def test_every_layout_stores_each_inserted_row_once(layout, rows):
+    table = LAYOUTS[layout](rows)
+    inserted = _rows(rows)
+    stored = list(table.iter_rows())
+    assert sorted(stored, key=lambda row: row[0]) == inserted
+    # A shard keeps its rows in insertion order.
+    position = {row: i for i, row in enumerate(inserted)}
+    for partition in table.partitions():
+        order = [position[row] for row in partition.iter_rows()]
+        assert order == sorted(order)
+    # A rebuilt copy stores them in the same shards, in the same order.
+    assert list(LAYOUTS[layout](rows).iter_rows()) == stored
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("rows", [60, 1000])
+def test_concurrent_first_point_reads_agree(layout, rows):
+    # The first read fills lazy caches (a sealed segment's decode, a
+    # snapshot's pinned column copy); racing first readers must agree.
+    expected = list(LAYOUTS[layout](rows).iter_rows())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            table = LAYOUTS[layout](rows)
+            start = threading.Barrier(8)
+            results = []
+
+            def read():
+                start.wait()
+                results.append([table.row(i) for i in range(rows)])
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_database_analyze_reads_no_stored_row(stock_db, analyzed):
