@@ -13,13 +13,16 @@ record but never fail the job.  The gated metrics are simulated work/time
 quantities, which are deterministic for a given scale, so the gate is stable
 across machines.
 
-Exit status: 0 when every gated metric passes, 1 otherwise.
+Exit status: 0 when every gated metric passes, 1 otherwise, and 2 when a
+report file is missing (``make bench`` writes one only when
+``REPRO_BENCH_REPORT`` names it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -100,6 +103,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    for path in (args.baseline, args.current):
+        if not os.path.exists(path):
+            print(
+                f"FAIL: {path} not found; write it with "
+                f"`REPRO_BENCH_SCALE=0.3 REPRO_BENCH_REPORT={path} make bench`"
+            )
+            return 2
     baseline_report = load_report(args.baseline)
     current_report = load_report(args.current)
     base_scale = baseline_report.get("meta", {}).get("scale")

@@ -351,18 +351,8 @@ def run_serve(args) -> int:
     statements = [
         example_query("APPL"),
         example_query("GOOG"),
-        (
-            "SELECT t.venue, COUNT(t.id) AS n FROM trades AS t "
-            "GROUP BY t.venue ORDER BY n DESC"
-            if _has_column(database, "trades", "venue")
-            else "SELECT COUNT(trades.id) AS n FROM trades"
-        ),
-        (
-            "SELECT c.sector, SUM(t.shares) AS volume FROM company AS c, trades AS t "
-            "WHERE c.id = t.company_id GROUP BY c.sector ORDER BY volume DESC LIMIT 5"
-            if _has_column(database, "company", "sector")
-            else "SELECT COUNT(company.id) AS n FROM company"
-        ),
+        "SELECT COUNT(trades.id) AS n FROM trades",
+        "SELECT COUNT(company.id) AS n FROM company",
     ]
     config = ServerConfig(
         workers=args.workers,
@@ -422,14 +412,6 @@ def run_serve(args) -> int:
             f"{cache.stale_evictions} stale eviction(s)"
         )
     return 1 if errors else 0
-
-
-def _has_column(database, table: str, column: str) -> bool:
-    """Whether ``table.column`` exists (demo statements adapt to the schema)."""
-    return (
-        table in database.catalog
-        and database.catalog.schema(table).has_column(column)
-    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:

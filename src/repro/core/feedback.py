@@ -52,11 +52,6 @@ class FeedbackResult:
     iterations: List[FeedbackIteration] = field(default_factory=list)
     injection: DictInjection = field(default_factory=DictInjection)
 
-    @property
-    def num_iterations(self) -> int:
-        """Number of executions performed."""
-        return len(self.iterations)
-
 
 class FeedbackLoop:
     """Iteratively corrects cardinality estimates from observed executions."""

@@ -421,9 +421,18 @@ class Database:
 def _schema_row(
     table: Table, row: Union[Sequence, Dict[str, object]], width: int
 ) -> Sequence:
-    """One ``load_rows`` row as a sequence in schema order."""
+    """One ``load_rows`` row as a sequence in schema order.
+
+    A dict row names its columns: missing ones are NULL, unknown ones raise.
+    """
     if isinstance(row, dict):
-        return table.row_values_from_dict(row)
+        names = table.schema.column_names
+        unknown = set(row) - set(names)
+        if unknown:
+            raise StorageError(
+                f"unknown columns {sorted(unknown)} for table {table.name!r}"
+            )
+        return [row.get(name) for name in names]
     if len(row) != width:
         raise StorageError(
             f"table {table.name!r} expects {width} values, got {len(row)}"

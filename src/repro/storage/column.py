@@ -3,7 +3,7 @@
 Every stored value is either ``None`` or the declared Python type of its
 column's :class:`~repro.catalog.schema.ColumnType`, so everything downstream
 (statistics, predicate evaluation, hash joins) can rely on it.
-:func:`checked_value` coerces one value; bulk loads validate a whole column
+:func:`checked_value` coerces one value; loads validate a whole column
 at once (:func:`checked_values`): when every value already is ``None`` or
 exactly the declared Python type — what an executor result materialized
 into a temporary table always is — the check is one C-level pass over the
@@ -14,7 +14,6 @@ actually seen (``bool`` or a numeric string into INT, ``int`` into FLOAT,
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import ne
 from typing import Iterable, Sequence, Tuple
 
@@ -56,25 +55,23 @@ def checked_values(
     return [checked_value(definition, value) for value in values]
 
 
-def value_range(
-    values: Sequence[object], low: object = None, high: object = None
-) -> Tuple[object, object, int]:
-    """``(minimum, maximum, NULL count)`` of ``values`` after running extremes.
+def value_range(values: Sequence[object]) -> Tuple[object, object, int]:
+    """``(minimum, maximum, NULL count)`` of ``values``.
 
-    Builtin ``min``/``max`` with ``low``/``high`` leading, so the first of equal
-    values wins; extremes are ``None`` when there is no non-NULL value.  A NULL
-    compares with nothing, so ``min``/``max`` run straight over ``values`` and
-    NULLs are counted and filtered only once that raises.  Raises
-    ``TypeError`` for mutually incomparable values.
+    Builtin ``min``/``max``, so the first of equal values wins; extremes are
+    ``None`` when there is no non-NULL value.  A NULL compares with nothing,
+    so ``min``/``max`` run straight over ``values`` and NULLs are counted and
+    filtered only once that raises.  Raises ``TypeError`` for mutually
+    incomparable values.
     """
     if values and values[-1] is not None:
         try:
-            return (*_extremes(values, low, high), 0)
+            return (*_extremes(values), 0)
         except TypeError:
             pass  # a NULL further up, or incomparable values (raised again below)
     nulls = values.count(None)
     present = [v for v in values if v is not None] if nulls else values
-    return (*_extremes(present, low, high), nulls)
+    return (*_extremes(present), nulls)
 
 
 def holds_nan(values: Sequence[object], low: object, high: object) -> bool:
@@ -89,9 +86,7 @@ def holds_nan(values: Sequence[object], low: object, high: object) -> bool:
     return any(map(ne, values, values))
 
 
-def _extremes(values: Sequence[object], low: object, high: object) -> Tuple[object, object]:
+def _extremes(values: Sequence[object]) -> Tuple[object, object]:
     if not values:
-        return low, high
-    if low is None:
-        return min(values), max(values)
-    return min(chain((low,), values)), max(chain((high,), values))
+        return None, None
+    return min(values), max(values)

@@ -6,11 +6,11 @@ sealed compressed :class:`~repro.storage.compression.Segment` — per column.
 A shard of a table whose schema carries a
 :class:`~repro.catalog.schema.PartitionSpec` also keeps a :class:`ZoneMap`
 (per-column min/max/null-count plus the shard row count).  ANALYZE installs
-it from the occurrence counts it takes of the shard's columns and a single
-row append folds into it; a bulk append leaves it behind the shard, and the
-first read then recomputes it from the column counts as ANALYZE does, so
-set-up takes each value's min/max once.  The one shard of an unpartitioned
-table keeps none, since nothing routes to it or prunes it.
+it from the occurrence counts it takes of the shard's columns; an append
+leaves it behind the shard, and the first read then recomputes it from the
+column counts as ANALYZE does, so set-up takes each value's min/max once.
+The one shard of an unpartitioned table keeps none, since nothing routes to
+it or prunes it.
 
 Routing is deterministic across processes: :func:`stable_hash` avoids
 Python's per-process string-hash randomization, and NULL partition keys
@@ -69,27 +69,14 @@ class ColumnZone:
     null_count: int = 0
     has_nan: bool = False
 
-    def note_many(self, values: List[object]) -> None:
-        """Fold a run of appended values into the zone.
-
-        The running extremes lead the comparison, so the first of equal
-        values wins, and folding a column in parts equals folding it whole.
-        """
-        self.minimum, self.maximum, nulls = value_range(
-            values, self.minimum, self.maximum
-        )
-        self.null_count += nulls
-        if not self.has_nan:
-            self.has_nan = holds_nan(values, self.minimum, self.maximum)
-
     @classmethod
     def from_counts(cls, counts: Mapping[object, int]) -> "ColumnZone":
         """The zone of the values ``counts`` counted in storage order.
 
-        Equal to :meth:`note_many` over those values: the distinct keys, in
-        first-appearance order and as first-appearing objects, fold to the
-        same extremes, since a repeat of an earlier value never moves a
-        running minimum or maximum (NaN or not).
+        Equal to folding those values one by one into running extremes: the
+        distinct keys, in first-appearance order and as first-appearing
+        objects, give the same extremes, since a repeat of an earlier value
+        never moves a running minimum or maximum (NaN or not).
         """
         keys = list(counts)
         low, high, _ = value_range(keys)
@@ -102,8 +89,8 @@ class ZoneMap:
 
     Installed by ANALYZE from the shard's column counts
     (:meth:`ColumnZone.from_counts`), and recomputed the same way on the
-    first read after a bulk append left it behind (``row_count`` short of
-    the shard's); the planner prunes partitions whose zones contradict
+    first read after an append left it behind (``row_count`` short of the
+    shard's); the planner prunes partitions whose zones contradict
     pushed-down filters, and the selectivity estimator uses the surviving
     row counts as a hard upper bound on scan cardinality.
     """
@@ -156,7 +143,7 @@ class Partition:
     @property
     def zone_map(self) -> Optional[ZoneMap]:
         """The shard's zone map (``None`` when unpartitioned), recomputed
-        from the column counts on the first read after a bulk append."""
+        from the column counts on the first read after an append."""
         zone_map = self._zone_map
         if zone_map is not None and zone_map.row_count != self._row_count:
             self.refresh_zone_map()
@@ -176,17 +163,6 @@ class Partition:
             values = self._plain[position] = list(segment.values())
             self._segments[position] = None
         return values
-
-    def append_row(self, values: Sequence[object]) -> None:
-        """Append one coerced row (values already validated by the table)."""
-        for position, value in enumerate(values):
-            self._writable(position).append(value)
-        zone_map = self._zone_map
-        if zone_map is not None and zone_map.row_count == self._row_count:
-            for col, value in zip(self.schema.columns, values):
-                zone_map.columns[col.name].note_many([value])
-            zone_map.row_count += 1
-        self._row_count += 1
 
     def append_columns(self, columns: Sequence[List[object]]) -> None:
         """Append coerced rows given column-wise (one list per schema column)."""
@@ -283,7 +259,7 @@ class Partition:
         ``zones`` holds every column's zone as :meth:`column_counts` records
         them, in schema order; counted here, one column at a time, when
         ``None``.  Returns whether the new zone map differs from the one it
-        replaced; one left behind by a bulk append counts as changed without
+        replaced; one left behind by an append counts as changed without
         being recomputed first, since no reader has seen it.
         """
         previous = self._zone_map

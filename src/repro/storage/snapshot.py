@@ -9,7 +9,7 @@ under the catalog lock:
 * the **row count** at pin time,
 * references to the sealed segments and the open backing column lists, and
 * a private copy of the zone map, if the shard keeps one (recomputed first
-  when a bulk append left it behind the shard).
+  when an append left it behind the shard).
 
 Nothing is copied or decoded up front.  A sealed segment is immutable — an
 append after sealing replaces it with a reopened plain list, it never
@@ -49,7 +49,7 @@ def _read_only(name: str) -> StorageError:
 
 
 def _copy_zone_map(zone_map: ZoneMap, row_count: int) -> ZoneMap:
-    """A private zone-map copy, detached from the writer's in-place updates."""
+    """A private copy of ``zone_map`` at the pinned ``row_count``."""
     return ZoneMap(
         row_count=row_count,
         columns={
@@ -97,9 +97,6 @@ class PartitionSnapshot(Partition):
 
     # -- mutators (rejected) -------------------------------------------------
 
-    def append_row(self, values) -> None:
-        raise _read_only(self.schema.name)
-
     def append_columns(self, columns) -> None:
         raise _read_only(self.schema.name)
 
@@ -137,9 +134,6 @@ class SnapshotTable(Table):
         self._invalidate()
 
     # -- mutators (rejected) -------------------------------------------------
-
-    def insert_row(self, values) -> int:
-        raise _read_only(self.name)
 
     def load_columns(self, columns) -> int:
         raise _read_only(self.name)

@@ -21,11 +21,11 @@ from bisect import bisect_right
 from collections import Counter
 from functools import partial
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
-from repro.storage.column import checked_value, checked_values
+from repro.storage.column import checked_values
 from repro.storage.partition import ColumnZone, Partition, ZoneMap, stable_hash
 
 __all__ = ["Table"]
@@ -144,66 +144,6 @@ class Table:
                 f"of lengths {sorted(lengths)}"
             )
         return lengths.pop() if lengths else 0
-
-    def insert_row(self, values: Sequence[object]) -> int:
-        """Insert one row, returning its current global row id.
-
-        Global ids are shard-gather positions, so ids of rows in later
-        shards shift when earlier shards grow; build indexes only after
-        loading (``finalize_load`` order), as the engine does.
-
-        Raises:
-            StorageError: if the value count does not match the schema or a
-                NULL goes into a non-nullable column.
-        """
-        if len(values) != len(self.schema.columns):
-            raise StorageError(
-                f"table {self.name!r} expects {len(self.schema.columns)} values, "
-                f"got {len(values)}"
-            )
-        coerced = [
-            checked_value(col_def, value)
-            for col_def, value in zip(self.schema.columns, values)
-        ]
-        target = 0
-        if self.spec is not None:
-            target = self.route(coerced[self.schema.column_index(self.spec.column)])
-        partition = self._partitions[target]
-        partition.append_row(coerced)
-        self._row_count += 1
-        self._invalidate()
-        offset = sum(p.row_count for p in self._partitions[:target])
-        return offset + partition.row_count - 1
-
-    def insert_rows(self, rows: Iterable[Sequence[object]]) -> int:
-        """Insert many rows; returns the number inserted."""
-        count = 0
-        for row in rows:
-            self.insert_row(row)
-            count += 1
-        return count
-
-    def row_values_from_dict(self, row: Dict[str, object]) -> List[object]:
-        """Order a ``{column: value}`` dict into schema order (missing → NULL).
-
-        Raises:
-            StorageError: if the dict names columns the schema lacks.
-        """
-        names = self.schema.column_names
-        unknown = set(row) - set(names)
-        if unknown:
-            raise StorageError(
-                f"unknown columns {sorted(unknown)} for table {self.name!r}"
-            )
-        return [row.get(name) for name in names]
-
-    def insert_dicts(self, rows: Iterable[Dict[str, object]]) -> int:
-        """Insert rows given as ``{column: value}`` dictionaries (missing → NULL)."""
-        count = 0
-        for row in rows:
-            self.insert_row(self.row_values_from_dict(row))
-            count += 1
-        return count
 
     def load_columns(self, columns: Sequence[Sequence[object]]) -> int:
         """Append rows given column-wise (one value sequence per schema column).

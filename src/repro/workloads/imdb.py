@@ -242,10 +242,6 @@ class ImdbDataset:
     tables: Dict[str, List[tuple]] = field(default_factory=dict)
     vocabulary: ImdbVocabulary = field(default_factory=ImdbVocabulary)
 
-    def row_count(self, table: str) -> int:
-        """Number of generated rows for ``table``."""
-        return len(self.tables.get(table, []))
-
 
 # ---------------------------------------------------------------------------
 # Schema

@@ -13,6 +13,7 @@ from repro.bench import (
     run_workload,
     total_seconds,
 )
+from repro.bench import compare
 from repro.core import ReoptimizationPolicy
 
 
@@ -34,6 +35,23 @@ class TestReporting:
         text = result.to_text()
         assert "== x: title ==" in text
         assert "note: hello" in text
+
+
+class TestCompare:
+    @pytest.mark.parametrize("absent", ["BENCH_baseline.json", "BENCH_pr.json"])
+    def test_missing_report_names_the_command_that_writes_it(self, tmp_path, capsys, absent):
+        reports = [tmp_path / "BENCH_baseline.json", tmp_path / "BENCH_pr.json"]
+        for report in reports:
+            if report.name != absent:
+                report.write_text('{"meta": {"scale": 0.3}, "metrics": {}}')
+        missing = tmp_path / absent
+        assert compare.main([str(report) for report in reports]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == (
+            f"FAIL: {missing} not found; write it with "
+            f"`REPRO_BENCH_SCALE=0.3 REPRO_BENCH_REPORT={missing} make bench`\n"
+        )
+        assert captured.err == ""
 
 
 class TestRegimesAndHarness:

@@ -56,7 +56,7 @@ class TestCatalog:
         catalog = Catalog()
         schema = _schema()
         table = Table(schema)
-        table.insert_rows([(1, "a"), (2, "b")])
+        table.load_columns([[1, 2], ["a", "b"]])
         catalog.register(schema, table)
         stats = analyze_table(table)
         catalog.set_stats("t", stats)
@@ -66,13 +66,13 @@ class TestCatalog:
         catalog = Catalog()
         schema = _schema()
         table = Table(schema)
-        table.insert_rows([(1, "a"), (2, "b")])
+        table.load_columns([[1, 2], ["a", "b"]])
         catalog.register(schema, table)
         assert catalog.set_stats("t", analyze_table(table))
         epoch = catalog.epoch
         assert not catalog.set_stats("t", analyze_table(table))
         assert catalog.epoch == epoch
-        table.insert_rows([(3, "c")])
+        table.load_columns([[3], ["c"]])
         assert catalog.set_stats("t", analyze_table(table))
         assert catalog.epoch == epoch + 1
         assert catalog.stats("t").row_count == 3
@@ -81,7 +81,7 @@ class TestCatalog:
         catalog = Catalog()
         schema = _schema()
         table = Table(schema)
-        table.insert_rows([(1, "a"), (2, "b")])
+        table.load_columns([[1, 2], ["a", "b"]])
         catalog.register(schema, table)
         catalog.add_index("t", HashIndex(table, "id"))
         assert "id" in catalog.indexes("t")

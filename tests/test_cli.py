@@ -136,3 +136,12 @@ class TestSqlCommand:
         err = capsys.readouterr().err
         assert "LIMIT must come after the FROM clause" in err
         assert "at offset 12" in err
+
+
+class TestServeCommand:
+    def test_serves_every_statement_beside_a_writer(self, capsys):
+        code = main(
+            ["serve", "--clients", "2", "--statements", "3", "--workers", "2", "--writer-churn"]
+        )
+        assert code == 0
+        assert "served 6, shed 0, errors 0" in capsys.readouterr().out

@@ -161,7 +161,7 @@ class TestFeedbackLoop:
     def test_converges_on_skewed_query(self, stock_db):
         loop = FeedbackLoop(stock_db, threshold=4, max_iterations=10)
         result = loop.run(stock_db.parse(SKEWED_SQL, name="feedback"))
-        assert 1 <= result.num_iterations <= 10
+        assert 1 <= len(result.iterations) <= 10
         # The last iteration has no remaining violation.
         assert result.iterations[-1].corrected_subset is None or len(result.injection) > 0
         assert all(iteration.execution_seconds >= 0 for iteration in result.iterations)
@@ -169,7 +169,7 @@ class TestFeedbackLoop:
     def test_no_iterations_needed_for_good_estimates(self, stock_db):
         loop = FeedbackLoop(stock_db, threshold=1e9)
         result = loop.run(stock_db.parse(UNSKEWED_SQL, name="feedback-good"))
-        assert result.num_iterations == 1
+        assert len(result.iterations) == 1
         assert result.iterations[0].corrected_subset is None
 
 

@@ -70,19 +70,15 @@ class TestStorageSnapshots:
     def test_snapshots_reject_all_mutations(self):
         plain = SnapshotTable(_plain_db().catalog.table("t"))
         with pytest.raises(StorageError):
-            plain.insert_row((1, 2))
-        with pytest.raises(StorageError):
-            plain.insert_rows([(1, 2)])
-        with pytest.raises(StorageError):
-            plain.insert_dicts([{"id": 1}])
-        with pytest.raises(StorageError):
             plain.load_columns([[1], [2]])
         with pytest.raises(StorageError):
             plain.compress()
+        pinned = _plain_db().snapshot()
+        with pytest.raises(StorageError):
+            pinned.load_rows("t", [(1, 2)])
+        assert pinned.catalog.table("t").row_count == 100
 
         parted = SnapshotTable(_partitioned_db().catalog.table("p"))
-        with pytest.raises(StorageError):
-            parted.insert_row((1, 2))
         with pytest.raises(StorageError):
             parted.load_columns([[1], [2]])
         with pytest.raises(StorageError):
@@ -91,7 +87,9 @@ class TestStorageSnapshots:
             parted.refresh_zone_maps()
         for shard in parted.partitions():
             with pytest.raises(StorageError):
-                shard.append_row((1, 2))
+                shard.append_columns([[1], [2]])
+            with pytest.raises(StorageError):
+                shard.truncate(0)
 
     def test_partition_snapshot_zone_maps_detached_from_writer(self):
         db = _partitioned_db(rows=120)
@@ -100,7 +98,7 @@ class TestStorageSnapshots:
         before = [
             shard.zone_map.columns["id"].maximum for shard in snap.partitions()
         ]
-        # Writer appends mutate the live zone maps in place.
+        # Writer appends move the live zone maps past the pinned rows.
         db.load_rows("p", [(10_000 + i, i % 7) for i in range(20)])
         after = [
             shard.zone_map.columns["id"].maximum for shard in snap.partitions()

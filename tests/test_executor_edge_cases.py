@@ -344,7 +344,7 @@ class TestFilterNullEdgeCases:
 
 class TestZeroCopyScanSafety:
     def test_scan_batch_is_stable_if_table_grows(self, edge_db):
-        """A scan batch wraps storage zero-copy; later inserts must not leak in.
+        """A scan batch wraps storage zero-copy; later appends must not leak in.
 
         This hazard is introduced by the columnar engine (the reference
         engine copies rows eagerly), so the batch bounds every read by the
@@ -354,7 +354,7 @@ class TestZeroCopyScanSafety:
 
         batch, fetched = scan_table(edge_db.catalog, "u", "u", [])
         assert fetched == 2
-        edge_db.catalog.table("u").insert_row((3, 7))
+        edge_db.catalog.table("u").load_columns([[3], [7]])
         assert len(batch) == 2
         assert batch.column_values("u", "id") == [1, 2]
         assert batch.rows == [(1, 1), (2, 2)]
@@ -374,7 +374,7 @@ class TestColumnWiseLoadRollback:
             ),
         )
         table = Table(schema)
-        table.insert_row((1, 10))
+        table.load_columns([[1], [10]])
         with pytest.raises(StorageError):
             table.load_columns([[2, 3], [20, None]])  # NULL into non-nullable b
         assert table.row_count == 1
@@ -399,7 +399,7 @@ class TestColumnWiseLoadRollback:
         assert table.row_count == 0
         assert table.column_values("a") == []
         assert table.column_values("b") == []
-        table.insert_row((9, 9))
+        table.load_columns([[9], [9]])
         assert table.row(0) == (9, 9)
 
 

@@ -24,15 +24,14 @@ def make_range_table() -> Table:
             partition_by=PartitionSpec(method="range", column="id", bounds=(10, 20)),
         )
     )
-    table.insert_rows(
+    table.load_columns(
         [
-            # partition 0: scores all NULL, tags present
-            (1, None, "a"),
-            (5, None, "b"),
-            # partition 1: a single-value id shard is built separately below
-            (15, 3, None),
-            (15, 7, None),
+            # partition 0 (ids 1, 5): scores all NULL, tags present;
+            # partition 1 (ids 15, 15): a single-value id shard, tags all NULL;
             # partition 2 stays empty
+            [1, 5, 15, 15],
+            [None, None, 3, 7],
+            ["a", "b", None, None],
         ]
     )
     return table
@@ -134,7 +133,7 @@ def test_hash_partitions_prune_by_key_routing():
             partition_by=PartitionSpec(method="hash", column="gid", partitions=4),
         )
     )
-    table.insert_rows([(i, i % 9) for i in range(40)])
+    table.load_columns([list(range(40)), [i % 9 for i in range(40)]])
     # Zone maps cannot refute hash shards (every shard spans the key range);
     # equality routing can.
     pruned, total = prune_partitions(table, [parse_expression("r.gid = 3")])

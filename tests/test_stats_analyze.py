@@ -12,10 +12,13 @@ def _loaded_table():
         primary_key="id",
     )
     table = Table(schema)
-    rows = []
-    for i in range(200):
-        rows.append((i, f"name{i % 20}", 20 + (i % 50) if i % 10 else None))
-    table.insert_rows(rows)
+    table.load_columns(
+        [
+            list(range(200)),
+            [f"name{i % 20}" for i in range(200)],
+            [20 + (i % 50) if i % 10 else None for i in range(200)],
+        ]
+    )
     return table
 
 

@@ -186,9 +186,15 @@ def _rows(count):
     ]
 
 
+def _columns(count):
+    """``_rows(count)`` column-wise, as ``Table.load_columns`` takes them."""
+    rows = _rows(count)
+    return [[row[position] for row in rows] for position in range(3)]
+
+
 def _plain(count):
     table = Table(_schema())
-    table.insert_rows(_rows(count))
+    table.load_columns(_columns(count))
     return table
 
 
@@ -196,7 +202,7 @@ def _partitioned_compressed(count):
     table = Table(
         _schema(PartitionSpec(method="hash", column="id", partitions=4))
     )
-    table.insert_rows(_rows(count))
+    table.load_columns(_columns(count))
     table.compress()
     return table
 
@@ -394,11 +400,13 @@ def _sharded_db(rows=None):
 
 
 def _recomputed_zone_map(partition):
-    zone_map = ZoneMap(row_count=partition.row_count)
-    for col, values in zip(partition.schema.columns, partition.column_data()):
-        zone = zone_map.columns[col.name] = ColumnZone()
-        zone.note_many(values)
-    return zone_map
+    return ZoneMap(
+        row_count=partition.row_count,
+        columns={
+            col.name: ColumnZone.from_counts(Counter(values))
+            for col, values in zip(partition.schema.columns, partition.column_data())
+        },
+    )
 
 
 def test_the_sharded_table_has_what_the_merge_must_keep():

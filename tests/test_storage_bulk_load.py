@@ -1,9 +1,11 @@
-"""Bulk column loads: same stored values as row inserts, atomic on failure.
+"""Bulk column loads: same stored values as a per-row model, atomic on failure.
 
 ``Table.load_columns`` (one shard, or routed to many) validates whole
-columns and only fall back to per-value coercion when a foreign type is
-seen; these tests pin that the stored values equal what ``insert_rows``
-stores, on both layouts, and that no failure leaves a torn table.
+columns and only falls back to per-value coercion when a foreign type is
+seen; these tests pin that the stored values equal those of a per-row model
+(each row, in input order, routed by its checked key into its shard, each
+value checked on its own), on both layouts, and that no failure leaves a
+torn table.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.catalog.schema import (
     make_schema,
 )
 from repro.errors import CatalogError, StorageError
+from repro.storage.column import checked_value
 from repro.storage.table import Table
 
 COLUMNS = (
@@ -46,6 +49,26 @@ def _contents(table):
     return [_typed(column) for column in table.column_data()]
 
 
+def _row_model(spec, rows):
+    """Each shard's columns as the per-row model stores ``rows``: every value
+    through ``checked_value``, every row appended in input order to the
+    shard ``Table.route`` names for its checked key."""
+    router = _table(spec)
+    key = None if spec is None else router.schema.column_index(spec.column)
+    shards = [[[] for _ in COLUMNS] for _ in router.partitions()]
+    for row in rows:
+        values = [checked_value(col, value) for col, value in zip(COLUMNS, row)]
+        shard = 0 if key is None else router.route(values[key])
+        for column, value in zip(shards[shard], values):
+            column.append(value)
+    return shards
+
+
+def _gathered(shards):
+    """The model's columns in global row-id (shard-gather) order."""
+    return [sum(columns, []) for columns in zip(*shards)]
+
+
 LAYOUTS = [None, RANGE, HASH]
 
 
@@ -57,21 +80,23 @@ LAYOUTS = [None, RANGE, HASH]
         [[5, 15, 25], ["a", None, "c"], [1.0, None, 2.5], [None, 1, 2]],
         # INT -> FLOAT widening.
         [[5, 15, 25], ["a", "b", "c"], [1, 2.5, None], [0, 1, 2]],
-        # bool into INT stays a bool, exactly like a row insert.
+        # bool into INT stays a bool, as checked_value stores it.
         [[5, 15, 25], ["a", "b", "c"], [1.0, 2.0, 3.0], [True, False, 2]],
         # Numeric strings into INT, number into TEXT.
         [["5", 15, "25"], [7, "b", None], [1.0, 2.0, 3.0], ["1", 1, None]],
+        # FLOAT into INT truncates; bool and a numeric string into FLOAT.
+        [[5.0, "15", 25.9], [1.5, 2, None], ["2.5", True, 3], [1.9, None, "0"]],
         # Tuples instead of lists.
         [(5, 15), ("a", "b"), (1.0, 2.0), (1, 2)],
         [[], [], [], []],
     ],
 )
 def test_bulk_load_stores_what_row_inserts_store(spec, columns):
-    bulk, by_row = _table(spec), _table(spec)
+    bulk = _table(spec)
     count = bulk.load_columns(columns)
-    by_row.insert_rows(list(zip(*columns)))
-    assert count == len(columns[0]) == bulk.row_count == by_row.row_count
-    assert _contents(bulk) == _contents(by_row)
+    assert count == len(columns[0]) == bulk.row_count
+    expected = _gathered(_row_model(spec, zip(*columns)))
+    assert _contents(bulk) == [_typed(column) for column in expected]
 
 
 @pytest.mark.parametrize("spec", LAYOUTS)
@@ -141,7 +166,7 @@ def test_bulk_load_copies_its_input(spec):
     assert table.row_count == 2
 
 
-# -- partitioned: differential against insert_rows ----------------------------
+# -- partitioned: differential against the per-row model -----------------------
 
 
 def _zones(table):
@@ -157,6 +182,20 @@ def _zones(table):
     ]
 
 
+def _model_zones(shards):
+    """Per shard: its row count, and per column the min/max (first of equal
+    values) and NULL count of the values stored there."""
+    zones = []
+    for columns in shards:
+        entries = {}
+        for col, values in zip(COLUMNS, columns):
+            present = [value for value in values if value is not None]
+            extremes = [min(present), max(present)] if present else [None, None]
+            entries[col.name] = (_typed(extremes), values.count(None))
+        zones.append((len(columns[0]), entries))
+    return zones
+
+
 @pytest.mark.parametrize("spec", [RANGE, HASH])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_partitioned_bulk_load_equals_row_inserts(spec, seed):
@@ -170,22 +209,24 @@ def test_partitioned_bulk_load_equals_row_inserts(spec, seed):
         )
         for _ in range(300)
     ]
-    bulk, by_row = _table(spec), _table(spec)
-    # Two batches: the second one folds into zone maps that already hold values.
-    for batch in (rows[:120], rows[120:]):
+    bulk = _table(spec)
+    # Two batches, the zone maps read after each: the second batch appends to
+    # shards that already hold rows and whose zone maps are current.
+    for loaded in (120, 300):
+        batch = rows[bulk.row_count : loaded]
         bulk.load_columns([list(column) for column in zip(*batch)])
-        by_row.insert_rows(batch)
-    assert bulk.row_count == by_row.row_count == 300
-    for mine, theirs in zip(bulk.partitions(), by_row.partitions()):
-        assert mine.row_count == theirs.row_count
-        assert [_typed(c) for c in mine.column_data()] == [
-            _typed(c) for c in theirs.column_data()
-        ]
-    assert _zones(bulk) == _zones(by_row)
-    # Global row ids (partition-gather order) resolve to the same rows.
-    assert [bulk.row(i) for i in range(300)] == [by_row.row(i) for i in range(300)]
-    assert _contents(bulk) == _contents(by_row)
-    # An ANALYZE-style refresh recomputes the synopsis the load maintained.
+        assert _zones(bulk) == _model_zones(_row_model(spec, rows[:loaded]))
+    shards = _row_model(spec, rows)
+    assert bulk.row_count == 300
+    for mine, theirs in zip(bulk.partitions(), shards):
+        assert mine.row_count == len(theirs[0])
+        assert [_typed(c) for c in mine.column_data()] == [_typed(c) for c in theirs]
+    assert _zones(bulk) == _model_zones(shards)
+    # Global row ids (partition-gather order) resolve to the model's rows.
+    expected = _gathered(shards)
+    assert [bulk.row(i) for i in range(300)] == list(zip(*expected))
+    assert _contents(bulk) == [_typed(column) for column in expected]
+    # An ANALYZE-style refresh recomputes the zone maps read after the load.
     loaded = _zones(bulk)
     bulk.refresh_zone_maps()
     assert _zones(bulk) == loaded

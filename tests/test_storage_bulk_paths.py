@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import random
+from collections import Counter
 
 import pytest
 
@@ -158,7 +159,13 @@ def _frozen_load_columns(table, rows):
     columns = [[] for _ in range(width)]
     for row in rows:
         if isinstance(row, dict):
-            row = table.row_values_from_dict(row)
+            names = table.schema.column_names
+            unknown = set(row) - set(names)
+            if unknown:
+                raise StorageError(
+                    f"unknown columns {sorted(unknown)} for table {table.name!r}"
+                )
+            row = [row.get(name) for name in names]
         elif len(row) != width:
             raise StorageError(
                 f"table {table.name!r} expects {width} values, got {len(row)}"
@@ -382,9 +389,7 @@ def test_load_rows_equals_row_by_row_inserts(layout, order):
     assert db.load_rows("t", rows) == len(rows)
     oracle = Table(_load_table(layout))
     assert oracle.load_columns(_frozen_load_columns(oracle, rows)) == len(rows)
-    by_row = Table(_load_table(layout))
-    by_row.insert_rows(zip(*_frozen_load_columns(by_row, rows)))
-    assert _partitions(loaded) == _partitions(oracle) == _partitions(by_row)
+    assert _partitions(loaded) == _partitions(oracle)
 
 
 @pytest.mark.parametrize(
@@ -408,7 +413,7 @@ def test_load_rows_rejects_like_the_row_loop(rows):
 
 
 def _frozen_note(zone, value):
-    """The per-value fold ``ColumnZone.note_many`` replaced."""
+    """The per-value fold into running extremes that zones once took."""
     if value is None:
         zone.null_count += 1
         return
@@ -421,15 +426,13 @@ def _frozen_note(zone, value):
 
 
 def test_zone_folds_equal_per_value_notes():
-    # Running extremes lead: with NaN and signed zeros the fold order shows.
+    # The zone of the counts equals the per-value fold: with NaN and signed
+    # zeros the fold order shows.
     rng = random.Random(3)
     pool = [None, SHARED_NAN, 0.0, -0.0, 1.5, -2.0]
     for _ in range(500):
         values = [rng.choice(pool) for _ in range(rng.randrange(12))]
-        cut = rng.randrange(len(values) + 1)
-        folded, noted = ColumnZone(), ColumnZone()
-        folded.note_many(values[:cut])
-        folded.note_many(values[cut:])
+        folded, noted = ColumnZone.from_counts(Counter(values)), ColumnZone()
         for value in values:
             _frozen_note(noted, value)
         assert typed([folded.minimum, folded.maximum]) == typed([noted.minimum, noted.maximum])

@@ -15,13 +15,11 @@ def _table_with_rows():
         foreign_keys=[("company_id", "company", "id")],
     )
     table = Table(schema)
-    table.insert_rows(
+    table.load_columns(
         [
-            (1, 10, "a"),
-            (2, 10, "b"),
-            (3, 20, "c"),
-            (4, None, "d"),
-            (5, 30, "e"),
+            [1, 2, 3, 4, 5],
+            [10, 10, 20, None, 30],
+            ["a", "b", "c", "d", "e"],
         ]
     )
     return table

@@ -35,6 +35,11 @@ def hash_schema(partitions: int = 4):
     )
 
 
+def load(table, rows):
+    """Append ``rows`` (tuples in schema order) through ``Table.load_columns``."""
+    return table.load_columns([list(column) for column in zip(*rows)])
+
+
 # -- partition specs ---------------------------------------------------------
 
 
@@ -64,7 +69,7 @@ def test_schema_rejects_unknown_partition_key():
 
 def test_a_table_without_a_spec_is_one_unrouted_shard_without_zone_maps():
     table = Table(make_schema("t", [("id", ColumnType.INT)]))
-    table.insert_rows([(3,), (None,), (1,)])
+    load(table, [(3,), (None,), (1,)])
     assert table.num_partitions == 1
     assert table.zone_map(0) is None
     table.refresh_zone_maps()
@@ -106,9 +111,9 @@ def test_range_routing_rejects_uncomparable_keys():
 
 def test_rows_gather_in_partition_order():
     table = Table(range_schema())
-    # Insert out of partition order on purpose.
+    # Load out of partition order on purpose.
     rows = [(25, "c", 1.0), (5, "a", 2.0), (15, "b", 3.0), (7, "a", 4.0)]
-    table.insert_rows(rows)
+    load(table, rows)
     # Partition 0: ids 5, 7; partition 1: id 15; partition 2: id 25.
     gathered_ids = table.column_values("id")
     assert gathered_ids == [5, 7, 15, 25]
@@ -118,14 +123,6 @@ def test_rows_gather_in_partition_order():
     assert table.row_count == len(table) == 4
     with pytest.raises(StorageError):
         table.row(4)
-
-
-def test_insert_row_returns_gather_order_row_id():
-    table = Table(range_schema())
-    assert table.insert_row((15, "b", 1.0)) == 0
-    # A row routed into an earlier partition lands *before* the first one.
-    assert table.insert_row((5, "a", 2.0)) == 0
-    assert table.column_values("id") == [5, 15]
 
 
 def test_load_columns_routes_and_rolls_back_atomically():
@@ -144,21 +141,12 @@ def test_load_columns_routes_and_rolls_back_atomically():
         table.load_columns([[1, 2], ["a"], [0.5, 0.5]])  # ragged
 
 
-def test_insert_dicts_and_coercion():
-    table = Table(range_schema())
-    table.insert_dicts([{"id": 15, "kind": "b"}, {"id": "5", "score": 7}])
-    assert table.column_values("id") == [5, 15]  # "5" coerced to int
-    assert table.column_values("score") == [7.0, None]
-    with pytest.raises(StorageError):
-        table.insert_dicts([{"id": 1, "bogus": 2}])
-
-
 # -- the column_values aliasing regression -----------------------------------
 
 
 def test_table_column_values_returns_a_copy():
     table = Table(make_schema("t", [("id", ColumnType.INT)]))
-    table.insert_rows([(1,), (2,)])
+    load(table, [(1,), (2,)])
     leaked = table.column_values("id")
     leaked.append(999)
     leaked[0] = -1
@@ -168,7 +156,7 @@ def test_table_column_values_returns_a_copy():
 
 def test_partitioned_column_values_returns_a_copy():
     table = Table(range_schema())
-    table.insert_rows([(5, "a", 1.0), (15, "b", 2.0)])
+    load(table, [(5, "a", 1.0), (15, "b", 2.0)])
     leaked = table.column_values("id")
     leaked.clear()
     assert table.column_values("id") == [5, 15]
@@ -212,21 +200,21 @@ def test_rle_never_merges_equal_values_of_different_types():
 
 def test_partition_compress_round_trip_and_reopen_on_write():
     table = Table(range_schema())
-    table.insert_rows([(i, f"k{i % 2}", float(i % 3)) for i in range(30)])
+    load(table, [(i, f"k{i % 2}", float(i % 3)) for i in range(30)])
     before = [table.row(i) for i in table.iter_row_ids()]
     table.compress()
     assert all(p.compressed for p in table.partitions() if p.row_count)
     assert [table.row(i) for i in table.iter_row_ids()] == before
     assert table.column_values("kind") == [r[1] for r in before]
     # Appending to a sealed shard transparently decompresses it again.
-    table.insert_row((9, "z", 0.0))
+    load(table, [(9, "z", 0.0)])
     assert table.column_values("id").count(9) == 2
 
 
 def test_point_reads_of_sealed_shards_decode_nothing():
     table = Table(range_schema())
     rows = [(i, f"k{i % 2}", float(i % 3)) for i in range(30)]
-    table.load_columns([list(column) for column in zip(*rows)])
+    load(table, rows)
     table.compress()
     assert [table.row(i) for i in table.iter_row_ids()] == rows
     segments = [p.segment_at(i) for p in table.partitions() for i in range(3)]
@@ -237,9 +225,9 @@ def test_point_reads_of_sealed_shards_decode_nothing():
 # -- zone maps ---------------------------------------------------------------
 
 
-def test_zone_maps_track_min_max_and_nulls_incrementally():
+def test_zone_maps_track_min_max_and_nulls():
     table = Table(range_schema())
-    table.insert_rows([(5, "a", None), (7, None, 2.5), (15, "b", 1.0)])
+    load(table, [(5, "a", None), (7, None, 2.5), (15, "b", 1.0)])
     zone = table.zone_map(0)
     assert zone.row_count == 2
     assert (zone.zone("id").minimum, zone.zone("id").maximum) == (5, 7)
@@ -247,7 +235,7 @@ def test_zone_maps_track_min_max_and_nulls_incrementally():
     assert zone.zone("score").null_count == 1
     assert zone.non_null_count("score") == 1
     # An ANALYZE-style refresh recomputes the identical synopsis.
-    incremental = {
+    derived = {
         (name, z.minimum, z.maximum, z.null_count)
         for name, z in zone.columns.items()
     }
@@ -256,7 +244,7 @@ def test_zone_maps_track_min_max_and_nulls_incrementally():
         (name, z.minimum, z.maximum, z.null_count)
         for name, z in table.zone_map(0).columns.items()
     }
-    assert incremental == refreshed
+    assert derived == refreshed
     # Empty partitions stay empty.
     assert table.zone_map(2).row_count == 0
     assert table.zone_map(2).zone("id").minimum is None
@@ -285,8 +273,8 @@ def test_a_bulk_append_leaves_the_zone_map_to_be_derived_on_read():
         repr(p.zone_map) for p in table.partitions()
     ]
     assert not analyzed.refresh_zone_maps()
-    # A sealed shard recomputes from its segments' counts, decoding none; a
-    # single-row append then folds into the current zone map.
+    # A sealed shard recomputes from its segments' counts, decoding none; the
+    # zone map read after a further append covers the new row.
     sealed = Table(range_schema())
     sealed.load_columns(columns)
     sealed.compress()
@@ -298,6 +286,6 @@ def test_a_bulk_append_leaves_the_zone_map_to_be_derived_on_read():
         for p in sealed.partitions()
         for i in range(3)
     )
-    sealed.insert_row((12, "a", 7.5))
-    zone_map = sealed.partitions()[1]._zone_map
+    load(sealed, [(12, "a", 7.5)])
+    zone_map = sealed.partitions()[1].zone_map
     assert zone_map.row_count == 11 and zone_map.zone("score").maximum == 7.5

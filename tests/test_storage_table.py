@@ -33,22 +33,10 @@ def _strict_table():
 
 
 class TestCoercion:
-    def test_insert_row_coerces_to_int(self):
-        table = _strict_table()
-        table.insert_row((1, "2"))
-        table.insert_row((3, None))
-        assert table.column_data() == [[1, 3], [2, None]]
-
     def test_load_columns_coerces_to_int(self):
         table = _strict_table()
         assert table.load_columns([[1, 2, 3], [1, "2", None]]) == 3
         assert table.column_values("age") == [1, 2, None]
-
-    def test_insert_row_rejects_null_into_not_null(self):
-        table = _strict_table()
-        with pytest.raises(StorageError):
-            table.insert_row((None, 1))
-        assert table.row_count == 0
 
     def test_load_columns_rejects_null_into_not_null_atomically(self):
         table = _strict_table()
@@ -62,29 +50,18 @@ class TestCoercion:
 class TestTable:
     def test_insert_and_read(self):
         table = _table()
-        row_id = table.insert_row((1, "alice", 30))
-        assert row_id == 0
+        assert table.load_columns([[1], ["alice"], [30]]) == 1
         assert table.row_count == 1
         assert table.row(0) == (1, "alice", 30)
 
     def test_insert_wrong_width(self):
         table = _table()
         with pytest.raises(StorageError):
-            table.insert_row((1, "alice"))
-
-    def test_insert_dicts_with_missing_column(self):
-        table = _table()
-        table.insert_dicts([{"id": 1, "name": "bob"}])
-        assert table.row(0) == (1, "bob", None)
-
-    def test_insert_dicts_unknown_column(self):
-        table = _table()
-        with pytest.raises(StorageError):
-            table.insert_dicts([{"id": 1, "oops": 2}])
+            table.load_columns([[1], ["alice"]])
 
     def test_iter_rows(self):
         table = _table()
-        table.insert_rows([(1, "a", 10), (2, "b", 20)])
+        table.load_columns([[1, 2], ["a", "b"], [10, 20]])
         assert list(table.iter_rows()) == [(1, "a", 10), (2, "b", 20)]
         assert list(table.iter_row_ids()) == [0, 1]
 
@@ -101,7 +78,7 @@ class TestTable:
     def test_estimated_pages(self):
         table = _table()
         assert table.estimated_pages() == 1
-        table.insert_rows([(i, "x", i) for i in range(250)])
+        table.load_columns([list(range(250)), ["x"] * 250, list(range(250))])
         assert table.estimated_pages(rows_per_page=100) == 3
 
 

@@ -6,10 +6,13 @@ workload), every paper-figure benchmark module (``benchmarks/test_fig*.py``,
 ``benchmarks/test_table*.py``, ``benchmarks/test_ablation_reoptimization.py``),
 the estimator matrix of ``make experiments``
 (``benchmarks/test_estimator_matrix.py``, at ``REPRO_BENCH_SCALE=0.3``),
-every ``examples/*.py`` script (as ``__main__``, output discarded) and the
-two CI streams of the differential SQL fuzzer (``HYPOTHESIS_PROFILE=ci``,
-once over plain tables and once with ``REPRO_FUZZ_PARTITIONS=4``), the
-benchmarks and the fuzzer through ``pytest.main``, with a
+every ``examples/*.py`` script (as ``__main__``, output discarded), three
+command lines of the ``repro`` CLI through ``repro.cli.main`` (``list``, one
+JOB-style ``sql`` statement and a two-client ``serve`` with writer churn,
+output discarded) and the two CI streams of the differential SQL fuzzer
+(``HYPOTHESIS_PROFILE=ci``, once over plain tables and once with
+``REPRO_FUZZ_PARTITIONS=4``), the benchmarks and the fuzzer through
+``pytest.main``, with a
 ``sys.setprofile``/``threading.setprofile`` hook recording every function
 call into ``src/repro``.  Then prints, per module, how many of the functions
 it defines were called at least once, lowest share first, and below that
@@ -19,8 +22,8 @@ table every function no run called, one ``module:line name`` a line::
 
 A function is a code object compiled from the module's source: ``def``s and
 methods, nested ones included; class bodies, lambdas and comprehensions are
-not counted.  A module at 0 is code no workload, figure, example or fuzz
-stream reaches.  Takes several minutes; the profile hook slows every Python
+not counted.  A module at 0 is code no workload, figure, example, CLI run
+or fuzz stream reaches.  Takes several minutes; the profile hook slows every Python
 call.
 """
 
@@ -51,6 +54,17 @@ EXAMPLES = sorted(glob.glob(os.path.join(REPO, "examples", "*.py")))
 MATRIX = os.path.join(REPO, "benchmarks", "test_estimator_matrix.py")
 #: ``REPRO_BENCH_SCALE`` of the estimator matrix run.
 MATRIX_SCALE = "0.3"
+#: ``repro.cli.main`` argument lists: the user surface the other runs skip.
+CLI_RUNS = (
+    ["list"],
+    [
+        "sql", "--scale", "0.05", "-e",
+        "SELECT MIN(t.title) AS movie_title FROM title AS t, movie_keyword AS mk, "
+        "keyword AS k WHERE k.id = mk.keyword_id AND t.id = mk.movie_id "
+        "AND k.keyword LIKE '%sequel%' AND t.production_year > 2005",
+    ],
+    ["serve", "--clients", "2", "--statements", "3", "--workers", "2", "--writer-churn"],
+)
 FUZZ = os.path.join(REPO, "tests", "property", "test_sql_fuzz_differential.py")
 #: ``REPRO_FUZZ_PARTITIONS`` of the fuzz streams: plain tables, four shards.
 FUZZ_PARTITIONS = ("0", "4")
@@ -168,6 +182,19 @@ def run_examples() -> None:
         print(f"ran {os.path.relpath(path, REPO)}", file=sys.stderr, flush=True)
 
 
+def run_cli() -> int:
+    """Each of ``CLI_RUNS`` through ``repro.cli.main``; worst exit status."""
+    from repro.cli import main as cli_main
+
+    status = 0
+    for argv in CLI_RUNS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+        print(f"ran repro {argv[0]}: exit {code}", file=sys.stderr, flush=True)
+        status = max(status, code)
+    return status
+
+
 def run_fuzz() -> int:
     """The CI fuzz stream once per ``FUZZ_PARTITIONS`` value; worst exit status."""
     module = os.path.splitext(os.path.basename(FUZZ))[0]
@@ -212,12 +239,13 @@ def main() -> int:
         run_workloads()
         status = max(run_figures(), run_matrix())
         run_examples()
-        status = max(status, run_fuzz())
+        status = max(status, run_cli(), run_fuzz())
     print(
         f"reach census: {', '.join(WORKLOADS)} (smoke, traced)"
         f" + {', '.join(os.path.basename(path) for path in FIGURES)}"
         f" + {os.path.basename(MATRIX)} (REPRO_BENCH_SCALE={MATRIX_SCALE})"
         f" + {', '.join(os.path.basename(path) for path in EXAMPLES)}"
+        f" + repro {', '.join(argv[0] for argv in CLI_RUNS)}"
         f" + fuzz (ci profile, REPRO_FUZZ_PARTITIONS {' and '.join(FUZZ_PARTITIONS)})"
     )
     print("\n".join(report(modules, recorder.reached())))
