@@ -32,9 +32,12 @@
 #                  with `python benchmarks/perf/compare.py A.json B.json`.
 #                  Not part of `ci`: wall-clock numbers are judged by the A/B
 #                  protocol in benchmarks/perf/README.md, not by a CI gate
-#   make bench   - paper-figure benchmarks plus the speedup guards; set
-#                  REPRO_BENCH_REPORT=BENCH_pr.json to emit the trajectory
-#                  report, compare with `make bench-compare`
+#   make bench   - paper-figure benchmarks plus the speedup guards
+#   make bench-compare - the CI benchmark job: (re)runs the paper-figure
+#                  suite at REPRO_BENCH_SCALE=0.3 into BENCH_pr.json when a
+#                  *.py file under src/ or benchmarks/ or the baseline is
+#                  newer than the report, then gates it against
+#                  BENCH_baseline.json
 #   make experiments - the estimator-strategy x workload matrix (Q-error
 #                  distributions and re-plan counts per strategy, two runs);
 #                  emits estimators.* info metrics into the trajectory
@@ -75,6 +78,10 @@ METRIC ?= pass_wall_s
 export PYTHONPATH := src
 
 .PHONY: ci test unit diff fuzz fuzz-nightly fuzz-partitioned guards stress perf-smoke perf ab bench bench-compare experiments pins lint all
+
+# A recipe that fails leaves no target behind (a half-written BENCH_pr.json
+# would otherwise pass for an up-to-date report).
+.DELETE_ON_ERROR:
 
 # Mirrors the CI workflow's step sequence exactly (lint job, then the test
 # job's pytest steps, then the speedup guards, the serving stress and the
@@ -123,7 +130,11 @@ ab:
 bench:
 	$(PYTHON) -m pytest -x -q -s benchmarks
 
-bench-compare:
+# The CI benchmark job's suite, at its scale, writing its trajectory report.
+BENCH_pr.json: $(shell find src benchmarks -name '*.py') BENCH_baseline.json
+	REPRO_BENCH_SCALE=0.3 REPRO_BENCH_REPORT=$@ $(PYTHON) -m pytest -x -q benchmarks --ignore=benchmarks/test_engine_speedup.py --ignore=benchmarks/test_aggregate_speedup.py
+
+bench-compare: BENCH_pr.json
 	$(PYTHON) -m repro.bench.compare BENCH_baseline.json BENCH_pr.json --max-regression 0.20
 
 experiments:

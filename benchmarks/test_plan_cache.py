@@ -15,7 +15,6 @@ from conftest import print_experiment
 
 from repro.bench.reporting import ExperimentResult
 from repro.engine import connect
-from repro.sql import parameterize
 
 # The acceptance floor is 10x; REPRO_PLAN_CACHE_FLOOR exists so noisy shared
 # runners can lower the gate without editing code (never raise it in CI).
@@ -27,25 +26,22 @@ def test_prepared_plan_cache_speedup(context):
     # The widest workload query: join enumeration dominates its plan stage,
     # which is exactly the work a cache hit must skip.
     job = max(context.job_queries, key=lambda q: q.num_tables)
-    bound = context.database.parse(job.sql, name=job.name)
-    template, values = parameterize(bound)
-
     connection = connect(context.database, reoptimize=False)
-    statement = connection.prepare(template.to_sql(), name=job.name)
+    statement = connection.prepare(job.sql, name=job.name)
 
     cold_seconds = []
     for _ in range(BEST_OF):
         connection.plan_cache.clear()
-        cursor = statement.execute(values)
+        cursor = statement.execute()
         assert not cursor.context.plan_cached
         cold_seconds.append(cursor.context.stage_seconds["plan"])
 
-    baseline = statement.execute(values)
+    baseline = statement.execute()
     assert baseline.context.plan_cached  # warm from the last cold run
     expected_rows = baseline.fetchall()
     warm_seconds = []
     for _ in range(BEST_OF):
-        cursor = statement.execute(values)
+        cursor = statement.execute()
         assert cursor.context.plan_cached
         assert cursor.context.planning_seconds == 0.0
         assert cursor.fetchall() == expected_rows

@@ -19,12 +19,12 @@ counts (rows fetched, join input/output cardinalities, index probe matches),
 which both engines compute identically; only wall-clock differs.  This is
 what makes differential testing between the engines meaningful.
 
-Hash, nested-loop and merge joins run as the same hash join
-(``join_results``); their algorithm changes only the charged work.  An
-index nested-loop join runs through the inner table's index
-(``index_join_results``), which also returns the index matches it is
-charged for; its inner scan still runs, uncharged, so the actual rows the
-re-optimization loops observe do not depend on the algorithm.
+Hash and nested-loop joins run as the same hash join (``join_results``);
+their algorithm changes only the charged work.  An index nested-loop join
+runs through the inner table's index (``index_join_results``), which also
+returns the index matches it is charged for; its inner scan still runs,
+uncharged, so the actual rows the re-optimization loops observe do not
+depend on the algorithm.
 
 See README, "Why charged work is engine-invariant", for why deterministic
 work units, not wall-clock, are the primary execution-time proxy.
@@ -489,8 +489,6 @@ class Executor:
             own = self.cost_model.hash_join_cost(outer_rows, inner_rows, output_rows)
         elif node.algorithm is JoinAlgorithm.NESTED_LOOP:
             own = self.cost_model.nested_loop_cost(outer_rows, inner_rows, output_rows)
-        elif node.algorithm is JoinAlgorithm.MERGE_JOIN:
-            own = self.cost_model.merge_join_cost(outer_rows, inner_rows, output_rows)
         elif index_probed:
             # Probes pay one index lookup per outer row; every index match is
             # fetched and residual-filtered even if it does not survive.

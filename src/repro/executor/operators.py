@@ -21,8 +21,8 @@ This is the default execution engine.  Every operator consumes and produces
 
 The engine mirrors :mod:`repro.executor.reference` exactly: same output
 multiset (in fact the same row order: probe-side-major, build insertion
-order within a key) and same work-accounting inputs.  Hash, nested-loop
-and merge joins all run as ``join_results``' hash join — their algorithm
+order within a key) and same work-accounting inputs.  Hash and
+nested-loop joins both run as ``join_results``' hash join — their algorithm
 only changes the deterministic work :mod:`repro.executor.executor`
 charges; an index nested-loop join runs through the index
 (``index_join_results``) and yields the very rows, in the very order, the

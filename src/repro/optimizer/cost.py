@@ -123,19 +123,6 @@ class CostModel:
         )
         return probes + matches
 
-    def merge_join_cost(
-        self, outer_rows: float, inner_rows: float, output_rows: float
-    ) -> float:
-        """Sort both sides and merge."""
-        p = self.params
-        cost = 0.0
-        for rows in (outer_rows, inner_rows):
-            if rows > 1:
-                cost += self.params.sort_factor * rows * math.log2(rows) * p.cpu_operator_cost
-            cost += rows * p.cpu_operator_cost
-        cost += output_rows * p.cpu_tuple_cost
-        return cost
-
     # -- other operators ---------------------------------------------------------
 
     def aggregate_cost(self, input_rows: float, num_outputs: int) -> float:

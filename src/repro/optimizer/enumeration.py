@@ -19,10 +19,10 @@ each from its mask in the historical order, so candidates, tie-breaks and
 counters are those of a plain subset enumeration.
 
 All strategies share the candidate costing in :meth:`_cheapest_join`, which
-considers hash join, nested loop, index nested loop (when the inner is a
-base table with an index on the join key) and merge join in both
-orientations, costed with the shared :class:`~repro.optimizer.cost.CostModel`
-(the hash and nested-loop formulas inlined, same float evaluation order).
+considers hash join, nested loop and index nested loop (when the inner is
+a base table with an index on the join key) in both orientations, costed
+with the shared :class:`~repro.optimizer.cost.CostModel` (the hash and
+nested-loop formulas inlined, same float evaluation order).
 Candidates are compared as plain cost floats; a :class:`JoinNode` is built
 only for the cheapest join of each alias subset the search keeps.
 
@@ -279,7 +279,7 @@ class JoinEnumerator:
         """Cost every physical join of two planned alias masks against the incumbent.
 
         Candidates are costed as plain floats, both orientations, in a fixed
-        order (hash, nested loop, merge, index nested loop); a candidate
+        order (hash, nested loop, index nested loop); a candidate
         replaces ``best`` only when strictly cheaper, so the first of equally
         cheap candidates wins.  Returns the surviving choice — ``best`` itself
         when nothing here beats it — from which :meth:`_make_join` builds the
@@ -334,12 +334,6 @@ class JoinEnumerator:
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best = (cost, outer, inner, JoinAlgorithm.NESTED_LOOP, joins, residuals)
-            if joins:
-                candidates += 1
-                cost = base_cost + model.merge_join_cost(outer_rows, inner_rows, output_rows)
-                if cost < best_cost:
-                    best_cost = cost
-                    best = (cost, outer, inner, JoinAlgorithm.MERGE_JOIN, joins, residuals)
             if joins and self._index_partners.get(inner_mask, 0) & outer_mask:
                 # The inner base table is probed through its index, so its
                 # own scan cost is not paid; only the outer subtree cost is.

@@ -32,7 +32,6 @@ order the dynamic program estimates subsets in.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from repro.sql.ast import Expr
@@ -191,19 +190,6 @@ class JoinGraph:
                     if wider not in grown:
                         grown[wider] = (key | rank[bit], (reach | adjacent[bit]) & ~wider)
             level = grown
-
-    def connected_subsets_of_size(self, size: int) -> List[AliasSet]:
-        """All connected alias subsets of exactly ``size`` tables."""
-        return [s for s in self.connected_subsets_up_to(size) if len(s) == size]
-
-    def connected_subsets_up_to(self, max_size: int) -> List[AliasSet]:
-        """All connected alias subsets of size 1..``max_size`` (a view of
-        :meth:`connected_levels`, in its order)."""
-        return [
-            self.aliases_of(mask)
-            for level in islice(self.connected_levels(), max(0, max_size))
-            for mask in level
-        ]
 
     # -- rendering ----------------------------------------------------------
 

@@ -33,7 +33,6 @@ class JoinAlgorithm(enum.Enum):
     HASH_JOIN = "hash_join"
     NESTED_LOOP = "nested_loop"
     INDEX_NESTED_LOOP = "index_nested_loop"
-    MERGE_JOIN = "merge_join"
 
 
 @dataclass
@@ -154,7 +153,6 @@ class JoinNode(PlanNode):
             JoinAlgorithm.HASH_JOIN: "Hash Join",
             JoinAlgorithm.NESTED_LOOP: "Nested Loop",
             JoinAlgorithm.INDEX_NESTED_LOOP: "Index Nested Loop",
-            JoinAlgorithm.MERGE_JOIN: "Merge Join",
         }
         conditions = " AND ".join(j.to_sql() for j in self.join_predicates)
         if not conditions and self.residual_filters:
@@ -166,14 +164,10 @@ class JoinNode(PlanNode):
 
 
 @dataclass
-class AggregateNode(PlanNode):
-    """Final aggregation / projection producing the query output."""
+class UnaryNode(PlanNode):
+    """A node over one input: its aliases are its child's."""
 
     child: PlanNode
-    select_items: Tuple[SelectItem, ...]
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
 
     @property
     def aliases(self) -> FrozenSet[str]:
@@ -181,6 +175,13 @@ class AggregateNode(PlanNode):
 
     def children(self) -> Tuple[PlanNode, ...]:
         return (self.child,)
+
+
+@dataclass
+class AggregateNode(UnaryNode):
+    """Final aggregation / projection producing the query output."""
+
+    select_items: Tuple[SelectItem, ...]
 
     def label(self) -> str:
         if any(item.aggregate is not None for item in self.select_items):
@@ -189,22 +190,11 @@ class AggregateNode(PlanNode):
 
 
 @dataclass
-class HashAggregateNode(PlanNode):
+class HashAggregateNode(UnaryNode):
     """Grouped aggregation: hash on the group keys, fold aggregates per group."""
 
-    child: PlanNode
     group_keys: Tuple[ColumnRef, ...]
     select_items: Tuple[SelectItem, ...]
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-
-    @property
-    def aliases(self) -> FrozenSet[str]:
-        return self.child.aliases
-
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
 
     def label(self) -> str:
         keys = ", ".join(str(key) for key in self.group_keys)
@@ -212,7 +202,7 @@ class HashAggregateNode(PlanNode):
 
 
 @dataclass
-class SortNode(PlanNode):
+class SortNode(UnaryNode):
     """Sort of the query output on one or more keys.
 
     Under ``LIMIT`` the planner appends a deterministic tie-break below the
@@ -223,20 +213,9 @@ class SortNode(PlanNode):
     and ties may keep plan order.
     """
 
-    child: PlanNode
     keys: Tuple[BoundSortKey, ...]
     tie_break: Tuple[Expr, ...] = ()
     tie_break_all: bool = False
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-
-    @property
-    def aliases(self) -> FrozenSet[str]:
-        return self.child.aliases
-
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
 
     def label(self) -> str:
         # to_sql() renders " DESC" itself; spell out ASC for readability.
@@ -247,22 +226,11 @@ class SortNode(PlanNode):
 
 
 @dataclass
-class LimitNode(PlanNode):
+class LimitNode(UnaryNode):
     """LIMIT/OFFSET applied to the (possibly sorted) query output."""
 
-    child: PlanNode
     limit: int
     offset: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-
-    @property
-    def aliases(self) -> FrozenSet[str]:
-        return self.child.aliases
-
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
 
     def label(self) -> str:
         text = f"Limit {self.limit}"
@@ -272,27 +240,15 @@ class LimitNode(PlanNode):
 
 
 @dataclass
-class DistinctNode(PlanNode):
+class DistinctNode(UnaryNode):
     """Duplicate elimination over the projected output rows."""
-
-    child: PlanNode
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-
-    @property
-    def aliases(self) -> FrozenSet[str]:
-        return self.child.aliases
-
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
 
     def label(self) -> str:
         return "Distinct"
 
 
 @dataclass
-class OneTimeFilterNode(PlanNode):
+class OneTimeFilterNode(UnaryNode):
     """A constant WHERE condition evaluated once per statement.
 
     The binder folds literal-only predicates (``WHERE 1 = 1``,
@@ -303,19 +259,8 @@ class OneTimeFilterNode(PlanNode):
     always-false queries.
     """
 
-    child: PlanNode
     conditions: Tuple[Expr, ...]
     passes: bool
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-
-    @property
-    def aliases(self) -> FrozenSet[str]:
-        return self.child.aliases
-
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
 
     def label(self) -> str:
         return f"Result (One-Time Filter: {'true' if self.passes else 'false'})"

@@ -2,10 +2,7 @@
 
 Prepared statements parse and bind SQL containing ``?`` placeholders once;
 each execution substitutes concrete values into the bound template with
-:func:`bind_parameters`.  :func:`parameterize` is the inverse: it lifts every
-literal of the filter and residual expressions out into a parameter list,
-which is how the test suite checks that the prepared path returns exactly the
-rows of the literal SQL for every workload query.
+:func:`bind_parameters`.
 
 Parameters appear anywhere an expression does inside WHERE predicates, and
 nowhere else: the binder rejects one in the select list.  Join predicates
@@ -18,7 +15,7 @@ mismatched one simply matches nothing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
 from repro.errors import ParameterError
 from repro.sql.ast import (
@@ -26,7 +23,6 @@ from repro.sql.ast import (
     Like,
     Literal,
     Param,
-    Parameter,
     transform_expr,
 )
 from repro.sql.binder import BoundQuery
@@ -100,44 +96,3 @@ def bind_parameters(query: BoundQuery, params: Sequence[object]) -> BoundQuery:
         limit=query.limit,
         offset=query.offset,
     )
-
-
-def parameterize(query: BoundQuery) -> Tuple[BoundQuery, List[object]]:
-    """Replace every filter literal with a ``?`` and return the values.
-
-    The parameters are numbered in the order ``BoundQuery.to_sql`` renders
-    the predicates (per-alias filters in FROM order, then joins — which
-    carry no literals — then residual join filters), so the returned values
-    line up with the placeholders of the re-parsed SQL text.
-    """
-    values: List[object] = []
-
-    def lift(node: Expr) -> Expr:
-        if isinstance(node, Literal):
-            values.append(node.value)
-            return Param(Parameter(len(values) - 1))
-        return node
-
-    filters: Dict[str, List[Expr]] = {}
-    for alias in query.aliases:
-        predicates = query.filters_for(alias)
-        if predicates:
-            filters[alias] = [transform_expr(p, lift) for p in predicates]
-    residuals = [transform_expr(p, lift) for p in query.residuals]
-    parameterized = BoundQuery(
-        name=query.name,
-        aliases=list(query.aliases),
-        alias_tables=dict(query.alias_tables),
-        select_items=list(query.select_items),
-        filters=filters,
-        joins=list(query.joins),
-        residuals=residuals,
-        constant_filters=list(query.constant_filters),
-        param_count=len(values),
-        distinct=query.distinct,
-        group_by=list(query.group_by),
-        order_by=list(query.order_by),
-        limit=query.limit,
-        offset=query.offset,
-    )
-    return parameterized, values

@@ -99,11 +99,11 @@ class ZoneMap:
     columns: Dict[str, ColumnZone] = field(default_factory=dict)
 
     def zone(self, column: str) -> ColumnZone:
-        """The zone of ``column`` (empty zones for untracked columns)."""
-        existing = self.columns.get(column)
-        if existing is None:
-            existing = self.columns[column] = ColumnZone()
-        return existing
+        """The zone of ``column``; an empty one, never stored, for an
+        untracked column, so a zone map that snapshots share is never
+        written."""
+        zone = self.columns.get(column)
+        return ColumnZone() if zone is None else zone
 
     def non_null_count(self, column: str) -> int:
         """Rows of the partition whose ``column`` value is non-NULL."""

@@ -8,8 +8,10 @@ under the catalog lock:
 
 * the **row count** at pin time,
 * references to the sealed segments and the open backing column lists, and
-* a private copy of the zone map, if the shard keeps one (recomputed first
-  when an append left it behind the shard).
+* a reference to the zone map, if the shard keeps one (recomputed first
+  when an append left it behind the shard).  Nothing writes a zone map in
+  place — a refresh installs a new one on the shard — so the pinned one
+  keeps describing the pinned rows.
 
 Nothing is copied or decoded up front.  A sealed segment is immutable — an
 append after sealing replaces it with a reopened plain list, it never
@@ -35,7 +37,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.errors import StorageError
-from repro.storage.partition import ColumnZone, Partition, ZoneMap
+from repro.storage.partition import Partition
 from repro.storage.table import Table
 
 __all__ = ["PartitionSnapshot", "SnapshotTable"]
@@ -45,17 +47,6 @@ def _read_only(name: str) -> StorageError:
     return StorageError(
         f"table {name!r} is a pinned snapshot and cannot be written; "
         "mutations go through the shared database"
-    )
-
-
-def _copy_zone_map(zone_map: ZoneMap, row_count: int) -> ZoneMap:
-    """A private copy of ``zone_map`` at the pinned ``row_count``."""
-    return ZoneMap(
-        row_count=row_count,
-        columns={
-            name: ColumnZone(zone.minimum, zone.maximum, zone.null_count, zone.has_nan)
-            for name, zone in zone_map.columns.items()
-        },
     )
 
 
@@ -76,8 +67,7 @@ class PartitionSnapshot(Partition):
         self._source = list(base._plain)
         self._segments = list(base._segments)
         self._plain = [None] * len(base.schema.columns)
-        zone_map = base.zone_map
-        self._zone_map = None if zone_map is None else _copy_zone_map(zone_map, self._row_count)
+        self._zone_map = base.zone_map
 
     def column_at(self, position: int) -> List[object]:
         """One column's pinned values: the shared segment's decode, or an

@@ -242,7 +242,7 @@ class TestEngineJoinEquivalence:
 
 
 class TestJoinAlgorithmPermutationEquality:
-    """All four physical join algorithms produce the same result multiset."""
+    """All three physical join algorithms produce the same result multiset."""
 
     @settings(
         suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=10

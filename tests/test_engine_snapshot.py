@@ -95,19 +95,23 @@ class TestStorageSnapshots:
         db = _partitioned_db(rows=120)
         table = db.catalog.table("p")
         snap = SnapshotTable(table)
-        before = [
-            shard.zone_map.columns["id"].maximum for shard in snap.partitions()
-        ]
-        # Writer appends move the live zone maps past the pinned rows.
+        pinned = [shard.zone_map for shard in snap.partitions()]
+        # A pin shares the writer's zone maps rather than copying them.
+        assert all(
+            zone_map is shard.zone_map
+            for zone_map, shard in zip(pinned, table.partitions())
+        )
+        before = [zone_map.columns["id"].maximum for zone_map in pinned]
+        # Writer appends move the live zone maps past the pinned rows; the
+        # read that refreshes them installs new objects on the writer.
         db.load_rows("p", [(10_000 + i, i % 7) for i in range(20)])
+        live = [shard.zone_map for shard in table.partitions()]
+        assert all(new is not old for new, old in zip(live, pinned))
         after = [
             shard.zone_map.columns["id"].maximum for shard in snap.partitions()
         ]
         assert after == before
-        assert max(
-            shard.zone_map.columns["id"].maximum for shard in table.partitions()
-        ) >= 10_000
-
+        assert max(zone_map.columns["id"].maximum for zone_map in live) >= 10_000
 
     def test_snapshot_pins_open_columns_lazily(self):
         table = _plain_db(rows=100).catalog.table("t")

@@ -148,11 +148,7 @@ class TestExecutor:
         planned = stock_db.plan(self.SQL)
         join = planned.plan.join_nodes()[0]
         reference = stock_db.execute_plan(planned).result.rows
-        for algorithm in (
-            JoinAlgorithm.HASH_JOIN,
-            JoinAlgorithm.NESTED_LOOP,
-            JoinAlgorithm.MERGE_JOIN,
-        ):
+        for algorithm in (JoinAlgorithm.HASH_JOIN, JoinAlgorithm.NESTED_LOOP):
             join.algorithm = algorithm
             assert stock_db.execute_plan(planned).result.rows == reference
 

@@ -105,11 +105,7 @@ class TestDifferentialAcrossAlgorithms:
         planned = stock_db.plan(sql)
         joins = planned.plan.join_nodes()
         assert joins
-        for algorithm in (
-            JoinAlgorithm.HASH_JOIN,
-            JoinAlgorithm.NESTED_LOOP,
-            JoinAlgorithm.MERGE_JOIN,
-        ):
+        for algorithm in (JoinAlgorithm.HASH_JOIN, JoinAlgorithm.NESTED_LOOP):
             for join in joins:
                 join.algorithm = algorithm
             vectorized, reference = _run_both_engines(stock_db, planned)

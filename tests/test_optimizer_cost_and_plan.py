@@ -44,11 +44,6 @@ class TestCostModel:
         many_probes = cost_model.index_nested_loop_cost(100000, 10, 0)
         assert many_probes > 1000 * few_probes / 10
 
-    def test_merge_join_includes_sort(self, cost_model):
-        with_sort = cost_model.merge_join_cost(10000, 10000, 10)
-        hash_cost = cost_model.hash_join_cost(10000, 10000, 10)
-        assert with_sort > hash_cost
-
     def test_materialize_and_aggregate_positive(self, cost_model):
         assert cost_model.materialize_cost(1000, 3) > 0
         assert cost_model.aggregate_cost(1000, 2) > 0

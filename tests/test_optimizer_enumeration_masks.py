@@ -218,10 +218,6 @@ class ReferenceEnumerator(JoinEnumerator):
                         base_cost + model.hash_join_cost(outer_rows, inner_rows, output_rows),
                     ),
                     nested_loop,
-                    (
-                        JoinAlgorithm.MERGE_JOIN,
-                        base_cost + model.merge_join_cost(outer_rows, inner_rows, output_rows),
-                    ),
                 ]
                 if self._index_nested_loop_column(inner, joins) is not None:
                     costed.append(

@@ -23,6 +23,12 @@ def star_query(db):
     )
 
 
+def _subsets_by_size(graph):
+    """The connected alias subsets ``connected_levels`` lists, by size."""
+    levels = ([graph.aliases_of(mask) for mask in masks] for masks in graph.connected_levels())
+    return {len(level[0]): level for level in levels}
+
+
 @pytest.fixture
 def star(shared_stock_db):
     return JoinGraph(star_query(shared_stock_db))
@@ -69,22 +75,23 @@ class TestJoinGraph:
         assert len(components) == 1
         assert components[0] == {"t0", "t1", "t2", "t3"}
 
-    def test_connected_subsets_of_size(self, shared_stock_db):
+    def test_connected_levels_of_a_chain(self, shared_stock_db):
         graph = JoinGraph(chain_query(shared_stock_db, 4))
-        pairs = graph.connected_subsets_of_size(2)
-        assert len(pairs) == 3  # chain of 4 has 3 adjacent pairs
-        triples = graph.connected_subsets_of_size(3)
-        assert len(triples) == 2
-        assert graph.connected_subsets_of_size(0) == []
-        assert graph.connected_subsets_of_size(9) == []
+        levels = _subsets_by_size(graph)
+        # A chain of 4 has 3 adjacent pairs, 2 triples and the whole chain.
+        assert levels[2] == [{"t0", "t1"}, {"t1", "t2"}, {"t2", "t3"}]
+        assert levels[3] == [{"t0", "t1", "t2"}, {"t1", "t2", "t3"}]
+        assert levels[4] == [{"t0", "t1", "t2", "t3"}]
+        assert sorted(levels) == [1, 2, 3, 4]
 
-    def test_connected_subsets_star(self, star):
-        graph = star
+    def test_connected_levels_of_a_star(self, star):
+        levels = _subsets_by_size(star)
         # Star with 3 satellites: pairs = 3 (each satellite with hub).
-        assert len(graph.connected_subsets_of_size(2)) == 3
+        assert len(levels[2]) == 3
+        assert all("t" in pair for pair in levels[2])
         # Triples: hub + any 2 satellites = C(3,2) = 3.
-        assert len(graph.connected_subsets_of_size(3)) == 3
-        assert len(graph.connected_subsets_up_to(2)) == 4 + 3
+        assert len(levels[3]) == 3
+        assert len(levels[1]) + len(levels[2]) == 4 + 3
 
     def test_connected_levels_list_combinations_order(self, shared_stock_db):
         """Each level is exactly the connected subsets, in the order

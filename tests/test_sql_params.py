@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ParameterError
-from repro.sql import bind_parameters, parameterize, parse_select
+from repro.sql import bind_parameters, parse_select
 from repro.sql.ast import (
     Between,
     Comparison,
@@ -195,31 +195,34 @@ class TestParameterTypes:
         assert stock_db.run(bind_parameters(bound, ("1",))).rows == expected
 
 
-class TestParameterize:
+class TestPlaceholderRoundTrip:
+    """The ``?`` form of a statement, bound to its literals, returns the
+    literal statement's rows."""
+
     def test_roundtrip_through_sql_text(self, stock_db):
         sql = (
             "SELECT count(t.id) AS n FROM company AS c, trades AS t "
-            "WHERE c.symbol = 'SYM1' AND t.venue IN ('NYSE', 'NASDAQ') "
-            "AND t.shares BETWEEN 1 AND 5000 AND c.id = t.company_id"
+            "WHERE c.symbol = {} AND t.venue IN ({}, {}) "
+            "AND t.shares BETWEEN {} AND {} AND c.id = t.company_id"
         )
-        bound = stock_db.binder.bind(parse_select(sql))
-        template, values = parameterize(bound)
-        assert template.param_count == len(values) == 5
-        # Re-parse the rendered ?-SQL and substitute: same rows as literal.
-        reparsed = stock_db.binder.bind(parse_select(template.to_sql()))
-        assert reparsed.param_count == len(values)
-        concrete = bind_parameters(reparsed, values)
-        assert stock_db.run(concrete).rows == stock_db.run(bound).rows
+        values = ("SYM1", "NYSE", "NASDAQ", 1, 5000)
+        literal = stock_db.binder.bind(
+            parse_select(sql.format("'SYM1'", "'NYSE'", "'NASDAQ'", 1, 5000))
+        )
+        template = stock_db.binder.bind(parse_select(sql.format(*"?" * 5)))
+        assert template.param_count == len(values)
+        concrete = bind_parameters(template, values)
+        assert stock_db.run(concrete).rows == stock_db.run(literal).rows
 
     def test_roundtrip_with_expression_predicates(self, stock_db):
         sql = (
             "SELECT count(*) AS n FROM company AS c, trades AS t "
-            "WHERE (c.symbol = 'SYM1' OR t.shares + 5 > 100) "
+            "WHERE (c.symbol = {} OR t.shares + {} > {}) "
             "AND c.id = t.company_id"
         )
-        bound = stock_db.binder.bind(parse_select(sql))
-        template, values = parameterize(bound)
+        values = ("SYM1", 5, 100)
+        literal = stock_db.binder.bind(parse_select(sql.format("'SYM1'", 5, 100)))
+        template = stock_db.binder.bind(parse_select(sql.format(*"?" * 3)))
         assert template.param_count == len(values)
-        reparsed = stock_db.binder.bind(parse_select(template.to_sql()))
-        concrete = bind_parameters(reparsed, values)
-        assert stock_db.run(concrete).rows == stock_db.run(bound).rows
+        concrete = bind_parameters(template, values)
+        assert stock_db.run(concrete).rows == stock_db.run(literal).rows
