@@ -44,6 +44,18 @@ class TestCostModel:
         many_probes = cost_model.index_nested_loop_cost(100000, 10, 0)
         assert many_probes > 1000 * few_probes / 10
 
+    def test_sort_cost_charges_sort_factor_per_comparison(self, stock_db, cost_model):
+        rows = 10000
+        linear = rows * cost_model.params.cpu_tuple_cost
+        doubled = CostModel(stock_db.catalog, CostParameters(sort_factor=2.0))
+        assert doubled.sort_cost(rows) - linear == pytest.approx(
+            2 * (cost_model.sort_cost(rows) - linear)
+        )
+        assert cost_model.sort_cost(rows, num_keys=2) - linear == pytest.approx(
+            2 * (cost_model.sort_cost(rows) - linear)
+        )
+        assert cost_model.sort_cost(1) == pytest.approx(cost_model.params.cpu_tuple_cost)
+
     def test_materialize_and_aggregate_positive(self, cost_model):
         assert cost_model.materialize_cost(1000, 3) > 0
         assert cost_model.aggregate_cost(1000, 2) > 0
